@@ -40,7 +40,6 @@ from .measures import (
     radial_integral,
     stable_spec,
     tabulated_radial,
-    validate_spec,
 )
 from .spherical import (
     angular_grid,
@@ -62,6 +61,7 @@ from .laplace import (
 from .conditions import (
     check_martingale,
     check_positive_jumps,
+    check_structure,
     check_variation,
     density_reducibility_check,
     q_ratios,

@@ -21,17 +21,19 @@ import numpy as np
 from .conditions import (
     check_martingale,
     check_positive_jumps,
+    check_structure,
     check_variation,
     radial_balance,
     wiener_cir_check,
 )
-from .exceptions import LevyReduceError, PreconditionFailed
+from .exceptions import LevyReduceError
 from .measures import (
     LevySpec,
     RadialMeasure,
     SphericalMeasure,
     VolatilityFunction,
     power_radial,
+    tabulated_radial,
 )
 from .pricing import SimConfig, bond_price, compare_term_structures, riccati_solve
 from .quadrature import QuadratureConfig
@@ -46,20 +48,10 @@ _USAGE = (
 )
 
 
-def _tabulated_density(points):
-    """Linear-interpolation density from (x, value) pairs, zero outside."""
+def _tabulated(points, hints=None) -> RadialMeasure:
+    """Linear-interpolation density from (x, value) pairs in any order."""
     pts = sorted((float(x), float(v)) for x, v in points)
-    if len(pts) < 2:
-        raise ValueError("a tabulated function needs at least two points")
-    xs = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    if np.any(vs < 0):
-        raise ValueError("tabulated density values must be nonnegative")
-
-    def dens(r, _x=xs, _v=vs):
-        return np.interp(np.asarray(r, dtype=float), _x, _v, left=0.0, right=0.0)
-
-    return dens
+    return tabulated_radial([p[0] for p in pts], [p[1] for p in pts], hints)
 
 
 def _parse_radial(section) -> RadialMeasure:
@@ -67,11 +59,7 @@ def _parse_radial(section) -> RadialMeasure:
     if kind == "power":
         return power_radial(float(section["alpha"]), float(section.get("scale", 1.0)))
     if kind == "custom":
-        hints = section.get("hints")
-        return RadialMeasure(
-            density=_tabulated_density(section["points"]),
-            hints=tuple(float(h) for h in hints) if hints is not None else None,
-        )
+        return _tabulated(section["points"], section.get("hints"))
     raise ValueError(f"unknown radial kind {kind!r}")
 
 
@@ -90,7 +78,7 @@ def _parse_spherical(section, d: int) -> SphericalMeasure:
         if kind == "tabulated":
             if d != 2:
                 raise ValueError("tabulated angular densities are supported in d=2")
-            dens = _tabulated_density(ang["points"])
+            dens = _tabulated(ang["points"]).density
             return SphericalMeasure.from_angular(
                 d, lambda angles, _f=dens: _f(np.asarray(angles)[:, 0])
             )
@@ -126,6 +114,10 @@ class RunConfig:
             raise ValueError("spherical dimension disagrees with d")
         radial = _parse_radial(model["radial"])
         self.spec = LevySpec(d, q, spherical, lambda xi, _r=radial: _r)
+        structure = check_structure(self.spec)
+        if not structure.overall_pass:
+            names = ", ".join(it.name for it in structure.failing())
+            raise ValueError(f"model fails structural checks: {names}")
         self.volatility = _parse_volatility(doc["G"]) if "G" in doc else None
         if self.volatility is not None and self.volatility.dimension != d:
             raise ValueError("G dimension disagrees with d")
@@ -141,6 +133,11 @@ class RunConfig:
         self.seed = int(sim.get("seed", 0))
         pricing = doc.get("pricing", {})
         self.tau_grid = [float(t) for t in pricing.get("tau_grid", [1.0])]
+        for name in ("horizon", "dt", "eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"simulation {name} must be positive")
+        if self.n_paths < 1:
+            raise ValueError("simulation n_paths must be at least 1")
         quad = doc.get("quadrature", {})
         self.quadrature = QuadratureConfig(**{k: float(v) if k != "max_subdivisions" else int(v) for k, v in quad.items()})
 
@@ -148,6 +145,13 @@ class RunConfig:
         if self.volatility is None:
             raise ValueError("this pipeline needs a G section in the config")
         return self.volatility
+
+    def reduce(self):
+        """The reduction of this model: (ReducedModel, CheckReport).
+        Refusals raise; run() turns them into a failing report.json."""
+        return reduce_model(
+            self.spec, self.require_volatility(), self.a, self.b, self.quadrature
+        )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -205,16 +209,7 @@ def _model_dict(model) -> dict:
 
 
 def _cmd_reduce(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    try:
-        model, report = reduce_model(
-            cfg.spec, cfg.require_volatility(), cfg.a, cfg.b, cfg.quadrature
-        )
-    except PreconditionFailed as exc:
-        payload = _report_payload("reduce", exc.report, [], error=str(exc))
-        _write_json(outdir / "report.json", payload)
-        if not quiet:
-            print(f"reduction refused: {exc}", file=sys.stderr)
-        return 1
+    model, report = cfg.reduce()
     _write_json(outdir / "reduced.json", _model_dict(model))
     payload = _report_payload(
         "reduce", report, ["reduced.json"], model=_model_dict(model)
@@ -253,15 +248,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
 
 
 def _cmd_price(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    try:
-        model, report = reduce_model(
-            cfg.spec, cfg.require_volatility(), cfg.a, cfg.b, cfg.quadrature
-        )
-    except PreconditionFailed as exc:
-        _write_json(
-            outdir / "report.json", _report_payload("price", exc.report, [], error=str(exc))
-        )
-        return 1
+    model, report = cfg.reduce()
     tau_max = max(cfg.tau_grid)
     ts = riccati_solve(model, tau_max, 400, cfg.quadrature)
     rows = [
@@ -285,16 +272,7 @@ def _cmd_price(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    try:
-        model, report = reduce_model(
-            cfg.spec, cfg.require_volatility(), cfg.a, cfg.b, cfg.quadrature
-        )
-    except PreconditionFailed as exc:
-        _write_json(
-            outdir / "report.json",
-            _report_payload("compare", exc.report, [], error=str(exc)),
-        )
-        return 1
+    model, report = cfg.reduce()
     sim_cfg = SimConfig(
         dt=cfg.dt, n_paths=cfg.n_paths, eps=cfg.eps, seed=cfg.seed,
         quadrature=cfg.quadrature,
@@ -385,7 +363,12 @@ def run(argv) -> int:
     try:
         return _COMMANDS[args.subcommand](cfg, out, args.quiet)
     except LevyReduceError as exc:
-        print(f"{args.subcommand} failed: {exc}", file=sys.stderr)
+        # every refusal leaves a report.json naming its cause
+        report = getattr(exc, "report", None) or CheckReport(())
+        payload = _report_payload(args.subcommand, report, [], error=str(exc))
+        payload["overall_pass"] = False
+        _write_json(out / "report.json", payload)
+        print(f"{args.subcommand} refused: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Hypothesis checks behind affine generation and reducibility.
 
 Each check sweeps one assumption needed by the reduction machinery:
-martingale integrability of the jump measure, infinite variation and
+the structure of the triplet (positive weights on unit directions, a
+covariance for the Wiener part) together with martingale integrability
+of the jump measure, infinite variation and
 span of the carrying directions, sign of the jumps seen through the
 volatility function, CIR affinity of the Wiener part, uniform balance
 of the radial Laplace exponents, truncated-moment domination ratios,
@@ -18,15 +20,20 @@ from . import report as rpt
 from .exceptions import DenominatorZero, DivergentIntegral, InfimumZero
 from .laplace import X_GRID_DEFAULT, laplace_radial
 from .measures import (
+    _UNIT_NORM_TOL,
     DensityLevySpec,
     LevySpec,
     RadialMeasure,
-    _sample_directions,
     radial_integral,
 )
 from .quadrature import CONVERGED, DEFAULT_CONFIG, DIVERGENT, QuadratureConfig
 from .quadrature import lower_tail_probe
-from .spherical import induced_spec, spherical_integrate, uniform_angle_grid
+from .spherical import (
+    _sample_directions,
+    induced_spec,
+    spherical_integrate,
+    uniform_angle_grid,
+)
 
 BALANCE_B_GRID = np.logspace(-3.0, 3.0, 25)
 EPS_GRID_DEFAULT = np.logspace(-2.0, -8.0, 13)
@@ -42,42 +49,104 @@ def _min_kernel(r):
     return np.minimum(r * r, r)
 
 
+def _per_measure(spec: LevySpec, dirs, fn) -> list:
+    """[fn(spec.radial(xi)) for xi in dirs], with fn run once per distinct
+    radial measure.  The memo is keyed on the measure itself and holds it
+    alive, so a freed measure can never stand in for a live one."""
+    memo: dict[RadialMeasure, object] = {}
+    out = []
+    for xi in dirs:
+        gamma = spec.radial(xi)
+        if gamma not in memo:
+            memo[gamma] = fn(gamma)
+        out.append(memo[gamma])
+    return out
+
+
+def check_structure(spec: LevySpec) -> rpt.CheckReport:
+    """Structural hypotheses on the triplet, checked without quadrature.
+
+    The spherical part must sit on unit directions with strictly
+    positive weights (or, in angular form, carry positive mass), and the
+    Wiener covariance must be symmetric positive semidefinite.
+    """
+    sph = spec.spherical
+    items = []
+    if sph.is_atomic:
+        items.append(
+            rpt.item(
+                "atom_weights_positive",
+                bool(np.all(sph.weights > 0)),
+                value=float(np.min(sph.weights)),
+                detail="all spherical atom weights must be strictly positive",
+            )
+        )
+        norm_dev = float(np.max(np.abs(np.linalg.norm(sph.directions, axis=1) - 1.0)))
+        items.append(
+            rpt.item(
+                "unit_directions",
+                norm_dev <= _UNIT_NORM_TOL,
+                value=norm_dev,
+                tolerance=_UNIT_NORM_TOL,
+            )
+        )
+    else:
+        mass = float(np.sum(_sample_directions(spec)[1]))
+        items.append(
+            rpt.item(
+                "angular_mass_positive",
+                mass > 0,
+                value=mass,
+                detail="angular density must carry positive mass",
+            )
+        )
+
+    q = np.asarray(spec.wiener_cov, dtype=float)
+    scale = max(float(np.max(np.abs(q))), 1.0)
+    sym_dev = float(np.max(np.abs(q - q.T)))
+    eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (q + q.T))))
+    items.append(rpt.item("wiener_cov_symmetric", sym_dev <= 1e-10 * scale, value=sym_dev))
+    items.append(
+        rpt.item(
+            "wiener_cov_psd",
+            eig_min >= -1e-10 * scale,
+            value=eig_min,
+            detail="smallest eigenvalue of the symmetrised covariance",
+        )
+    )
+    return rpt.CheckReport(tuple(items))
+
+
 def check_martingale(
     spec: LevySpec,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     n_angular: int = 16,
 ) -> rpt.CheckReport:
-    """Verify int (r^2 wedge r) gamma_xi(dr) < inf on sampled directions.
+    """The structural items of check_structure, then
+    int (r^2 wedge r) gamma_xi(dr) < inf on sampled directions.
 
-    This is the moment bound that makes the compensated jump part a
-    martingale with finite first moment.  Zero jump measures pass with
-    a warning so degenerate inputs remain visible.
+    The moment bound makes the compensated jump part a martingale with
+    finite first moment.  Zero jump measures pass with a warning so
+    degenerate inputs remain visible.
     """
     dirs, _ = _sample_directions(spec, n_angular)
-    cache: dict[int, tuple] = {}
+
+    def moment(gamma):
+        if gamma.is_zero:
+            return None
+        return radial_integral(gamma, _min_kernel, cfg, weight_exponents=(2.0, 1.0))
+
     worst = 0.0
     bad_detail = ""
     all_zero = True
-    for xi in dirs:
-        gamma = spec.radial(xi)
-        key = id(gamma)
-        if key not in cache:
-            if gamma.is_zero:
-                cache[key] = (True, 0.0, "")
-            else:
-                res = radial_integral(
-                    gamma, _min_kernel, cfg, weight_exponents=(2.0, 1.0)
-                )
-                ok = res.status == CONVERGED and np.isfinite(res.value)
-                cache[key] = (ok, res.value if ok else np.inf, res.status)
-        ok, val, status = cache[key]
-        if not gamma.is_zero:
-            all_zero = False
+    for xi, res in zip(dirs, _per_measure(spec, dirs, moment)):
+        if res is None:
+            continue
+        all_zero = False
+        ok = res.status == CONVERGED and np.isfinite(res.value)
         if not ok and not bad_detail:
-            bad_detail = (
-                f"moment integral {status} along direction {np.round(xi, 6)}"
-            )
-        worst = max(worst, val)
+            bad_detail = f"moment integral {res.status} along direction {np.round(xi, 6)}"
+        worst = max(worst, res.value if ok else np.inf)
 
     if all_zero:
         it = rpt.CheckItem(
@@ -93,7 +162,7 @@ def check_martingale(
             value=worst,
             detail=bad_detail or "max over sampled directions",
         )
-    return rpt.CheckReport((it,))
+    return check_structure(spec).merged(rpt.CheckReport((it,)))
 
 
 def check_variation(
@@ -109,20 +178,14 @@ def check_variation(
     the located directions to span the whole space.
     """
     dirs, wgts = _sample_directions(spec, n_angular)
-    cache: dict[int, bool] = {}
-    divergent = np.zeros(len(dirs), dtype=bool)
-    for i, xi in enumerate(dirs):
-        gamma = spec.radial(xi)
-        key = id(gamma)
-        if key not in cache:
-            if gamma.density is None:
-                cache[key] = False  # atom masses on (0,1] are finite sums
-            else:
-                dens = gamma.density
-                probe = lower_tail_probe(lambda r: r * dens(r), cfg, upper=1.0)
-                cache[key] = probe.status == DIVERGENT
-        divergent[i] = cache[key]
 
+    def small_jumps_diverge(gamma):
+        if gamma.density is None:
+            return False  # atom masses on (0,1] are finite sums
+        dens = gamma.density
+        return lower_tail_probe(lambda r: r * dens(r), cfg, upper=1.0).status == DIVERGENT
+
+    divergent = np.array(_per_measure(spec, dirs, small_jumps_diverge), dtype=bool)
     mass = float(np.sum(np.asarray(wgts, dtype=float)[divergent]))
     items = [
         rpt.item(
@@ -235,20 +298,20 @@ def wiener_cir_check(Q, G, x_grid=None):
 
 def _balance_ratio(spec, dirs, b_grid, cfg):
     """max over b of sup/inf of the per-direction radial exponents."""
-    measures = [spec.radial(xi) for xi in dirs]
-    cache: dict[tuple[int, float], float] = {}
+
+    def exponents(gamma):
+        row = []
+        for b in b_grid:
+            try:
+                row.append(laplace_radial(gamma, float(b), cfg))
+            except DivergentIntegral:
+                row.append(np.inf)
+        return row
+
+    table = np.array(_per_measure(spec, dirs, exponents), dtype=float)
     worst = 1.0
-    for b in b_grid:
-        vals = []
-        for gamma in measures:
-            key = (id(gamma), float(b))
-            if key not in cache:
-                try:
-                    cache[key] = laplace_radial(gamma, float(b), cfg)
-                except DivergentIntegral:
-                    cache[key] = np.inf
-            vals.append(cache[key])
-        lo, hi = min(vals), max(vals)
+    for b, vals in zip(b_grid, table.T):
+        lo, hi = float(np.min(vals)), float(np.max(vals))
         if lo == 0.0:
             raise InfimumZero(f"radial Laplace exponent vanishes at b={b:g}")
         worst = max(worst, hi / lo)
@@ -414,29 +477,24 @@ def q_ratios(
 
 
 def _envelope_functions(dspec: DensityLevySpec, n_per_dim: int):
-    """Radius-wise inf/sup of the density times the angular factor.
+    """Radius-wise inf and sup of the density times the angular factor.
 
-    In the plane the factor is identically 1, so these are plain
-    extremes of g over each circle; in higher dimension the polar
-    Jacobian is included, matching how the per-direction radial
-    measures absorb it.
+    Returns extremes(r) -> (inf, sup), one density evaluation on the
+    radius x direction grid per call.  In the plane the factor is
+    identically 1, so these are plain extremes of g over each circle; in
+    higher dimension the polar Jacobian is included, matching how the
+    per-direction radial measures absorb it.
     """
     dirs, _, jac = uniform_angle_grid(dspec.dimension, n_per_dim)
     jac = np.asarray(jac, dtype=float)
 
-    def lower(r):
+    def extremes(r):
         r = np.asarray(r, dtype=float)
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dspec.dimension)
         vals = np.asarray(dspec(pts), dtype=float).reshape(r.size, -1) * jac[None, :]
-        return np.min(vals, axis=1)
+        return np.min(vals, axis=1), np.max(vals, axis=1)
 
-    def upper(r):
-        r = np.asarray(r, dtype=float)
-        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dspec.dimension)
-        vals = np.asarray(dspec(pts), dtype=float).reshape(r.size, -1) * jac[None, :]
-        return np.max(vals, axis=1)
-
-    return lower, upper
+    return extremes
 
 
 def density_reducibility_check(
@@ -520,32 +578,29 @@ def density_reducibility_check(
     )
 
     # envelopes, refined once if the two resolutions disagree
-    low_f, up_f = _envelope_functions(dspec, n_env)
-    low_f2, up_f2 = _envelope_functions(dspec, 2 * n_env)
+    env = _envelope_functions(dspec, n_env)
+    env2 = _envelope_functions(dspec, 2 * n_env)
     probe_r = np.logspace(-3.0, 3.0, 13)
-    disagree = 0.0
-    for f1, f2 in ((low_f, low_f2), (up_f, up_f2)):
-        v1, v2 = f1(probe_r), f2(probe_r)
-        disagree = max(
-            disagree,
-            float(np.max(np.abs(v1 - v2) / np.maximum(np.abs(v2), 1e-300))),
-        )
+    disagree = max(
+        float(np.max(np.abs(v1 - v2) / np.maximum(np.abs(v2), 1e-300)))
+        for v1, v2 in zip(env(probe_r), env2(probe_r))
+    )
     if disagree > 1e-3:
-        low_f, up_f = low_f2, up_f2
+        env = env2
 
     hints = None
     if dspec.hints is not None:
         hints = (dspec.hints[0] - (d - 1), dspec.hints[1] - (d - 1))
     surface = float(d - 1)
 
-    def _env_measure(env):
-        def dens(r, _env=env):
+    def _env_measure(k):
+        def dens(r, _env=env, _k=k):
             r = np.asarray(r, dtype=float)
-            return _env(r) * r**surface
+            return _env(r)[_k] * r**surface
 
         return RadialMeasure(density=dens, hints=hints, label="envelope")
 
-    lower_m, upper_m = _env_measure(low_f), _env_measure(up_f)
+    lower_m, upper_m = _env_measure(0), _env_measure(1)
     try:
         q0, q_inf, qrep = q_ratios(lower_m, upper_m, eps_grid, cfg)
         lookup = {it.name: it for it in qrep.items}

@@ -1,8 +1,8 @@
 """Data model for spherically decomposed Levy measures.
 
-A jump measure nu on R^d \ {0} is stored as a spherical part lambda on
-the unit sphere together with one radial measure gamma_xi on (0, inf)
-per direction xi:
+A jump measure nu on R^d minus the origin is stored as a spherical part
+lambda on the unit sphere together with one radial measure gamma_xi on
+(0, inf) per direction xi:
 
     nu(A) = int_S int_0^inf 1_A(r xi) gamma_xi(dr) lambda(dxi).
 
@@ -19,16 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import report as rpt
-from .quadrature import (
-    CONVERGED,
-    DEFAULT_CONFIG,
-    DIVERGENT,
-    QuadratureConfig,
-    improper_integral,
-    lower_tail_probe,
-    upper_tail_probe,
-)
+from .quadrature import CONVERGED, DEFAULT_CONFIG, QuadratureConfig, improper_integral
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -62,6 +53,11 @@ class RadialMeasure:
     label: str = ""
 
     def __post_init__(self):
+        # plain float tuples keep the measure hashable, so sweeps can
+        # memoise per-measure work on the measure itself
+        object.__setattr__(self, "atoms", tuple((float(r), float(w)) for r, w in self.atoms))
+        if self.hints is not None:
+            object.__setattr__(self, "hints", tuple(float(h) for h in self.hints))
         for r, w in self.atoms:
             if not (r > 0 and np.isfinite(r)):
                 raise ValueError("atom locations must be positive and finite")
@@ -71,17 +67,6 @@ class RadialMeasure:
     @property
     def is_zero(self) -> bool:
         return self.density is None and not self.atoms
-
-    def scaled(self, factor: float) -> "RadialMeasure":
-        """The measure multiplied by a nonnegative constant."""
-        if factor < 0:
-            raise ValueError("scaling factor must be nonnegative")
-        dens = None
-        if self.density is not None:
-            base = self.density
-            dens = lambda r, _b=base, _f=factor: _f * _b(r)
-        atoms = tuple((r, factor * w) for r, w in self.atoms)
-        return replace(self, density=dens, atoms=atoms)
 
 
 def power_radial(alpha: float, scale: float = 1.0) -> RadialMeasure:
@@ -109,6 +94,8 @@ def tabulated_radial(r_grid, values, hints=None) -> RadialMeasure:
     values = np.asarray(values, dtype=float)
     if r_grid.ndim != 1 or r_grid.shape != values.shape:
         raise ValueError("r_grid and values must be matching 1-d arrays")
+    if r_grid.size < 2:
+        raise ValueError("a tabulated function needs at least two points")
     if not np.all(np.diff(r_grid) > 0):
         raise ValueError("r_grid must be strictly increasing")
     if np.any(values < 0):
@@ -165,26 +152,6 @@ def _atoms_only_result(total, lo, hi):
     return IntegralResult(total, CONVERGED, lo if lo > 0 else 0.0, hi, 0)
 
 
-def radial_moment_probe(measure: RadialMeasure, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Probe int (r^2 wedge r) measure(dr): the martingale moment.
-
-    Returns (result_low, result_high) probing r^2 on (0, 1] and r on
-    [1, inf) separately, so callers can report which end fails.
-    """
-    atoms_low = sum(w * r * r for r, w in measure.atoms if r <= 1.0)
-    atoms_high = sum(w * r for r, w in measure.atoms if r > 1.0)
-    if measure.density is None:
-        lowres = _atoms_only_result(atoms_low, 0.0, 1.0)
-        highres = _atoms_only_result(atoms_high, 1.0, np.inf)
-        return lowres, highres
-    dens = measure.density
-    low = lower_tail_probe(lambda r: r * r * dens(r), cfg, upper=1.0)
-    high = upper_tail_probe(lambda r: r * dens(r), cfg, lower=1.0)
-    low = replace(low, value=low.value + atoms_low)
-    high = replace(high, value=high.value + atoms_high)
-    return low, high
-
-
 @dataclass(frozen=True)
 class SphericalMeasure:
     """Finite measure on the unit sphere: atoms or an angular density.
@@ -239,24 +206,6 @@ class SphericalMeasure:
     def angular_box(self) -> tuple[tuple[float, float], ...]:
         """The polar parameter box [0, pi]^(d-2) x [0, 2pi]."""
         return ((0.0, np.pi),) * (self.dimension - 2) + ((0.0, 2.0 * np.pi),)
-
-    def total_mass(self, n_nodes: int = 64) -> float:
-        """lambda(S^{d-1}); for the angular form, the box integral of the density."""
-        if self.is_atomic:
-            return float(np.sum(self.weights))
-        box = self.angular_box()
-        grids = []
-        wgts = []
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
-        for lo, hi in box:
-            grids.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * x)
-            wgts.append(0.5 * (hi - lo) * w)
-        mesh = np.meshgrid(*grids, indexing="ij")
-        angles = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*wgts, indexing="ij")
-        wall = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
-        vals = np.asarray(self.angular_density(angles), dtype=float)
-        return float(np.sum(vals * wall))
 
 
 @dataclass(frozen=True)
@@ -365,6 +314,8 @@ class VolatilityFunction:
         values = np.asarray(values, dtype=float)
         if values.shape[0] != x_grid.shape[0]:
             raise ValueError("table rows must match x grid")
+        if x_grid.ndim != 1 or np.any(np.diff(x_grid) <= 0):
+            raise ValueError("x grid must be strictly increasing")
 
         def g(x, _g=x_grid, _v=values):
             x = np.asarray(x, dtype=float)
@@ -383,113 +334,3 @@ def stable_spec(alpha: float, spherical: SphericalMeasure) -> LevySpec:
     base = power_radial(alpha)
     d = spherical.dimension
     return LevySpec(d, np.zeros((d, d)), spherical, lambda xi, _b=base: _b)
-
-
-def _sample_directions(spec: LevySpec, n_angular: int = 16):
-    """Representative (directions, weights) rows for structural sweeps."""
-    if spec.spherical.is_atomic:
-        return spec.spherical.directions, np.asarray(spec.spherical.weights, float)
-    from .spherical import angular_grid  # lazy: spherical imports this module
-
-    dirs, wgts, _ = angular_grid(spec.spherical, n_angular)
-    return dirs, wgts
-
-
-def validate_spec(spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG) -> rpt.CheckReport:
-    """Structural and integrability sweep over a LevySpec.
-
-    Checks atom positivity and unit norms, symmetry and positive
-    semidefiniteness of the Wiener covariance, and the martingale moment
-    int (r^2 wedge r) gamma_xi(dr) < inf on sampled directions.  A pure
-    function of its inputs: repeated calls return identical reports.
-    """
-    if spec.dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    items = []
-
-    sph = spec.spherical
-    if sph.is_atomic:
-        wpos = bool(np.all(sph.weights > 0))
-        items.append(
-            rpt.item(
-                "atom_weights_positive",
-                wpos,
-                value=float(np.min(sph.weights)),
-                detail="all spherical atom weights must be strictly positive",
-            )
-        )
-        norms = np.linalg.norm(sph.directions, axis=1)
-        norm_dev = float(np.max(np.abs(norms - 1.0)))
-        items.append(
-            rpt.item(
-                "unit_directions",
-                norm_dev <= _UNIT_NORM_TOL,
-                value=norm_dev,
-                tolerance=_UNIT_NORM_TOL,
-            )
-        )
-    else:
-        mass = sph.total_mass()
-        items.append(
-            rpt.item(
-                "angular_mass_positive",
-                mass > 0,
-                value=mass,
-                detail="angular density must carry positive mass",
-            )
-        )
-
-    q = np.asarray(spec.wiener_cov, dtype=float)
-    scale = max(float(np.max(np.abs(q))), 1.0)
-    sym_dev = float(np.max(np.abs(q - q.T)))
-    eig_min = float(np.min(np.linalg.eigvalsh(0.5 * (q + q.T))))
-    items.append(rpt.item("wiener_cov_symmetric", sym_dev <= 1e-10 * scale, value=sym_dev))
-    items.append(
-        rpt.item(
-            "wiener_cov_psd",
-            eig_min >= -1e-10 * scale,
-            value=eig_min,
-            detail="smallest eigenvalue of the symmetrised covariance",
-        )
-    )
-
-    dirs, _ = _sample_directions(spec)
-    worst = None
-    all_zero = True
-    ok = True
-    for xi in dirs:
-        gamma = spec.radial(xi)
-        if gamma.is_zero:
-            continue
-        all_zero = False
-        low, high = radial_moment_probe(gamma, cfg)
-        if low.status == DIVERGENT or high.status == DIVERGENT:
-            ok = False
-            worst = (list(map(float, xi)), low.status, high.status)
-            break
-        if not (low.converged and high.converged):
-            ok = False
-            worst = (list(map(float, xi)), low.status, high.status)
-            break
-        total = float(low.value + high.value)
-        worst = total if worst is None else max(worst, total)
-    if all_zero:
-        items.append(
-            rpt.CheckItem(
-                "martingale_moment",
-                rpt.WARN,
-                value=0.0,
-                detail="degenerate: every sampled radial measure is zero",
-            )
-        )
-    else:
-        items.append(
-            rpt.item(
-                "martingale_moment",
-                ok,
-                value=worst,
-                detail="int (r^2 wedge r) gamma_xi(dr) finite on sampled directions",
-            )
-        )
-
-    return rpt.CheckReport(tuple(items))

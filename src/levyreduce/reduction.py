@@ -350,7 +350,8 @@ def reduce_model(
     """Run the full reduction: hypothesis suite, exponent extraction,
     power-law fit, and assembly of the one-factor model.
 
-    Structural preconditions (martingale moment, jump sign, balance,
+    Structural preconditions (triplet structure and martingale moment,
+    jump sign, balance,
     settling direction at zero, and infinite variation unless G(0)=0)
     raise PreconditionFailed.  A nonzero Wiener part is reported as a
     violation in the returned CheckReport but does not stop the jump
@@ -377,9 +378,17 @@ def reduce_model(
     _precondition(balance, "radial balance check")
 
     g0, g0_residual = direction_limit_at_zero(G)
-    if g0_residual > DIRECTION_TOL:
+    direction = rpt.item(
+        "direction_limit",
+        g0_residual <= DIRECTION_TOL,
+        value=g0_residual,
+        tolerance=DIRECTION_TOL,
+        detail=f"limit direction {np.round(g0, 6)}",
+    )
+    if not direction.passed:
         raise PreconditionFailed(
-            f"direction of G does not settle at zero (residual {g0_residual:.3e})"
+            f"direction of G does not settle at zero (residual {g0_residual:.3e})",
+            report=rpt.CheckReport((direction,)),
         )
 
     c, wiener_residual, wiener = wiener_cir_check(spec.wiener_cov, G, x_grid)
@@ -414,13 +423,7 @@ def reduce_model(
     extras = rpt.CheckReport(
         (
             wiener_flag,
-            rpt.item(
-                "direction_limit",
-                True,
-                value=g0_residual,
-                tolerance=DIRECTION_TOL,
-                detail=f"limit direction {np.round(g0, 6)}",
-            ),
+            direction,
             rpt.item(
                 "affinity_residual",
                 True,

@@ -16,9 +16,10 @@ import numpy as np
 
 from .exceptions import CutoffTooSmall
 from .laplace import stable_coefficient
-from .measures import LevySpec, _sample_directions, radial_integral
+from .measures import LevySpec, radial_integral
 from .quadrature import CONVERGED, DEFAULT_CONFIG, QuadratureConfig, panel_integral
 from .reduction import ReducedModel
+from .spherical import _sample_directions
 
 _TABLE_CELLS_PER_DECADE = 128
 _INVERSE_TABLE_SIZE = 16384

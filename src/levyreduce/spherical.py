@@ -128,6 +128,16 @@ def angular_grid(measure: SphericalMeasure, n_per_dim: int = 32):
     return dirs, wall * dens, angles
 
 
+def _sample_directions(spec: LevySpec, n_angular: int = 16):
+    """Representative (directions, weights) rows for structural sweeps:
+    the atoms themselves, or the angular Gauss grid whose weights sum to
+    the angular mass."""
+    if spec.spherical.is_atomic:
+        return spec.spherical.directions, np.asarray(spec.spherical.weights, float)
+    dirs, wgts, _ = angular_grid(spec.spherical, n_angular)
+    return dirs, wgts
+
+
 def uniform_angle_grid(dimension: int, n_per_dim: int):
     """Uniform grids over the polar box for sup/inf scans.
 

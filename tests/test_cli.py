@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from levyreduce.cli import run
@@ -82,6 +83,47 @@ class TestArgumentHandling:
     def test_quiet_suppresses_stdout(self, capsys, write_config, tmp_path):
         assert run(["check", write_config(base_config()), str(tmp_path / "out"), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
+
+
+def _negative_weight(doc):
+    doc["model"]["spherical"]["atoms"]["weights"] = [0.5, -0.5]
+
+
+def _non_unit_direction(doc):
+    doc["model"]["spherical"]["atoms"]["directions"] = [[2.0, 0.0], [0.0, 1.0]]
+
+
+def _negative_dt(doc):
+    doc["simulation"]["dt"] = -0.01
+
+
+def _unordered_g_table(doc):
+    doc["G"] = {
+        "kind": "tabulated",
+        "points": [[1.0, [1.0, 1.0]], [0.0, [0.0, 0.0]], [2.0, [2.0, 2.0]]],
+    }
+
+
+class TestInvalidModelExits2:
+    """Configs that used to run to exit 0 with a wrong answer."""
+
+    @pytest.mark.parametrize(
+        "patch, command",
+        [
+            (_negative_weight, "check"),
+            (_negative_weight, "simulate"),
+            (_non_unit_direction, "reduce"),
+            (_negative_dt, "simulate"),
+            (_unordered_g_table, "check"),
+        ],
+    )
+    def test_rejected_before_any_output(self, patch, command, write_config, tmp_path, capsys):
+        doc = base_config()
+        patch(doc)
+        out = tmp_path / "out"
+        assert run([command, write_config(doc), str(out), "--quiet"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestCheckPipeline:
@@ -175,6 +217,45 @@ class TestReducePipeline:
         assert "refused" in capsys.readouterr().err
 
 
+    # G whose direction jumps between e1 and e2 near zero
+    UNSETTLED_G = {
+        "kind": "tabulated",
+        "points": [
+            [0.0, [0.0, 0.0]], [1e-8, [1.0, 0.0]], [1e-7, [0.0, 1.0]],
+            [1.0, [1.0, 1.0]], [10.0, [3.0, 3.0]],
+        ],
+    }
+
+    @staticmethod
+    def tempered_radial():
+        r = np.geomspace(1e-4, 50.0, 400)
+        return {
+            "kind": "custom",
+            "points": [[float(x), float(x**-2.5 * np.exp(-x))] for x in r],
+        }
+
+    @pytest.mark.parametrize("command", ["reduce", "price", "compare"])
+    def test_unsettled_direction_writes_report(self, command, write_config, tmp_path):
+        doc = base_config()
+        doc["G"] = self.UNSETTLED_G
+        out = tmp_path / "out"
+        assert run([command, write_config(doc), str(out), "--quiet"]) == 1
+        payload = load_report(out)
+        assert payload["overall_pass"] is False
+        assert "does not settle" in payload["error"]
+        assert item_status(payload, "direction_limit") == "fail"
+
+    def test_tempered_radial_refusal_writes_report(self, write_config, tmp_path):
+        doc = base_config()
+        doc["model"]["radial"] = self.tempered_radial()
+        out = tmp_path / "out"
+        assert run(["reduce", write_config(doc), str(out), "--quiet"]) == 1
+        payload = load_report(out)
+        assert payload["overall_pass"] is False
+        assert "not affine" in payload["error"]
+        assert payload["outputs"] == []
+
+
 class TestSimulatePipeline:
     def small_doc(self):
         return base_config(
@@ -225,8 +306,6 @@ class TestPricePipeline:
         lines = (out / "term_structure.csv").read_text().splitlines()
         assert lines[0] == "tau,A,B,price"
         assert len(lines) == 3
-        import numpy as np
-
         for line in lines[1:]:
             tau, a_val, b_val, price = map(float, line.split(","))
             assert price == pytest.approx(np.exp(-a_val - b_val * 1.0), rel=1e-9)

@@ -12,8 +12,10 @@ from levyreduce import (
     RadialMeasure,
     SphericalMeasure,
     VolatilityFunction,
+    angular_grid,
     check_martingale,
     check_positive_jumps,
+    check_structure,
     check_variation,
     density_reducibility_check,
     density_spec,
@@ -50,6 +52,63 @@ class TestMartingale:
         assert report.item("martingale_moment").status == "warn"
 
 
+    # A family whose direction is drawn afresh per call: every direction
+    # gets its own radial measure, so a sweep must integrate each of them.
+    def test_divergent_direction_subset_fails(self):
+        uniform = SphericalMeasure.from_angular(2, lambda a: np.ones(a.shape[0]))
+        spec = LevySpec(
+            2,
+            np.zeros((2, 2)),
+            uniform,
+            lambda xi: power_radial(2.5 if xi[0] < -0.5 else 1.5),
+        )
+        item = check_martingale(spec).item("martingale_moment")
+        assert item.status == "fail"
+        assert "divergent" in item.detail
+
+    def test_value_is_max_over_directions(self):
+        uniform = SphericalMeasure.from_angular(2, lambda a: np.ones(a.shape[0]))
+        spec = LevySpec(
+            2,
+            np.zeros((2, 2)),
+            uniform,
+            lambda xi: power_radial(1.5, scale=1.0 - 0.5 * float(xi[0])),
+        )
+        dirs = angular_grid(uniform, 16)[0]
+        expected = float(np.max(4.0 * (1.0 - 0.5 * dirs[:, 0])))
+        value = check_martingale(spec).item("martingale_moment").value
+        assert value == pytest.approx(expected, rel=1e-8)
+        assert value == pytest.approx(5.91, abs=5e-3)
+
+
+class TestStructure:
+    def test_negative_weight_fails(self):
+        sph = SphericalMeasure.from_atoms([[1.0, 0.0], [0.0, 1.0]], [0.5, -0.5])
+        report = check_structure(stable_spec(1.5, sph))
+        assert report.item("atom_weights_positive").status == "fail"
+
+    def test_non_unit_direction_fails(self):
+        sph = SphericalMeasure.from_atoms([[2.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+        report = check_structure(stable_spec(1.5, sph))
+        assert report.item("unit_directions").status == "fail"
+        assert report.item("unit_directions").value == pytest.approx(1.0)
+
+    def test_zero_angular_mass_fails(self):
+        empty = SphericalMeasure.from_angular(2, lambda a: np.zeros(a.shape[0]))
+        report = check_structure(stable_spec(1.5, empty))
+        assert report.item("angular_mass_positive").status == "fail"
+
+    def test_martingale_report_leads_with_structure(self, example_spec):
+        names = [it.name for it in check_martingale(example_spec).items]
+        assert names == [
+            "atom_weights_positive",
+            "unit_directions",
+            "wiener_cov_symmetric",
+            "wiener_cov_psd",
+            "martingale_moment",
+        ]
+
+
 class TestVariation:
     def test_stable_two_atoms_pass(self, example_spec):
         report = check_variation(example_spec)
@@ -72,6 +131,22 @@ class TestVariation:
         report = check_variation(spec)
         assert report.item("infinite_variation_mass").passed
         assert not report.item("variation_span").passed
+
+
+    def test_divergent_direction_subset_located(self):
+        uniform = SphericalMeasure.from_angular(2, lambda a: np.ones(a.shape[0]))
+        spec = LevySpec(
+            2,
+            np.zeros((2, 2)),
+            uniform,
+            lambda xi: power_radial(1.5 if xi[0] < -0.5 else 0.5),
+        )
+        dirs, wgts, _ = angular_grid(uniform, 32)
+        report = check_variation(spec)
+        assert report.overall_pass
+        assert report.item("infinite_variation_mass").value == pytest.approx(
+            float(np.sum(wgts[dirs[:, 0] < -0.5]))
+        )
 
 
 class TestPositiveJumps:

@@ -9,13 +9,14 @@ from levyreduce import (
     RadialMeasure,
     SphericalMeasure,
     VolatilityFunction,
+    angular_grid,
+    check_martingale,
     density_spec,
     laplace_radial,
     power_radial,
     radial_integral,
     stable_spec,
     tabulated_radial,
-    validate_spec,
 )
 
 
@@ -35,6 +36,12 @@ class TestRadialMeasure:
         with pytest.raises(ValueError):
             RadialMeasure(atoms=((1.0, -2.0),))
 
+    def test_list_inputs_stay_hashable(self):
+        # sweeps memoise per-measure work with the measure as the key
+        rho = RadialMeasure(atoms=[[0.5, 1.0]], hints=[2.5, 2.5])
+        assert rho.atoms == ((0.5, 1.0),) and rho.hints == (2.5, 2.5)
+        assert {rho: 1}[RadialMeasure(atoms=((0.5, 1.0),), hints=(2.5, 2.5))] == 1
+
     def test_power_radial_density(self):
         rho = power_radial(1.5, scale=2.0)
         r = np.array([0.5, 1.0, 4.0])
@@ -51,6 +58,8 @@ class TestRadialMeasure:
             tabulated_radial([2.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             tabulated_radial([1.0, 2.0], [1.0, -1.0])
+        with pytest.raises(ValueError, match="two points"):
+            tabulated_radial([1.0], [1.0])
 
     def test_radial_integral_power_law(self):
         # int (r^2 wedge r) r^(-2.5) dr = 2 + 2
@@ -72,7 +81,7 @@ class TestSphericalMeasure:
     def test_from_atoms(self, two_atom_spherical):
         assert two_atom_spherical.is_atomic
         assert two_atom_spherical.n_atoms == 2
-        assert two_atom_spherical.total_mass() == pytest.approx(1.0)
+        assert np.sum(two_atom_spherical.weights) == pytest.approx(1.0)
 
     def test_from_atoms_validation(self):
         with pytest.raises(ValueError):
@@ -83,7 +92,7 @@ class TestSphericalMeasure:
     def test_angular_form(self):
         uniform = SphericalMeasure.from_angular(2, lambda a: np.ones(a.shape[0]))
         assert not uniform.is_atomic
-        assert uniform.total_mass() == pytest.approx(2.0 * np.pi)
+        assert np.sum(angular_grid(uniform)[1]) == pytest.approx(2.0 * np.pi)
         assert uniform.angular_box() == ((0.0, 2.0 * np.pi),)
 
     def test_angular_needs_plane_or_higher(self):
@@ -137,32 +146,34 @@ class TestLevySpec:
 
 
 class TestValidateSpec:
+    """Spec validation: the structural and moment sweep of check_martingale."""
+
     def test_stable_spec_passes(self, example_spec):
-        report = validate_spec(example_spec)
+        report = check_martingale(example_spec)
         assert report.overall_pass
         assert report.item("martingale_moment").value == pytest.approx(4.0, rel=1e-6)
 
     def test_zero_weight_fails(self):
         sph = SphericalMeasure.from_atoms([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
         spec = LevySpec(2, np.zeros((2, 2)), sph, lambda xi: power_radial(1.5))
-        report = validate_spec(spec)
+        report = check_martingale(spec)
         assert not report.overall_pass
         assert not report.item("atom_weights_positive").passed
 
     def test_asymmetric_covariance_fails(self, two_atom_spherical):
         q = np.array([[1.0, 0.5], [0.0, 1.0]])
         spec = LevySpec(2, q, two_atom_spherical, lambda xi: power_radial(1.5))
-        report = validate_spec(spec)
+        report = check_martingale(spec)
         assert not report.item("wiener_cov_symmetric").passed
 
     def test_indefinite_covariance_fails(self, two_atom_spherical):
         q = np.array([[1.0, 2.0], [2.0, 1.0]])
         spec = LevySpec(2, q, two_atom_spherical, lambda xi: power_radial(1.5))
-        report = validate_spec(spec)
+        report = check_martingale(spec)
         assert not report.item("wiener_cov_psd").passed
 
     def test_idempotent(self, example_spec):
-        assert validate_spec(example_spec) == validate_spec(example_spec)
+        assert check_martingale(example_spec) == check_martingale(example_spec)
 
 
 class TestDensitySpec:
@@ -205,6 +216,10 @@ class TestVolatilityFunction:
         G = VolatilityFunction.tabulated([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]])
         out = G(np.array([0.5, 1.5]))
         assert np.allclose(out, [[0.5, 1.0], [1.5, 3.0]])
+
+    def test_tabulated_rejects_unordered_grid(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            VolatilityFunction.tabulated([1.0, 0.0, 2.0], [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
     def test_custom_evaluator_shape_enforced(self):
         G = VolatilityFunction(lambda x: x, 2)
