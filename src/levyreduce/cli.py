@@ -238,6 +238,9 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
             "n_steps": ens.n_steps,
             "dt": ens.dt,
             "clamp_frequency": ens.clamp_frequency,
+            "cutoff": ens.cutoff,
+            "jump_intensity": ens.jump_intensity,
+            "dropped_variance": ens.dropped_variance,
             "terminal_mean": float(ens.values[:, -1].mean(dtype=np.float64)),
         },
     )

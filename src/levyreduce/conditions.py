@@ -29,6 +29,7 @@ from .measures import (
 from .quadrature import CONVERGED, DEFAULT_CONFIG, DIVERGENT, QuadratureConfig
 from .quadrature import lower_tail_probe
 from .spherical import (
+    _per_measure,
     _sample_directions,
     induced_spec,
     spherical_integrate,
@@ -47,20 +48,6 @@ _SIGN_SLACK = 1e-12
 def _min_kernel(r):
     r = np.asarray(r, dtype=float)
     return np.minimum(r * r, r)
-
-
-def _per_measure(spec: LevySpec, dirs, fn) -> list:
-    """[fn(spec.radial(xi)) for xi in dirs], with fn run once per distinct
-    radial measure.  The memo is keyed on the measure itself and holds it
-    alive, so a freed measure can never stand in for a live one."""
-    memo: dict[RadialMeasure, object] = {}
-    out = []
-    for xi in dirs:
-        gamma = spec.radial(xi)
-        if gamma not in memo:
-            memo[gamma] = fn(gamma)
-        out.append(memo[gamma])
-    return out
 
 
 def check_structure(spec: LevySpec) -> rpt.CheckReport:
@@ -219,11 +206,19 @@ def check_positive_jumps(
     n_angular: int = 64,
 ) -> rpt.CheckReport:
     """Require <G(x), xi> >= 0 (within slack) on the support of the
-    spherical part, so the state only ever jumps upward."""
+    spherical part, so the state only ever jumps upward.  Only directions
+    of positive weight are scanned: a sector where the angular density
+    vanishes carries no jumps."""
     x_grid = np.asarray(X_GRID_DEFAULT if x_grid is None else x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size == 0 or np.any(x_grid <= 0):
         raise ValueError("x_grid must be a nonempty grid of positive levels")
-    dirs, _ = _sample_directions(spec, n_angular)
+    dirs, wgts = _sample_directions(spec, n_angular)
+    dirs = dirs[np.asarray(wgts) > 0]
+    if not len(dirs):
+        it = rpt.CheckItem(
+            "jump_direction_sign", rpt.WARN, value=0.0, detail="no direction carries mass"
+        )
+        return rpt.CheckReport((it,))
 
     worst = np.inf
     worst_detail = ""

@@ -45,12 +45,16 @@ class RadialMeasure:
     of (location, weight) pairs.  hints, when present, give the power
     orders (p0, pinf) of the density near 0 and infinity (density ~
     r^-p); they steer quadrature but never change the measure.
+    power_index is set by power_radial alone: it states that the density
+    is exactly scale * r^-(1+power_index), which lets the jump sampler
+    draw radii in closed form.
     """
 
     density: Callable | None = None
     atoms: tuple[tuple[float, float], ...] = ()
     hints: tuple[float, float] | None = None
     label: str = ""
+    power_index: float | None = None
 
     def __post_init__(self):
         # plain float tuples keep the measure hashable, so sweeps can
@@ -58,6 +62,8 @@ class RadialMeasure:
         object.__setattr__(self, "atoms", tuple((float(r), float(w)) for r, w in self.atoms))
         if self.hints is not None:
             object.__setattr__(self, "hints", tuple(float(h) for h in self.hints))
+        if self.power_index is not None:
+            object.__setattr__(self, "power_index", float(self.power_index))
         for r, w in self.atoms:
             if not (r > 0 and np.isfinite(r)):
                 raise ValueError("atom locations must be positive and finite")
@@ -81,7 +87,9 @@ def power_radial(alpha: float, scale: float = 1.0) -> RadialMeasure:
         r = np.asarray(r, dtype=float)
         return _s * r ** (-_p)
 
-    return RadialMeasure(density=dens, hints=(p, p), label=f"power[{alpha}]")
+    return RadialMeasure(
+        density=dens, hints=(p, p), label=f"power[{alpha}]", power_index=alpha
+    )
 
 
 def tabulated_radial(r_grid, values, hints=None) -> RadialMeasure:

@@ -3,9 +3,12 @@
 Two schemes live here: an Euler scheme for the one-factor stable-CIR
 equation driven by exact stable increments, and an Euler scheme for
 the multivariate equation driven by a compound-Poisson approximation
-that keeps jumps above a cutoff and compensates their mean.  Small
-jumps below the cutoff are dropped, not Gaussian-approximated; their
-variance is reported so callers can budget the bias.
+that keeps jumps above a cutoff and compensates their mean.  Each Euler
+step draws all jumps at once: Poisson totals per direction are split
+across paths, exact power tails get closed-form Pareto radii and other
+radial laws inverse-CDF tables or atom weights.  Small jumps below the
+cutoff are dropped, not Gaussian-approximated; their variance is
+reported so callers can budget the bias.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .laplace import stable_coefficient
 from .measures import LevySpec, radial_integral
 from .quadrature import CONVERGED, DEFAULT_CONFIG, QuadratureConfig, panel_integral
 from .reduction import ReducedModel
-from .spherical import _sample_directions
+from .spherical import _per_measure, _sample_directions
 
 _TABLE_CELLS_PER_DECADE = 128
 _INVERSE_TABLE_SIZE = 16384
@@ -68,13 +71,18 @@ class PathEnsemble:
 
     values is (n_paths, n_steps+1) in float32; every entry is
     nonnegative by construction of the schemes.  clamp_frequency is the
-    fraction of proposed steps that were clipped at zero.
+    fraction of proposed steps that were clipped at zero.  cutoff,
+    jump_intensity and dropped_variance describe the truncated jump
+    sampler behind the paths; they stay None for exact stable increments.
     """
 
     values: np.ndarray
     dt: float
     seed: tuple | None = None
     clamp_frequency: float = 0.0
+    cutoff: float | None = None
+    jump_intensity: float | None = None
+    dropped_variance: float | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -179,17 +187,20 @@ class JumpSampler:
     cutoff.
 
     Jumps land along a finite list of directions (atoms of the
-    spherical part, or its quadrature discretization); radii follow the
-    per-direction tail laws via inverse-CDF tables.  sample_increment
-    returns compensated per-path increments, i.e. the jump sums minus
-    dt times the mean flux.
+    spherical part, or its quadrature discretization).  Directions that
+    share a radial measure share one radius law: exact power tails are
+    drawn in closed form, other densities through an inverse-CDF table,
+    atoms from their cumulative weights.  radius_laws[law_of[i]] is the
+    law of direction i: a float power index, a table array, or a
+    (radii, cumulative weights) pair.  sample_increment returns
+    compensated per-path increments, i.e. the jump sums minus dt times
+    the mean flux.
     """
 
     directions: np.ndarray
     intensities: np.ndarray
-    inverse_tables: tuple
-    atom_radii: tuple
-    atom_cdfs: tuple
+    law_of: np.ndarray
+    radius_laws: tuple
     mean_flux: np.ndarray
     dropped_variance: float
     cutoff: float
@@ -199,38 +210,42 @@ class JumpSampler:
         return float(np.sum(self.intensities))
 
     def _draw_radii(self, i: int, n: int, gen) -> np.ndarray:
-        inv = self.inverse_tables[i]
-        if inv is None:
-            u = gen.random(n)
-            return np.asarray(self.atom_radii[i])[
-                np.searchsorted(self.atom_cdfs[i], u, side="right").clip(
-                    0, len(self.atom_radii[i]) - 1
-                )
-            ]
+        """n radii from the tail law of direction i."""
+        law = self.radius_laws[self.law_of[i]]
+        if isinstance(law, float):
+            # exact power tail: P(R > r) = (r / eps)^-alpha above the cutoff
+            return self.cutoff * np.exp(gen.standard_exponential(n) * (1.0 / law))
+        if isinstance(law, tuple):
+            radii, cdf = law
+            pick = np.searchsorted(cdf, gen.random(n), side="right")
+            return radii[pick.clip(0, len(radii) - 1)]
         # the table is uniform in v = -log(tail probability), so an
         # exponential draw indexes it directly; heavy tails stay resolved
         pos = gen.standard_exponential(n) * (1.0 / _V_STEP)
-        pos = np.minimum(pos, len(inv) - 1.000001)
+        pos = np.minimum(pos, len(law) - 1.000001)
         idx = pos.astype(np.intp)
         frac = pos - idx
-        return inv[idx] * (1.0 - frac) + inv[idx + 1] * frac
+        return law[idx] * (1.0 - frac) + law[idx + 1] * frac
 
     def sample_increment(self, dt: float, n_paths: int, rng) -> np.ndarray:
         gen = _as_generator(rng)
-        d = self.directions.shape[1]
-        out = np.zeros((n_paths, d))
-        for i, lam in enumerate(self.intensities):
-            if lam <= 0.0:
-                continue
-            counts = gen.poisson(lam * dt, size=n_paths)
-            total = int(counts.sum())
-            if total:
-                radii = self._draw_radii(i, total, gen)
-                owners = np.repeat(np.arange(n_paths), counts)
-                sums = np.bincount(owners, weights=radii, minlength=n_paths)
-                out += sums[:, None] * self.directions[i][None, :]
-        out -= dt * self.mean_flux[None, :]
-        return out
+        # Poisson splitting: a Poisson(lam dt n_paths) total per direction,
+        # each jump owned by a uniform path, gives every path i.i.d.
+        # Poisson(lam dt) counts per direction
+        totals = gen.poisson(self.intensities * (dt * n_paths))
+        # jumps grouped by radius law, so each law needs one draw
+        order = np.argsort(self.law_of, kind="stable")
+        counts = totals[order]
+        firsts = np.unique(self.law_of, return_index=True)[1]
+        sizes = np.bincount(self.law_of, weights=totals, minlength=len(firsts))
+        radii = [self._draw_radii(i, int(n), gen) for i, n in zip(firsts, sizes) if n]
+        radii = np.concatenate(radii) if radii else np.empty(0)
+        owners = gen.integers(0, n_paths, radii.size)
+        sums = [
+            np.bincount(owners, weights=radii * np.repeat(col, counts), minlength=n_paths)
+            for col in self.directions[order].T
+        ]
+        return np.stack(sums, axis=1) - dt * self.mean_flux[None, :]
 
 
 def _radius_table(gamma, eps: float, cfg: QuadratureConfig) -> np.ndarray:
@@ -258,6 +273,26 @@ def _radius_table(gamma, eps: float, cfg: QuadratureConfig) -> np.ndarray:
     return np.interp(v_grid, v_nodes, grid)
 
 
+def _radius_law(gamma, eps: float, mass: float, cfg: QuadratureConfig):
+    """The law of one radius above eps: the power index of an exact power
+    tail, an inverse-CDF table, or (radii, cumulative weights) of atoms."""
+    tail_atoms = [(r, w) for r, w in gamma.atoms if r > eps]
+    if gamma.density is not None and mass > 0.0:
+        if tail_atoms:
+            raise ValueError(
+                "mixed atom and density radial tails are not supported "
+                "by the jump sampler"
+            )
+        if gamma.power_index is not None:
+            return gamma.power_index
+        return _radius_table(gamma, eps, cfg)
+    if tail_atoms:
+        rr = np.array([r for r, _ in tail_atoms])
+        ww = np.array([w for _, w in tail_atoms])
+        return rr, np.cumsum(ww) / np.sum(ww)
+    return np.array([eps]), np.array([1.0])
+
+
 def truncated_jump_sampler(
     spec: LevySpec,
     eps: float,
@@ -269,8 +304,9 @@ def truncated_jump_sampler(
 
     Returns (JumpSampler, dropped_variance) where dropped_variance is
     int_{|y| <= eps} |y|^2 nu(dy), the second moment of the discarded
-    small jumps.  Raises CutoffTooSmall when the total tail intensity
-    exceeds the configured budget.
+    small jumps.  Tail mass, flux, dropped variance and radius law are
+    computed once per distinct radial measure.  Raises CutoffTooSmall
+    when the total tail intensity exceeds the configured budget.
     """
     if eps <= 0:
         raise ValueError("cutoff must be positive")
@@ -278,20 +314,15 @@ def truncated_jump_sampler(
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     wgts = np.asarray(wgts, dtype=float)
 
-    intensities = np.empty(len(dirs))
-    fluxes = np.empty(len(dirs))
-    dropped = 0.0
-    tables, atom_radii, atom_cdfs = [], [], []
-    for i, xi in enumerate(dirs):
-        gamma = spec.radial(xi)
+    laws = []
+
+    def tail(gamma):
         mass_res = radial_integral(gamma, None, cfg, lo=eps, weight_exponents=(0.0, 0.0))
         flux_res = radial_integral(
             gamma, lambda r: np.asarray(r, float), cfg, lo=eps, weight_exponents=(1.0, 1.0)
         )
         if mass_res.status != CONVERGED or flux_res.status != CONVERGED:
-            raise CutoffTooSmall(
-                f"tail mass above eps={eps:g} is not finite along {np.round(xi, 6)}"
-            )
+            return None
         drop_res = radial_integral(
             gamma,
             lambda r: np.asarray(r, float) ** 2,
@@ -300,30 +331,19 @@ def truncated_jump_sampler(
             weight_exponents=(2.0, 2.0),
             closure=True,
         )
-        intensities[i] = wgts[i] * mass_res.value
-        fluxes[i] = wgts[i] * flux_res.value
-        dropped += wgts[i] * max(drop_res.value, 0.0)
+        laws.append(_radius_law(gamma, eps, mass_res.value, cfg))
+        return len(laws) - 1, mass_res.value, flux_res.value, max(drop_res.value, 0.0)
 
-        tail_atoms = [(r, w) for r, w in gamma.atoms if r > eps]
-        if gamma.density is not None and mass_res.value > 0.0:
-            if tail_atoms:
-                raise ValueError(
-                    "mixed atom and density radial tails are not supported "
-                    "by the jump sampler"
-                )
-            tables.append(_radius_table(gamma, eps, cfg))
-            atom_radii.append(None)
-            atom_cdfs.append(None)
-        elif tail_atoms:
-            rr = np.array([r for r, _ in tail_atoms])
-            ww = np.array([w for _, w in tail_atoms])
-            tables.append(None)
-            atom_radii.append(rr)
-            atom_cdfs.append(np.cumsum(ww) / np.sum(ww))
-        else:
-            tables.append(None)
-            atom_radii.append(np.array([eps]))
-            atom_cdfs.append(np.array([1.0]))
+    rows = _per_measure(spec, dirs, tail)
+    for xi, row in zip(dirs, rows):
+        if row is None:
+            raise CutoffTooSmall(
+                f"tail mass above eps={eps:g} is not finite along {np.round(xi, 6)}"
+            )
+    law_of = np.array([row[0] for row in rows], dtype=np.intp)
+    mass, flux, drop = np.array([row[1:] for row in rows], dtype=float).T
+    intensities = wgts * mass
+    dropped = float(np.sum(wgts * drop))
 
     total = float(np.sum(intensities))
     if total > intensity_budget:
@@ -333,10 +353,9 @@ def truncated_jump_sampler(
     sampler = JumpSampler(
         directions=dirs,
         intensities=intensities,
-        inverse_tables=tuple(tables),
-        atom_radii=tuple(atom_radii),
-        atom_cdfs=tuple(atom_cdfs),
-        mean_flux=(fluxes[:, None] * dirs).sum(axis=0),
+        law_of=law_of,
+        radius_laws=tuple(laws),
+        mean_flux=((wgts * flux)[:, None] * dirs).sum(axis=0),
         dropped_variance=dropped,
         cutoff=float(eps),
     )
@@ -393,5 +412,6 @@ def simulate_original(
         r = np.maximum(r, 0.0)
         values[:, k + 1] = r
     return PathEnsemble(
-        values, dt, _seed_tag(rng), clamped / float(n_steps * n_paths)
+        values, dt, _seed_tag(rng), clamped / float(n_steps * n_paths),
+        sampler.cutoff, sampler.intensity, sampler.dropped_variance,
     )

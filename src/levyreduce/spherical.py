@@ -138,6 +138,20 @@ def _sample_directions(spec: LevySpec, n_angular: int = 16):
     return dirs, wgts
 
 
+def _per_measure(spec: LevySpec, dirs, fn) -> list:
+    """[fn(spec.radial(xi)) for xi in dirs], with fn run once per distinct
+    radial measure.  The memo is keyed on the measure itself and holds it
+    alive, so a freed measure can never stand in for a live one."""
+    memo: dict[RadialMeasure, object] = {}
+    out = []
+    for xi in dirs:
+        gamma = spec.radial(xi)
+        if gamma not in memo:
+            memo[gamma] = fn(gamma)
+        out.append(memo[gamma])
+    return out
+
+
 def uniform_angle_grid(dimension: int, n_per_dim: int):
     """Uniform grids over the polar box for sup/inf scans.
 

@@ -277,6 +277,11 @@ class TestSimulatePipeline:
         assert payload["outputs"] == ["paths.csv"]
         assert payload["summary"]["n_paths"] == 50
         assert payload["summary"]["n_steps"] == 10
+        # sampler statistics of the half-weight axis atoms at eps = 0.05
+        summary = payload["summary"]
+        assert summary["cutoff"] == 0.05
+        assert summary["jump_intensity"] == pytest.approx(0.05**-1.5 / 1.5, rel=1e-6)
+        assert summary["dropped_variance"] == pytest.approx(2.0 * np.sqrt(0.05), rel=1e-6)
         lines = (out / "paths.csv").read_bytes().split(b"\n")
         assert lines[0] == b",".join(f"t_{k}".encode() for k in range(11))
         assert len(lines) == 52  # header + 50 rows + trailing newline

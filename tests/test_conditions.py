@@ -164,6 +164,31 @@ class TestPositiveJumps:
         assert report.overall_pass
         assert report.item("jump_direction_sign").status == "warn"
 
+    @staticmethod
+    def half_disc_spec(sign):
+        # angular density 1{sign * cos(theta) > 0}: jumps on one half-plane
+        spherical = SphericalMeasure.from_angular(
+            2, lambda a: (sign * np.cos(a[:, 0]) > 0).astype(float)
+        )
+        return LevySpec(2, np.zeros((2, 2)), spherical, lambda xi: power_radial(1.5))
+
+    def test_zero_density_sector_is_not_scanned(self):
+        # G along e1 is negative only on cos(theta) < 0, where no jump lands
+        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 0.0])
+        report = check_positive_jumps(G, self.half_disc_spec(1.0))
+        assert report.overall_pass
+        assert report.item("jump_direction_sign").value >= 0.0
+
+    def test_density_on_negative_side_still_fails(self):
+        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 0.0])
+        assert not check_positive_jumps(G, self.half_disc_spec(-1.0)).overall_pass
+
+    def test_massless_spherical_part_warns(self):
+        spherical = SphericalMeasure.from_atoms([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
+        spec = stable_spec(1.5, spherical)
+        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 0.0])
+        assert check_positive_jumps(G, spec).item("jump_direction_sign").status == "warn"
+
 
 class TestWienerCir:
     def test_no_diffusion(self, example_vol):

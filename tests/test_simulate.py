@@ -17,11 +17,13 @@ from levyreduce import (
     VolatilityFunction,
     compensated_exp,
     panel_integral,
+    power_radial,
     sample_stable,
     simulate_original,
     simulate_reduced,
     stable_coefficient,
     stable_spec,
+    tabulated_radial,
     truncated_jump_sampler,
 )
 
@@ -293,6 +295,107 @@ class TestTruncatedJumpSampler:
         assert ks < 0.01
 
 
+def axis_spec(laws, weights):
+    """Atoms on the coordinate axes, axis k carrying the radial law laws[k]."""
+    d = len(laws)
+    spherical = SphericalMeasure.from_atoms(np.eye(d), weights)
+    return LevySpec(d, np.zeros((d, d)), spherical, lambda xi: laws[int(np.argmax(xi))])
+
+
+def power_laplace_exponent(eps, u):
+    """int_eps^inf (e^{-ur} - 1 + ur) r^-2.5 dr: the stable exponent minus
+    its part below the cutoff."""
+    below = panel_integral(lambda r: compensated_exp(u * r) * r**-2.5, 1e-12, eps)
+    return C_15 * u**1.5 - below
+
+
+def truncated_laplace_exponent(gamma, eps, u):
+    """int_eps^inf (e^{-ur} - 1 + ur) gamma(dr) for a tabulated law on a
+    bounded support, or for atoms."""
+    total = sum(w * float(compensated_exp(u * r)) for r, w in gamma.atoms if r > eps)
+    if gamma.density is not None:
+        total += panel_integral(lambda r: compensated_exp(u * r) * gamma.density(r), eps, 2.0)
+    return total
+
+
+class TestBatchedJumpDraws:
+    def test_power_tail_laplace_transform_is_exact(self):
+        # closed-form Pareto radii carry no table error, so the one-step
+        # Laplace identity holds at 3 standard errors without slack
+        spec = axis_spec([power_radial(ALPHA)] * 2, [1.0, 0.0])
+        eps, dt, n = 0.1, 0.02, 400_000
+        sampler, _ = truncated_jump_sampler(spec, eps)
+        assert sampler.radius_laws == (ALPHA,)
+        inc = sampler.sample_increment(dt, n, RngStream(24))[:, 0]
+        for u in (0.5, 2.0):
+            obs = np.exp(-u * inc)
+            se = obs.std() / np.sqrt(n)
+            assert abs(obs.mean() - np.exp(dt * power_laplace_exponent(eps, u))) <= 3.0 * se
+
+    def test_mixed_laws_keep_their_marginals_and_independence(self):
+        # power, tabulated (with hints, still tabulated) and atom radii on
+        # three axes: each coordinate follows its own compound-Poisson law
+        # and the coordinates are independent
+        r = np.linspace(0.05, 2.0, 40)
+        laws = [
+            power_radial(ALPHA),
+            tabulated_radial(r, 3.0 * (2.0 - r), hints=(0.0, 2.5)),
+            RadialMeasure(atoms=((0.05, 9.0), (0.5, 2.0), (1.5, 1.0))),
+        ]
+        eps, dt, n = 0.1, 0.02, 400_000
+        sampler, _ = truncated_jump_sampler(axis_spec(laws, [1.0, 1.0, 1.0]), eps)
+        kinds = [type(law) for law in sampler.radius_laws]
+        assert kinds == [float, np.ndarray, tuple]
+        inc = sampler.sample_increment(dt, n, RngStream(25))
+        u = 1.0
+        exponents = [dt * power_laplace_exponent(eps, u)]
+        exponents += [dt * truncated_laplace_exponent(g, eps, u) for g in laws[1:]]
+        for k, target in enumerate(exponents):
+            obs = np.exp(-u * inc[:, k])
+            assert abs(obs.mean() - np.exp(target)) <= 3.0 * obs.std() / np.sqrt(n)
+        obs = np.exp(-u * inc.sum(axis=1))
+        assert abs(obs.mean() - np.exp(sum(exponents))) <= 3.0 * obs.std() / np.sqrt(n)
+
+    def test_unit_radius_counts_are_poisson_per_path(self):
+        # with every jump of size 1, the uncompensated per-path sums are
+        # the jump counts: Poisson(lam dt), independent across directions
+        spec = axis_spec([RadialMeasure(atoms=((1.0, 1.5),))] * 2, [1.0, 2.0])
+        dt, n = 0.1, 200_000
+        sampler, _ = truncated_jump_sampler(spec, 0.5)
+        inc = sampler.sample_increment(dt, n, RngStream(26)) + dt * sampler.mean_flux
+        counts = np.round(inc)
+        np.testing.assert_allclose(inc, counts, atol=1e-9)
+        for k, lam in enumerate(sampler.intensities * dt):
+            assert abs(counts[:, k].mean() - lam) <= 3.0 * np.sqrt(lam / n)
+            assert abs(counts[:, k].var() - lam) <= 3.0 * np.sqrt((lam + 2 * lam**2) / n)
+        centred = counts - counts.mean(axis=0)
+        cov = np.mean(centred[:, 0] * centred[:, 1])
+        assert abs(cov) <= 3.0 * np.sqrt(np.prod(sampler.intensities * dt) / n)
+
+    def test_setup_runs_once_per_distinct_measure(self):
+        base = tabulated_radial(np.linspace(0.05, 2.0, 40), np.linspace(2.0, 0.1, 40))
+        calls = []
+
+        def counted(r):
+            calls.append(np.size(r))
+            return base.density(r)
+
+        shared = RadialMeasure(density=counted)
+
+        def density_calls(n_atoms):
+            calls.clear()
+            angles = np.linspace(0.0, 0.5 * np.pi, n_atoms)
+            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            spherical = SphericalMeasure.from_atoms(dirs, np.ones(n_atoms))
+            spec = LevySpec(2, np.zeros((2, 2)), spherical, lambda xi: shared)
+            sampler, _ = truncated_jump_sampler(spec, 0.1)
+            assert len(sampler.radius_laws) == 1
+            assert np.all(sampler.law_of == 0)
+            return len(calls)
+
+        assert density_calls(8) == density_calls(1) > 0
+
+
 class TestSimulateOriginal:
     def test_no_noise_reduces_to_drift_euler(self):
         spherical = SphericalMeasure.from_atoms([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
@@ -339,6 +442,18 @@ class TestSimulateOriginal:
         step = paths.values[:, 1].astype(float) - 1.0
         assert abs(step.mean()) <= 3.0 * step.std() / np.sqrt(step.size)
         assert step.var() == pytest.approx(0.1, rel=0.05)
+
+    def test_ensemble_carries_sampler_statistics(self, example_spec, example_vol):
+        paths = simulate_original(
+            example_vol, example_spec, -0.5, 0.1, 1.0, 0.1, 0.1, 2, 10, RngStream(0)
+        )
+        # two half-weight axis atoms: eps^-1.5 / 1.5 and 2 sqrt(eps) in total
+        assert paths.cutoff == 0.1
+        assert paths.jump_intensity == pytest.approx(0.1**-1.5 / 1.5, rel=1e-6)
+        assert paths.dropped_variance == pytest.approx(2.0 * np.sqrt(0.1), rel=1e-6)
+        model = ReducedModel(a=-0.5, b=0.1, C=1.0, alpha=1.5)
+        exact = simulate_reduced(model, 1.0, 0.1, 2, 10, RngStream(0))
+        assert (exact.cutoff, exact.jump_intensity, exact.dropped_variance) == (None,) * 3
 
     def test_bitwise_reproducible(self, example_spec, example_vol):
         runs = [
