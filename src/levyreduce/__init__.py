@@ -24,9 +24,7 @@ from .quadrature import (
     QuadratureConfig,
     improper_integral,
     improper_value,
-    lower_tail_probe,
     panel_integral,
-    upper_tail_probe,
 )
 from .report import CheckItem, CheckReport
 from .measures import (

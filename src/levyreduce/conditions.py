@@ -26,11 +26,17 @@ from .measures import (
     RadialMeasure,
     radial_integral,
 )
-from .quadrature import CONVERGED, DEFAULT_CONFIG, DIVERGENT, QuadratureConfig
-from .quadrature import lower_tail_probe
+from .quadrature import (
+    CONVERGED,
+    DEFAULT_CONFIG,
+    DIVERGENT,
+    QuadratureConfig,
+    improper_integral,
+)
 from .spherical import (
     _per_measure,
     _sample_directions,
+    _support_directions,
     induced_spec,
     spherical_integrate,
     uniform_angle_grid,
@@ -78,7 +84,7 @@ def check_structure(spec: LevySpec) -> rpt.CheckReport:
             )
         )
     else:
-        mass = float(np.sum(_sample_directions(spec)[1]))
+        mass = float(np.sum(_sample_directions(spec.spherical)[1]))
         items.append(
             rpt.item(
                 "angular_mass_positive",
@@ -116,7 +122,7 @@ def check_martingale(
     finite first moment.  Zero jump measures pass with a warning so
     degenerate inputs remain visible.
     """
-    dirs, _ = _sample_directions(spec, n_angular)
+    dirs, _ = _sample_directions(spec.spherical, n_angular)
 
     def moment(gamma):
         if gamma.is_zero:
@@ -164,13 +170,14 @@ def check_variation(
     item requires it to have positive spherical mass; the second requires
     the located directions to span the whole space.
     """
-    dirs, wgts = _sample_directions(spec, n_angular)
+    dirs, wgts = _sample_directions(spec.spherical, n_angular)
 
     def small_jumps_diverge(gamma):
         if gamma.density is None:
             return False  # atom masses on (0,1] are finite sums
         dens = gamma.density
-        return lower_tail_probe(lambda r: r * dens(r), cfg, upper=1.0).status == DIVERGENT
+        small = improper_integral(lambda r: r * dens(r), cfg, lo=0.0, hi=1.0)
+        return small.status == DIVERGENT
 
     divergent = np.array(_per_measure(spec, dirs, small_jumps_diverge), dtype=bool)
     mass = float(np.sum(np.asarray(wgts, dtype=float)[divergent]))
@@ -212,47 +219,33 @@ def check_positive_jumps(
     x_grid = np.asarray(X_GRID_DEFAULT if x_grid is None else x_grid, dtype=float)
     if x_grid.ndim != 1 or x_grid.size == 0 or np.any(x_grid <= 0):
         raise ValueError("x_grid must be a nonempty grid of positive levels")
-    dirs, wgts = _sample_directions(spec, n_angular)
-    dirs = dirs[np.asarray(wgts) > 0]
+    dirs = _support_directions(spec.spherical, n_angular)
     if not len(dirs):
         it = rpt.CheckItem(
             "jump_direction_sign", rpt.WARN, value=0.0, detail="no direction carries mass"
         )
         return rpt.CheckReport((it,))
 
-    worst = np.inf
-    worst_detail = ""
-    degenerate = True
-    for x in x_grid:
-        gx = np.asarray(G(float(x)), dtype=float)
-        scale = float(np.linalg.norm(gx))
-        if scale > 0.0:
-            degenerate = False
-        inner = dirs @ gx
-        margin = inner + _SIGN_SLACK * scale
-        j = int(np.argmin(margin))
-        if margin[j] < worst:
-            worst = float(margin[j])
-            worst_detail = (
-                f"min <G(x), xi> = {inner[j]:.3e} at x={x:g}, "
-                f"xi={np.round(dirs[j], 6)}"
-            )
-
-    if degenerate:
+    gx = G(x_grid)
+    if not np.any(gx):
         it = rpt.CheckItem(
             "jump_direction_sign",
             rpt.WARN,
             value=0.0,
             detail="G vanishes on the whole grid",
         )
-    else:
-        it = rpt.item(
-            "jump_direction_sign",
-            worst >= 0.0,
-            value=worst,
-            tolerance=0.0,
-            detail=worst_detail,
-        )
+        return rpt.CheckReport((it,))
+    inner = gx @ dirs.T
+    margin = inner + _SIGN_SLACK * np.linalg.norm(gx, axis=1)[:, None]
+    i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
+    it = rpt.item(
+        "jump_direction_sign",
+        margin[i, j] >= 0.0,
+        value=float(margin[i, j]),
+        tolerance=0.0,
+        detail=f"min <G(x), xi> = {inner[i, j]:.3e} at x={x_grid[i]:g}, "
+        f"xi={np.round(dirs[j], 6)}",
+    )
     return rpt.CheckReport((it,))
 
 
@@ -266,11 +259,8 @@ def wiener_cir_check(Q, G, x_grid=None):
     x = np.asarray(X_GRID_DEFAULT if x_grid is None else x_grid, dtype=float)
     if x.ndim != 1 or x.size == 0 or np.any(x <= 0):
         raise ValueError("x_grid must be a nonempty grid of positive levels")
-    q = np.asarray(Q, dtype=float)
-    y = np.empty_like(x)
-    for i, xi_level in enumerate(x):
-        g = np.asarray(G(float(xi_level)), dtype=float)
-        y[i] = 0.5 * float(g @ q @ g)
+    g = G(x)
+    y = 0.5 * np.sum((g @ np.asarray(Q, dtype=float)) * g, axis=1)
 
     c = float(np.dot(x, y) / np.dot(x, x))
     c = max(c, 0.0)
@@ -295,22 +285,18 @@ def _balance_ratio(spec, dirs, b_grid, cfg):
     """max over b of sup/inf of the per-direction radial exponents."""
 
     def exponents(gamma):
-        row = []
-        for b in b_grid:
-            try:
-                row.append(laplace_radial(gamma, float(b), cfg))
-            except DivergentIntegral:
-                row.append(np.inf)
-        return row
+        try:
+            return laplace_radial(gamma, b_grid, cfg)
+        except DivergentIntegral:
+            return np.full(len(b_grid), np.inf)
 
     table = np.array(_per_measure(spec, dirs, exponents), dtype=float)
-    worst = 1.0
-    for b, vals in zip(b_grid, table.T):
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-        if lo == 0.0:
-            raise InfimumZero(f"radial Laplace exponent vanishes at b={b:g}")
-        worst = max(worst, hi / lo)
-    return worst
+    lo, hi = np.min(table, axis=0), np.max(table, axis=0)
+    if np.any(lo == 0.0):
+        b = b_grid[int(np.argmax(lo == 0.0))]
+        raise InfimumZero(f"radial Laplace exponent vanishes at b={b:g}")
+    with np.errstate(invalid="ignore"):
+        return float(np.fmax.reduce(hi / lo, initial=1.0))
 
 
 def radial_balance(
@@ -561,7 +547,7 @@ def density_reducibility_check(
             r = np.asarray(r, dtype=float)
             return r**d * np.asarray(dspec(r[:, None] * _xi[None, :]), dtype=float)
 
-        if lower_tail_probe(fray, cfg, upper=1.0).status == DIVERGENT:
+        if improper_integral(fray, cfg, lo=0.0, hi=1.0).status == DIVERGENT:
             div_mass += probe_cell
     items.append(
         rpt.item(
@@ -593,7 +579,7 @@ def density_reducibility_check(
             r = np.asarray(r, dtype=float)
             return _env(r)[_k] * r**surface
 
-        return RadialMeasure(density=dens, hints=hints, label="envelope")
+        return RadialMeasure(density=dens, hints=hints)
 
     lower_m, upper_m = _env_measure(0), _env_measure(1)
     try:

@@ -27,7 +27,7 @@ from scipy.special import gamma as _gamma
 from .exceptions import DivergentIntegral, NegativeDirection
 from .measures import LevySpec, RadialMeasure, radial_integral
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .spherical import angular_grid, integrate_over_directions
+from .spherical import _as_result, _support_directions, integrate_over_directions
 
 # default evaluation grids for exponent sampling and affinity scans
 B_GRID_DEFAULT = np.logspace(-2.0, 2.0, 40)
@@ -65,78 +65,86 @@ def stable_coefficient(alpha: float) -> float:
 
 def laplace_radial(
     measure: RadialMeasure,
-    b: float,
+    b,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """J(b) = int H(b r) measure(dr) for b >= 0."""
-    if b < 0:
+    *,
+    lo: float = 0.0,
+):
+    """J(b) = int_(lo, inf) H(b r) measure(dr) for b >= 0.
+
+    b is a number or an array; the result has the same shape (a float
+    for a number).  Each distinct positive b is integrated once; a
+    measure that fails the (r^2 wedge r) moment raises DivergentIntegral.
+    """
+    b = np.asarray(b, dtype=float)
+    if np.any(b < 0):
         raise ValueError("the radial Laplace exponent is defined for b >= 0")
-    if b == 0.0 or measure.is_zero:
-        return 0.0
-    res = radial_integral(
-        measure,
-        lambda r: compensated_exp(b * r),
-        cfg,
-        weight_exponents=(2.0, 1.0),  # H ~ r^2 at 0, ~ r at infinity
-    )
-    if res.status != "converged":
-        raise DivergentIntegral(
-            f"Laplace exponent at b={b} did not converge ({res.status}); "
-            "the measure fails the (r^2 wedge r) moment"
+    values, index = np.unique(b, return_inverse=True)
+    j = np.zeros(values.shape)
+    for k, bk in enumerate(values):
+        if bk == 0.0 or measure.is_zero:
+            continue
+        res = radial_integral(
+            measure,
+            lambda r, _b=bk: compensated_exp(_b * r),
+            cfg,
+            lo=lo,
+            weight_exponents=(2.0, 1.0),  # H ~ r^2 at 0, ~ r at infinity
         )
-    return res.value
-
-
-_SUPPORT_EPS = 1e-14
+        if res.status != "converged":
+            raise DivergentIntegral(
+                f"Laplace exponent at b={bk} did not converge ({res.status}); "
+                "the measure fails the (r^2 wedge r) moment"
+            )
+        j[k] = res.value
+    return _as_result(j[index].reshape(b.shape))
 
 
 def _check_support_sign(spherical, z: np.ndarray) -> None:
-    """Reject arguments with a negative inner product somewhere the
-    spherical part actually carries mass (density thresholded at 1e-14
-    on the evaluation grid; atoms checked exactly)."""
-    tol = _DIRECTION_TOL * max(1.0, float(np.linalg.norm(z)))
-    if spherical.is_atomic:
-        dirs = spherical.directions
-        bad = dirs @ z < -tol
-    else:
-        dirs, _, angles = angular_grid(spherical, 64)
-        dens = np.asarray(spherical.angular_density(angles), dtype=float)
-        bad = (dirs @ z < -tol) & (dens > _SUPPORT_EPS)
+    """Reject arguments (rows of z) with a negative inner product with a
+    direction that carries mass."""
+    dirs = _support_directions(spherical)
+    inner = z @ dirs.T
+    tol = _DIRECTION_TOL * np.maximum(1.0, np.linalg.norm(z, axis=-1))
+    bad = inner < -np.expand_dims(tol, -1)
     if np.any(bad):
-        inner = dirs @ z
-        worst = dirs[int(np.argmin(np.where(bad, inner, np.inf)))]
+        worst = dirs[int(np.argmin(np.where(bad, inner, np.inf))) % len(dirs)]
         raise NegativeDirection(
             f"argument has negative inner product with support direction {np.round(worst, 6)}"
         )
+
+
+def _argument_stack(z, dimension: int) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0 or z.shape[-1] != dimension:
+        raise ValueError("argument dimension mismatch")
+    return z
 
 
 def laplace_jump(
     spec: LevySpec,
     z,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+):
     """Jump part of the Laplace exponent of the driving noise,
 
         J_X(z) = int_S int_0^inf H(r <z, xi>) gamma_xi(dr) lambda(dxi),
 
     defined for z with nonnegative inner products on the support of the
-    spherical part (NegativeDirection otherwise).
+    spherical part (NegativeDirection otherwise).  z is one argument of
+    shape (d,), giving a float, or a stack (..., d), giving (...).
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (spec.dimension,):
-        raise ValueError("argument dimension mismatch")
+    z = _argument_stack(z, spec.dimension)
     if not np.any(z):
-        return 0.0
+        return _as_result(np.zeros(z.shape[:-1]))
     _check_support_sign(spec.spherical, z)
 
     def per_direction(dirs):
-        inner = np.clip(dirs @ z, 0.0, None)
-        return np.array(
-            [
-                laplace_radial(spec.radial(xi), b, cfg) if b > 0 else 0.0
-                for xi, b in zip(dirs, inner)
-            ]
-        )
+        inner = np.clip(z @ dirs.T, 0.0, None)
+        out = np.empty(inner.shape)
+        for k, xi in enumerate(dirs):
+            out[..., k] = laplace_radial(spec.radial(xi), inner[..., k], cfg)
+        return out
 
     return integrate_over_directions(
         spec.spherical, per_direction, rel_tol=max(cfg.rel_tol, 1e-10) * 10
@@ -147,11 +155,12 @@ def laplace_total(
     spec: LevySpec,
     z,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Full driving-noise exponent 0.5 <Qz, z> + J_X(z)."""
-    z = np.asarray(z, dtype=float)
-    wiener = 0.5 * float(z @ np.asarray(spec.wiener_cov, dtype=float) @ z)
-    return wiener + laplace_jump(spec, z, cfg)
+):
+    """Full driving-noise exponent 0.5 <Qz, z> + J_X(z), on one argument
+    or a stack of them like laplace_jump."""
+    z = _argument_stack(z, spec.dimension)
+    q = np.asarray(spec.wiener_cov, dtype=float)
+    return 0.5 * _as_result(np.sum((z @ q) * z, axis=-1)) + laplace_jump(spec, z, cfg)
 
 
 def stable_exponent(
@@ -159,20 +168,21 @@ def stable_exponent(
     alpha: float,
     z,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """Closed-form stable exponent c(alpha) * int <z, xi>^alpha lambda(dxi).
+):
+    """Closed-form stable exponent c(alpha) * int <z, xi>^alpha lambda(dxi),
+    on one argument (d,) or a stack (..., d) like laplace_jump.
 
     Independent of the quadrature route through laplace_jump; the two
     must agree on stable specs.
     """
-    z = np.asarray(z, dtype=float)
+    z = _argument_stack(z, spherical.dimension)
     coef = stable_coefficient(alpha)
     if not np.any(z):
-        return 0.0
+        return _as_result(np.zeros(z.shape[:-1]))
     _check_support_sign(spherical, z)
 
     def per_direction(dirs):
-        return np.clip(dirs @ z, 0.0, None) ** alpha
+        return np.clip(z @ dirs.T, 0.0, None) ** alpha
 
     return coef * integrate_over_directions(
         spherical, per_direction, rel_tol=max(cfg.rel_tol, 1e-10) * 10

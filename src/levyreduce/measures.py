@@ -53,7 +53,6 @@ class RadialMeasure:
     density: Callable | None = None
     atoms: tuple[tuple[float, float], ...] = ()
     hints: tuple[float, float] | None = None
-    label: str = ""
     power_index: float | None = None
 
     def __post_init__(self):
@@ -87,9 +86,7 @@ def power_radial(alpha: float, scale: float = 1.0) -> RadialMeasure:
         r = np.asarray(r, dtype=float)
         return _s * r ** (-_p)
 
-    return RadialMeasure(
-        density=dens, hints=(p, p), label=f"power[{alpha}]", power_index=alpha
-    )
+    return RadialMeasure(density=dens, hints=(p, p), power_index=alpha)
 
 
 def tabulated_radial(r_grid, values, hints=None) -> RadialMeasure:
@@ -112,7 +109,7 @@ def tabulated_radial(r_grid, values, hints=None) -> RadialMeasure:
     def dens(r, _g=r_grid, _v=values):
         return np.interp(np.asarray(r, dtype=float), _g, _v, left=0.0, right=0.0)
 
-    return RadialMeasure(density=dens, hints=hints, label="tabulated")
+    return RadialMeasure(density=dens, hints=hints)
 
 
 def radial_integral(
@@ -283,17 +280,11 @@ def density_spec(density, dimension, hints=None) -> DensityLevySpec:
 class VolatilityFunction:
     """State-to-volatility map G: [0, inf) -> R^d.
 
-    Calling with an array of states returns an (n, d) array.  The power
-    form G(x) = x^exponent * direction keeps its parameters for exact
-    downstream treatment.
+    Calling with an array of states returns an (n, d) array.
     """
 
     func: Callable
     dimension: int
-    kind: str = "custom"
-    exponent: float | None = None
-    direction: np.ndarray | None = None
-    continuous: bool = True
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -312,9 +303,7 @@ class VolatilityFunction:
         def g(x, _p=exponent, _v=direction):
             return np.asarray(x, dtype=float)[:, None] ** _p * _v[None, :]
 
-        d = direction.copy()
-        d.flags.writeable = False
-        return cls(g, int(direction.shape[0]), "power", float(exponent), d)
+        return cls(g, int(direction.shape[0]))
 
     @classmethod
     def tabulated(cls, x_grid, values) -> "VolatilityFunction":
@@ -331,7 +320,7 @@ class VolatilityFunction:
                 [np.interp(x, _g, _v[:, k]) for k in range(_v.shape[1])], axis=-1
             )
 
-        return cls(g, int(values.shape[1]), "tabulated")
+        return cls(g, int(values.shape[1]))
 
 
 def stable_spec(alpha: float, spherical: SphericalMeasure) -> LevySpec:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import BlowUp
-from .laplace import compensated_exp, laplace_radial, stable_coefficient
-from .measures import RadialMeasure, power_radial, radial_integral
+from .laplace import laplace_radial, stable_coefficient
+from .measures import RadialMeasure, power_radial
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .report import CheckReport, item
 from .reduction import GeneratingModel, ReducedModel
@@ -54,16 +54,23 @@ class TermStructure:
         return float(self.tau_grid[-1])
 
 
-def _interpolated_laplace(raw, u_max: float):
-    """Log-log interpolant of a radial Laplace exponent u -> J(u).
+def _interpolated_laplace(
+    measure: RadialMeasure, cfg: QuadratureConfig, u_max: float, lo: float = 0.0
+):
+    """u -> J(u) = int_(lo, inf) H(u r) measure(dr) for the Riccati
+    right-hand side.
 
-    raw is called on a log grid once; below the grid J follows the
-    local power of the lowest decade (J(0+) = 0), above it the top
-    slope extrapolates (the blow-up guard keeps B inside the grid).
+    Pure atoms (and the zero measure) are summed exactly at each u.
+    Otherwise J is sampled on a log grid in one laplace_radial call and
+    interpolated in log-log form: below the grid J follows the local
+    power of the lowest decade (J(0+) = 0), above it the top slope
+    extrapolates (the blow-up guard keeps B inside the grid).
     """
+    if measure.density is None:
+        return lambda u: laplace_radial(measure, max(u, 0.0), cfg, lo=lo)
     n = max(int(np.log10(u_max / _INTERP_U_MIN) * _INTERP_PER_DECADE), 8)
     ug = np.geomspace(_INTERP_U_MIN, u_max, n)
-    jg = np.array([raw(u) for u in ug])
+    jg = laplace_radial(measure, ug, cfg, lo=lo)
     if np.any(jg <= 0.0):
         raise ValueError("Laplace exponent samples must be positive")
     lu, lj = np.log(ug), np.log(jg)
@@ -81,18 +88,6 @@ def _interpolated_laplace(raw, u_max: float):
         return float(np.exp(np.interp(x, lu, lj)))
 
     return j
-
-
-def _measure_laplace(measure: RadialMeasure, cfg: QuadratureConfig, u_max: float):
-    """J_rho(u) evaluator for a radial measure: exact sums for pure
-    atoms, a one-time interpolant when quadrature is involved."""
-    if measure.is_zero:
-        return lambda u: 0.0
-    if measure.density is None:
-        rr = np.array([r for r, _ in measure.atoms])
-        ww = np.array([w for _, w in measure.atoms])
-        return lambda u: float(np.dot(ww, compensated_exp(u * rr)))
-    return _interpolated_laplace(lambda u: laplace_radial(measure, u, cfg), u_max)
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,8 @@ def _model_rhs(model, cfg: QuadratureConfig, u_max: float):
             model.a,
             model.b,
             model.c,
-            _measure_laplace(model.mu, cfg, u_max),
-            _measure_laplace(model.nu_G0, cfg, u_max),
+            _interpolated_laplace(model.mu, cfg, u_max),
+            _interpolated_laplace(model.nu_G0, cfg, u_max),
         )
     raise TypeError("model must be a ReducedModel or GeneratingModel")
 
@@ -257,22 +252,6 @@ class ComparisonResult:
         return max((row["discrepancy"] for row in self.rows), default=0.0)
 
 
-def _truncated_stable_laplace(C: float, alpha: float, eps: float, cfg, u_max: float):
-    """J of the stable radial law with jumps below eps removed."""
-    measure = power_radial(alpha, C ** alpha)
-
-    def raw(u):
-        return radial_integral(
-            measure,
-            lambda r: compensated_exp(u * np.asarray(r, float)),
-            cfg,
-            lo=eps,
-            weight_exponents=(2.0, 1.0),
-        ).value
-
-    return _interpolated_laplace(raw, u_max)
-
-
 def compare_term_structures(
     original,
     reduced: ReducedModel,
@@ -305,8 +284,11 @@ def compare_term_structures(
 
     # cutoff-perturbed reduced model: same Riccati solve with the
     # stable J replaced by its tail-truncated version
-    j_eps = _truncated_stable_laplace(
-        reduced.C, reduced.alpha, sim_cfg.eps, sim_cfg.quadrature, 2.0 * B_CAP_DEFAULT
+    j_eps = _interpolated_laplace(
+        power_radial(reduced.alpha, reduced.C ** reduced.alpha),
+        sim_cfg.quadrature,
+        2.0 * B_CAP_DEFAULT,
+        lo=sim_cfg.eps,
     )
     trunc = _CallableModel(reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
     ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps, sim_cfg.quadrature)

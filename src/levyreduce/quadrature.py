@@ -317,29 +317,3 @@ def improper_value(f, cfg: QuadratureConfig = DEFAULT_CONFIG, **kw) -> float:
             "integral did not stabilise within the subdivision budget"
         )
     return res.value
-
-
-def lower_tail_probe(f, cfg: QuadratureConfig = DEFAULT_CONFIG, upper: float = 1.0):
-    """Classify the behaviour of int_{eps}^{upper} f(r) dr as eps -> 0.
-
-    Works on the per-decade increments of the partial integral: for a
-    density with a power endpoint the increments form a geometric
-    sequence, growing when the integral diverges and shrinking when it
-    converges.  Two successive non-decaying increments declare
-    divergence.
-
-    Returns an IntegralResult whose value is the converged integral (or
-    the partial sum gathered before the divergence call).
-    """
-    base_lo = min(cfg.eps_low, upper / 1e4)
-    value = panel_integral(f, base_lo, upper)
-    add, status, edge, n = _extend(f, np.log(base_lo), -1, value, cfg, True)
-    return IntegralResult(value + add, status, np.exp(edge), upper, n)
-
-
-def upper_tail_probe(f, cfg: QuadratureConfig = DEFAULT_CONFIG, lower: float = 1.0):
-    """Classify int_{lower}^{R} f(r) dr as R -> inf; mirror of the lower probe."""
-    base_hi = max(cfg.r_high, lower * 1e4)
-    value = panel_integral(f, lower, base_hi)
-    add, status, edge, n = _extend(f, np.log(base_hi), +1, value, cfg, True)
-    return IntegralResult(value + add, status, lower, np.exp(edge), n)

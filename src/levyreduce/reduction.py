@@ -23,7 +23,6 @@ from .conditions import (
 )
 from .exceptions import (
     AffinityViolation,
-    NegativeDirection,
     NotPowerLaw,
     PreconditionFailed,
     ResidualNuG0,
@@ -35,6 +34,7 @@ from .laplace import (
     compensated_exp,
     laplace_total,
     stable_coefficient,
+    stable_exponent,
 )
 from .measures import (
     LevySpec,
@@ -44,7 +44,6 @@ from .measures import (
     radial_integral,
 )
 from .quadrature import CONVERGED, DEFAULT_CONFIG, QuadratureConfig
-from .spherical import integrate_over_directions
 
 PROBE_X_DEFAULT = np.logspace(-2.0, -8.0, 13)
 
@@ -175,18 +174,14 @@ def direction_limit_at_zero(G, x_probes=None):
     if np.any(np.diff(probes) >= 0) or np.any(probes <= 0):
         raise ValueError("probes must be positive and strictly decreasing")
 
-    units = []
-    for x in probes[-3:]:
-        g = np.asarray(G(float(x)), dtype=float)
-        norm = float(np.linalg.norm(g))
-        if norm == 0.0:
-            raise ZeroVolatility(f"|G({x:g})| = 0 at a probe level")
-        units.append(g / norm)
-    g0 = units[-1]
-    residual = max(
-        float(np.linalg.norm(u - v)) for u in units for v in units
-    )
-    return g0, residual
+    tail = probes[-3:]
+    g = G(tail)
+    norms = np.linalg.norm(g, axis=1)
+    if np.any(norms == 0.0):
+        raise ZeroVolatility(f"|G({tail[np.argmax(norms == 0.0)]:g})| = 0 at a probe level")
+    units = g / norms[:, None]
+    residual = float(np.max(np.linalg.norm(units[:, None] - units[None], axis=-1)))
+    return units[-1], residual
 
 
 def extract_affine_exponents(
@@ -214,27 +209,15 @@ def extract_affine_exponents(
         raise ValueError("b_grid must be nonnegative")
 
     c, _, _ = wiener_cir_check(spec.wiener_cov, G, x_grid)
-    gvals = [np.asarray(G(float(x)), dtype=float) for x in x_grid]
-
-    ones = np.ones_like(x_grid)
-    design = np.stack([x_grid, ones], axis=1)
-    slopes = np.empty_like(b_grid)
-    intercepts = np.empty_like(b_grid)
-    residual = 0.0
-    for i, b in enumerate(b_grid):
-        if b == 0.0:
-            slopes[i] = 0.0
-            intercepts[i] = 0.0
-            continue
-        y = np.array(
-            [laplace_total(spec, b * g, cfg) for g in gvals], dtype=float
-        )
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        fit = design @ coef
-        scale = np.maximum(np.abs(y), 1e-30 * max(1.0, float(np.max(np.abs(y)))))
-        residual = max(residual, float(np.max(np.abs(y - fit) / scale)))
-        slopes[i] = coef[0] - c * b * b
-        intercepts[i] = coef[1]
+    # y[k, i] is the exponent at b_i G(x_k): one column per b
+    y = laplace_total(spec, b_grid[None, :, None] * G(x_grid)[:, None, :], cfg)
+    design = np.stack([x_grid, np.ones_like(x_grid)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    fit = design @ coef
+    floor = 1e-30 * np.maximum(1.0, np.max(np.abs(y), axis=0))
+    residual = float(np.max(np.abs(y - fit) / np.maximum(np.abs(y), floor), initial=0.0))
+    slopes = coef[0] - c * b_grid * b_grid
+    intercepts = coef[1]
 
     if residual > AFFINITY_TOL:
         raise AffinityViolation(
@@ -456,32 +439,13 @@ def stable_generating_condition(
 
     Returns (coefficient, CheckReport) where coefficient = c_alpha *
     slope is the coefficient of b^alpha in the level-proportional
-    exponent.  Directions with negative inner products raise
-    NegativeDirection.
+    exponent.  A level whose G(x) has a negative inner product with a
+    direction that carries mass raises NegativeDirection.
     """
-    if not (1.0 < alpha < 2.0):
-        raise ValueError("stable index must lie in (1, 2)")
+    coef = stable_coefficient(alpha)
     x_grid = np.asarray(X_GRID_DEFAULT if x_grid is None else x_grid, dtype=float)
-
-    moments = np.empty_like(x_grid)
-    degenerate = True
-    for i, x in enumerate(x_grid):
-        g = np.asarray(G(float(x)), dtype=float)
-        scale = float(np.linalg.norm(g))
-        if scale > 0.0:
-            degenerate = False
-
-        def fn(dirs, _g=g, _s=scale):
-            inner = dirs @ _g
-            if np.any(inner < -1e-12 * max(_s, 1.0)):
-                raise NegativeDirection(
-                    "volatility direction leaves the support half-space"
-                )
-            return np.clip(inner, 0.0, None) ** alpha
-
-        moments[i] = integrate_over_directions(spherical, fn)
-
-    if degenerate:
+    gx = G(x_grid)
+    if not np.any(gx):
         it = rpt.CheckItem(
             "stable_generating_linearity",
             rpt.WARN,
@@ -489,12 +453,13 @@ def stable_generating_condition(
             detail="G vanishes on the whole grid",
         )
         return 0.0, rpt.CheckReport((it,))
+    moments = stable_exponent(spherical, alpha, gx, cfg) / coef
 
     slope = float(np.dot(x_grid, moments) / np.dot(x_grid, x_grid))
     floor = 1e-30 * max(1.0, float(np.max(np.abs(moments))))
     scale = np.maximum(np.maximum(np.abs(moments), abs(slope) * x_grid), floor)
     residual = float(np.max(np.abs(moments - slope * x_grid) / scale))
-    coefficient = stable_coefficient(alpha) * slope
+    coefficient = coef * slope
     report = rpt.CheckReport(
         (
             rpt.item(

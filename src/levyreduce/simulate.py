@@ -310,7 +310,7 @@ def truncated_jump_sampler(
     """
     if eps <= 0:
         raise ValueError("cutoff must be positive")
-    dirs, wgts = _sample_directions(spec, n_angular)
+    dirs, wgts = _sample_directions(spec.spherical, n_angular)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     wgts = np.asarray(wgts, dtype=float)
 

@@ -90,7 +90,7 @@ def radial_from_density(dspec: DensityLevySpec, xi) -> RadialMeasure:
     hints = None
     if dspec.hints is not None:
         hints = (dspec.hints[0] - power, dspec.hints[1] - power)
-    return RadialMeasure(density=dens, hints=hints, label="induced")
+    return RadialMeasure(density=dens, hints=hints)
 
 
 def induced_spec(dspec: DensityLevySpec) -> LevySpec:
@@ -128,14 +128,22 @@ def angular_grid(measure: SphericalMeasure, n_per_dim: int = 32):
     return dirs, wall * dens, angles
 
 
-def _sample_directions(spec: LevySpec, n_angular: int = 16):
+def _sample_directions(spherical: SphericalMeasure, n_angular: int = 16):
     """Representative (directions, weights) rows for structural sweeps:
     the atoms themselves, or the angular Gauss grid whose weights sum to
     the angular mass."""
-    if spec.spherical.is_atomic:
-        return spec.spherical.directions, np.asarray(spec.spherical.weights, float)
-    dirs, wgts, _ = angular_grid(spec.spherical, n_angular)
+    if spherical.is_atomic:
+        return spherical.directions, np.asarray(spherical.weights, float)
+    dirs, wgts, _ = angular_grid(spherical, n_angular)
     return dirs, wgts
+
+
+def _support_directions(spherical: SphericalMeasure, n_angular: int = 64) -> np.ndarray:
+    """The sampled directions that carry mass, for sign checks: those of
+    positive weight.  A sector where the angular density vanishes
+    carries no jumps."""
+    dirs, wgts = _sample_directions(spherical, n_angular)
+    return dirs[wgts > 0]
 
 
 def _per_measure(spec: LevySpec, dirs, fn) -> list:
@@ -170,6 +178,11 @@ def uniform_angle_grid(dimension: int, n_per_dim: int):
     return dirs, angles, jac
 
 
+def _as_result(val: np.ndarray):
+    """A float for 0-d values, the array otherwise."""
+    return float(val) if val.ndim == 0 else val
+
+
 def integrate_over_directions(
     measure: SphericalMeasure,
     fn,
@@ -180,24 +193,27 @@ def integrate_over_directions(
 ):
     """Integrate fn(xi) lambda(dxi) with one-shot angular refinement.
 
-    fn receives an (m, d) array of directions and returns (m,) values.
-    For atomic measures the sum is exact; for angular densities the
-    Gauss-Legendre grid is doubled until two successive levels agree to
-    rel_tol (or the cap is reached, keeping the finest value).
+    fn receives an (m, d) array of directions and returns values of
+    shape (..., m), the direction axis last; the result has shape (...)
+    and is a float when fn returns (m,).  For atomic measures the sum is
+    exact; for angular densities the Gauss-Legendre grid is doubled
+    until two successive levels agree to rel_tol in every entry (or the
+    cap is reached, keeping the finest values).
     """
     if measure.is_atomic:
         vals = np.asarray(fn(measure.directions), dtype=float)
-        return float(np.sum(vals * measure.weights))
+        return _as_result(np.sum(vals * measure.weights, axis=-1))
 
     n = n_start
     prev = None
     while True:
         dirs, wgts, _ = angular_grid(measure, n)
-        val = float(np.sum(np.asarray(fn(dirs), dtype=float) * wgts))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            return val
-        if n >= n_max:
-            return val
+        val = np.sum(np.asarray(fn(dirs), dtype=float) * wgts, axis=-1)
+        if n >= n_max or (
+            prev is not None
+            and np.all(np.abs(val - prev) <= rel_tol * np.maximum(np.abs(val), 1e-300))
+        ):
+            return _as_result(val)
         prev = val
         n *= 2
 

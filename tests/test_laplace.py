@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from levyreduce import (
+    DivergentIntegral,
     LevySpec,
     NegativeDirection,
     RadialMeasure,
@@ -18,10 +19,14 @@ from levyreduce import (
     laplace_radial,
     laplace_total,
     power_radial,
+    radial_integral,
     stable_coefficient,
     stable_exponent,
     stable_spec,
+    tabulated_radial,
 )
+
+from levyreduce.quadrature import DEFAULT_CONFIG
 
 from conftest import C_12, C_15
 
@@ -191,3 +196,94 @@ class TestStableExponent:
         ref = C_15 * np.trapezoid(np.cos(nodes) ** 1.5, nodes)
         assert val == pytest.approx(ref, rel=1e-4)
         assert stable_exponent(uniform, 1.5, np.zeros(2)) == 0.0
+
+
+_R_TABLE = np.geomspace(1e-6, 1e6, 400)
+ARRAY_MEASURES = [
+    power_radial(1.5),
+    RadialMeasure(atoms=((0.5, 2.0), (3.0, 0.25))),
+    tabulated_radial(_R_TABLE, _R_TABLE**-2.5, hints=(2.5, 2.5)),
+]
+ARRAY_IDS = ["power", "atoms", "tabulated"]
+
+
+def _quarter_disc_spec():
+    """Smooth angular density on the first quadrant with the cosine
+    fixture's radial scales, so every argument in the closed positive
+    quadrant is admissible."""
+    spherical = SphericalMeasure.from_angular(
+        2,
+        lambda a: (np.clip(np.cos(a[:, 0]), 0, None) * np.clip(np.sin(a[:, 0]), 0, None))
+        ** 2,
+    )
+    return LevySpec(
+        2,
+        np.zeros((2, 2)),
+        spherical,
+        lambda xi: power_radial(1.5, scale=1.0 + 0.5 * float(xi[0])),
+    )
+
+
+class TestArrayArguments:
+    @pytest.mark.parametrize("rho", ARRAY_MEASURES, ids=ARRAY_IDS)
+    def test_radial_grid_equals_pointwise(self, rho):
+        grids = [
+            np.array(0.7),
+            np.array([0.0, 0.3, 2.0, 0.3, 11.0]),
+            np.array([[1.5, 0.0, 1.5], [40.0, 1e-3, 2.0]]),
+        ]
+        for b in grids:
+            out = laplace_radial(rho, b)
+            ref = np.array([laplace_radial(rho, float(v)) for v in b.ravel()])
+            assert np.shape(out) == b.shape
+            np.testing.assert_array_equal(np.ravel(out), ref)
+        assert isinstance(laplace_radial(rho, 0.7), float)
+
+    @pytest.mark.parametrize("rho", ARRAY_MEASURES, ids=ARRAY_IDS)
+    def test_lower_cutoff_matches_radial_integral(self, rho):
+        eps = 3e-3
+        for b in (0.1, 2.0, 50.0):
+            ref = radial_integral(
+                rho, lambda r: compensated_exp(b * r), lo=eps, weight_exponents=(2.0, 1.0)
+            ).value
+            assert laplace_radial(rho, np.array([b]), lo=eps)[0] == ref
+
+    def test_moment_failure_raises_on_a_grid(self):
+        with pytest.raises(DivergentIntegral):
+            laplace_radial(power_radial(2.5), np.array([0.0, 1.0, 2.0]))
+
+    def test_negative_argument_rejected(self):
+        with pytest.raises(ValueError):
+            laplace_radial(power_radial(1.5), np.array([1.0, -1.0]))
+
+    def test_stack_on_atoms_is_exact(self):
+        sph = SphericalMeasure.from_atoms(
+            [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]], [0.5, 1.0, 0.25]
+        )
+        spec = stable_spec(1.5, sph)
+        z = np.array([[[0.3, 1.7], [0.0, 0.0], [2.0, 0.5]], [[1.0, 1.0], [4.0, 0.1], [0.2, 0.2]]])
+        jump = laplace_jump(spec, z)
+        closed = stable_exponent(sph, 1.5, z)
+        assert jump.shape == closed.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert jump[idx] == laplace_jump(spec, z[idx])
+            assert closed[idx] == stable_exponent(sph, 1.5, z[idx])
+        np.testing.assert_allclose(jump, closed, rtol=1e-6)
+
+    def test_stack_on_angular_density_within_tolerance(self):
+        spec = _quarter_disc_spec()
+        z = np.array([[1.0, 0.0], [0.5, 2.0], [3.0, 1.0], [0.0, 0.0]])
+        rel = 10 * DEFAULT_CONFIG.rel_tol
+        jump = laplace_jump(spec, z)
+        closed = stable_exponent(spec.spherical, 1.5, z)
+        for k, row in enumerate(z):
+            assert jump[k] == pytest.approx(laplace_jump(spec, row), rel=rel)
+            assert closed[k] == pytest.approx(stable_exponent(spec.spherical, 1.5, row), rel=rel)
+        assert laplace_total(spec, z) == pytest.approx(jump, rel=1e-15)
+
+    def test_stack_with_a_row_outside_the_support_raises(self, example_spec, two_atom_spherical):
+        z = np.array([[1.0, 1.0], [-1.0, 0.5], [2.0, 0.0]])
+        with pytest.raises(NegativeDirection):
+            laplace_jump(example_spec, z)
+        with pytest.raises(NegativeDirection):
+            stable_exponent(two_atom_spherical, 1.5, z)

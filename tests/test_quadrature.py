@@ -13,9 +13,7 @@ from levyreduce import (
     QuadratureConfig,
     improper_integral,
     improper_value,
-    lower_tail_probe,
     panel_integral,
-    upper_tail_probe,
 )
 
 
@@ -75,15 +73,15 @@ def test_finite_endpoints_honoured_exactly():
 
 def test_tail_probes_classify_power_laws():
     # int_eps^1 r^(-0.5) dr converges, r^(-1.5) diverges
-    assert lower_tail_probe(lambda r: r**-0.5).status == CONVERGED
-    assert lower_tail_probe(lambda r: r**-1.5).status == DIVERGENT
+    assert improper_integral(lambda r: r**-0.5, lo=0.0, hi=1.0).status == CONVERGED
+    assert improper_integral(lambda r: r**-1.5, lo=0.0, hi=1.0).status == DIVERGENT
     # mirrored at infinity
-    assert upper_tail_probe(lambda r: r**-1.5).status == CONVERGED
-    assert upper_tail_probe(lambda r: r**-0.5).status == DIVERGENT
+    assert improper_integral(lambda r: r**-1.5, lo=1.0, hi=np.inf).status == CONVERGED
+    assert improper_integral(lambda r: r**-0.5, lo=1.0, hi=np.inf).status == DIVERGENT
 
 
 def test_lower_tail_probe_value():
-    res = lower_tail_probe(lambda r: r**-0.5)
+    res = improper_integral(lambda r: r**-0.5, lo=0.0, hi=1.0)
     assert abs(res.value - 2.0) < 1e-6
 
 

@@ -7,6 +7,7 @@ import pytest
 from levyreduce import (
     AffinityViolation,
     GeneratingModel,
+    NegativeDirection,
     NotPowerLaw,
     PreconditionFailed,
     RadialMeasure,
@@ -23,6 +24,7 @@ from levyreduce import (
     power_radial,
     reduce_model,
     stable_coefficient,
+    stable_exponent,
     stable_generating_condition,
     stable_spec,
 )
@@ -222,6 +224,28 @@ class TestStableGeneratingCondition:
         coefficient, report = stable_generating_condition(G, two_atom_spherical, 1.5)
         assert coefficient == 0.0
         assert report.item("stable_generating_linearity").status == "warn"
+
+    @staticmethod
+    def half_disc(sign):
+        # angular density 1{sign * cos(theta) > 0}: jumps on one half-plane
+        return SphericalMeasure.from_angular(
+            2, lambda a: (sign * np.cos(a[:, 0]) > 0).astype(float)
+        )
+
+    def test_zero_density_sector_is_not_a_violation(self):
+        # <G(x), xi> < 0 only where cos(theta) < 0, which carries no mass
+        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 0.0])
+        half = self.half_disc(1.0)
+        coefficient, report = stable_generating_condition(G, half, 1.5)
+        assert report.overall_pass
+        assert coefficient == pytest.approx(
+            stable_exponent(half, 1.5, np.array([1.0, 0.0])), rel=1e-12
+        )
+
+    def test_mass_on_the_negative_side_raises(self):
+        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 0.0])
+        with pytest.raises(NegativeDirection):
+            stable_generating_condition(G, self.half_disc(-1.0), 1.5)
 
 
 class TestApplyGenerator:

@@ -1,5 +1,7 @@
-"""Source hygiene: every module compiles with warnings raised as errors."""
+"""Source hygiene: every module compiles with warnings raised as errors,
+and no module imports a name it never uses."""
 
+import ast
 import warnings
 from pathlib import Path
 
@@ -13,3 +15,31 @@ def test_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+# the package root imports names only to re-export them
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_detected():
+    source = "import numpy as np\nfrom .laplace import laplace_radial, compensated_exp\n"
+    source += "def f(b):\n    return np.sum(laplace_radial(None, b))\n"
+    assert _unused_imports(source) == ["compensated_exp (line 2)"]
