@@ -3,7 +3,7 @@
 The model: a planar short rate driven by alpha = 1.5 stable jumps along
 the coordinate axes (spherical atoms at e1 and e2, weight 1/2 each) with
 volatility G(x) = x^(2/3) (1, 1) and drift -0.5 x + 0.1.  The script
-checks the structural conditions, extracts the one-factor stable-CIR
+checks the hypotheses of the reduction, extracts the one-factor stable-CIR
 model, and prints its term structure.
 
 Run from the repository root:  python3 demos/reduce_and_price.py
@@ -16,9 +16,7 @@ from levyreduce import (
     SphericalMeasure,
     VolatilityFunction,
     bond_price,
-    check_martingale,
-    check_positive_jumps,
-    radial_balance,
+    check_hypotheses,
     reduce_model,
     riccati_solve,
     stable_spec,
@@ -29,12 +27,11 @@ spec = stable_spec(1.5, spherical)
 G = VolatilityFunction.power(2.0 / 3.0, [1.0, 1.0])
 a, b, x0 = -0.5, 0.1, 1.0
 
-print("== structural conditions ==")
-for report in (check_martingale(spec), check_positive_jumps(G, spec)):
-    for it in report.items:
-        print(f"  {it.name}: {it.status}")
-k_hat, balance = radial_balance(spec)
-print(f"  balance constant K = {k_hat:.9f} ({balance.items[0].status})")
+print("== hypotheses of the reduction ==")
+hypotheses = check_hypotheses(spec, G)
+for it in hypotheses.items:
+    print(f"  {it.name}: {it.status}")
+print(f"  balance constant K = {hypotheses.item('balance_finite').value:.9f}")
 
 print("\n== reduction ==")
 model, report = reduce_model(spec, G, a=a, b=b)

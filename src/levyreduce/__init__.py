@@ -70,6 +70,7 @@ from .reduction import (
     GeneratingModel,
     ReducedModel,
     apply_generator,
+    check_hypotheses,
     direction_limit_at_zero,
     extract_affine_exponents,
     fit_power_law,

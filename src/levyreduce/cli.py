@@ -1,6 +1,6 @@
 """Command-line pipelines over a JSON model configuration.
 
-Subcommands: check (condition suite), reduce (emit the one-factor
+Subcommands: check (hypothesis suite), reduce (emit the one-factor
 model), simulate (paths of the multivariate equation), price (term
 structure of the reduced model), compare (Monte Carlo vs Riccati).
 Every run writes a deterministic report.json plus CSV tables; exit
@@ -18,14 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditions import (
-    check_martingale,
-    check_positive_jumps,
-    check_structure,
-    check_variation,
-    radial_balance,
-    wiener_cir_check,
-)
+from .conditions import check_structure, wiener_cir_check
 from .exceptions import LevyReduceError
 from .measures import (
     LevySpec,
@@ -37,7 +30,7 @@ from .measures import (
 )
 from .pricing import SimConfig, bond_price, compare_term_structures, riccati_solve
 from .quadrature import QuadratureConfig
-from .reduction import reduce_model
+from .reduction import check_hypotheses, reduce_model
 from .report import CheckReport
 from .simulate import RngStream, simulate_original
 
@@ -177,26 +170,14 @@ def _report_payload(command: str, report: CheckReport, outputs, **extra) -> dict
 
 
 def _cmd_check(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    spec = cfg.spec
-    reports = [check_martingale(spec, cfg.quadrature)]
+    report = check_hypotheses(cfg.spec, cfg.volatility, cfg.quadrature)
     if cfg.volatility is not None:
-        reports.append(check_positive_jumps(cfg.volatility, spec))
-        g0 = np.asarray(cfg.volatility(0.0), dtype=float)
-        if np.linalg.norm(g0) > 0.0:
-            reports.append(check_variation(spec, cfg.quadrature))
-    else:
-        reports.append(check_variation(spec, cfg.quadrature))
-    _, balance = radial_balance(spec, cfg=cfg.quadrature)
-    reports.append(balance)
-    if cfg.volatility is not None:
-        _, _, wiener = wiener_cir_check(spec.wiener_cov, cfg.volatility)
-        reports.append(wiener)
-    merged = reports[0].merged(*reports[1:])
-    _write_json(outdir / "report.json", _report_payload("check", merged, []))
+        report = report.merged(wiener_cir_check(cfg.spec.wiener_cov, cfg.volatility)[2])
+    _write_json(outdir / "report.json", _report_payload("check", report, []))
     if not quiet:
-        for it in merged.items:
+        for it in report.items:
             print(f"{it.name}: {it.status}")
-    return 0 if merged.overall_pass else 1
+    return 0 if report.overall_pass else 1
 
 
 def _model_dict(model) -> dict:

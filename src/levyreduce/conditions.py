@@ -43,6 +43,10 @@ from .spherical import (
 )
 
 BALANCE_B_GRID = np.logspace(-3.0, 3.0, 25)
+# the balance grid extended by a decade at each end
+_BALANCE_WIDE_B_GRID = np.unique(
+    np.concatenate([BALANCE_B_GRID, np.logspace(-4.0, -3.0, 5), np.logspace(3.0, 4.0, 5)])
+)
 EPS_GRID_DEFAULT = np.logspace(-2.0, -8.0, 13)
 
 AFFINITY_TOL = 1e-6
@@ -111,9 +115,7 @@ def check_structure(spec: LevySpec) -> rpt.CheckReport:
 
 
 def check_martingale(
-    spec: LevySpec,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    n_angular: int = 16,
+    spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> rpt.CheckReport:
     """The structural items of check_structure, then
     int (r^2 wedge r) gamma_xi(dr) < inf on sampled directions.
@@ -122,7 +124,7 @@ def check_martingale(
     finite first moment.  Zero jump measures pass with a warning so
     degenerate inputs remain visible.
     """
-    dirs, _ = _sample_directions(spec.spherical, n_angular)
+    dirs, _ = _sample_directions(spec.spherical)
 
     def moment(gamma):
         if gamma.is_zero:
@@ -159,9 +161,7 @@ def check_martingale(
 
 
 def check_variation(
-    spec: LevySpec,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    n_angular: int = 32,
+    spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> rpt.CheckReport:
     """Locate directions with non-integrable small jumps and test their
     mass and span.
@@ -170,7 +170,7 @@ def check_variation(
     item requires it to have positive spherical mass; the second requires
     the located directions to span the whole space.
     """
-    dirs, wgts = _sample_directions(spec.spherical, n_angular)
+    dirs, wgts = _sample_directions(spec.spherical, 32)
 
     def small_jumps_diverge(gamma):
         if gamma.density is None:
@@ -206,27 +206,19 @@ def check_variation(
     return rpt.CheckReport(tuple(items))
 
 
-def check_positive_jumps(
-    G,
-    spec: LevySpec,
-    x_grid=None,
-    n_angular: int = 64,
-) -> rpt.CheckReport:
+def check_positive_jumps(G, spec: LevySpec) -> rpt.CheckReport:
     """Require <G(x), xi> >= 0 (within slack) on the support of the
     spherical part, so the state only ever jumps upward.  Only directions
     of positive weight are scanned: a sector where the angular density
     vanishes carries no jumps."""
-    x_grid = np.asarray(X_GRID_DEFAULT if x_grid is None else x_grid, dtype=float)
-    if x_grid.ndim != 1 or x_grid.size == 0 or np.any(x_grid <= 0):
-        raise ValueError("x_grid must be a nonempty grid of positive levels")
-    dirs = _support_directions(spec.spherical, n_angular)
+    dirs = _support_directions(spec.spherical)
     if not len(dirs):
         it = rpt.CheckItem(
             "jump_direction_sign", rpt.WARN, value=0.0, detail="no direction carries mass"
         )
         return rpt.CheckReport((it,))
 
-    gx = G(x_grid)
+    gx = G(X_GRID_DEFAULT)
     if not np.any(gx):
         it = rpt.CheckItem(
             "jump_direction_sign",
@@ -243,22 +235,20 @@ def check_positive_jumps(
         margin[i, j] >= 0.0,
         value=float(margin[i, j]),
         tolerance=0.0,
-        detail=f"min <G(x), xi> = {inner[i, j]:.3e} at x={x_grid[i]:g}, "
+        detail=f"min <G(x), xi> = {inner[i, j]:.3e} at x={X_GRID_DEFAULT[i]:g}, "
         f"xi={np.round(dirs[j], 6)}",
     )
     return rpt.CheckReport((it,))
 
 
-def wiener_cir_check(Q, G, x_grid=None):
+def wiener_cir_check(Q, G):
     """Fit 0.5 <Q G(x), G(x)> = c x and measure the relative residual.
 
     Returns (c, residual, CheckReport).  The fit is through the origin;
     c is clipped at zero since a diffusion coefficient cannot be
     negative.  Affinity holds when the residual stays below 1e-6.
     """
-    x = np.asarray(X_GRID_DEFAULT if x_grid is None else x_grid, dtype=float)
-    if x.ndim != 1 or x.size == 0 or np.any(x <= 0):
-        raise ValueError("x_grid must be a nonempty grid of positive levels")
+    x = X_GRID_DEFAULT
     g = G(x)
     y = 0.5 * np.sum((g @ np.asarray(Q, dtype=float)) * g, axis=1)
 
@@ -295,16 +285,12 @@ def _balance_ratio(spec, dirs, b_grid, cfg):
     if np.any(lo == 0.0):
         b = b_grid[int(np.argmax(lo == 0.0))]
         raise InfimumZero(f"radial Laplace exponent vanishes at b={b:g}")
-    with np.errstate(invalid="ignore"):
-        return float(np.fmax.reduce(hi / lo, initial=1.0))
+    if not np.all(np.isfinite(table)):
+        return np.inf  # a divergent exponent admits no balance constant
+    return float(np.max(hi / lo))
 
 
-def radial_balance(
-    spec: LevySpec,
-    b_grid=None,
-    xi_samples=None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def radial_balance(spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Estimate the uniform balance constant of the radial family.
 
     K_hat bounds sup_xi J_xi(b) <= K_hat inf_xi J_xi(b) over the grid.
@@ -312,31 +298,15 @@ def radial_balance(
     stable under refining the direction sample and extending the b
     range, which exposes families whose ratio grows without bound.
     """
-    base_b = np.asarray(BALANCE_B_GRID if b_grid is None else b_grid, dtype=float)
-    if np.any(base_b <= 0):
-        raise ValueError("b_grid must be strictly positive")
-
-    if xi_samples is not None:
-        dirs0 = np.atleast_2d(np.asarray(xi_samples, dtype=float))
-        dirs1 = dirs0
-    elif spec.spherical.is_atomic:
-        dirs0 = spec.spherical.directions
-        dirs1 = dirs0
+    if spec.spherical.is_atomic:
+        dirs0 = dirs1 = spec.spherical.directions
     else:
         n0 = 64 if spec.dimension == 2 else 16
         dirs0 = uniform_angle_grid(spec.dimension, n0)[0]
         dirs1 = uniform_angle_grid(spec.dimension, 2 * n0)[0]
 
-    lo, hi = float(np.min(base_b)), float(np.max(base_b))
-    wide_b = np.unique(
-        np.concatenate(
-            [base_b, np.logspace(np.log10(lo) - 1.0, np.log10(lo), 5),
-             np.logspace(np.log10(hi), np.log10(hi) + 1.0, 5)]
-        )
-    )
-
-    k_base = _balance_ratio(spec, dirs0, base_b, cfg)
-    k_ref = _balance_ratio(spec, dirs1, wide_b, cfg)
+    k_base = _balance_ratio(spec, dirs0, BALANCE_B_GRID, cfg)
+    k_ref = _balance_ratio(spec, dirs1, _BALANCE_WIDE_B_GRID, cfg)
 
     finite = bool(np.isfinite(k_ref))
     drift = abs(k_ref - k_base) / max(k_base, 1.0) if finite else np.inf
@@ -479,9 +449,7 @@ def _envelope_functions(dspec: DensityLevySpec, n_per_dim: int):
 
 
 def density_reducibility_check(
-    dspec: DensityLevySpec,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    eps_grid=None,
+    dspec: DensityLevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> rpt.CheckReport:
     """Reducibility criteria for a jump measure given by a density g.
 
@@ -583,7 +551,7 @@ def density_reducibility_check(
 
     lower_m, upper_m = _env_measure(0), _env_measure(1)
     try:
-        q0, q_inf, qrep = q_ratios(lower_m, upper_m, eps_grid, cfg)
+        q0, q_inf, qrep = q_ratios(lower_m, upper_m, cfg=cfg)
         lookup = {it.name: it for it in qrep.items}
         for name, src in (("ratio_small", "q0_finite"), ("ratio_large", "q_inf_finite")):
             base = lookup[src]

@@ -160,7 +160,7 @@ class ReducedModel:
         )
 
 
-def direction_limit_at_zero(G, x_probes=None):
+def direction_limit_at_zero(G):
     """Limit direction of the volatility function at the origin.
 
     Returns (unit direction at the smallest probe, residual), where the
@@ -168,13 +168,7 @@ def direction_limit_at_zero(G, x_probes=None):
     the three smallest probes.  A residual above 1e-4 signals that the
     direction does not settle.
     """
-    probes = np.asarray(PROBE_X_DEFAULT if x_probes is None else x_probes, dtype=float)
-    if probes.ndim != 1 or probes.size < 3:
-        raise ValueError("need at least three probe levels")
-    if np.any(np.diff(probes) >= 0) or np.any(probes <= 0):
-        raise ValueError("probes must be positive and strictly decreasing")
-
-    tail = probes[-3:]
+    tail = PROBE_X_DEFAULT[-3:]
     g = G(tail)
     norms = np.linalg.norm(g, axis=1)
     if np.any(norms == 0.0):
@@ -188,7 +182,6 @@ def extract_affine_exponents(
     spec: LevySpec,
     G,
     b_grid=None,
-    x_grid=None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ):
     """Split the Laplace exponent of <G(x), Z> into level-free and
@@ -202,13 +195,11 @@ def extract_affine_exponents(
     AffinityViolation since the pair then fails the affine form.
     """
     b_grid = np.asarray(B_GRID_DEFAULT if b_grid is None else b_grid, dtype=float)
-    x_grid = np.asarray(X_GRID_DEFAULT if x_grid is None else x_grid, dtype=float)
-    if x_grid.size < 3:
-        raise ValueError("x_grid needs at least three levels")
     if np.any(b_grid < 0):
         raise ValueError("b_grid must be nonnegative")
+    x_grid = X_GRID_DEFAULT
 
-    c, _, _ = wiener_cir_check(spec.wiener_cov, G, x_grid)
+    c, _, _ = wiener_cir_check(spec.wiener_cov, G)
     # y[k, i] is the exponent at b_i G(x_k): one column per b
     y = laplace_total(spec, b_grid[None, :, None] * G(x_grid)[:, None, :], cfg)
     design = np.stack([x_grid, np.ones_like(x_grid)], axis=1)
@@ -315,10 +306,36 @@ def fit_power_law(b_grid, j_samples):
     return c_tilde, alpha, fit_residual, rpt.CheckReport(tuple(items))
 
 
-def _precondition(report: rpt.CheckReport, label: str):
-    if not report.overall_pass:
-        names = ", ".join(i.name for i in report.failing())
-        raise PreconditionFailed(f"{label} failed: {names}", report=report)
+def check_hypotheses(
+    spec: LevySpec, G=None, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> rpt.CheckReport:
+    """The hypotheses of the reduction theorem, as one report.
+
+    Items, in order: triplet structure and martingale moment; with G,
+    the sign of the jumps; infinite variation with full span, unless
+    G(0) = 0 waives it; radial balance; with G, the settling of the
+    direction of G at zero.  check certifies exactly this report and
+    reduce_model refuses when any item fails.
+    """
+    reports = [check_martingale(spec, cfg)]
+    if G is not None:
+        reports.append(check_positive_jumps(G, spec))
+    if G is None or np.linalg.norm(np.asarray(G(0.0), dtype=float)) > 0.0:
+        reports.append(check_variation(spec, cfg))
+    reports.append(radial_balance(spec, cfg)[1])
+    if G is not None:
+        g0, residual = direction_limit_at_zero(G)
+        settled = residual <= DIRECTION_TOL
+        direction = rpt.item(
+            "direction_limit",
+            settled,
+            value=residual,
+            tolerance=DIRECTION_TOL,
+            detail=f"limit direction {np.round(g0, 6)}" if settled
+            else f"direction of G does not settle at zero (residual {residual:.3e})",
+        )
+        reports.append(rpt.CheckReport((direction,)))
+    return reports[0].merged(*reports[1:])
 
 
 def reduce_model(
@@ -327,54 +344,24 @@ def reduce_model(
     a: float = 0.0,
     b: float = 0.0,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    b_grid=None,
-    x_grid=None,
 ):
     """Run the full reduction: hypothesis suite, exponent extraction,
     power-law fit, and assembly of the one-factor model.
 
-    Structural preconditions (triplet structure and martingale moment,
-    jump sign, balance,
-    settling direction at zero, and infinite variation unless G(0)=0)
-    raise PreconditionFailed.  A nonzero Wiener part is reported as a
+    Any failing item of check_hypotheses raises PreconditionFailed
+    carrying that report.  A nonzero Wiener part is reported as a
     violation in the returned CheckReport but does not stop the jump
     extraction, which runs on the diffusion-free part of the spec.
     Returns (ReducedModel, CheckReport).
     """
-    mart = check_martingale(spec, cfg)
-    _precondition(mart, "martingale moment check")
-
-    pos = check_positive_jumps(G, spec, x_grid)
-    _precondition(pos, "jump sign check")
-
-    variation = check_variation(spec, cfg)
-    g_origin = np.asarray(G(0.0), dtype=float)
-    origin_zero = float(np.linalg.norm(g_origin)) == 0.0
-    if not variation.overall_pass and not origin_zero:
-        raise PreconditionFailed(
-            "assumption set unmet: neither infinite variation with full span "
-            "nor G(0) = 0 is certified",
-            report=variation,
+    hypotheses = check_hypotheses(spec, G, cfg)
+    if not hypotheses.overall_pass:
+        failing = "; ".join(
+            f"{it.name} ({it.detail})" if it.detail else it.name for it in hypotheses.failing()
         )
+        raise PreconditionFailed(f"hypotheses unmet: {failing}", report=hypotheses)
 
-    k_hat, balance = radial_balance(spec, cfg=cfg)
-    _precondition(balance, "radial balance check")
-
-    g0, g0_residual = direction_limit_at_zero(G)
-    direction = rpt.item(
-        "direction_limit",
-        g0_residual <= DIRECTION_TOL,
-        value=g0_residual,
-        tolerance=DIRECTION_TOL,
-        detail=f"limit direction {np.round(g0, 6)}",
-    )
-    if not direction.passed:
-        raise PreconditionFailed(
-            f"direction of G does not settle at zero (residual {g0_residual:.3e})",
-            report=rpt.CheckReport((direction,)),
-        )
-
-    c, wiener_residual, wiener = wiener_cir_check(spec.wiener_cov, G, x_grid)
+    c, _, wiener = wiener_cir_check(spec.wiener_cov, G)
     wiener_flag = rpt.item(
         "wiener_part_vanishes",
         c == 0.0,
@@ -384,9 +371,8 @@ def reduce_model(
     )
 
     slopes, intercepts, affinity_residual = extract_affine_exponents(
-        spec.jump_only(), G, b_grid, x_grid, cfg
+        spec.jump_only(), G, cfg=cfg
     )
-    bg = np.asarray(B_GRID_DEFAULT if b_grid is None else b_grid, dtype=float)
 
     slope_scale = float(np.max(np.abs(slopes), initial=0.0))
     intercept_worst = float(np.max(np.abs(intercepts), initial=0.0))
@@ -396,7 +382,7 @@ def reduce_model(
             f"state-independent exponent does not vanish: {intercept_worst:.3e}"
         )
 
-    c_tilde, alpha, fit_residual, fit_report = fit_power_law(bg, slopes)
+    c_tilde, alpha, fit_residual, fit_report = fit_power_law(B_GRID_DEFAULT, slopes)
     if not (1.0 < alpha < 2.0):
         raise NotPowerLaw(f"fitted exponent {alpha:.6g} lies outside (1, 2)")
 
@@ -406,7 +392,6 @@ def reduce_model(
     extras = rpt.CheckReport(
         (
             wiener_flag,
-            direction,
             rpt.item(
                 "affinity_residual",
                 True,
@@ -422,7 +407,7 @@ def reduce_model(
             ),
         )
     )
-    report = mart.merged(pos, variation, balance, wiener, extras, fit_report)
+    report = hypotheses.merged(wiener, extras, fit_report)
     return model, report
 
 
@@ -430,7 +415,6 @@ def stable_generating_condition(
     G,
     spherical: SphericalMeasure,
     alpha: float,
-    x_grid=None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ):
     """Test the closed-form generating condition for a stable spec:
@@ -443,7 +427,7 @@ def stable_generating_condition(
     direction that carries mass raises NegativeDirection.
     """
     coef = stable_coefficient(alpha)
-    x_grid = np.asarray(X_GRID_DEFAULT if x_grid is None else x_grid, dtype=float)
+    x_grid = X_GRID_DEFAULT
     gx = G(x_grid)
     if not np.any(gx):
         it = rpt.CheckItem(

@@ -25,6 +25,8 @@ from .reduction import ReducedModel
 from .spherical import _per_measure, _sample_directions
 
 _TABLE_CELLS_PER_DECADE = 128
+# cells in a row without mass that end the tabulation: a whole decade
+_EMPTY_RUN_STOP = _TABLE_CELLS_PER_DECADE
 _INVERSE_TABLE_SIZE = 16384
 _TAIL_REMAINDER = 1e-12
 _V_MAX = -np.log(_TAIL_REMAINDER)
@@ -260,9 +262,13 @@ def _radius_table(gamma, eps: float, cfg: QuadratureConfig) -> np.ndarray:
     r_max = min(max(r_max, 10.0 * eps), cfg.r_high)
     n_cells = max(int(np.log10(r_max / eps) * _TABLE_CELLS_PER_DECADE), 16)
     grid = np.geomspace(eps, r_max, n_cells + 1)
-    cells = np.array(
-        [panel_integral(gamma.density, grid[j], grid[j + 1]) for j in range(n_cells)]
-    )
+    cells = np.zeros(n_cells)
+    empty_run = 0
+    for j in range(n_cells):
+        cells[j] = panel_integral(gamma.density, grid[j], grid[j + 1])
+        empty_run = empty_run + 1 if cells[j] == 0.0 else 0
+        if empty_run == _EMPTY_RUN_STOP:
+            break  # past the end of the support; the rest stays 0
     # survival mass from the top avoids cancellation in the deep tail
     survival = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
     total = max(survival[0], 1e-300)
@@ -297,7 +303,6 @@ def truncated_jump_sampler(
     spec: LevySpec,
     eps: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    n_angular: int = 64,
     intensity_budget: float = 1e6,
 ):
     """Compound-Poisson approximation of a decomposed jump measure.
@@ -310,7 +315,7 @@ def truncated_jump_sampler(
     """
     if eps <= 0:
         raise ValueError("cutoff must be positive")
-    dirs, wgts = _sample_directions(spec.spherical, n_angular)
+    dirs, wgts = _sample_directions(spec.spherical, 64)
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     wgts = np.asarray(wgts, dtype=float)
 

@@ -138,11 +138,11 @@ def _sample_directions(spherical: SphericalMeasure, n_angular: int = 16):
     return dirs, wgts
 
 
-def _support_directions(spherical: SphericalMeasure, n_angular: int = 64) -> np.ndarray:
+def _support_directions(spherical: SphericalMeasure) -> np.ndarray:
     """The sampled directions that carry mass, for sign checks: those of
     positive weight.  A sector where the angular density vanishes
     carries no jumps."""
-    dirs, wgts = _sample_directions(spherical, n_angular)
+    dirs, wgts = _sample_directions(spherical, 64)
     return dirs[wgts > 0]
 
 
@@ -188,8 +188,6 @@ def integrate_over_directions(
     fn,
     *,
     rel_tol: float = 1e-8,
-    n_start: int = 16,
-    n_max: int = 128,
 ):
     """Integrate fn(xi) lambda(dxi) with one-shot angular refinement.
 
@@ -197,25 +195,23 @@ def integrate_over_directions(
     shape (..., m), the direction axis last; the result has shape (...)
     and is a float when fn returns (m,).  For atomic measures the sum is
     exact; for angular densities the Gauss-Legendre grid is doubled
-    until two successive levels agree to rel_tol in every entry (or the
-    cap is reached, keeping the finest values).
+    from 16 nodes per axis until two successive levels agree to rel_tol
+    in every entry (or 128 nodes are reached, keeping the finest values).
     """
     if measure.is_atomic:
         vals = np.asarray(fn(measure.directions), dtype=float)
         return _as_result(np.sum(vals * measure.weights, axis=-1))
 
-    n = n_start
     prev = None
-    while True:
+    for n in (16, 32, 64, 128):
         dirs, wgts, _ = angular_grid(measure, n)
         val = np.sum(np.asarray(fn(dirs), dtype=float) * wgts, axis=-1)
-        if n >= n_max or (
-            prev is not None
-            and np.all(np.abs(val - prev) <= rel_tol * np.maximum(np.abs(val), 1e-300))
+        if prev is not None and np.all(
+            np.abs(val - prev) <= rel_tol * np.maximum(np.abs(val), 1e-300)
         ):
-            return _as_result(val)
+            break
         prev = val
-        n *= 2
+    return _as_result(val)
 
 
 def spherical_integrate(

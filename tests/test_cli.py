@@ -256,6 +256,58 @@ class TestReducePipeline:
         assert payload["outputs"] == []
 
 
+def _one_atom(doc):
+    # a single atom fails the span item; G(0) = 0 waives it
+    doc["model"]["spherical"] = {"atoms": {"directions": [[1.0, 0.0]], "weights": [1.0]}}
+
+
+def _unsettled(doc):
+    doc["G"] = TestReducePipeline.UNSETTLED_G
+
+
+def _span_deficient_g_nonzero_at_origin(doc):
+    _one_atom(doc)
+    doc["G"] = {
+        "kind": "tabulated",
+        "points": [[0.0, [1.0, 0.0]], [1.0, [2.0, 0.0]], [10.0, [11.0, 0.0]]],
+    }
+
+
+class TestOneHypothesisSuite:
+    """check certifies exactly the hypotheses that reduce requires."""
+
+    def test_one_atom_with_vanishing_volatility_reduces(self, write_config, tmp_path):
+        doc = base_config()
+        _one_atom(doc)
+        cfg = write_config(doc)
+        for command in ("check", "reduce", "price"):
+            assert run([command, cfg, str(tmp_path / command), "--quiet"]) == 0, command
+        model = json.loads((tmp_path / "reduce" / "reduced.json").read_text())
+        assert model["C"] == pytest.approx(1.0, abs=1e-6)
+        assert model["alpha"] == pytest.approx(1.5, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "patch",
+        [lambda doc: None, _one_atom, _unsettled, _span_deficient_g_nonzero_at_origin],
+        ids=["worked", "one-atom", "unsettled", "span-deficient"],
+    )
+    def test_check_passes_exactly_when_reduce_does_not_refuse(
+        self, patch, write_config, tmp_path
+    ):
+        doc = base_config()
+        patch(doc)
+        cfg = write_config(doc)
+        check_code = run(["check", cfg, str(tmp_path / "check"), "--quiet"])
+        reduce_code = run(["reduce", cfg, str(tmp_path / "reduce"), "--quiet"])
+        checked, reduced = load_report(tmp_path / "check"), load_report(tmp_path / "reduce")
+        refused = "error" in reduced
+        assert (check_code == 0) == (not refused)
+        assert reduce_code == (1 if refused else 0)
+        names = [[it["name"] for it in rep["items"]] for rep in (checked, reduced)]
+        short, long = sorted(names, key=len)
+        assert long[: len(short)] == short
+
+
 class TestSimulatePipeline:
     def small_doc(self):
         return base_config(

@@ -244,6 +244,17 @@ class TestRadialBalance:
         k_hat, report = radial_balance(spec)
         assert not report.overall_pass
 
+    def test_divergent_family_has_no_balance_constant(self, two_atom_spherical):
+        # every radial law fails the martingale moment, so every exponent
+        # is infinite: inf/inf must not read as K = 1
+        spec = LevySpec(
+            2, np.zeros((2, 2)), two_atom_spherical, lambda xi: power_radial(2.5)
+        )
+        k_hat, report = radial_balance(spec)
+        assert k_hat == np.inf
+        assert not report.item("balance_finite").passed
+        assert not report.item("balance_stable").passed
+
 
 class TestQRatios:
     def test_proportional_measures(self):

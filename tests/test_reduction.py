@@ -17,6 +17,7 @@ from levyreduce import (
     VolatilityFunction,
     ZeroVolatility,
     apply_generator,
+    check_hypotheses,
     direction_limit_at_zero,
     extract_affine_exponents,
     fit_power_law,
@@ -145,6 +146,45 @@ class TestReducedModel:
         assert not report.item("drift_dominates_tail").passed
 
 
+class TestCheckHypotheses:
+    def test_item_order_with_volatility(self, example_spec):
+        # G(0) = (1, 1) keeps the variation items
+        G = VolatilityFunction(lambda x: np.stack([x + 1.0, x + 1.0], axis=-1), 2)
+        names = [it.name for it in check_hypotheses(example_spec, G).items]
+        assert names[4:] == [
+            "martingale_moment",
+            "jump_direction_sign",
+            "infinite_variation_mass",
+            "variation_span",
+            "balance_finite",
+            "balance_stable",
+            "direction_limit",
+        ]
+
+    def test_variation_waived_when_volatility_vanishes_at_zero(self, example_spec, example_vol):
+        report = check_hypotheses(example_spec, example_vol)
+        assert report.overall_pass
+        assert "infinite_variation_mass" not in report
+        assert report.items[-1].name == "direction_limit"
+
+    def test_without_volatility(self, example_spec):
+        names = [it.name for it in check_hypotheses(example_spec).items]
+        assert names[4:] == [
+            "martingale_moment",
+            "infinite_variation_mass",
+            "variation_span",
+            "balance_finite",
+            "balance_stable",
+        ]
+
+    def test_reduce_refuses_with_the_suite_report(self, example_spec):
+        G = VolatilityFunction(lambda x: np.stack([x, -x], axis=-1), 2)
+        with pytest.raises(PreconditionFailed) as info:
+            reduce_model(example_spec, G)
+        assert info.value.report == check_hypotheses(example_spec, G)
+        assert "jump_direction_sign" in str(info.value)
+
+
 class TestReduceModel:
     def test_worked_example(self, example_spec, example_vol):
         model, report = reduce_model(example_spec, example_vol, a=-0.5, b=0.1)
@@ -167,6 +207,8 @@ class TestReduceModel:
         G = VolatilityFunction.power(2.0 / 3.0, [1.0, 0.0])
         model, report = reduce_model(spec, G)
         assert model.alpha == pytest.approx(1.5, abs=1e-3)
+        assert report.overall_pass
+        assert "variation_span" not in report
 
     def test_wiener_part_flagged_but_extraction_continues(
         self, two_atom_spherical, example_vol, example_spec

@@ -26,6 +26,8 @@ from levyreduce import (
     tabulated_radial,
     truncated_jump_sampler,
 )
+from levyreduce import simulate
+from levyreduce.quadrature import DEFAULT_CONFIG
 
 from conftest import ALPHA, C_15
 
@@ -394,6 +396,29 @@ class TestBatchedJumpDraws:
             return len(calls)
 
         assert density_calls(8) == density_calls(1) > 0
+
+
+class TestRadiusTable:
+    def test_tabulation_stops_a_decade_past_the_support(self, monkeypatch):
+        # the tempered law r^-2.5 e^-r tabulated on [1e-4, 50] without
+        # hints: the grid runs to eps 1e8, far past the support
+        r = np.geomspace(1e-4, 50.0, 400)
+        gamma = tabulated_radial(r, r**-2.5 * np.exp(-r))
+        calls = []
+
+        def counted(f, lo, hi):
+            calls.append(lo)
+            return panel_integral(f, lo, hi)
+
+        monkeypatch.setattr(simulate, "panel_integral", counted)
+        for eps in (3e-3, 1e-2):
+            calls.clear()
+            table = simulate._radius_table(gamma, eps, DEFAULT_CONFIG)
+            assert len(calls) <= 700
+            with monkeypatch.context() as full:
+                full.setattr(simulate, "_EMPTY_RUN_STOP", 10**9)
+                assert np.array_equal(table, simulate._radius_table(gamma, eps, DEFAULT_CONFIG))
+            assert len(calls) > 1000  # the full grid was integrated
 
 
 class TestSimulateOriginal:

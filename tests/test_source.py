@@ -1,5 +1,6 @@
 """Source hygiene: every module compiles with warnings raised as errors,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and every defaulted parameter
+of the public API is set by some caller."""
 
 import ast
 import warnings
@@ -7,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "levyreduce").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "levyreduce").glob("*.py"))
+CALLER_DIRS = ("src", "tests", "demos", "perfbench")
+# the shared quadrature-config convention of every layer
+EXEMPT_PARAMETERS = {"cfg"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -43,3 +48,98 @@ def test_unused_import_is_detected():
     source = "import numpy as np\nfrom .laplace import laplace_radial, compensated_exp\n"
     source += "def f(b):\n    return np.sum(laplace_radial(None, b))\n"
     assert _unused_imports(source) == ["compensated_exp (line 2)"]
+
+
+def _functions(tree):
+    """(qualified name, short name, node, leading bound arguments) of each
+    top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    yield f"{node.name}.{fn.name}", fn.name, fn, 0 if static else 1
+
+
+def _defaulted_parameters(tree):
+    """(qualified name, short name, parameter, positional index or None)
+    for each defaulted parameter of the public functions and methods."""
+    for qualname, name, fn, bound in _functions(tree):
+        if any(part.startswith("_") for part in qualname.split(".")):
+            continue
+        pos = fn.args.posonlyargs + fn.args.args
+        for k in range(len(pos) - len(fn.args.defaults), len(pos)):
+            yield qualname, name, pos[k].arg, k - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield qualname, name, arg.arg, None
+
+
+def _call_arguments(tree):
+    """(called name, position or keyword, forwarded parameter) of every
+    call argument; an argument that is a bare name inside a function may
+    forward that function's parameter of the same name."""
+    seen = set()
+    scopes = [(name, fn) for _, name, fn, _ in _functions(tree)] + [(None, tree)]
+    for owner, scope in scopes:
+        for node in ast.walk(scope):
+            if not isinstance(node, ast.Call) or id(node) in seen:
+                continue
+            seen.add(id(node))
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for slot, value in [*enumerate(node.args), *((k.arg, k.value) for k in node.keywords)]:
+                forwarded = (owner, value.id) if owner and isinstance(value, ast.Name) else None
+                yield called, slot, forwarded
+
+
+def _unset_parameters(sources, callers) -> list[str]:
+    """Defaulted parameters that no call sets, by position or keyword.
+    Calls match definitions by name; forwarding a parameter sets the
+    callee's only when the forwarded parameter is itself set."""
+    params = {
+        (name, param): (f"{label}: {qualname}({param})", index)
+        for label, text in sources
+        for qualname, name, param, index in _defaulted_parameters(ast.parse(text))
+    }
+    arguments = [arg for text in callers for arg in _call_arguments(ast.parse(text))]
+    is_set, grew = set(), True
+    while grew:
+        grew = False
+        for (name, param), (_, index) in params.items():
+            if (name, param) in is_set:
+                continue
+            if any(
+                called == name
+                and slot in (param, index)
+                and (forwarded not in params or forwarded in is_set)
+                for called, slot, forwarded in arguments
+            ):
+                is_set.add((name, param))
+                grew = True
+    return sorted(
+        label for key, (label, _) in params.items()
+        if key not in is_set and key[1] not in EXEMPT_PARAMETERS
+    )
+
+
+def test_every_default_is_set_by_some_caller():
+    callers = [p.read_text() for d in CALLER_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _unset_parameters([(p.name, p.read_text()) for p in SOURCES], callers) == []
+
+
+def test_unset_default_is_detected():
+    source = (
+        "def f(x, grid=None, cfg=None, *, n=2):\n    return g(x, grid)\n"
+        "def g(x, grid=None):\n    return x\n"
+        "class C:\n    def m(self, n_max=16, rel=1.0):\n        return n_max\n"
+    )
+    callers = [source, "f(1, [1.0], n=3)\nC().m(4)\n"]
+    assert _unset_parameters([("mod.py", source)], callers) == ["mod.py: C.m(rel)"]
+    # grid reaches g only by forwarding f's grid, which no call sets
+    callers = [source, "f(1)\n"]
+    assert _unset_parameters([("mod.py", source)], callers) == [
+        "mod.py: C.m(n_max)", "mod.py: C.m(rel)", "mod.py: f(grid)", "mod.py: f(n)",
+        "mod.py: g(grid)",
+    ]
