@@ -21,7 +21,6 @@ from .quadrature import (
     DIVERGENT,
     INCONCLUSIVE,
     IntegralResult,
-    QuadratureConfig,
     improper_integral,
     improper_value,
     panel_integral,

@@ -29,7 +29,6 @@ from .measures import (
     tabulated_radial,
 )
 from .pricing import SimConfig, bond_price, compare_term_structures, riccati_solve
-from .quadrature import QuadratureConfig
 from .reduction import check_hypotheses, reduce_model
 from .report import CheckReport
 from .simulate import RngStream, simulate_original
@@ -37,8 +36,17 @@ from .simulate import RngStream, simulate_original
 OUTDIR_ENV = "LEVYREDUCE_OUTDIR"
 _USAGE = (
     "levyreduce {check,reduce,simulate,price,compare} config.json "
-    "[outdir] [--tol X] [--seed N] [--threads N] [--quiet]"
+    "[outdir] [--seed N] [--quiet]"
 )
+# the keys of the top level (None) and of each flat section; any other
+# key is refused, so a misspelt one cannot fall back to a default
+_KEYS = {
+    None: {"model", "G", "drift", "simulation", "pricing"},
+    "model": {"d", "Q", "spherical", "radial"},
+    "drift": {"a", "b"},
+    "simulation": {"x0", "horizon", "dt", "n_paths", "eps", "seed"},
+    "pricing": {"tau_grid"},
+}
 
 
 def _tabulated(points, hints=None) -> RadialMeasure:
@@ -93,10 +101,22 @@ def _parse_volatility(section) -> VolatilityFunction:
     raise ValueError(f"unknown G kind {kind!r}")
 
 
+def _check_keys(doc) -> None:
+    for name, allowed in _KEYS.items():
+        section = doc if name is None else doc.get(name, {})
+        if not isinstance(section, dict):
+            raise ValueError(f"{name or 'the configuration'} must be a JSON object")
+        unknown = sorted(set(section) - allowed)
+        if unknown:
+            where = f"keys in {name}" if name else "sections"
+            raise ValueError(f"unknown {where}: {', '.join(unknown)}")
+
+
 class RunConfig:
     """Validated artifacts built from one JSON configuration."""
 
     def __init__(self, doc: dict):
+        _check_keys(doc)
         model = doc["model"]
         d = int(model["d"])
         q = np.asarray(model.get("Q", np.zeros((d, d))), dtype=float)
@@ -131,8 +151,6 @@ class RunConfig:
                 raise ValueError(f"simulation {name} must be positive")
         if self.n_paths < 1:
             raise ValueError("simulation n_paths must be at least 1")
-        quad = doc.get("quadrature", {})
-        self.quadrature = QuadratureConfig(**{k: float(v) if k != "max_subdivisions" else int(v) for k, v in quad.items()})
 
     def require_volatility(self) -> VolatilityFunction:
         if self.volatility is None:
@@ -142,9 +160,7 @@ class RunConfig:
     def reduce(self):
         """The reduction of this model: (ReducedModel, CheckReport).
         Refusals raise; run() turns them into a failing report.json."""
-        return reduce_model(
-            self.spec, self.require_volatility(), self.a, self.b, self.quadrature
-        )
+        return reduce_model(self.spec, self.require_volatility(), self.a, self.b)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -170,7 +186,7 @@ def _report_payload(command: str, report: CheckReport, outputs, **extra) -> dict
 
 
 def _cmd_check(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    report = check_hypotheses(cfg.spec, cfg.volatility, cfg.quadrature)
+    report = check_hypotheses(cfg.spec, cfg.volatility)
     if cfg.volatility is not None:
         report = report.merged(wiener_cir_check(cfg.spec.wiener_cov, cfg.volatility)[2])
     _write_json(outdir / "report.json", _report_payload("check", report, []))
@@ -205,7 +221,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     ens = simulate_original(
         cfg.require_volatility(), cfg.spec, cfg.a, cfg.b, cfg.x0, cfg.eps,
         cfg.horizon, max(int(round(cfg.horizon / cfg.dt)), 1), cfg.n_paths,
-        RngStream(cfg.seed), cfg.quadrature,
+        RngStream(cfg.seed),
     )
     header = [f"t_{k}" for k in range(ens.values.shape[1])]
     _write_csv(outdir / "paths.csv", header, ens.values.tolist())
@@ -234,7 +250,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
 def _cmd_price(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     model, report = cfg.reduce()
     tau_max = max(cfg.tau_grid)
-    ts = riccati_solve(model, tau_max, 400, cfg.quadrature)
+    ts = riccati_solve(model, tau_max, 400)
     rows = [
         [
             f"{tau:.12g}",
@@ -257,10 +273,7 @@ def _cmd_price(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
 
 def _cmd_compare(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     model, report = cfg.reduce()
-    sim_cfg = SimConfig(
-        dt=cfg.dt, n_paths=cfg.n_paths, eps=cfg.eps, seed=cfg.seed,
-        quadrature=cfg.quadrature,
-    )
+    sim_cfg = SimConfig(dt=cfg.dt, n_paths=cfg.n_paths, eps=cfg.eps, seed=cfg.seed)
     result = compare_term_structures(
         (cfg.require_volatility(), cfg.spec, cfg.a, cfg.b),
         model, cfg.x0, cfg.tau_grid, sim_cfg,
@@ -306,12 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("config")
     parser.add_argument("outdir", nargs="?", default=None)
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the quadrature relative tolerance")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the simulation seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="reserved; pipelines are single-threaded")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -332,8 +341,6 @@ def run(argv) -> int:
 
     try:
         doc = json.loads(Path(args.config).read_text())
-        if args.tol is not None:
-            doc.setdefault("quadrature", {})["rel_tol"] = args.tol
         if args.seed is not None:
             doc.setdefault("simulation", {})["seed"] = args.seed
         cfg = RunConfig(doc)

@@ -26,13 +26,7 @@ from .measures import (
     RadialMeasure,
     radial_integral,
 )
-from .quadrature import (
-    CONVERGED,
-    DEFAULT_CONFIG,
-    DIVERGENT,
-    QuadratureConfig,
-    improper_integral,
-)
+from .quadrature import CONVERGED, DIVERGENT, improper_integral
 from .spherical import (
     _per_measure,
     _sample_directions,
@@ -114,9 +108,7 @@ def check_structure(spec: LevySpec) -> rpt.CheckReport:
     return rpt.CheckReport(tuple(items))
 
 
-def check_martingale(
-    spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> rpt.CheckReport:
+def check_martingale(spec: LevySpec) -> rpt.CheckReport:
     """The structural items of check_structure, then
     int (r^2 wedge r) gamma_xi(dr) < inf on sampled directions.
 
@@ -129,7 +121,7 @@ def check_martingale(
     def moment(gamma):
         if gamma.is_zero:
             return None
-        return radial_integral(gamma, _min_kernel, cfg, weight_exponents=(2.0, 1.0))
+        return radial_integral(gamma, _min_kernel, weight_exponents=(2.0, 1.0))
 
     worst = 0.0
     bad_detail = ""
@@ -160,9 +152,7 @@ def check_martingale(
     return check_structure(spec).merged(rpt.CheckReport((it,)))
 
 
-def check_variation(
-    spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> rpt.CheckReport:
+def check_variation(spec: LevySpec) -> rpt.CheckReport:
     """Locate directions with non-integrable small jumps and test their
     mass and span.
 
@@ -176,7 +166,7 @@ def check_variation(
         if gamma.density is None:
             return False  # atom masses on (0,1] are finite sums
         dens = gamma.density
-        small = improper_integral(lambda r: r * dens(r), cfg, lo=0.0, hi=1.0)
+        small = improper_integral(lambda r: r * dens(r), lo=0.0, hi=1.0)
         return small.status == DIVERGENT
 
     divergent = np.array(_per_measure(spec, dirs, small_jumps_diverge), dtype=bool)
@@ -271,12 +261,12 @@ def wiener_cir_check(Q, G):
     return c, residual, report
 
 
-def _balance_ratio(spec, dirs, b_grid, cfg):
+def _balance_ratio(spec, dirs, b_grid):
     """max over b of sup/inf of the per-direction radial exponents."""
 
     def exponents(gamma):
         try:
-            return laplace_radial(gamma, b_grid, cfg)
+            return laplace_radial(gamma, b_grid)
         except DivergentIntegral:
             return np.full(len(b_grid), np.inf)
 
@@ -290,7 +280,7 @@ def _balance_ratio(spec, dirs, b_grid, cfg):
     return float(np.max(hi / lo))
 
 
-def radial_balance(spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def radial_balance(spec: LevySpec):
     """Estimate the uniform balance constant of the radial family.
 
     K_hat bounds sup_xi J_xi(b) <= K_hat inf_xi J_xi(b) over the grid.
@@ -305,8 +295,8 @@ def radial_balance(spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG):
         dirs0 = uniform_angle_grid(spec.dimension, n0)[0]
         dirs1 = uniform_angle_grid(spec.dimension, 2 * n0)[0]
 
-    k_base = _balance_ratio(spec, dirs0, BALANCE_B_GRID, cfg)
-    k_ref = _balance_ratio(spec, dirs1, _BALANCE_WIDE_B_GRID, cfg)
+    k_base = _balance_ratio(spec, dirs0, BALANCE_B_GRID)
+    k_ref = _balance_ratio(spec, dirs1, _BALANCE_WIDE_B_GRID)
 
     finite = bool(np.isfinite(k_ref))
     drift = abs(k_ref - k_base) / max(k_base, 1.0) if finite else np.inf
@@ -328,18 +318,12 @@ def radial_balance(spec: LevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG):
     return k_ref, rpt.CheckReport(items)
 
 
-def _window_moment(measure, lo, hi, power, cfg):
+def _window_moment(measure, lo, hi, power):
     weight = (lambda r: np.asarray(r, dtype=float)) if power == 1 else (
         lambda r: np.asarray(r, dtype=float) ** power
     )
     res = radial_integral(
-        measure,
-        weight,
-        cfg,
-        lo=lo,
-        hi=hi,
-        weight_exponents=(float(power), float(power)),
-        closure=False,
+        measure, weight, lo=lo, hi=hi, weight_exponents=(float(power), float(power))
     )
     return res.value
 
@@ -354,12 +338,7 @@ def _limsup_estimate(values):
     return float(np.max(tail)), bool(np.all(changes < _STABILIZE_TOL))
 
 
-def q_ratios(
-    gamma_lower: RadialMeasure,
-    gamma_upper: RadialMeasure,
-    eps_grid=None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def q_ratios(gamma_lower: RadialMeasure, gamma_upper: RadialMeasure, eps_grid=None):
     """Truncated-moment domination ratios of an upper over a lower
     radial measure.
 
@@ -394,14 +373,14 @@ def q_ratios(
 
     ratios0, ratios_inf = [], []
     for e in eps:
-        den0 = _window_moment(gamma_lower, e, 1.0, 1, cfg)
-        den_inf = _window_moment(gamma_lower, 1.0, 1.0 / e, 2, cfg)
+        den0 = _window_moment(gamma_lower, e, 1.0, 1)
+        den_inf = _window_moment(gamma_lower, 1.0, 1.0 / e, 2)
         if den0 <= 0.0 or den_inf <= 0.0:
             raise DenominatorZero(
                 f"lower-measure window moment vanishes at eps={e:g}"
             )
-        ratios0.append(_window_moment(gamma_upper, e, 1.0, 1, cfg) / den0)
-        ratios_inf.append(_window_moment(gamma_upper, 1.0, 1.0 / e, 2, cfg) / den_inf)
+        ratios0.append(_window_moment(gamma_upper, e, 1.0, 1) / den0)
+        ratios_inf.append(_window_moment(gamma_upper, 1.0, 1.0 / e, 2) / den_inf)
 
     q0, ok0 = _limsup_estimate(ratios0)
     q_inf, ok_inf = _limsup_estimate(ratios_inf)
@@ -448,9 +427,7 @@ def _envelope_functions(dspec: DensityLevySpec, n_per_dim: int):
     return extremes
 
 
-def density_reducibility_check(
-    dspec: DensityLevySpec, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> rpt.CheckReport:
+def density_reducibility_check(dspec: DensityLevySpec) -> rpt.CheckReport:
     """Reducibility criteria for a jump measure given by a density g.
 
     Items, in order: integrability of (|x|^2 wedge |x|) g; span of the
@@ -466,7 +443,6 @@ def density_reducibility_check(
         value_a = spherical_integrate(
             lambda pts: _min_kernel(np.linalg.norm(pts, axis=1)),
             induced_spec(dspec),
-            cfg,
         )
         ok_a, detail_a = np.isfinite(value_a), ""
     except DivergentIntegral as exc:
@@ -515,7 +491,7 @@ def density_reducibility_check(
             r = np.asarray(r, dtype=float)
             return r**d * np.asarray(dspec(r[:, None] * _xi[None, :]), dtype=float)
 
-        if improper_integral(fray, cfg, lo=0.0, hi=1.0).status == DIVERGENT:
+        if improper_integral(fray, lo=0.0, hi=1.0).status == DIVERGENT:
             div_mass += probe_cell
     items.append(
         rpt.item(
@@ -551,7 +527,7 @@ def density_reducibility_check(
 
     lower_m, upper_m = _env_measure(0), _env_measure(1)
     try:
-        q0, q_inf, qrep = q_ratios(lower_m, upper_m, cfg=cfg)
+        q0, q_inf, qrep = q_ratios(lower_m, upper_m)
         lookup = {it.name: it for it in qrep.items}
         for name, src in (("ratio_small", "q0_finite"), ("ratio_large", "q_inf_finite")):
             base = lookup[src]

@@ -26,7 +26,6 @@ from scipy.special import gamma as _gamma
 
 from .exceptions import DivergentIntegral, NegativeDirection
 from .measures import LevySpec, RadialMeasure, radial_integral
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .spherical import _as_result, _support_directions, integrate_over_directions
 
 # default evaluation grids for exponent sampling and affinity scans
@@ -66,7 +65,6 @@ def stable_coefficient(alpha: float) -> float:
 def laplace_radial(
     measure: RadialMeasure,
     b,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     lo: float = 0.0,
 ):
@@ -87,7 +85,6 @@ def laplace_radial(
         res = radial_integral(
             measure,
             lambda r, _b=bk: compensated_exp(_b * r),
-            cfg,
             lo=lo,
             weight_exponents=(2.0, 1.0),  # H ~ r^2 at 0, ~ r at infinity
         )
@@ -121,11 +118,7 @@ def _argument_stack(z, dimension: int) -> np.ndarray:
     return z
 
 
-def laplace_jump(
-    spec: LevySpec,
-    z,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def laplace_jump(spec: LevySpec, z):
     """Jump part of the Laplace exponent of the driving noise,
 
         J_X(z) = int_S int_0^inf H(r <z, xi>) gamma_xi(dr) lambda(dxi),
@@ -143,32 +136,21 @@ def laplace_jump(
         inner = np.clip(z @ dirs.T, 0.0, None)
         out = np.empty(inner.shape)
         for k, xi in enumerate(dirs):
-            out[..., k] = laplace_radial(spec.radial(xi), inner[..., k], cfg)
+            out[..., k] = laplace_radial(spec.radial(xi), inner[..., k])
         return out
 
-    return integrate_over_directions(
-        spec.spherical, per_direction, rel_tol=max(cfg.rel_tol, 1e-10) * 10
-    )
+    return integrate_over_directions(spec.spherical, per_direction)
 
 
-def laplace_total(
-    spec: LevySpec,
-    z,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def laplace_total(spec: LevySpec, z):
     """Full driving-noise exponent 0.5 <Qz, z> + J_X(z), on one argument
     or a stack of them like laplace_jump."""
     z = _argument_stack(z, spec.dimension)
     q = np.asarray(spec.wiener_cov, dtype=float)
-    return 0.5 * _as_result(np.sum((z @ q) * z, axis=-1)) + laplace_jump(spec, z, cfg)
+    return 0.5 * _as_result(np.sum((z @ q) * z, axis=-1)) + laplace_jump(spec, z)
 
 
-def stable_exponent(
-    spherical,
-    alpha: float,
-    z,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def stable_exponent(spherical, alpha: float, z):
     """Closed-form stable exponent c(alpha) * int <z, xi>^alpha lambda(dxi),
     on one argument (d,) or a stack (..., d) like laplace_jump.
 
@@ -184,6 +166,4 @@ def stable_exponent(
     def per_direction(dirs):
         return np.clip(z @ dirs.T, 0.0, None) ** alpha
 
-    return coef * integrate_over_directions(
-        spherical, per_direction, rel_tol=max(cfg.rel_tol, 1e-10) * 10
-    )
+    return coef * integrate_over_directions(spherical, per_direction)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import CONVERGED, DEFAULT_CONFIG, QuadratureConfig, improper_integral
+from .quadrature import CONVERGED, IntegralResult, improper_integral
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -115,7 +115,6 @@ def tabulated_radial(r_grid, values, hints=None) -> RadialMeasure:
 def radial_integral(
     measure: RadialMeasure,
     weight: Callable | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     lo: float = 0.0,
     hi: float = np.inf,
@@ -147,13 +146,11 @@ def radial_integral(
         w0, winf = weight_exponents if weight_exponents is not None else (0.0, 0.0)
         tails = (measure.hints[0] - w0, measure.hints[1] - winf)
 
-    res = improper_integral(f, cfg, lo=lo, hi=hi, closure=closure, tail_exponents=tails)
+    res = improper_integral(f, lo=lo, hi=hi, closure=closure, tail_exponents=tails)
     return replace(res, value=res.value + total)
 
 
 def _atoms_only_result(total, lo, hi):
-    from .quadrature import IntegralResult
-
     return IntegralResult(total, CONVERGED, lo if lo > 0 else 0.0, hi, 0)
 
 

@@ -14,14 +14,13 @@ both signs; the Monte Carlo comparison below cross-checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import BlowUp
 from .laplace import laplace_radial, stable_coefficient
 from .measures import RadialMeasure, power_radial
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .report import CheckReport, item
 from .reduction import GeneratingModel, ReducedModel
 from .simulate import RngStream, simulate_original
@@ -30,6 +29,9 @@ B_CAP_DEFAULT = 1e3
 _INTERP_U_MIN = 1e-8
 _INTERP_PER_DECADE = 32
 _DT_MARGIN = 1.0
+# step-doubling tolerance of riccati_solve and its cap on substep halvings
+_RICCATI_REL_TOL = 1e-9
+_RICCATI_MAX_SPLITS = 400
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ class TermStructure:
         return float(self.tau_grid[-1])
 
 
-def _interpolated_laplace(
-    measure: RadialMeasure, cfg: QuadratureConfig, u_max: float, lo: float = 0.0
-):
+def _interpolated_laplace(measure: RadialMeasure, u_max: float, lo: float = 0.0):
     """u -> J(u) = int_(lo, inf) H(u r) measure(dr) for the Riccati
     right-hand side.
 
@@ -67,10 +67,10 @@ def _interpolated_laplace(
     extrapolates (the blow-up guard keeps B inside the grid).
     """
     if measure.density is None:
-        return lambda u: laplace_radial(measure, max(u, 0.0), cfg, lo=lo)
+        return lambda u: laplace_radial(measure, max(u, 0.0), lo=lo)
     n = max(int(np.log10(u_max / _INTERP_U_MIN) * _INTERP_PER_DECADE), 8)
     ug = np.geomspace(_INTERP_U_MIN, u_max, n)
-    jg = laplace_radial(measure, ug, cfg, lo=lo)
+    jg = laplace_radial(measure, ug, lo=lo)
     if np.any(jg <= 0.0):
         raise ValueError("Laplace exponent samples must be positive")
     lu, lj = np.log(ug), np.log(jg)
@@ -101,7 +101,7 @@ class _CallableModel:
     j_nu: object
 
 
-def _model_rhs(model, cfg: QuadratureConfig, u_max: float):
+def _model_rhs(model, u_max: float):
     """(a, b, c, J_mu, J_nu0) pulled out of either model form."""
     if isinstance(model, _CallableModel):
         return model.a, model.b, model.c, model.j_mu, model.j_nu
@@ -114,8 +114,8 @@ def _model_rhs(model, cfg: QuadratureConfig, u_max: float):
             model.a,
             model.b,
             model.c,
-            _interpolated_laplace(model.mu, cfg, u_max),
-            _interpolated_laplace(model.nu_G0, cfg, u_max),
+            _interpolated_laplace(model.mu, u_max),
+            _interpolated_laplace(model.nu_G0, u_max),
         )
     raise TypeError("model must be a ReducedModel or GeneratingModel")
 
@@ -124,22 +124,21 @@ def riccati_solve(
     model,
     tau_max: float,
     n_steps: int = 200,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     b_cap: float = B_CAP_DEFAULT,
 ) -> TermStructure:
     """Integrate the term-structure equations out to tau_max.
 
     Classical Runge-Kutta with step doubling inside each output cell:
-    a step is accepted when the doubling estimate meets cfg.rel_tol,
-    otherwise the substep halves.  Raises BlowUp when B leaves
-    [0, b_cap].
+    a step is accepted when the doubling estimate meets 1e-9 relative,
+    otherwise the substep halves (at most 400 times per cell).  Raises
+    BlowUp when B leaves [0, b_cap].
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    a, b, c, j_mu, j_nu = _model_rhs(model, cfg, 2.0 * b_cap)
+    a, b, c, j_mu, j_nu = _model_rhs(model, 2.0 * b_cap)
 
     def rhs(y):
         bb = y[0]
@@ -166,7 +165,7 @@ def riccati_solve(
             half = rk4(rk4(y, 0.5 * h), 0.5 * h)
             err = np.max(np.abs(half - full))
             scale = max(1.0, np.max(np.abs(half)))
-            if err <= cfg.rel_tol * scale or splits >= cfg.max_subdivisions:
+            if err <= _RICCATI_REL_TOL * scale or splits >= _RICCATI_MAX_SPLITS:
                 y = half + (half - full) / 15.0
                 remaining -= h
                 if not np.all(np.isfinite(y)) or y[0] < -1e-9 or y[0] > b_cap:
@@ -233,7 +232,6 @@ class SimConfig:
     eps: float = 1e-3
     seed: int = 0
     n_ode_steps: int = 400
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
 
 @dataclass(frozen=True)
@@ -278,20 +276,19 @@ def compare_term_structures(
 
     ens = simulate_original(
         G, spec, a, b, x0, sim_cfg.eps, horizon, n_steps, sim_cfg.n_paths,
-        RngStream(sim_cfg.seed), sim_cfg.quadrature,
+        RngStream(sim_cfg.seed),
     )
-    ts = riccati_solve(reduced, horizon, sim_cfg.n_ode_steps, sim_cfg.quadrature)
+    ts = riccati_solve(reduced, horizon, sim_cfg.n_ode_steps)
 
     # cutoff-perturbed reduced model: same Riccati solve with the
     # stable J replaced by its tail-truncated version
     j_eps = _interpolated_laplace(
         power_radial(reduced.alpha, reduced.C ** reduced.alpha),
-        sim_cfg.quadrature,
         2.0 * B_CAP_DEFAULT,
         lo=sim_cfg.eps,
     )
     trunc = _CallableModel(reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
-    ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps, sim_cfg.quadrature)
+    ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps)
 
     rows = []
     items = []

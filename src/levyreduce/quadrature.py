@@ -48,37 +48,14 @@ _U_MIN = np.log(1e-280)
 _U_MAX = np.log(1e280)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and cutoffs shared by every quadrature-backed operation.
-
-    Parameters
-    ----------
-    rel_tol, abs_tol : float
-        Target relative and absolute accuracy of radial integrals.
-    max_subdivisions : int
-        Budget of extension decades per endpoint before a slow integral
-        is declared inconclusive.
-    eps_low, r_high : float
-        Base truncation window; extension starts from these cutoffs.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 400
-    eps_low: float = 1e-8
-    r_high: float = 1e8
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be at least 8")
-        if not (0 < self.eps_low < 1 < self.r_high):
-            raise ValueError("require 0 < eps_low < 1 < r_high")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# Accuracy of every radial integral: relative and absolute tolerance,
+# the budget of extension decades per endpoint before a slow integral
+# is declared inconclusive, and the base window extension starts from.
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+MAX_DECADES = 400
+EPS_LOW = 1e-8
+R_HIGH = 1e8
 
 CONVERGED = "converged"
 DIVERGENT = "divergent"
@@ -169,7 +146,7 @@ def _decade_block(f, u_start: float, direction: int) -> tuple[float, float]:
     return _panel_sum(f, edges), new_edge
 
 
-def _extend(f, u_start, direction, scale_hint, cfg, closure, expected_ratio=None):
+def _extend(f, u_start, direction, scale_hint, closure, expected_ratio=None):
     """Extend an improper endpoint decade by decade.
 
     Returns (added_value, status, final_edge, n_blocks).  scale_hint is
@@ -194,11 +171,11 @@ def _extend(f, u_start, direction, scale_hint, cfg, closure, expected_ratio=None
         # the trend was decaying and the leftover is provably small
         if prev_block is not None and ratio_prev is not None and 0 < ratio_prev < 0.99:
             est = abs(prev_block) * ratio_prev / (1.0 - ratio_prev)
-            if est <= max(cfg.abs_tol, cfg.rel_tol * scale) * 10:
+            if est <= max(ABS_TOL, REL_TOL * scale) * 10:
                 return added, CONVERGED, edge, blocks_used
         return added, INCONCLUSIVE, edge, blocks_used
 
-    for k in range(cfg.max_subdivisions):
+    for k in range(MAX_DECADES):
         if (direction > 0 and edge >= u_limit) or (direction < 0 and edge <= u_limit):
             break
         block, new_edge = _decade_block(f, edge, direction)
@@ -211,7 +188,7 @@ def _extend(f, u_start, direction, scale_hint, cfg, closure, expected_ratio=None
         edge = new_edge
         added += block
         scale = max(scale, abs(added))
-        tol = max(cfg.abs_tol, cfg.rel_tol * scale)
+        tol = max(ABS_TOL, REL_TOL * scale)
         mag = abs(block)
 
         if mag <= 0.1 * tol:
@@ -243,12 +220,11 @@ def _extend(f, u_start, direction, scale_hint, cfg, closure, expected_ratio=None
             prev_est = mag * ratio_prev / (1.0 - ratio_prev)
         prev_block = block
 
-    return _forced_close(cfg.max_subdivisions)
+    return _forced_close(MAX_DECADES)
 
 
 def improper_integral(
     f,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     lo: float = 0.0,
     hi: float = np.inf,
@@ -267,8 +243,8 @@ def improper_integral(
     """
     lower_open = lo == 0.0
     upper_open = np.isinf(hi)
-    base_lo = max(cfg.eps_low, lo) if lower_open else lo
-    base_hi = min(cfg.r_high, hi) if upper_open else hi
+    base_lo = max(EPS_LOW, lo) if lower_open else lo
+    base_hi = min(R_HIGH, hi) if upper_open else hi
     if base_lo >= base_hi:
         # base window collapsed (e.g. fixed range inside one decade)
         base_lo = lo if not lower_open else min(lo if lo > 0 else base_hi / 10.0, base_hi / 10.0)
@@ -285,7 +261,7 @@ def improper_integral(
             q_hint = 10.0 ** (1.0 - tail_exponents[1])  # per-decade ratio of int f dr
             if not (0 < q_hint < 0.9):
                 q_hint = None
-        add, st, edge, n = _extend(f, np.log(base_hi), +1, value, cfg, closure, q_hint)
+        add, st, edge, n = _extend(f, np.log(base_hi), +1, value, closure, q_hint)
         value += add
         n_eval += n
         hi_edge = np.exp(edge)
@@ -297,7 +273,7 @@ def improper_integral(
             q_hint = 10.0 ** (tail_exponents[0] - 1.0)
             if not (0 < q_hint < 0.9):
                 q_hint = None
-        add, st, edge, n = _extend(f, np.log(base_lo), -1, value, cfg, closure, q_hint)
+        add, st, edge, n = _extend(f, np.log(base_lo), -1, value, closure, q_hint)
         value += add
         n_eval += n
         lo_edge = np.exp(edge)
@@ -307,9 +283,9 @@ def improper_integral(
     return IntegralResult(value, status, lo_edge, hi_edge, n_eval)
 
 
-def improper_value(f, cfg: QuadratureConfig = DEFAULT_CONFIG, **kw) -> float:
+def improper_value(f, **kw) -> float:
     """Like :func:`improper_integral` but raises on non-convergence."""
-    res = improper_integral(f, cfg, **kw)
+    res = improper_integral(f, **kw)
     if res.status == DIVERGENT:
         raise DivergentIntegral("integral diverges during cutoff extension")
     if res.status == INCONCLUSIVE:

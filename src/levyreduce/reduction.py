@@ -23,6 +23,7 @@ from .conditions import (
 )
 from .exceptions import (
     AffinityViolation,
+    DivergentIntegral,
     NotPowerLaw,
     PreconditionFailed,
     ResidualNuG0,
@@ -43,7 +44,7 @@ from .measures import (
     power_radial,
     radial_integral,
 )
-from .quadrature import CONVERGED, DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import CONVERGED
 
 PROBE_X_DEFAULT = np.logspace(-2.0, -8.0, 13)
 
@@ -75,13 +76,12 @@ class GeneratingModel:
         if self.c < 0:
             raise ValueError("diffusion coefficient c must be nonnegative")
 
-    def validate(self, cfg: QuadratureConfig = DEFAULT_CONFIG) -> rpt.CheckReport:
+    def validate(self) -> rpt.CheckReport:
         """Integrability and drift-domination invariants as a report."""
         items = []
         res = radial_integral(
             self.mu,
             lambda v: np.minimum(np.asarray(v, float), np.asarray(v, float) ** 2),
-            cfg,
             weight_exponents=(2.0, 1.0),
         )
         items.append(
@@ -95,7 +95,6 @@ class GeneratingModel:
         res = radial_integral(
             self.nu_G0,
             lambda v: np.asarray(v, dtype=float),
-            cfg,
             weight_exponents=(1.0, 1.0),
         )
         nu_first = res.value
@@ -110,7 +109,6 @@ class GeneratingModel:
         res = radial_integral(
             self.nu_G0,
             lambda v: np.maximum(np.asarray(v, dtype=float) - 1.0, 0.0),
-            cfg,
             lo=1.0,
             weight_exponents=(1.0, 1.0),
         )
@@ -178,12 +176,7 @@ def direction_limit_at_zero(G):
     return units[-1], residual
 
 
-def extract_affine_exponents(
-    spec: LevySpec,
-    G,
-    b_grid=None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def extract_affine_exponents(spec: LevySpec, G, b_grid=None):
     """Split the Laplace exponent of <G(x), Z> into level-free and
     level-proportional parts.
 
@@ -201,7 +194,7 @@ def extract_affine_exponents(
 
     c, _, _ = wiener_cir_check(spec.wiener_cov, G)
     # y[k, i] is the exponent at b_i G(x_k): one column per b
-    y = laplace_total(spec, b_grid[None, :, None] * G(x_grid)[:, None, :], cfg)
+    y = laplace_total(spec, b_grid[None, :, None] * G(x_grid)[:, None, :])
     design = np.stack([x_grid, np.ones_like(x_grid)], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     fit = design @ coef
@@ -306,9 +299,7 @@ def fit_power_law(b_grid, j_samples):
     return c_tilde, alpha, fit_residual, rpt.CheckReport(tuple(items))
 
 
-def check_hypotheses(
-    spec: LevySpec, G=None, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> rpt.CheckReport:
+def check_hypotheses(spec: LevySpec, G=None) -> rpt.CheckReport:
     """The hypotheses of the reduction theorem, as one report.
 
     Items, in order: triplet structure and martingale moment; with G,
@@ -317,22 +308,23 @@ def check_hypotheses(
     direction of G at zero.  check certifies exactly this report and
     reduce_model refuses when any item fails.
     """
-    reports = [check_martingale(spec, cfg)]
+    reports = [check_martingale(spec)]
     if G is not None:
         reports.append(check_positive_jumps(G, spec))
     if G is None or np.linalg.norm(np.asarray(G(0.0), dtype=float)) > 0.0:
-        reports.append(check_variation(spec, cfg))
-    reports.append(radial_balance(spec, cfg)[1])
+        reports.append(check_variation(spec))
+    reports.append(radial_balance(spec)[1])
     if G is not None:
-        g0, residual = direction_limit_at_zero(G)
-        settled = residual <= DIRECTION_TOL
+        try:
+            g0, residual = direction_limit_at_zero(G)
+            settled = residual <= DIRECTION_TOL
+            detail = f"limit direction {np.round(g0, 6)}" if settled else (
+                f"direction of G does not settle at zero (residual {residual:.3e})"
+            )
+        except ZeroVolatility as exc:
+            settled, residual, detail = False, None, f"direction of G is undefined: {exc}"
         direction = rpt.item(
-            "direction_limit",
-            settled,
-            value=residual,
-            tolerance=DIRECTION_TOL,
-            detail=f"limit direction {np.round(g0, 6)}" if settled
-            else f"direction of G does not settle at zero (residual {residual:.3e})",
+            "direction_limit", settled, value=residual, tolerance=DIRECTION_TOL, detail=detail
         )
         reports.append(rpt.CheckReport((direction,)))
     return reports[0].merged(*reports[1:])
@@ -343,7 +335,6 @@ def reduce_model(
     G,
     a: float = 0.0,
     b: float = 0.0,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ):
     """Run the full reduction: hypothesis suite, exponent extraction,
     power-law fit, and assembly of the one-factor model.
@@ -354,7 +345,7 @@ def reduce_model(
     extraction, which runs on the diffusion-free part of the spec.
     Returns (ReducedModel, CheckReport).
     """
-    hypotheses = check_hypotheses(spec, G, cfg)
+    hypotheses = check_hypotheses(spec, G)
     if not hypotheses.overall_pass:
         failing = "; ".join(
             f"{it.name} ({it.detail})" if it.detail else it.name for it in hypotheses.failing()
@@ -370,9 +361,7 @@ def reduce_model(
         "model with alpha < 2",
     )
 
-    slopes, intercepts, affinity_residual = extract_affine_exponents(
-        spec.jump_only(), G, cfg=cfg
-    )
+    slopes, intercepts, affinity_residual = extract_affine_exponents(spec.jump_only(), G)
 
     slope_scale = float(np.max(np.abs(slopes), initial=0.0))
     intercept_worst = float(np.max(np.abs(intercepts), initial=0.0))
@@ -411,12 +400,7 @@ def reduce_model(
     return model, report
 
 
-def stable_generating_condition(
-    G,
-    spherical: SphericalMeasure,
-    alpha: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def stable_generating_condition(G, spherical: SphericalMeasure, alpha: float):
     """Test the closed-form generating condition for a stable spec:
     the directional moment I(x) = int <G(x), xi>^alpha lambda(dxi) must
     be linear through the origin in x.
@@ -437,7 +421,7 @@ def stable_generating_condition(
             detail="G vanishes on the whole grid",
         )
         return 0.0, rpt.CheckReport((it,))
-    moments = stable_exponent(spherical, alpha, gx, cfg) / coef
+    moments = stable_exponent(spherical, alpha, gx) / coef
 
     slope = float(np.dot(x_grid, moments) / np.dot(x_grid, x_grid))
     floor = 1e-30 * max(1.0, float(np.max(np.abs(moments))))
@@ -458,12 +442,7 @@ def stable_generating_condition(
     return coefficient, report
 
 
-def apply_generator(
-    model: GeneratingModel,
-    lam: float,
-    x: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def apply_generator(model: GeneratingModel, lam: float, x: float) -> float:
     """Apply the affine generator to the exponential f(y) = e^(-lam y)
     at the point x, integrating the jump terms by quadrature with the
     bounded truncation kernel.
@@ -487,35 +466,21 @@ def apply_generator(
         v = np.asarray(v, dtype=float)
         return 1.0 - v
 
-    def integrate(measure, fn, exponents):
+    def integrate(measure, fn, exponents, what, lo=0.0):
         if measure.is_zero:
             return 0.0
-        res = radial_integral(measure, fn, cfg, weight_exponents=exponents)
+        res = radial_integral(measure, fn, lo=lo, weight_exponents=exponents)
         if res.status != CONVERGED:
-            from .exceptions import DivergentIntegral
-
-            raise DivergentIntegral("generator jump integral did not converge")
+            raise DivergentIntegral(f"generator {what} integral did not converge")
         return res.value
 
-    def tail_integral(measure):
-        if measure.is_zero:
-            return 0.0
-        res = radial_integral(
-            measure, tail_drift, cfg, lo=1.0, weight_exponents=(1.0, 1.0)
-        )
-        if res.status != CONVERGED:
-            from .exceptions import DivergentIntegral
-
-            raise DivergentIntegral("generator drift integral did not converge")
-        return res.value
-
-    jump = integrate(model.nu_G0, jump_kernel, (2.0, 0.0)) + x * integrate(
-        model.mu, jump_kernel, (2.0, 0.0)
+    jump = integrate(model.nu_G0, jump_kernel, (2.0, 0.0), "jump") + x * integrate(
+        model.mu, jump_kernel, (2.0, 0.0), "jump"
     )
     drift = (
         model.a * x
         + model.b
-        + tail_integral(model.nu_G0)
-        + x * tail_integral(model.mu)
+        + integrate(model.nu_G0, tail_drift, (1.0, 1.0), "drift", lo=1.0)
+        + x * integrate(model.mu, tail_drift, (1.0, 1.0), "drift", lo=1.0)
     )
     return model.c * x * lam * lam * f - lam * drift * f + jump * f

@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import CutoffTooSmall
 from .laplace import stable_coefficient
 from .measures import LevySpec, radial_integral
-from .quadrature import CONVERGED, DEFAULT_CONFIG, QuadratureConfig, panel_integral
+from .quadrature import CONVERGED, R_HIGH, panel_integral
 from .reduction import ReducedModel
 from .spherical import _per_measure, _sample_directions
 
@@ -250,7 +250,7 @@ class JumpSampler:
         return np.stack(sums, axis=1) - dt * self.mean_flux[None, :]
 
 
-def _radius_table(gamma, eps: float, cfg: QuadratureConfig) -> np.ndarray:
+def _radius_table(gamma, eps: float) -> np.ndarray:
     """Inverse-CDF table of a radial density restricted to (eps, inf),
     tabulated uniformly in v = -log(tail probability)."""
     hint = gamma.hints[1] if gamma.hints is not None else None
@@ -259,7 +259,7 @@ def _radius_table(gamma, eps: float, cfg: QuadratureConfig) -> np.ndarray:
         r_max = eps * _TAIL_REMAINDER ** (-1.0 / (hint - 1.0))
     else:
         r_max = eps * 1e8
-    r_max = min(max(r_max, 10.0 * eps), cfg.r_high)
+    r_max = min(max(r_max, 10.0 * eps), R_HIGH)
     n_cells = max(int(np.log10(r_max / eps) * _TABLE_CELLS_PER_DECADE), 16)
     grid = np.geomspace(eps, r_max, n_cells + 1)
     cells = np.zeros(n_cells)
@@ -279,7 +279,7 @@ def _radius_table(gamma, eps: float, cfg: QuadratureConfig) -> np.ndarray:
     return np.interp(v_grid, v_nodes, grid)
 
 
-def _radius_law(gamma, eps: float, mass: float, cfg: QuadratureConfig):
+def _radius_law(gamma, eps: float, mass: float):
     """The law of one radius above eps: the power index of an exact power
     tail, an inverse-CDF table, or (radii, cumulative weights) of atoms."""
     tail_atoms = [(r, w) for r, w in gamma.atoms if r > eps]
@@ -291,7 +291,7 @@ def _radius_law(gamma, eps: float, mass: float, cfg: QuadratureConfig):
             )
         if gamma.power_index is not None:
             return gamma.power_index
-        return _radius_table(gamma, eps, cfg)
+        return _radius_table(gamma, eps)
     if tail_atoms:
         rr = np.array([r for r, _ in tail_atoms])
         ww = np.array([w for _, w in tail_atoms])
@@ -302,7 +302,6 @@ def _radius_law(gamma, eps: float, mass: float, cfg: QuadratureConfig):
 def truncated_jump_sampler(
     spec: LevySpec,
     eps: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     intensity_budget: float = 1e6,
 ):
     """Compound-Poisson approximation of a decomposed jump measure.
@@ -322,21 +321,19 @@ def truncated_jump_sampler(
     laws = []
 
     def tail(gamma):
-        mass_res = radial_integral(gamma, None, cfg, lo=eps, weight_exponents=(0.0, 0.0))
+        mass_res = radial_integral(gamma, lo=eps)
         flux_res = radial_integral(
-            gamma, lambda r: np.asarray(r, float), cfg, lo=eps, weight_exponents=(1.0, 1.0)
+            gamma, lambda r: np.asarray(r, float), lo=eps, weight_exponents=(1.0, 1.0)
         )
         if mass_res.status != CONVERGED or flux_res.status != CONVERGED:
             return None
         drop_res = radial_integral(
             gamma,
             lambda r: np.asarray(r, float) ** 2,
-            cfg,
             hi=eps,
             weight_exponents=(2.0, 2.0),
-            closure=True,
         )
-        laws.append(_radius_law(gamma, eps, mass_res.value, cfg))
+        laws.append(_radius_law(gamma, eps, mass_res.value))
         return len(laws) - 1, mass_res.value, flux_res.value, max(drop_res.value, 0.0)
 
     rows = _per_measure(spec, dirs, tail)
@@ -378,7 +375,6 @@ def simulate_original(
     n_steps: int,
     n_paths: int,
     rng,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> PathEnsemble:
     """Euler scheme for dR = (aR+b)dt + <G(R), dZ> with truncated jumps.
 
@@ -394,7 +390,7 @@ def simulate_original(
     gen = _as_generator(rng)
     dt = float(horizon) / n_steps
 
-    sampler, _ = truncated_jump_sampler(spec, eps, cfg)
+    sampler, _ = truncated_jump_sampler(spec, eps)
 
     q = np.asarray(spec.wiener_cov, dtype=float)
     if np.any(q != 0.0):

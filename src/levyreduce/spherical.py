@@ -31,9 +31,10 @@ from .measures import (
     as_unit_direction,
     radial_integral,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 _GL_X32, _GL_W32 = np.polynomial.legendre.leggauss(32)
+# agreement of two successive angular levels that ends the refinement
+_ANGULAR_REL_TOL = 1e-8
 
 
 def polar_map(angles):
@@ -183,19 +184,14 @@ def _as_result(val: np.ndarray):
     return float(val) if val.ndim == 0 else val
 
 
-def integrate_over_directions(
-    measure: SphericalMeasure,
-    fn,
-    *,
-    rel_tol: float = 1e-8,
-):
+def integrate_over_directions(measure: SphericalMeasure, fn):
     """Integrate fn(xi) lambda(dxi) with one-shot angular refinement.
 
     fn receives an (m, d) array of directions and returns values of
     shape (..., m), the direction axis last; the result has shape (...)
     and is a float when fn returns (m,).  For atomic measures the sum is
     exact; for angular densities the Gauss-Legendre grid is doubled
-    from 16 nodes per axis until two successive levels agree to rel_tol
+    from 16 nodes per axis until two successive levels agree to 1e-8
     in every entry (or 128 nodes are reached, keeping the finest values).
     """
     if measure.is_atomic:
@@ -207,18 +203,14 @@ def integrate_over_directions(
         dirs, wgts, _ = angular_grid(measure, n)
         val = np.sum(np.asarray(fn(dirs), dtype=float) * wgts, axis=-1)
         if prev is not None and np.all(
-            np.abs(val - prev) <= rel_tol * np.maximum(np.abs(val), 1e-300)
+            np.abs(val - prev) <= _ANGULAR_REL_TOL * np.maximum(np.abs(val), 1e-300)
         ):
             break
         prev = val
     return _as_result(val)
 
 
-def spherical_integrate(
-    f,
-    spec: LevySpec,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def spherical_integrate(f, spec: LevySpec) -> float:
     """int f(y) nu(dy) for the jump measure of a decomposed spec.
 
     f maps an (n, d) array of points to values and may change sign; it
@@ -233,7 +225,7 @@ def spherical_integrate(
             pts = np.asarray(r, dtype=float)[:, None] * _xi[None, :]
             return np.asarray(f(pts), dtype=float)
 
-        res = radial_integral(gamma, weight, cfg, closure=False)
+        res = radial_integral(gamma, weight, closure=False)
         if res.status != "converged":
             raise DivergentIntegral(
                 f"radial integral along {np.round(xi, 6)} did not converge"
@@ -243,6 +235,4 @@ def spherical_integrate(
     def batch(dirs):
         return np.array([along_ray(xi) for xi in dirs])
 
-    return integrate_over_directions(
-        spec.spherical, batch, rel_tol=max(cfg.rel_tol, 1e-10) * 10
-    )
+    return integrate_over_directions(spec.spherical, batch)

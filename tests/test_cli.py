@@ -73,12 +73,14 @@ class TestArgumentHandling:
         assert code == 2
         assert "G section" in capsys.readouterr().err
 
-    def test_threads_flag_accepted(self, write_config, tmp_path):
-        code = run(
-            ["check", write_config(base_config()), str(tmp_path / "out"),
-             "--threads", "4", "--quiet"]
-        )
-        assert code == 0
+    @pytest.mark.parametrize(
+        "option", [["--threads", "4"], ["--tol", "1e-6"]], ids=["threads", "tol"]
+    )
+    def test_removed_options_exit_2_with_usage(self, option, capsys, write_config, tmp_path):
+        out = tmp_path / "out"
+        assert run(["check", write_config(base_config()), str(out), *option, "--quiet"]) == 2
+        assert "usage" in capsys.readouterr().err.lower()
+        assert not (out / "report.json").exists()
 
     def test_quiet_suppresses_stdout(self, capsys, write_config, tmp_path):
         assert run(["check", write_config(base_config()), str(tmp_path / "out"), "--quiet"]) == 0
@@ -102,6 +104,46 @@ def _unordered_g_table(doc):
         "kind": "tabulated",
         "points": [[1.0, [1.0, 1.0]], [0.0, [0.0, 0.0]], [2.0, [2.0, 2.0]]],
     }
+
+
+def _misspelt_section(doc):
+    doc["pricng"] = doc.pop("pricing")
+
+
+def _quadrature_section(doc):
+    doc["quadrature"] = {"rel_tol": 1e-6}
+
+
+def _misspelt_key(section, key, typo):
+    def patch(doc):
+        doc[section][typo] = doc[section].pop(key)
+
+    return patch
+
+
+class TestUnknownKeysExit2:
+    """A misspelt section or key used to fall back to its default."""
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            _misspelt_section,
+            _quadrature_section,
+            _misspelt_key("model", "radial", "radail"),
+            _misspelt_key("drift", "a", "A"),
+            _misspelt_key("simulation", "x0", "x_0"),
+            _misspelt_key("pricing", "tau_grid", "taus"),
+        ],
+        ids=["section", "quadrature", "model", "drift", "simulation", "pricing"],
+    )
+    @pytest.mark.parametrize("command", ["check", "price"])
+    def test_unknown_key_exits_2(self, patch, command, write_config, tmp_path, capsys):
+        doc = base_config()
+        patch(doc)
+        out = tmp_path / "out"
+        assert run([command, write_config(doc), str(out), "--quiet"]) == 2
+        assert "unknown" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestInvalidModelExits2:
@@ -256,6 +298,30 @@ class TestReducePipeline:
         assert payload["outputs"] == []
 
 
+# G that vanishes on [0, 1e-6], so its direction at the probes is undefined
+ZERO_NEAR_ORIGIN_G = {
+    "kind": "tabulated",
+    "points": [[0.0, [0.0, 0.0]], [1e-6, [0.0, 0.0]], [1.0, [1.0, 1.0]], [10.0, [3.0, 3.0]]],
+}
+
+
+class TestZeroVolatilityNearOrigin:
+    @pytest.mark.parametrize("command", ["check", "reduce"])
+    def test_direction_limit_fails_beside_the_suite(self, command, write_config, tmp_path):
+        doc = base_config(G=ZERO_NEAR_ORIGIN_G)
+        out = tmp_path / "out"
+        assert run([command, write_config(doc), str(out), "--quiet"]) == 1
+        payload = load_report(out)
+        assert payload["overall_pass"] is False
+        items = {it["name"]: it for it in payload["items"]}
+        assert {"martingale_moment", "jump_direction_sign", "balance_finite"} <= set(items)
+        assert [it["name"] for it in payload["items"] if it["status"] == "fail"] == [
+            "direction_limit"
+        ]
+        assert "G(1e-07)" in items["direction_limit"]["detail"]
+        assert ("error" in payload) == (command == "reduce")
+
+
 def _one_atom(doc):
     # a single atom fails the span item; G(0) = 0 waives it
     doc["model"]["spherical"] = {"atoms": {"directions": [[1.0, 0.0]], "weights": [1.0]}}
@@ -288,8 +354,14 @@ class TestOneHypothesisSuite:
 
     @pytest.mark.parametrize(
         "patch",
-        [lambda doc: None, _one_atom, _unsettled, _span_deficient_g_nonzero_at_origin],
-        ids=["worked", "one-atom", "unsettled", "span-deficient"],
+        [
+            lambda doc: None,
+            _one_atom,
+            _unsettled,
+            _span_deficient_g_nonzero_at_origin,
+            lambda doc: doc.update(G=ZERO_NEAR_ORIGIN_G),
+        ],
+        ids=["worked", "one-atom", "unsettled", "span-deficient", "zero-near-origin"],
     )
     def test_check_passes_exactly_when_reduce_does_not_refuse(
         self, patch, write_config, tmp_path

@@ -26,7 +26,7 @@ from levyreduce import (
     tabulated_radial,
 )
 
-from levyreduce.quadrature import DEFAULT_CONFIG
+from levyreduce.quadrature import REL_TOL
 
 from conftest import C_12, C_15
 
@@ -273,7 +273,7 @@ class TestArrayArguments:
     def test_stack_on_angular_density_within_tolerance(self):
         spec = _quarter_disc_spec()
         z = np.array([[1.0, 0.0], [0.5, 2.0], [3.0, 1.0], [0.0, 0.0]])
-        rel = 10 * DEFAULT_CONFIG.rel_tol
+        rel = 10 * REL_TOL
         jump = laplace_jump(spec, z)
         closed = stable_exponent(spec.spherical, 1.5, z)
         for k, row in enumerate(z):

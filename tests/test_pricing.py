@@ -7,7 +7,6 @@ import pytest
 from levyreduce import (
     BlowUp,
     GeneratingModel,
-    QuadratureConfig,
     RadialMeasure,
     ReducedModel,
     RngStream,
@@ -19,6 +18,7 @@ from levyreduce import (
     riccati_solve,
     simulate_reduced,
 )
+from levyreduce import pricing
 
 from conftest import C_15
 
@@ -88,14 +88,14 @@ class TestRiccatiSolve:
         np.testing.assert_allclose(ts1.B, ts2.B, rtol=0, atol=5e-6)
         np.testing.assert_allclose(ts1.A, ts2.A, rtol=0, atol=5e-6)
 
-    def test_output_grid_refinement_converges(self):
+    def test_output_grid_refinement_converges(self, monkeypatch):
         # with a loose tolerance the substep controller never splits, so
         # the output grid sets the step; the embedded extrapolation is
         # fifth order and halving the step must cut the error sharply
-        loose = QuadratureConfig(rel_tol=1e-1)
+        monkeypatch.setattr(pricing, "_RICCATI_REL_TOL", 1e-1)
         errs = []
         for n in (4, 8):
-            ts = riccati_solve(drift_only(-1.0, 0.0), 4.0, n, loose)
+            ts = riccati_solve(drift_only(-1.0, 0.0), 4.0, n)
             errs.append(np.abs(ts.B - (1.0 - np.exp(-ts.tau_grid))).max())
         assert errs[1] < 0.25 * errs[0]
 

@@ -10,7 +10,6 @@ from levyreduce import (
     CONVERGED,
     DIVERGENT,
     DivergentIntegral,
-    QuadratureConfig,
     improper_integral,
     improper_value,
     panel_integral,
@@ -83,13 +82,6 @@ def test_tail_probes_classify_power_laws():
 def test_lower_tail_probe_value():
     res = improper_integral(lambda r: r**-0.5, lo=0.0, hi=1.0)
     assert abs(res.value - 2.0) < 1e-6
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(eps_low=2.0)
 
 
 def test_determinism():

@@ -27,7 +27,6 @@ from levyreduce import (
     truncated_jump_sampler,
 )
 from levyreduce import simulate
-from levyreduce.quadrature import DEFAULT_CONFIG
 
 from conftest import ALPHA, C_15
 
@@ -413,11 +412,11 @@ class TestRadiusTable:
         monkeypatch.setattr(simulate, "panel_integral", counted)
         for eps in (3e-3, 1e-2):
             calls.clear()
-            table = simulate._radius_table(gamma, eps, DEFAULT_CONFIG)
+            table = simulate._radius_table(gamma, eps)
             assert len(calls) <= 700
             with monkeypatch.context() as full:
                 full.setattr(simulate, "_EMPTY_RUN_STOP", 10**9)
-                assert np.array_equal(table, simulate._radius_table(gamma, eps, DEFAULT_CONFIG))
+                assert np.array_equal(table, simulate._radius_table(gamma, eps))
             assert len(calls) > 1000  # the full grid was integrated
 
 

@@ -1,6 +1,6 @@
 """Source hygiene: every module compiles with warnings raised as errors,
 no module imports a name it never uses, and every defaulted parameter
-of the public API is set by some caller."""
+and dataclass field of the public API is set by some caller."""
 
 import ast
 import warnings
@@ -11,8 +11,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "levyreduce").glob("*.py"))
 CALLER_DIRS = ("src", "tests", "demos", "perfbench")
-# the shared quadrature-config convention of every layer
-EXEMPT_PARAMETERS = {"cfg"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -118,15 +116,15 @@ def _unset_parameters(sources, callers) -> list[str]:
             ):
                 is_set.add((name, param))
                 grew = True
-    return sorted(
-        label for key, (label, _) in params.items()
-        if key not in is_set and key[1] not in EXEMPT_PARAMETERS
-    )
+    return sorted(label for key, (label, _) in params.items() if key not in is_set)
+
+
+def _callers():
+    return [p.read_text() for d in CALLER_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def test_every_default_is_set_by_some_caller():
-    callers = [p.read_text() for d in CALLER_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
-    assert _unset_parameters([(p.name, p.read_text()) for p in SOURCES], callers) == []
+    assert _unset_parameters([(p.name, p.read_text()) for p in SOURCES], _callers()) == []
 
 
 def test_unset_default_is_detected():
@@ -136,10 +134,76 @@ def test_unset_default_is_detected():
         "class C:\n    def m(self, n_max=16, rel=1.0):\n        return n_max\n"
     )
     callers = [source, "f(1, [1.0], n=3)\nC().m(4)\n"]
-    assert _unset_parameters([("mod.py", source)], callers) == ["mod.py: C.m(rel)"]
+    assert _unset_parameters([("mod.py", source)], callers) == ["mod.py: C.m(rel)", "mod.py: f(cfg)"]
     # grid reaches g only by forwarding f's grid, which no call sets
     callers = [source, "f(1)\n"]
     assert _unset_parameters([("mod.py", source)], callers) == [
-        "mod.py: C.m(n_max)", "mod.py: C.m(rel)", "mod.py: f(grid)", "mod.py: f(n)",
-        "mod.py: g(grid)",
+        "mod.py: C.m(n_max)", "mod.py: C.m(rel)", "mod.py: f(cfg)", "mod.py: f(grid)",
+        "mod.py: f(n)", "mod.py: g(grid)",
     ]
+
+
+def _defaulted_fields(tree):
+    """(class name, field, position) of each defaulted field of the
+    public dataclasses."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            continue
+        fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+        for k, f in enumerate(fields):
+            if f.value is not None:
+                yield node.name, f.target.id, k
+
+
+def _field_arguments(tree):
+    """(called name, position or keyword) of every call argument; cls()
+    inside a class calls that class, and replace() keywords may set a
+    field of any dataclass."""
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            owner.update((id(sub), node.name) for sub in ast.walk(node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called == "cls":
+                called = owner.get(id(node))
+            yield from ((called, k) for k in range(len(node.args)))
+            yield from ((called, k.arg) for k in node.keywords)
+
+
+def _unset_fields(sources, callers) -> list[str]:
+    """Defaulted dataclass fields that no construction or replace() sets."""
+    arguments = {arg for text in callers for arg in _field_arguments(ast.parse(text))}
+    return sorted(
+        f"{label}: {cls}.{name}"
+        for label, text in sources
+        for cls, name, k in _defaulted_fields(ast.parse(text))
+        if not arguments & {(cls, name), (cls, k), ("replace", name)}
+    )
+
+
+def test_every_dataclass_default_is_set_by_some_caller():
+    assert _unset_fields([(p.name, p.read_text()) for p in SOURCES], _callers()) == []
+
+
+def test_unset_field_is_detected():
+    source = (
+        "from dataclasses import dataclass, replace\n"
+        "@dataclass(frozen=True)\n"
+        "class Cfg:\n"
+        "    n: int\n    tol: float = 1e-9\n    cap: int = 8\n    low: float = 0.0\n"
+        "    high: float = 1.0\n"
+        "    @classmethod\n"
+        "    def make(cls):\n        return cls(1, 1e-6)\n"
+        "@dataclass\n"
+        "class _Private:\n    x: int = 0\n"
+        "class Plain:\n    y: int = 0\n"
+    )
+    assert _unset_fields([("mod.py", source)], [source]) == [
+        "mod.py: Cfg.cap", "mod.py: Cfg.high", "mod.py: Cfg.low",
+    ]
+    callers = [source, "Cfg(2, cap=3)\nreplace(Cfg(1), low=2.0)\n"]
+    assert _unset_fields([("mod.py", source)], callers) == ["mod.py: Cfg.high"]
