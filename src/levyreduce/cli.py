@@ -49,74 +49,88 @@ _KEYS = {
 }
 
 
-def _tabulated(points, hints=None) -> RadialMeasure:
+# the keys each kind of a nested section takes besides "kind"
+_KIND_KEYS = {
+    "model.radial": {"power": {"alpha", "scale"}, "custom": {"points"}},
+    "model.spherical.angular": {"uniform": {"scale"}, "tabulated": {"points"}},
+    "G": {"power": {"exponent", "direction"}, "tabulated": {"points"}},
+}
+
+
+def _check_keys(section, allowed, name=None) -> None:
+    """Refuse a section that is not a JSON object or holds a key outside
+    allowed; name None stands for the top level."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{name or 'the configuration'} must be a JSON object")
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        where = f"keys in {name}" if name else "sections"
+        raise ValueError(f"unknown {where}: {', '.join(unknown)}")
+
+
+def _kind(section, name, default=None) -> str:
+    """The kind of a nested section, whose other keys must be the ones
+    that kind takes."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    kind = section.get("kind", default)
+    if kind not in _KIND_KEYS[name]:
+        raise ValueError(f"unknown {name} kind {kind!r}")
+    _check_keys(section, {"kind"} | _KIND_KEYS[name][kind], name)
+    return kind
+
+
+def _tabulated(points) -> RadialMeasure:
     """Linear-interpolation density from (x, value) pairs in any order."""
     pts = sorted((float(x), float(v)) for x, v in points)
-    return tabulated_radial([p[0] for p in pts], [p[1] for p in pts], hints)
+    return tabulated_radial([p[0] for p in pts], [p[1] for p in pts])
 
 
 def _parse_radial(section) -> RadialMeasure:
-    kind = section.get("kind")
-    if kind == "power":
+    if _kind(section, "model.radial") == "power":
         return power_radial(float(section["alpha"]), float(section.get("scale", 1.0)))
-    if kind == "custom":
-        return _tabulated(section["points"], section.get("hints"))
-    raise ValueError(f"unknown radial kind {kind!r}")
+    return _tabulated(section["points"])
 
 
 def _parse_spherical(section, d: int) -> SphericalMeasure:
+    _check_keys(section, {"atoms", "angular"}, "model.spherical")
+    if len(section) != 1:
+        raise ValueError("model.spherical needs exactly one of 'atoms' and 'angular'")
     if "atoms" in section:
         atoms = section["atoms"]
+        _check_keys(atoms, {"directions", "weights"}, "model.spherical.atoms")
         return SphericalMeasure.from_atoms(atoms["directions"], atoms["weights"])
-    if "angular" in section:
-        ang = section["angular"]
-        kind = ang.get("kind", "uniform")
-        if kind == "uniform":
-            scale = float(ang.get("scale", 1.0))
-            return SphericalMeasure.from_angular(
-                d, lambda angles, _s=scale: np.full(np.asarray(angles).shape[0], _s)
-            )
-        if kind == "tabulated":
-            if d != 2:
-                raise ValueError("tabulated angular densities are supported in d=2")
-            dens = _tabulated(ang["points"]).density
-            return SphericalMeasure.from_angular(
-                d, lambda angles, _f=dens: _f(np.asarray(angles)[:, 0])
-            )
-        raise ValueError(f"unknown angular kind {kind!r}")
-    raise ValueError("spherical section needs 'atoms' or 'angular'")
+    ang = section["angular"]
+    if _kind(ang, "model.spherical.angular", "uniform") == "uniform":
+        scale = float(ang.get("scale", 1.0))
+        return SphericalMeasure.from_angular(
+            d, lambda angles, _s=scale: np.full(np.asarray(angles).shape[0], _s)
+        )
+    if d != 2:
+        raise ValueError("tabulated angular densities are supported in d=2")
+    dens = _tabulated(ang["points"]).density
+    return SphericalMeasure.from_angular(
+        d, lambda angles, _f=dens: _f(np.asarray(angles)[:, 0])
+    )
 
 
 def _parse_volatility(section) -> VolatilityFunction:
-    kind = section.get("kind")
-    if kind == "power":
+    if _kind(section, "G") == "power":
         return VolatilityFunction.power(
             float(section["exponent"]), np.asarray(section["direction"], dtype=float)
         )
-    if kind == "tabulated":
-        pts = section["points"]
-        xs = [float(p[0]) for p in pts]
-        vals = [[float(v) for v in p[1]] for p in pts]
-        return VolatilityFunction.tabulated(xs, vals)
-    raise ValueError(f"unknown G kind {kind!r}")
-
-
-def _check_keys(doc) -> None:
-    for name, allowed in _KEYS.items():
-        section = doc if name is None else doc.get(name, {})
-        if not isinstance(section, dict):
-            raise ValueError(f"{name or 'the configuration'} must be a JSON object")
-        unknown = sorted(set(section) - allowed)
-        if unknown:
-            where = f"keys in {name}" if name else "sections"
-            raise ValueError(f"unknown {where}: {', '.join(unknown)}")
+    pts = section["points"]
+    xs = [float(p[0]) for p in pts]
+    vals = [[float(v) for v in p[1]] for p in pts]
+    return VolatilityFunction.tabulated(xs, vals)
 
 
 class RunConfig:
     """Validated artifacts built from one JSON configuration."""
 
     def __init__(self, doc: dict):
-        _check_keys(doc)
+        for name, allowed in _KEYS.items():
+            _check_keys(doc if name is None else doc.get(name, {}), allowed, name)
         model = doc["model"]
         d = int(model["d"])
         q = np.asarray(model.get("Q", np.zeros((d, d))), dtype=float)
@@ -341,9 +355,9 @@ def run(argv) -> int:
 
     try:
         doc = json.loads(Path(args.config).read_text())
-        if args.seed is not None:
-            doc.setdefault("simulation", {})["seed"] = args.seed
         cfg = RunConfig(doc)
+        if args.seed is not None:
+            cfg.seed = args.seed
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

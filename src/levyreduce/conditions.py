@@ -14,6 +14,8 @@ undefined (InfimumZero, DenominatorZero).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import report as rpt
@@ -32,7 +34,6 @@ from .spherical import (
     _sample_directions,
     _support_directions,
     induced_spec,
-    spherical_integrate,
     uniform_angle_grid,
 )
 
@@ -407,21 +408,17 @@ def q_ratios(gamma_lower: RadialMeasure, gamma_upper: RadialMeasure, eps_grid=No
 
 
 def _envelope_functions(dspec: DensityLevySpec, n_per_dim: int):
-    """Radius-wise inf and sup of the density times the angular factor.
+    """Radius-wise inf and sup of the density over each sphere.
 
     Returns extremes(r) -> (inf, sup), one density evaluation on the
-    radius x direction grid per call.  In the plane the factor is
-    identically 1, so these are plain extremes of g over each circle; in
-    higher dimension the polar Jacobian is included, matching how the
-    per-direction radial measures absorb it.
+    radius x direction grid per call.
     """
-    dirs, _, jac = uniform_angle_grid(dspec.dimension, n_per_dim)
-    jac = np.asarray(jac, dtype=float)
+    dirs = uniform_angle_grid(dspec.dimension, n_per_dim)[0]
 
     def extremes(r):
         r = np.asarray(r, dtype=float)
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dspec.dimension)
-        vals = np.asarray(dspec(pts), dtype=float).reshape(r.size, -1) * jac[None, :]
+        vals = np.asarray(dspec(pts), dtype=float).reshape(r.size, -1)
         return np.min(vals, axis=1), np.max(vals, axis=1)
 
     return extremes
@@ -430,39 +427,28 @@ def _envelope_functions(dspec: DensityLevySpec, n_per_dim: int):
 def density_reducibility_check(dspec: DensityLevySpec) -> rpt.CheckReport:
     """Reducibility criteria for a jump measure given by a density g.
 
-    Items, in order: integrability of (|x|^2 wedge |x|) g; span of the
+    The density is the special case of the decomposition built by
+    induced_spec.  Items, in order: integrability of (|x|^2 wedge |x|) g
+    (the martingale moment of the decomposed form); span of the
     directions carrying g; positive mass of directions with divergent
-    small-jump moment; and the two envelope-ratio limits with r^d and
-    r^(d+1) weights.  All failures are reported, none raised.
+    small-jump moment (the infinite-variation mass of the decomposed
+    form); and the two envelope-ratio limits with r^d and r^(d+1)
+    weights.  All failures are reported, none raised.
     """
     d = dspec.dimension
-    items = []
-
-    # (a) global moment bound, integrated in decomposed form
-    try:
-        value_a = spherical_integrate(
-            lambda pts: _min_kernel(np.linalg.norm(pts, axis=1)),
-            induced_spec(dspec),
+    spec = induced_spec(dspec)
+    moment = check_martingale(spec).item("martingale_moment")
+    items = [
+        replace(
+            moment,
+            name="integrability",
+            detail=f"int (r^2 wedge r) gamma_xi(dr), {moment.detail}",
         )
-        ok_a, detail_a = np.isfinite(value_a), ""
-    except DivergentIntegral as exc:
-        value_a, ok_a, detail_a = np.inf, False, str(exc)
-    items.append(
-        rpt.item(
-            "integrability",
-            ok_a,
-            value=value_a,
-            detail=detail_a or "int (|x|^2 wedge |x|) g(x) dx",
-        )
-    )
+    ]
 
-    # direction probes on a subsampled scan grid
-    n_env = 512 if d == 2 else 64
-    n_probe = 128 if d == 2 else 16
-    probe_dirs, _, _ = uniform_angle_grid(d, n_probe)
-    probe_cell = (np.pi ** (d - 2)) * 2.0 * np.pi / len(probe_dirs)
+    # directions carrying g, on a subsampled scan grid
+    probe_dirs = uniform_angle_grid(d, 128 if d == 2 else 16)[0]
     radii = np.logspace(-3.0, 3.0, 25)
-
     pts = (radii[:, None, None] * probe_dirs[None, :, :]).reshape(-1, d)
     gvals = np.asarray(dspec(pts), dtype=float).reshape(radii.size, -1)
     carrying = np.any(gvals > 0.0, axis=0)
@@ -480,29 +466,15 @@ def density_reducibility_check(dspec: DensityLevySpec) -> rpt.CheckReport:
             detail="rank of directions where g is not identically zero",
         )
     )
-
-    # (c) Lebesgue mass (on the polar box) of divergent directions
-    div_mass = 0.0
-    for k, xi in enumerate(probe_dirs):
-        if not carrying[k]:
-            continue
-
-        def fray(r, _xi=xi):
-            r = np.asarray(r, dtype=float)
-            return r**d * np.asarray(dspec(r[:, None] * _xi[None, :]), dtype=float)
-
-        if improper_integral(fray, lo=0.0, hi=1.0).status == DIVERGENT:
-            div_mass += probe_cell
     items.append(
-        rpt.item(
-            "small_jump_divergence",
-            div_mass > 0.0,
-            value=div_mass,
-            detail="angular mass of directions with divergent small-jump moment",
+        replace(
+            check_variation(spec).item("infinite_variation_mass"),
+            name="small_jump_divergence",
         )
     )
 
     # envelopes, refined once if the two resolutions disagree
+    n_env = 512 if d == 2 else 64
     env = _envelope_functions(dspec, n_env)
     env2 = _envelope_functions(dspec, 2 * n_env)
     probe_r = np.logspace(-3.0, 3.0, 13)
@@ -512,10 +484,6 @@ def density_reducibility_check(dspec: DensityLevySpec) -> rpt.CheckReport:
     )
     if disagree > 1e-3:
         env = env2
-
-    hints = None
-    if dspec.hints is not None:
-        hints = (dspec.hints[0] - (d - 1), dspec.hints[1] - (d - 1))
     surface = float(d - 1)
 
     def _env_measure(k):
@@ -523,23 +491,12 @@ def density_reducibility_check(dspec: DensityLevySpec) -> rpt.CheckReport:
             r = np.asarray(r, dtype=float)
             return _env(r)[_k] * r**surface
 
-        return RadialMeasure(density=dens, hints=hints)
+        return RadialMeasure(density=dens)
 
-    lower_m, upper_m = _env_measure(0), _env_measure(1)
     try:
-        q0, q_inf, qrep = q_ratios(lower_m, upper_m)
-        lookup = {it.name: it for it in qrep.items}
-        for name, src in (("ratio_small", "q0_finite"), ("ratio_large", "q_inf_finite")):
-            base = lookup[src]
-            items.append(
-                rpt.CheckItem(
-                    name,
-                    base.status,
-                    value=base.value,
-                    tolerance=base.tolerance,
-                    detail=base.detail,
-                )
-            )
+        qrep = q_ratios(_env_measure(0), _env_measure(1))[2]
+        items.append(replace(qrep.item("q0_finite"), name="ratio_small"))
+        items.append(replace(qrep.item("q_inf_finite"), name="ratio_large"))
     except DenominatorZero as exc:
         for name in ("ratio_small", "ratio_large"):
             items.append(

@@ -9,7 +9,7 @@ lambda on the unit sphere together with one radial measure gamma_xi on
 The spherical part is either a finite list of weighted directions or a
 density over the polar parameter box [0, pi]^(d-2) x [0, 2pi]; in the
 density case lambda is the pushforward of (density . Lebesgue) under the
-polar map, and the angular Jacobian lives inside the radial measures.
+polar map.
 """
 
 from __future__ import annotations

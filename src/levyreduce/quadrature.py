@@ -177,7 +177,7 @@ def _extend(f, u_start, direction, scale_hint, closure, expected_ratio=None):
 
     for k in range(MAX_DECADES):
         if (direction > 0 and edge >= u_limit) or (direction < 0 and edge <= u_limit):
-            break
+            return _forced_close(k)
         block, new_edge = _decade_block(f, edge, direction)
         if not np.isfinite(block):
             if ratio_prev is not None and ratio_prev < 0.99:

@@ -9,13 +9,11 @@ The polar map on P = [0, pi]^(d-2) x [0, 2pi] is
     xi_d = sin a_1 ... sin a_{d-2} sin a_{d-1}
 
 with volume Jacobian sin^{d-2}(a_1) sin^{d-3}(a_2) ... sin(a_{d-2}).
-When a jump measure is given by a Cartesian density g, the convention
-here pushes plain Lebesgue measure on P forward to the spherical part
-and absorbs the Jacobian into the radial measures:
+A jump measure given by a Cartesian density g is the decomposition
+whose spherical part is the surface measure (the Jacobian as angular
+density on P) and whose radial measures are
 
-    gamma_xi(dr) = g(r xi) r^{d-1} prod_k sqrt(1 - (xi_1^2+...+xi_k^2)) dr,
-
-the product running over k = 1..d-2 (empty in the plane).
+    gamma_xi(dr) = g(r xi) r^{d-1} dr.
 """
 
 from __future__ import annotations
@@ -62,31 +60,18 @@ def polar_map(angles):
     return xi, jac
 
 
-def _sqrt_factor(xi: np.ndarray) -> float:
-    """prod_{k=1}^{d-2} sqrt(1 - (xi_1^2 + ... + xi_k^2)); equals the
-    angular Jacobian expressed through the direction itself."""
-    d = xi.shape[0]
-    out = 1.0
-    s = 0.0
-    for k in range(d - 2):
-        s += xi[k] * xi[k]
-        out *= np.sqrt(max(1.0 - s, 0.0))
-    return out
-
-
 def radial_from_density(dspec: DensityLevySpec, xi) -> RadialMeasure:
     """The radial measure induced on the ray through xi by a density g."""
     xi = as_unit_direction(xi)
     d = dspec.dimension
     if xi.shape != (d,):
         raise ValueError("direction dimension mismatch")
-    factor = _sqrt_factor(xi)
     power = d - 1
 
-    def dens(r, _xi=xi, _f=factor, _p=power, _g=dspec):
+    def dens(r, _xi=xi, _p=power, _g=dspec):
         r = np.asarray(r, dtype=float)
         pts = r[:, None] * _xi[None, :]
-        return _g(pts) * r**_p * _f
+        return _g(pts) * r**_p
 
     hints = None
     if dspec.hints is not None:
@@ -95,10 +80,10 @@ def radial_from_density(dspec: DensityLevySpec, xi) -> RadialMeasure:
 
 
 def induced_spec(dspec: DensityLevySpec) -> LevySpec:
-    """The decomposed form of a density spec: unit angular density on the
-    polar box, Jacobian absorbed into the per-direction radial measures."""
+    """The decomposed form of a density spec: the surface measure, given
+    by the polar Jacobian on the box, with radial_from_density on each ray."""
     d = dspec.dimension
-    sph = SphericalMeasure.from_angular(d, lambda a: np.ones(np.atleast_2d(a).shape[0]))
+    sph = SphericalMeasure.from_angular(d, lambda a: polar_map(np.atleast_2d(a))[1])
     return LevySpec(
         d,
         np.zeros((d, d)),

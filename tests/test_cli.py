@@ -146,6 +146,56 @@ class TestUnknownKeysExit2:
         assert not (out / "report.json").exists()
 
 
+def _set(path, value):
+    """Patch that sets doc[path[0]]...[path[-1]] = value."""
+
+    def patch(doc):
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+
+    return patch
+
+
+class TestNestedKeysExit2:
+    """An unknown key below model, or in G, used to be ignored, so reduce
+    exited 0 with the answer for the default value."""
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            _set(("model", "radial", "scael"), 8.0),
+            _set(("model", "radial", "points"), [[0.1, 1.0], [1.0, 1.0]]),
+            _set(("model", "radial"), {"kind": "custom", "hints": [2.5, 2.5],
+                                       "points": [[0.1, 1.0], [1.0, 1.0]]}),
+            _set(("model", "spherical", "angular"), {"kind": "uniform"}),
+            _set(("model", "spherical", "atoms", "weight"), [1.0, 1.0]),
+            _set(("model", "spherical", "angular"), {"kind": "uniform", "points": []}),
+            _set(("G", "exponnet"), 1.0),
+            _set(("G", "points"), [[0.0, [0.0, 0.0]], [1.0, [1.0, 1.0]]]),
+        ],
+        ids=[
+            "radial-typo", "radial-other-kind", "radial-hints", "atoms-and-angular",
+            "atoms", "angular", "G-typo", "G-other-kind",
+        ],
+    )
+    def test_refused_before_any_output(self, patch, write_config, tmp_path, capsys):
+        doc = base_config()
+        patch(doc)
+        out = tmp_path / "out"
+        assert run(["reduce", write_config(doc), str(out), "--quiet"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
+def test_seed_on_non_object_config_exits_2(write_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["check", write_config([1, 2]), str(out), "--seed", "3"]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 class TestInvalidModelExits2:
     """Configs that used to run to exit 0 with a wrong answer."""
 

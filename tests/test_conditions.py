@@ -308,6 +308,30 @@ class TestDensityCriteria:
         assert report.item("ratio_small").value == pytest.approx(3.0, rel=1e-4)
         assert report.item("ratio_large").value == pytest.approx(3.0, rel=1e-4)
 
+    def test_cosine_fixture_items_come_from_the_decomposed_suite(self, cos_density_spec):
+        # integrability is the largest per-direction moment, at most the
+        # (1 + 1/2) * 4 of the ray theta = 0; every direction diverges
+        report = density_reducibility_check(cos_density_spec)
+        assert 5.99 < report.item("integrability").value <= 6.0
+        assert report.item("small_jump_divergence").value == pytest.approx(
+            2.0 * np.pi, abs=1e-12
+        )
+
+    def test_three_d_cosine_passes(self):
+        # (1 + x_1 / (2|x|)) |x|^(-4.5): the envelopes over each sphere are
+        # 1/2 and 3/2 times |x|^(-4.5), so both ratios are 3
+        def g(points):
+            r = np.maximum(np.linalg.norm(points, axis=1), 1e-300)
+            return (1.0 + 0.5 * points[:, 0] / r) * r**-4.5
+
+        report = density_reducibility_check(density_spec(g, 3, (4.5, 4.5)))
+        assert [it.name for it in report.items] == [
+            "integrability", "span", "small_jump_divergence", "ratio_small", "ratio_large",
+        ]
+        assert report.overall_pass
+        assert report.item("ratio_small").value == pytest.approx(3.0, rel=1e-4)
+        assert report.item("ratio_large").value == pytest.approx(3.0, rel=1e-4)
+
     def test_quadrant_support_spans(self):
         def g(points):
             r = np.maximum(np.linalg.norm(points, axis=1), 1e-300)

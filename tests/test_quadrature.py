@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from levyreduce import (
     CONVERGED,
     DIVERGENT,
+    INCONCLUSIVE,
     DivergentIntegral,
     improper_integral,
     improper_value,
@@ -62,6 +63,23 @@ def test_improper_integral_detects_divergence_at_infinity():
 def test_improper_value_raises_on_divergence():
     with pytest.raises(DivergentIntegral):
         improper_value(lambda r: r**-2.0, lo=0.0, hi=1.0)
+
+
+def test_range_limit_reports_blocks_integrated(monkeypatch):
+    # r^(-1.003) decays by 0.993 per decade: neither divergent nor
+    # closable, so extension runs until the representable range stops it
+    from levyreduce import quadrature
+
+    calls = []
+    block = quadrature._decade_block
+    monkeypatch.setattr(
+        quadrature, "_decade_block", lambda *a: calls.append(a) or block(*a)
+    )
+    res = improper_integral(lambda r: r**-1.003, lo=1.0)
+    assert res.status == INCONCLUSIVE
+    assert 0 < res.n_eval == len(calls) < quadrature.MAX_DECADES
+    with pytest.raises(DivergentIntegral, match="did not stabilise"):
+        improper_value(lambda r: r**-1.003, lo=1.0)
 
 
 def test_finite_endpoints_honoured_exactly():

@@ -10,6 +10,7 @@ from levyreduce import (
     LevySpec,
     RadialMeasure,
     SphericalMeasure,
+    check_structure,
     density_spec,
     induced_spec,
     polar_map,
@@ -72,6 +73,23 @@ class TestRadialFromDensity:
         rho = radial_from_density(dspec, np.array([0.0, 0.0, 1.0]))
         r = np.array([0.5, 1.0, 2.0])
         assert np.allclose(rho.density(r), r**-2.5)
+
+    def test_three_d_axis(self):
+        # the surface measure carries the polar Jacobian, so the ray
+        # through the axis e1 (a polar angle 0) keeps its full density
+        dspec = density_spec(
+            lambda p: np.linalg.norm(p, axis=1) ** -4.5, 3, (4.5, 4.5)
+        )
+        rho = radial_from_density(dspec, np.array([1.0, 0.0, 0.0]))
+        r = np.array([0.5, 1.0, 2.0])
+        assert np.allclose(rho.density(r), r**-2.5)
+
+    def test_three_d_angular_mass_is_sphere_area(self):
+        dspec = density_spec(lambda p: np.linalg.norm(p, axis=1) ** -4.5, 3)
+        report = check_structure(induced_spec(dspec))
+        assert report.item("angular_mass_positive").value == pytest.approx(
+            4.0 * np.pi, rel=1e-12
+        )
 
     def test_rejects_non_unit_direction(self):
         dspec = density_spec(lambda p: np.ones(p.shape[0]), 2)
