@@ -21,6 +21,7 @@ from .quadrature import (
     DIVERGENT,
     INCONCLUSIVE,
     IntegralResult,
+    improper_columns,
     improper_integral,
     improper_value,
     panel_integral,
@@ -34,6 +35,7 @@ from .measures import (
     VolatilityFunction,
     density_spec,
     power_radial,
+    radial_columns,
     radial_integral,
     stable_spec,
     tabulated_radial,

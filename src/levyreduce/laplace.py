@@ -25,7 +25,8 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .exceptions import DivergentIntegral, NegativeDirection
-from .measures import LevySpec, RadialMeasure, radial_integral
+from .measures import LevySpec, RadialMeasure, radial_columns
+from .quadrature import CONVERGED
 from .spherical import _as_result, _support_directions, integrate_over_directions
 
 # default evaluation grids for exponent sampling and affinity scans
@@ -46,12 +47,11 @@ def compensated_exp(z):
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    out = np.empty_like(z)
+    out = np.expm1(-z)
+    out += z
     small = np.abs(z) < _SERIES_CUT
     zs = z[small]
     out[small] = zs * zs * (0.5 + zs * (-1.0 / 6.0 + zs * (1.0 / 24.0)))
-    zl = z[~small]
-    out[~small] = np.expm1(-zl) + zl
     return float(out[0]) if scalar else out
 
 
@@ -71,29 +71,38 @@ def laplace_radial(
     """J(b) = int_(lo, inf) H(b r) measure(dr) for b >= 0.
 
     b is a number or an array; the result has the same shape (a float
-    for a number).  Each distinct positive b is integrated once; a
-    measure that fails the (r^2 wedge r) moment raises DivergentIntegral.
+    for a number).  The distinct positive b are the columns of one
+    quadrature pass (measures.radial_columns): H(b r) rho(r) is
+    evaluated for all of them on shared log panels, and each column
+    keeps its own refinement, extension and divergence state, so it
+    gets the value it would get alone.  A measure that fails the
+    (r^2 wedge r) moment raises DivergentIntegral naming the first b
+    that did not converge.  b must be finite.
     """
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("the radial Laplace exponent needs finite b")
     if np.any(b < 0):
         raise ValueError("the radial Laplace exponent is defined for b >= 0")
     values, index = np.unique(b, return_inverse=True)
     j = np.zeros(values.shape)
-    for k, bk in enumerate(values):
-        if bk == 0.0 or measure.is_zero:
-            continue
-        res = radial_integral(
+    cols = np.flatnonzero(values > 0.0)
+    if cols.size and not measure.is_zero:
+        bk = values[cols]
+        results = radial_columns(
             measure,
-            lambda r, _b=bk: compensated_exp(_b * r),
+            lambda r, col: compensated_exp(bk[col] * r),
+            cols.size,
             lo=lo,
             weight_exponents=(2.0, 1.0),  # H ~ r^2 at 0, ~ r at infinity
         )
-        if res.status != "converged":
-            raise DivergentIntegral(
-                f"Laplace exponent at b={bk} did not converge ({res.status}); "
-                "the measure fails the (r^2 wedge r) moment"
-            )
-        j[k] = res.value
+        for k, res in zip(cols, results):
+            if res.status != CONVERGED:
+                raise DivergentIntegral(
+                    f"Laplace exponent at b={values[k]} did not converge ({res.status}); "
+                    "the measure fails the (r^2 wedge r) moment"
+                )
+            j[k] = res.value
     return _as_result(j[index].reshape(b.shape))
 
 
@@ -115,6 +124,8 @@ def _argument_stack(z, dimension: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim == 0 or z.shape[-1] != dimension:
         raise ValueError("argument dimension mismatch")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("arguments must be finite")
     return z
 
 

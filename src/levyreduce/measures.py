@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import CONVERGED, IntegralResult, improper_integral
+from .quadrature import CONVERGED, IntegralResult, improper_columns
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -112,6 +112,48 @@ def tabulated_radial(r_grid, values, hints=None) -> RadialMeasure:
     return RadialMeasure(density=dens, hints=hints)
 
 
+def radial_columns(
+    measure: RadialMeasure,
+    weight: Callable | None,
+    m: int,
+    *,
+    lo: float = 0.0,
+    hi: float = np.inf,
+    weight_exponents: tuple[float, float] | None = None,
+    closure: bool = True,
+) -> list[IntegralResult]:
+    """int weight(r, k) measure(dr) over (lo, hi) for the m columns k, as
+    one IntegralResult each, integrated in one column pass.
+
+    weight(r, col) gives column col[i]'s weight at radius r[i] (1-d
+    arrays).  weight_exponents (w0, winf) describe weight ~ r^w
+    behaviour at the endpoints, shared by the columns; combined with
+    the measure's hints they seed the tail handling of the quadrature.
+    """
+    total = np.zeros(m)
+    columns = np.arange(m)
+    for r, w in measure.atoms:
+        if lo < r <= hi or (np.isinf(hi) and r > lo):
+            total += w * (1.0 if weight is None else weight(np.full(m, r), columns))
+
+    if measure.density is None:
+        return [_atoms_only_result(float(t), lo, hi) for t in total]
+
+    dens = measure.density
+    if weight is None:
+        f = lambda r, _col: dens(r)
+    else:
+        f = lambda r, col: weight(r, col) * dens(r)
+
+    tails = None
+    if measure.hints is not None:
+        w0, winf = weight_exponents if weight_exponents is not None else (0.0, 0.0)
+        tails = (measure.hints[0] - w0, measure.hints[1] - winf)
+
+    results = improper_columns(f, m, lo=lo, hi=hi, closure=closure, tail_exponents=tails)
+    return [replace(res, value=res.value + t) for res, t in zip(results, total)]
+
+
 def radial_integral(
     measure: RadialMeasure,
     weight: Callable | None = None,
@@ -121,33 +163,19 @@ def radial_integral(
     weight_exponents: tuple[float, float] | None = None,
     closure: bool = True,
 ):
-    """int weight(r) measure(dr) over (lo, hi) as an IntegralResult.
-
-    weight_exponents (w0, winf) describe weight ~ r^w behaviour at the
-    endpoints; combined with the measure's hints they seed the tail
-    handling of the quadrature.
-    """
-    total = 0.0
-    for r, w in measure.atoms:
-        if lo < r <= hi or (np.isinf(hi) and r > lo):
-            total += w * (1.0 if weight is None else float(weight(np.asarray([r]))[0]))
-
-    if measure.density is None:
-        return _atoms_only_result(total, lo, hi)
-
-    dens = measure.density
-    if weight is None:
-        f = dens
-    else:
-        f = lambda r: weight(r) * dens(r)
-
-    tails = None
-    if measure.hints is not None:
-        w0, winf = weight_exponents if weight_exponents is not None else (0.0, 0.0)
-        tails = (measure.hints[0] - w0, measure.hints[1] - winf)
-
-    res = improper_integral(f, lo=lo, hi=hi, closure=closure, tail_exponents=tails)
-    return replace(res, value=res.value + total)
+    """int weight(r) measure(dr) over (lo, hi) as an IntegralResult: the
+    one-column case of :func:`radial_columns`, for a weight that maps a
+    1-d array of radii to values."""
+    column_weight = None if weight is None else (lambda r, _col: weight(r))
+    return radial_columns(
+        measure,
+        column_weight,
+        1,
+        lo=lo,
+        hi=hi,
+        weight_exponents=weight_exponents,
+        closure=closure,
+    )[0]
 
 
 def _atoms_only_result(total, lo, hi):

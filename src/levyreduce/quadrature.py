@@ -20,6 +20,16 @@ The second point matters: tails like r^(-0.1) decay so slowly that a
 naive truncate-at-large-R rule would need cutoffs beyond 1e80 to reach
 1e-9 accuracy.  The geometric closure reaches it in a handful of
 decades and is exact for pure power laws.
+
+The engine works on columns: m integrals at once, given as f(r, col),
+the integrand of column col[i] at radius r[i].  Panels belong to
+columns; one call of f evaluates every panel node of every column still
+in play.  Each column keeps its own refinement scale, extension state,
+tail closure and divergence classification, and leaves the lockstep as
+soon as it is settled.  Every column's panels are reduced by a product
+over that column's panels alone, so a column's result equals bit for
+bit the one it gets when integrated by itself; :func:`improper_integral`
+and :func:`panel_integral` are the one-column case.
 """
 
 from __future__ import annotations
@@ -77,65 +87,131 @@ class IntegralResult:
         return self.status == CONVERGED
 
 
-def panel_integral(f, lo: float, hi: float) -> float:
+def panel_integral(f, lo, hi):
     """Integrate f over the finite range [lo, hi] on log-spaced panels.
 
     f must accept a 1-d numpy array of radii and return the integrand
-    values.  lo must be positive.
+    values.  lo must be positive.  lo and hi may also be arrays of
+    ranges: each range is then one column, refined to its own tolerance
+    in the same pass, and the result has their shape.
     """
-    if not (0.0 < lo < hi):
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not np.all((0.0 < lo) & (lo < hi)):
         raise ValueError("require 0 < lo < hi")
-    u_lo, u_hi = np.log(lo), np.log(hi)
-    n_panels = max(1, int(np.ceil((u_hi - u_lo) * _PANELS_PER_DECADE / _DECADE)))
-    edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    return _panel_sum(f, edges)
+    u_lo, u_hi = np.log(lo.ravel()), np.log(hi.ravel())
+    n_panels = np.maximum(1, np.ceil((u_hi - u_lo) * _PANELS_PER_DECADE / _DECADE)).astype(int)
+    # ranges with one panel count share a linspace; the stable sort then
+    # puts each range's panels together and in order
+    parts = []
+    for n in np.unique(n_panels):
+        k = np.flatnonzero(n_panels == n)
+        edges = np.linspace(u_lo[k], u_hi[k], n + 1, axis=-1)
+        parts.append((k.repeat(n), edges[:, :-1].ravel(), edges[:, 1:].ravel()))
+    col, u0, u1 = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(col, kind="stable")
+    sums = _panel_sum(lambda r, _col: f(r), col[order], u0[order], u1[order])
+    return float(sums[0]) if lo.ndim == 0 else sums.reshape(lo.shape)
 
 
 # Panel-splitting thresholds for _panel_sum: a panel whose bisected
-# estimate moves by more than the tolerance (relative to the whole sum)
-# is split again, so integrands localized inside one log panel still
-# resolve.  Smooth power-law panels settle on the first split.
+# estimate moves by more than the tolerance (relative to the whole sum
+# of its column) is split again, so integrands localized inside one log
+# panel still resolve.  Smooth power-law panels settle on the first split.
 _REFINE_TOL = 1e-12
 _MAX_REFINE_DEPTH = 12
 
 
-def _panel_block(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """GL-16 estimates for a batch of panels given u-space edge arrays."""
+def _layout(col: np.ndarray):
+    """Column position of every panel (col sorted, each column's panels
+    together) and the positions of each column's panels, as (g, c) index
+    arrays, one per panel count c."""
+    n = col.size
+    if col[0] == col[-1]:
+        return np.zeros(n, dtype=int), [np.arange(n)[None, :]]
+    step = col[1:] != col[:-1]
+    pos = np.concatenate(([0], np.cumsum(step)))
+    first = np.concatenate(([0], np.flatnonzero(step) + 1))
+    count = np.diff(first, append=n)
+    return pos, [first[count == c][:, None] + np.arange(c) for c in np.unique(count)]
+
+
+def _column_sums(values: np.ndarray, pos: np.ndarray, runs, n: int) -> np.ndarray:
+    """Sums of values per column position (pos sorted, in 0..n-1, runs
+    from _layout), each summed exactly as np.sum sums that column's
+    values alone."""
+    out = np.zeros(n)
+    for idx in runs:
+        out[pos[idx[:, 0]]] = values[idx].sum(axis=1)
+    return out
+
+
+def _panel_block(f, col, lo, hi, runs):
+    """GL-16 estimates for a batch of panels given u-space edge arrays;
+    panel i belongs to column col[i], laid out in runs."""
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    u = mid[:, None] + half[:, None] * _GL_X[None, :]
-    r = np.exp(u)
-    vals = f(r.ravel()).reshape(r.shape)
+    r = np.exp(mid[:, None] + half[:, None] * _GL_X[None, :])
     # du-measure picks up a factor r from dr = r du
-    return ((vals * r) @ _GL_W) * half
+    weighted = f(r.ravel(), col.repeat(_GL_X.size)).reshape(r.shape) * r
+    # one product per column over its own panels, so every column rounds
+    # exactly as it does when integrated alone
+    if len(runs) == 1:
+        # one panel count for every column: the runs are a reshape
+        est = (weighted.reshape(*runs[0].shape, _GL_X.size) @ _GL_W).ravel()
+    else:
+        est = np.empty(col.size)
+        for idx in runs:
+            est[idx] = weighted[idx] @ _GL_W
+    return est * half
 
 
-def _panel_sum(f, edges: np.ndarray) -> float:
-    """Adaptive Gauss-Legendre sum over log panels in u-space."""
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    est = _panel_block(f, lo, hi)
-    scale = max(float(np.sum(np.abs(est))), 1e-300)
-    total = 0.0
+def _panel_sum(f, col, lo, hi):
+    """Adaptive Gauss-Legendre sums over log panels in u-space.
+
+    Panel i, [lo[i], hi[i]], belongs to column col[i]; col is sorted and
+    each column's panels are in order.  Every column refines against its
+    own scale, and the sums are returned in the order of np.unique(col).
+    """
+    pos, runs = _layout(col)
+    n = int(pos[-1]) + 1
+    est = _panel_block(f, col, lo, hi, runs)
+    scale = np.maximum(_column_sums(np.abs(est), pos, runs, n), 1e-300)
+    total = np.zeros(n)
     for _ in range(_MAX_REFINE_DEPTH):
         mid = 0.5 * (lo + hi)
-        left = _panel_block(f, lo, mid)
-        right = _panel_block(f, mid, hi)
+        left = _panel_block(f, col, lo, mid, runs)
+        right = _panel_block(f, col, mid, hi, runs)
         refined = left + right
-        done = np.abs(refined - est) <= _REFINE_TOL * scale
-        total += float(np.sum(refined[done]))
-        if np.all(done):
-            return total
+        done = np.abs(refined - est) <= _REFINE_TOL * scale[pos]
+        if done.all():
+            return total + _column_sums(refined, pos, runs, n)
+        if done.any():
+            total += _column_sums(refined[done], pos[done], _layout(pos[done])[1], n)
         keep = ~done
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        est = np.concatenate([left[keep], right[keep]])
-    return total + float(np.sum(est))
+        # each column's kept left halves, then its kept right halves
+        pos = np.concatenate([pos[keep], pos[keep]])
+        order = np.argsort(pos, kind="stable")
+        pos = pos[order]
+        runs = _layout(pos)[1]
+        col = np.concatenate([col[keep], col[keep]])[order]
+        lo = np.concatenate([lo[keep], mid[keep]])[order]
+        hi = np.concatenate([mid[keep], hi[keep]])[order]
+        est = np.concatenate([left[keep], right[keep]])[order]
+    return total + _column_sums(est, pos, runs, n)
 
 
-def _decade_block(f, u_start: float, direction: int) -> tuple[float, float]:
-    """Integral of f over one decade extending from u_start.
+def _shared_sum(f, cols: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sums of the columns cols over the same u-space panel edges."""
+    lo = np.empty((cols.size, edges.size - 1))
+    hi = np.empty_like(lo)
+    lo[:], hi[:] = edges[:-1], edges[1:]
+    return _panel_sum(f, cols.repeat(edges.size - 1), lo.ravel(), hi.ravel())
 
-    direction +1 extends upward, -1 downward.  Returns (value, new_edge).
+
+def _decade_block(f, cols, u_start: float, direction: int):
+    """Integrals of the columns cols over one decade extending from u_start.
+
+    direction +1 extends upward, -1 downward.  Returns (values, new_edge).
     """
     if direction > 0:
         edges = np.linspace(u_start, u_start + _DECADE, _PANELS_PER_DECADE + 1)
@@ -143,84 +219,188 @@ def _decade_block(f, u_start: float, direction: int) -> tuple[float, float]:
     else:
         edges = np.linspace(u_start - _DECADE, u_start, _PANELS_PER_DECADE + 1)
         new_edge = u_start - _DECADE
-    return _panel_sum(f, edges), new_edge
+    return _shared_sum(f, cols, edges), new_edge
 
 
-def _extend(f, u_start, direction, scale_hint, closure, expected_ratio=None):
-    """Extend an improper endpoint decade by decade.
+def _extend(f, cols, u_start, direction, scale_hint, closure, expected_ratio=None):
+    """Extend an improper endpoint decade by decade, for the columns cols.
 
-    Returns (added_value, status, final_edge, n_blocks).  scale_hint is
-    the magnitude of the integral gathered so far; tolerances are taken
-    relative to it (it is updated as blocks accumulate).
+    Returns arrays (added_value, status, final_edge, n_blocks) aligned
+    with cols.  scale_hint holds the magnitude of each column's integral
+    gathered so far; tolerances are taken relative to it (it is updated
+    as blocks accumulate).  The columns share each decade while they
+    extend, but every column keeps its own state and leaves as soon as
+    it converges, diverges or closes its tail.
 
     closure=True enables the geometric tail sum.  It must only be used
     for integrands of one sign: the consistency test compares successive
     tail estimates, which is meaningless under cancellation.
     """
-    added = 0.0
-    scale = abs(scale_hint)
+    n = cols.size
+    value = np.zeros(n)
+    status = np.full(n, INCONCLUSIVE, dtype=object)
+    final_edge = np.full(n, u_start)
+    n_blocks = np.zeros(n, dtype=int)
+    # state of the columns still extending, compacted as columns leave;
+    # NaN marks a previous block, tail estimate or ratio not yet set
+    live = np.arange(n)
+    added = np.zeros(n)
+    scale = np.abs(scale_hint)
+    prev_block = np.full(n, np.nan)
+    prev_est = np.full(n, np.nan)
+    ratio_prev = np.full(n, np.nan if expected_ratio is None else expected_ratio)
+    growth_streak = np.zeros(n, dtype=int)
     edge = u_start
-    prev_block = None
-    prev_est = None
-    ratio_prev = expected_ratio
-    growth_streak = 0
     u_limit = _U_MAX if direction > 0 else _U_MIN
 
-    def _forced_close(blocks_used):
+    def _leave(gone, st, at, blocks_used):
+        if not gone.any():
+            return
+        which = live[gone]
+        value[which] = added[gone]
+        status[which] = st
+        final_edge[which] = at
+        n_blocks[which] = blocks_used
+
+    def _forced_close(gone, at, blocks_used):
         # range or budget ran out: close the tail from the last ratio if
         # the trend was decaying and the leftover is provably small
-        if prev_block is not None and ratio_prev is not None and 0 < ratio_prev < 0.99:
-            est = abs(prev_block) * ratio_prev / (1.0 - ratio_prev)
-            if est <= max(ABS_TOL, REL_TOL * scale) * 10:
-                return added, CONVERGED, edge, blocks_used
-        return added, INCONCLUSIVE, edge, blocks_used
+        q = ratio_prev[gone]
+        decaying = (0 < q) & (q < 0.99)
+        q = np.where(decaying, q, np.nan)
+        est = np.abs(prev_block[gone]) * q / (1.0 - q)
+        small = decaying & (est <= np.maximum(ABS_TOL, REL_TOL * scale[gone]) * 10)
+        _leave(gone, INCONCLUSIVE, at, blocks_used)
+        status[live[gone][small]] = CONVERGED
 
+    blocks_used = MAX_DECADES
     for k in range(MAX_DECADES):
+        if live.size == 0:
+            break
         if (direction > 0 and edge >= u_limit) or (direction < 0 and edge <= u_limit):
-            return _forced_close(k)
-        block, new_edge = _decade_block(f, edge, direction)
-        if not np.isfinite(block):
-            if ratio_prev is not None and ratio_prev < 0.99:
-                # decaying trend hit the representable range; close it
-                return _forced_close(k + 1)
-            # growing contributions beyond float range
-            return added, DIVERGENT, new_edge, k + 1
+            blocks_used = k
+            break
+        block, new_edge = _decade_block(f, cols[live], edge, direction)
+        finite = np.isfinite(block)
+        if not finite.all():
+            # a decaying trend hit the representable range: close it;
+            # otherwise the contributions grew beyond float range
+            decaying = ratio_prev < 0.99
+            _forced_close(~finite & decaying, edge, k + 1)
+            _leave(~finite & ~decaying, DIVERGENT, new_edge, k + 1)
+            live, added, scale, prev_block, prev_est, ratio_prev, growth_streak, block = (
+                a[finite]
+                for a in (live, added, scale, prev_block, prev_est, ratio_prev, growth_streak, block)
+            )
         edge = new_edge
-        added += block
-        scale = max(scale, abs(added))
-        tol = max(ABS_TOL, REL_TOL * scale)
-        mag = abs(block)
+        added = added + block
+        scale = np.maximum(scale, np.abs(added))
+        tol = np.maximum(ABS_TOL, REL_TOL * scale)
+        mag = np.abs(block)
 
-        if mag <= 0.1 * tol:
-            return added, CONVERGED, edge, k + 1
+        prev = np.abs(prev_block)
+        has_prev = prev > 0
+        q = mag / np.where(has_prev, prev, 1.0)
+        growing = has_prev & (q >= _DIVERGENCE_RATIO)
+        growth_streak = np.where(has_prev, (growth_streak + 1) * growing, growth_streak)
+        # geometric tail estimate from this block's ratio or, with no
+        # previous block, seeded from the caller's tail hint
+        ratio = np.where(has_prev, q, ratio_prev)
+        usable = closure & (ratio < 0.98) & (has_prev | (ratio > 0))
+        q_tail = np.where(usable, ratio, np.nan)
+        est = mag * q_tail / (1.0 - q_tail)
 
-        if prev_block is not None and abs(prev_block) > 0:
-            q = mag / abs(prev_block)
-            if q >= _DIVERGENCE_RATIO:
-                growth_streak += 1
-                if growth_streak >= 2:
-                    return added, DIVERGENT, edge, k + 1
-            else:
-                growth_streak = 0
-            if closure and q < 0.98:
-                est = mag * q / (1.0 - q)
-                if prev_est is not None:
-                    # exact for a geometric tail: previous estimate must
-                    # equal this block plus the new estimate
-                    mismatch = abs(prev_est - (mag + est))
-                    if mismatch <= 0.3 * tol and est <= 1e6 * scale:
-                        sign = 1.0 if block >= 0 else -1.0
-                        return added + sign * est, CONVERGED, edge, k + 1
-                prev_est = est
-            else:
-                prev_est = None
-            ratio_prev = q
-        elif closure and ratio_prev is not None and 0 < ratio_prev < 0.98:
-            # seed from the caller's tail hint: try closure immediately
-            prev_est = mag * ratio_prev / (1.0 - ratio_prev)
+        converged = mag <= 0.1 * tol
+        diverged = growing & (growth_streak >= 2) & ~converged
+        # exact for a geometric tail: the previous estimate must equal
+        # this block plus the new estimate
+        closed = (
+            (np.abs(prev_est - (mag + est)) <= 0.3 * tol)
+            & (est <= 1e6 * scale)
+            & has_prev
+            & ~converged
+        )
+        gone = converged | diverged | closed
+        if gone.any():
+            added = np.where(closed, added + np.where(block >= 0, est, -est), added)
+            _leave(converged | closed, CONVERGED, edge, k + 1)
+            _leave(diverged, DIVERGENT, edge, k + 1)
+        prev_est = np.where(usable | has_prev, est, prev_est)
+        ratio_prev = ratio
         prev_block = block
+        if gone.any():
+            keep = ~gone
+            live, added, scale, prev_block, prev_est, ratio_prev, growth_streak = (
+                a[keep] for a in (live, added, scale, prev_block, prev_est, ratio_prev, growth_streak)
+            )
 
-    return _forced_close(MAX_DECADES)
+    _forced_close(np.ones(live.size, dtype=bool), edge, blocks_used)
+    return value, status, final_edge, n_blocks
+
+
+def improper_columns(
+    f,
+    m: int,
+    *,
+    lo: float = 0.0,
+    hi: float = np.inf,
+    closure: bool = True,
+    tail_exponents: tuple[float, float] | None = None,
+) -> list[IntegralResult]:
+    """Integrate m integrands over (lo, hi) at once, with adaptive
+    endpoint extension.
+
+    f(r, col) gives the integrand of column col[i] at radius r[i]; r and
+    col are 1-d arrays of one length.  All columns run on the same log
+    panels, so one call of f evaluates every column still in play; each
+    column keeps its own refinement, extension and divergence state,
+    and its result equals bit for bit the one it gets when integrated
+    alone.  lo = 0 and/or hi = inf request improper handling of that
+    endpoint.  Finite endpoints are honoured exactly.  tail_exponents,
+    when given, are the power-law orders (p0, pinf) shared by the
+    integrands at the endpoints and are used to seed the geometric
+    closure.
+
+    Returns one IntegralResult per column.
+    """
+    lower_open = lo == 0.0
+    upper_open = np.isinf(hi)
+    base_lo = max(EPS_LOW, lo) if lower_open else lo
+    base_hi = min(R_HIGH, hi) if upper_open else hi
+    if base_lo >= base_hi:
+        # base window collapsed (e.g. fixed range inside one decade)
+        base_lo = lo if not lower_open else min(lo if lo > 0 else base_hi / 10.0, base_hi / 10.0)
+    u_lo, u_hi = np.log(base_lo), np.log(base_hi)
+    n_panels = max(1, int(np.ceil((u_hi - u_lo) * _PANELS_PER_DECADE / _DECADE)))
+    value = _shared_sum(f, np.arange(m), np.linspace(u_lo, u_hi, n_panels + 1))
+    status = np.full(m, CONVERGED, dtype=object)
+    status[~np.isfinite(value)] = DIVERGENT
+    n_eval = np.zeros(m, dtype=int)
+    edges = {-1: np.full(m, base_lo), +1: np.full(m, base_hi)}
+
+    # (direction, start, per-decade ratio of int f dr) of each open end
+    sides = []
+    if upper_open:
+        q_hint = None if tail_exponents is None else 10.0 ** (1.0 - tail_exponents[1])
+        sides.append((+1, u_hi, q_hint))
+    if lower_open:
+        q_hint = None if tail_exponents is None else 10.0 ** (tail_exponents[0] - 1.0)
+        sides.append((-1, u_lo, q_hint))
+    for direction, start, q_hint in sides:
+        if q_hint is not None and not (0 < q_hint < 0.9):
+            q_hint = None
+        live = np.flatnonzero(status != DIVERGENT)
+        add, st, edge, n = _extend(f, live, start, direction, value[live], closure, q_hint)
+        value[live] += add
+        n_eval[live] += n
+        edges[direction][live] = np.exp(edge)
+        failed = st != CONVERGED
+        status[live[failed]] = st[failed]
+
+    return [
+        IntegralResult(float(v), s, float(a), float(b), int(k))
+        for v, s, a, b, k in zip(value, status, edges[-1], edges[+1], n_eval)
+    ]
 
 
 def improper_integral(
@@ -231,56 +411,16 @@ def improper_integral(
     closure: bool = True,
     tail_exponents: tuple[float, float] | None = None,
 ) -> IntegralResult:
-    """Integrate f over (lo, hi) with adaptive endpoint extension.
-
-    lo = 0 and/or hi = inf request improper handling of that endpoint.
-    Finite endpoints are honoured exactly.  tail_exponents, when given,
-    are the power-law orders (p0, pinf) of f itself at the endpoints and
-    are used to seed the geometric closure.
+    """Integrate f over (lo, hi) with adaptive endpoint extension: the
+    one-column case of :func:`improper_columns`, for an f that maps a
+    1-d array of radii to integrand values.
 
     Returns an IntegralResult; use :func:`improper_value` to raise on
     divergence instead.
     """
-    lower_open = lo == 0.0
-    upper_open = np.isinf(hi)
-    base_lo = max(EPS_LOW, lo) if lower_open else lo
-    base_hi = min(R_HIGH, hi) if upper_open else hi
-    if base_lo >= base_hi:
-        # base window collapsed (e.g. fixed range inside one decade)
-        base_lo = lo if not lower_open else min(lo if lo > 0 else base_hi / 10.0, base_hi / 10.0)
-    value = panel_integral(f, base_lo, base_hi)
-    if not np.isfinite(value):
-        return IntegralResult(value, DIVERGENT, base_lo, base_hi, 0)
-    n_eval = 0
-    status = CONVERGED
-    lo_edge, hi_edge = base_lo, base_hi
-
-    if upper_open:
-        q_hint = None
-        if tail_exponents is not None:
-            q_hint = 10.0 ** (1.0 - tail_exponents[1])  # per-decade ratio of int f dr
-            if not (0 < q_hint < 0.9):
-                q_hint = None
-        add, st, edge, n = _extend(f, np.log(base_hi), +1, value, closure, q_hint)
-        value += add
-        n_eval += n
-        hi_edge = np.exp(edge)
-        if st != CONVERGED:
-            status = st
-    if lower_open and status != DIVERGENT:
-        q_hint = None
-        if tail_exponents is not None:
-            q_hint = 10.0 ** (tail_exponents[0] - 1.0)
-            if not (0 < q_hint < 0.9):
-                q_hint = None
-        add, st, edge, n = _extend(f, np.log(base_lo), -1, value, closure, q_hint)
-        value += add
-        n_eval += n
-        lo_edge = np.exp(edge)
-        if st != CONVERGED:
-            status = st
-
-    return IntegralResult(value, status, lo_edge, hi_edge, n_eval)
+    return improper_columns(
+        lambda r, _col: f(r), 1, lo=lo, hi=hi, closure=closure, tail_exponents=tail_exponents
+    )[0]
 
 
 def improper_value(f, **kw) -> float:

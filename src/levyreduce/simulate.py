@@ -262,13 +262,15 @@ def _radius_table(gamma, eps: float) -> np.ndarray:
     r_max = min(max(r_max, 10.0 * eps), R_HIGH)
     n_cells = max(int(np.log10(r_max / eps) * _TABLE_CELLS_PER_DECADE), 16)
     grid = np.geomspace(eps, r_max, n_cells + 1)
-    cells = np.zeros(n_cells)
-    empty_run = 0
-    for j in range(n_cells):
-        cells[j] = panel_integral(gamma.density, grid[j], grid[j + 1])
-        empty_run = empty_run + 1 if cells[j] == 0.0 else 0
-        if empty_run == _EMPTY_RUN_STOP:
-            break  # past the end of the support; the rest stays 0
+    # one batched pass, each cell refined to its own tolerance
+    cells = panel_integral(gamma.density, grid[:-1], grid[1:])
+    # past the end of the support: the cells after the first run of
+    # _EMPTY_RUN_STOP empty cells are 0
+    j = np.arange(n_cells)
+    empty_run = j - np.maximum.accumulate(np.where(cells != 0.0, j, -1))
+    stop = np.flatnonzero(empty_run >= _EMPTY_RUN_STOP)
+    if stop.size:
+        cells[stop[0] + 1 :] = 0.0
     # survival mass from the top avoids cancellation in the deep tail
     survival = np.concatenate([np.cumsum(cells[::-1])[::-1], [0.0]])
     total = max(survival[0], 1e-300)

@@ -1,6 +1,8 @@
 """Compensated-exponential kernel and Laplace exponents, against the
 closed stable forms and the scaling bounds they must satisfy."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,15 @@ ARRAY_MEASURES = [
     tabulated_radial(_R_TABLE, _R_TABLE**-2.5, hints=(2.5, 2.5)),
 ]
 ARRAY_IDS = ["power", "atoms", "tabulated"]
+_TEMPERED_R = np.geomspace(1e-4, 50.0, 400)
+COLUMN_MEASURES = [
+    power_radial(1.5),
+    tabulated_radial(_TEMPERED_R, _TEMPERED_R**-2.5 * np.exp(-_TEMPERED_R)),
+    RadialMeasure(
+        density=power_radial(1.5).density, atoms=((0.5, 2.0), (3.0, 0.25)), hints=(2.5, 2.5)
+    ),
+]
+COLUMN_IDS = ["power", "tempered-no-hints", "atoms-and-density"]
 
 
 def _quarter_disc_spec():
@@ -255,6 +266,50 @@ class TestArrayArguments:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             laplace_radial(power_radial(1.5), np.array([1.0, -1.0]))
+
+    def test_non_finite_argument_rejected(self, example_spec, two_atom_spherical):
+        # bad input, not a failed moment of a valid measure
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                laplace_radial(power_radial(1.5), bad)
+            with pytest.raises(ValueError, match="finite"):
+                laplace_radial(power_radial(1.5), np.array([1.0, bad]))
+            with pytest.raises(ValueError, match="finite"):
+                laplace_jump(example_spec, [bad, 1.0])
+            with pytest.raises(ValueError, match="finite"):
+                stable_exponent(two_atom_spherical, 1.5, np.array([[1.0, 1.0], [1.0, bad]]))
+
+    @pytest.mark.parametrize("rho", COLUMN_MEASURES, ids=COLUMN_IDS)
+    @pytest.mark.parametrize("lo", [0.0, 3e-3])
+    def test_columns_equal_column_by_column(self, rho, lo):
+        b = np.r_[0.0, np.geomspace(1e-3, 1e3, 30), 1.0, 1.0, 0.0]
+        out = laplace_radial(rho, b, lo=lo)
+        ref = np.array([laplace_radial(rho, float(v), lo=lo) for v in b])
+        np.testing.assert_array_equal(out, ref)
+
+    def test_one_column_pass_per_call(self, monkeypatch):
+        # the panel passes do not grow with the number of distinct b
+        from levyreduce import quadrature
+
+        calls = []
+        block = quadrature._panel_block
+        monkeypatch.setattr(
+            quadrature, "_panel_block", lambda *a: calls.append(1) or block(*a)
+        )
+
+        def passes(n):
+            calls.clear()
+            laplace_radial(power_radial(1.5), np.geomspace(1e-3, 1e3, n))
+            return len(calls)
+
+        assert passes(400) <= 2 * passes(4)
+
+    def test_moment_failure_names_a_b_of_the_grid(self):
+        grid = np.array([0.0, 0.7, 2.0])
+        with pytest.raises(DivergentIntegral, match="divergent") as err:
+            laplace_radial(power_radial(2.5), grid)
+        named = re.search(r"at b=(\S+) did not converge", str(err.value))
+        assert named is not None and float(named.group(1)) in grid[1:]
 
     def test_stack_on_atoms_is_exact(self):
         sph = SphericalMeasure.from_atoms(

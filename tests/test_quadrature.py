@@ -11,6 +11,7 @@ from levyreduce import (
     DIVERGENT,
     INCONCLUSIVE,
     DivergentIntegral,
+    improper_columns,
     improper_integral,
     improper_value,
     panel_integral,
@@ -33,6 +34,36 @@ def test_panel_integral_additive_in_range():
 def test_panel_integral_rejects_nonpositive_lower_edge():
     with pytest.raises(ValueError):
         panel_integral(np.cos, 0.0, 1.0)
+
+
+def test_panel_integral_over_many_ranges_matches_one_range_calls():
+    # ranges of one, several and many panels, each refined on its own
+    f = lambda r: r**-1.5 * np.exp(-r)  # noqa: E731
+    lo = np.r_[np.geomspace(0.01, 100.0, 41)[:-1], 0.1, 1e-3]
+    hi = np.r_[np.geomspace(0.01, 100.0, 41)[1:], 1e3, 1e6]
+    out = panel_integral(f, lo, hi)
+    assert out.shape == lo.shape
+    for k in range(lo.size):
+        assert out[k] == panel_integral(f, lo[k], hi[k])
+    assert panel_integral(f, lo.reshape(2, 21), hi.reshape(2, 21)).shape == (2, 21)
+
+
+def test_columns_equal_one_column_calls_bit_for_bit():
+    # e^(-c r) r^-p, one column per (c, p); r^-1.5 diverges at 0 and
+    # leaves the lockstep early without disturbing the other columns
+    c = np.array([0.01, 0.5, 1.0, 3.0, 40.0])
+    p = np.array([0.3, 0.3, 1.5, 0.3, 0.9])
+
+    def f(r, col):
+        return np.exp(-c[col] * r) * r ** -p[col]
+
+    for lo, hi in ((0.0, np.inf), (3e-3, np.inf), (0.0, 2.0)):
+        results = improper_columns(f, c.size, lo=lo, hi=hi)
+        for k, res in enumerate(results):
+            alone = improper_integral(lambda r, _k=k: f(r, np.full(r.size, _k)), lo=lo, hi=hi)
+            assert res == alone
+        assert (results[2].status == DIVERGENT) == (lo == 0.0)
+        assert results[0].status == results[1].status == CONVERGED
 
 
 def test_improper_integral_exponential_tail():

@@ -400,24 +400,32 @@ class TestBatchedJumpDraws:
 class TestRadiusTable:
     def test_tabulation_stops_a_decade_past_the_support(self, monkeypatch):
         # the tempered law r^-2.5 e^-r tabulated on [1e-4, 50] without
-        # hints: the grid runs to eps 1e8, far past the support
-        r = np.geomspace(1e-4, 50.0, 400)
-        gamma = tabulated_radial(r, r**-2.5 * np.exp(-r))
+        # hints: the grid runs to eps 1e8, far past the support.  A bump
+        # on [1e4, 2e4], behind two empty decades, lies in cells after
+        # the first empty decade, so the table ignores it
+        r = np.r_[np.geomspace(1e-4, 50.0, 400), 60.0]
+        dens = np.r_[r[:-1] ** -2.5 * np.exp(-r[:-1]), 0.0]
+        gamma = tabulated_radial(r, dens)
+        bumped = tabulated_radial(
+            np.r_[r, 9e3, 1e4, 2e4, 2.1e4], np.r_[dens, 0.0, 1e-9, 1e-9, 0.0]
+        )
         calls = []
 
         def counted(f, lo, hi):
-            calls.append(lo)
+            calls.append(np.size(lo))
             return panel_integral(f, lo, hi)
 
         monkeypatch.setattr(simulate, "panel_integral", counted)
         for eps in (3e-3, 1e-2):
             calls.clear()
             table = simulate._radius_table(gamma, eps)
-            assert len(calls) <= 700
+            assert np.array_equal(simulate._radius_table(bumped, eps), table)
+            # every cell of a table is integrated in one batched pass
+            assert len(calls) == 2 and calls[0] > 1000
             with monkeypatch.context() as full:
                 full.setattr(simulate, "_EMPTY_RUN_STOP", 10**9)
-                assert np.array_equal(table, simulate._radius_table(gamma, eps))
-            assert len(calls) > 1000  # the full grid was integrated
+                assert np.array_equal(simulate._radius_table(gamma, eps), table)
+                assert not np.array_equal(simulate._radius_table(bumped, eps), table)
 
 
 class TestSimulateOriginal:
