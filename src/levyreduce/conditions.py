@@ -122,7 +122,7 @@ def check_martingale(spec: LevySpec) -> rpt.CheckReport:
     def moment(gamma):
         if gamma.is_zero:
             return None
-        return radial_integral(gamma, _min_kernel, weight_exponents=(2.0, 1.0))
+        return radial_integral(gamma, _min_kernel)
 
     worst = 0.0
     bad_detail = ""
@@ -323,10 +323,7 @@ def _window_moment(measure, lo, hi, power):
     weight = (lambda r: np.asarray(r, dtype=float)) if power == 1 else (
         lambda r: np.asarray(r, dtype=float) ** power
     )
-    res = radial_integral(
-        measure, weight, lo=lo, hi=hi, weight_exponents=(float(power), float(power))
-    )
-    return res.value
+    return radial_integral(measure, weight, lo=lo, hi=hi).value
 
 
 def _limsup_estimate(values):

@@ -90,11 +90,7 @@ def laplace_radial(
     if cols.size and not measure.is_zero:
         bk = values[cols]
         results = radial_columns(
-            measure,
-            lambda r, col: compensated_exp(bk[col] * r),
-            cols.size,
-            lo=lo,
-            weight_exponents=(2.0, 1.0),  # H ~ r^2 at 0, ~ r at infinity
+            measure, lambda r, col: compensated_exp(bk[col] * r), cols.size, lo=lo
         )
         for k, res in zip(cols, results):
             if res.status != CONVERGED:

@@ -42,25 +42,20 @@ class RadialMeasure:
     """A sigma-finite measure on (0, inf): density part plus atoms.
 
     density maps an array of radii to density values; atoms is a tuple
-    of (location, weight) pairs.  hints, when present, give the power
-    orders (p0, pinf) of the density near 0 and infinity (density ~
-    r^-p); they steer quadrature but never change the measure.
-    power_index is set by power_radial alone: it states that the density
-    is exactly scale * r^-(1+power_index), which lets the jump sampler
-    draw radii in closed form.
+    of (location, weight) pairs.  power_index is set by power_radial
+    alone: it states that the density is exactly
+    scale * r^-(1+power_index), which lets the jump sampler draw radii
+    in closed form.
     """
 
     density: Callable | None = None
     atoms: tuple[tuple[float, float], ...] = ()
-    hints: tuple[float, float] | None = None
     power_index: float | None = None
 
     def __post_init__(self):
         # plain float tuples keep the measure hashable, so sweeps can
         # memoise per-measure work on the measure itself
         object.__setattr__(self, "atoms", tuple((float(r), float(w)) for r, w in self.atoms))
-        if self.hints is not None:
-            object.__setattr__(self, "hints", tuple(float(h) for h in self.hints))
         if self.power_index is not None:
             object.__setattr__(self, "power_index", float(self.power_index))
         for r, w in self.atoms:
@@ -80,20 +75,18 @@ def power_radial(alpha: float, scale: float = 1.0) -> RadialMeasure:
         raise ValueError("alpha must be finite")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    p = 1.0 + alpha
 
-    def dens(r, _p=p, _s=scale):
+    def dens(r, _p=1.0 + alpha, _s=scale):
         r = np.asarray(r, dtype=float)
         return _s * r ** (-_p)
 
-    return RadialMeasure(density=dens, hints=(p, p), power_index=alpha)
+    return RadialMeasure(density=dens, power_index=alpha)
 
 
-def tabulated_radial(r_grid, values, hints=None) -> RadialMeasure:
+def tabulated_radial(r_grid, values) -> RadialMeasure:
     """Radial density from (r, value) pairs with linear interpolation.
 
-    Outside the table the density is zero; hints may still be supplied
-    when the table approximates a known power law.
+    Outside the table the density is zero.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -109,7 +102,7 @@ def tabulated_radial(r_grid, values, hints=None) -> RadialMeasure:
     def dens(r, _g=r_grid, _v=values):
         return np.interp(np.asarray(r, dtype=float), _g, _v, left=0.0, right=0.0)
 
-    return RadialMeasure(density=dens, hints=hints)
+    return RadialMeasure(density=dens)
 
 
 def radial_columns(
@@ -119,16 +112,13 @@ def radial_columns(
     *,
     lo: float = 0.0,
     hi: float = np.inf,
-    weight_exponents: tuple[float, float] | None = None,
     closure: bool = True,
 ) -> list[IntegralResult]:
     """int weight(r, k) measure(dr) over (lo, hi) for the m columns k, as
     one IntegralResult each, integrated in one column pass.
 
     weight(r, col) gives column col[i]'s weight at radius r[i] (1-d
-    arrays).  weight_exponents (w0, winf) describe weight ~ r^w
-    behaviour at the endpoints, shared by the columns; combined with
-    the measure's hints they seed the tail handling of the quadrature.
+    arrays).
     """
     total = np.zeros(m)
     columns = np.arange(m)
@@ -145,12 +135,7 @@ def radial_columns(
     else:
         f = lambda r, col: weight(r, col) * dens(r)
 
-    tails = None
-    if measure.hints is not None:
-        w0, winf = weight_exponents if weight_exponents is not None else (0.0, 0.0)
-        tails = (measure.hints[0] - w0, measure.hints[1] - winf)
-
-    results = improper_columns(f, m, lo=lo, hi=hi, closure=closure, tail_exponents=tails)
+    results = improper_columns(f, m, lo=lo, hi=hi, closure=closure)
     return [replace(res, value=res.value + t) for res, t in zip(results, total)]
 
 
@@ -160,22 +145,13 @@ def radial_integral(
     *,
     lo: float = 0.0,
     hi: float = np.inf,
-    weight_exponents: tuple[float, float] | None = None,
     closure: bool = True,
 ):
     """int weight(r) measure(dr) over (lo, hi) as an IntegralResult: the
     one-column case of :func:`radial_columns`, for a weight that maps a
     1-d array of radii to values."""
     column_weight = None if weight is None else (lambda r, _col: weight(r))
-    return radial_columns(
-        measure,
-        column_weight,
-        1,
-        lo=lo,
-        hi=hi,
-        weight_exponents=weight_exponents,
-        closure=closure,
-    )[0]
+    return radial_columns(measure, column_weight, 1, lo=lo, hi=hi, closure=closure)[0]
 
 
 def _atoms_only_result(total, lo, hi):
@@ -275,13 +251,11 @@ class DensityLevySpec:
     """Jump measure given by a plain density g on R^d, d >= 2.
 
     density maps an (n, d) array of points to values; it must be
-    nonnegative wherever evaluated (checked on every call).  hints are
-    the power orders of g(x) ~ |x|^-p near 0 and infinity.
+    nonnegative wherever evaluated (checked on every call).
     """
 
     dimension: int
     density: Callable
-    hints: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -297,8 +271,12 @@ class DensityLevySpec:
 
 
 def density_spec(density, dimension, hints=None) -> DensityLevySpec:
-    """Wrap a plain Cartesian jump density with its dimension and hints."""
-    return DensityLevySpec(int(dimension), density, hints)
+    """Wrap a plain Cartesian jump density with its dimension.
+
+    hints is accepted and ignored: the quadrature measures tail orders
+    itself.  The keyword stays only for callers that still pass it.
+    """
+    return DensityLevySpec(int(dimension), density)
 
 
 @dataclass(frozen=True)

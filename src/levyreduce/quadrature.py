@@ -222,7 +222,7 @@ def _decade_block(f, cols, u_start: float, direction: int):
     return _shared_sum(f, cols, edges), new_edge
 
 
-def _extend(f, cols, u_start, direction, scale_hint, closure, expected_ratio=None):
+def _extend(f, cols, u_start, direction, scale_hint, closure):
     """Extend an improper endpoint decade by decade, for the columns cols.
 
     Returns arrays (added_value, status, final_edge, n_blocks) aligned
@@ -248,7 +248,7 @@ def _extend(f, cols, u_start, direction, scale_hint, closure, expected_ratio=Non
     scale = np.abs(scale_hint)
     prev_block = np.full(n, np.nan)
     prev_est = np.full(n, np.nan)
-    ratio_prev = np.full(n, np.nan if expected_ratio is None else expected_ratio)
+    ratio_prev = np.full(n, np.nan)
     growth_streak = np.zeros(n, dtype=int)
     edge = u_start
     u_limit = _U_MAX if direction > 0 else _U_MIN
@@ -303,10 +303,9 @@ def _extend(f, cols, u_start, direction, scale_hint, closure, expected_ratio=Non
         q = mag / np.where(has_prev, prev, 1.0)
         growing = has_prev & (q >= _DIVERGENCE_RATIO)
         growth_streak = np.where(has_prev, (growth_streak + 1) * growing, growth_streak)
-        # geometric tail estimate from this block's ratio or, with no
-        # previous block, seeded from the caller's tail hint
+        # geometric tail estimate from the ratio measured on this block
         ratio = np.where(has_prev, q, ratio_prev)
-        usable = closure & (ratio < 0.98) & (has_prev | (ratio > 0))
+        usable = closure & has_prev & (ratio < 0.98)
         q_tail = np.where(usable, ratio, np.nan)
         est = mag * q_tail / (1.0 - q_tail)
 
@@ -325,7 +324,7 @@ def _extend(f, cols, u_start, direction, scale_hint, closure, expected_ratio=Non
             added = np.where(closed, added + np.where(block >= 0, est, -est), added)
             _leave(converged | closed, CONVERGED, edge, k + 1)
             _leave(diverged, DIVERGENT, edge, k + 1)
-        prev_est = np.where(usable | has_prev, est, prev_est)
+        prev_est = np.where(has_prev, est, prev_est)
         ratio_prev = ratio
         prev_block = block
         if gone.any():
@@ -345,7 +344,6 @@ def improper_columns(
     lo: float = 0.0,
     hi: float = np.inf,
     closure: bool = True,
-    tail_exponents: tuple[float, float] | None = None,
 ) -> list[IntegralResult]:
     """Integrate m integrands over (lo, hi) at once, with adaptive
     endpoint extension.
@@ -356,10 +354,7 @@ def improper_columns(
     column keeps its own refinement, extension and divergence state,
     and its result equals bit for bit the one it gets when integrated
     alone.  lo = 0 and/or hi = inf request improper handling of that
-    endpoint.  Finite endpoints are honoured exactly.  tail_exponents,
-    when given, are the power-law orders (p0, pinf) shared by the
-    integrands at the endpoints and are used to seed the geometric
-    closure.
+    endpoint.  Finite endpoints are honoured exactly.
 
     Returns one IntegralResult per column.
     """
@@ -368,8 +363,13 @@ def improper_columns(
     base_lo = max(EPS_LOW, lo) if lower_open else lo
     base_hi = min(R_HIGH, hi) if upper_open else hi
     if base_lo >= base_hi:
-        # base window collapsed (e.g. fixed range inside one decade)
-        base_lo = lo if not lower_open else min(lo if lo > 0 else base_hi / 10.0, base_hi / 10.0)
+        # base window collapsed (a range inside one decade of an open
+        # end): widen it one decade into that end, so f never sees r
+        # outside (lo, hi)
+        if lower_open:
+            base_lo = base_hi / 10.0
+        elif upper_open:
+            base_hi = 10.0 * lo
     u_lo, u_hi = np.log(base_lo), np.log(base_hi)
     n_panels = max(1, int(np.ceil((u_hi - u_lo) * _PANELS_PER_DECADE / _DECADE)))
     value = _shared_sum(f, np.arange(m), np.linspace(u_lo, u_hi, n_panels + 1))
@@ -378,19 +378,13 @@ def improper_columns(
     n_eval = np.zeros(m, dtype=int)
     edges = {-1: np.full(m, base_lo), +1: np.full(m, base_hi)}
 
-    # (direction, start, per-decade ratio of int f dr) of each open end
-    sides = []
-    if upper_open:
-        q_hint = None if tail_exponents is None else 10.0 ** (1.0 - tail_exponents[1])
-        sides.append((+1, u_hi, q_hint))
+    # (direction, start) of each open end
+    sides = [(+1, u_hi)] if upper_open else []
     if lower_open:
-        q_hint = None if tail_exponents is None else 10.0 ** (tail_exponents[0] - 1.0)
-        sides.append((-1, u_lo, q_hint))
-    for direction, start, q_hint in sides:
-        if q_hint is not None and not (0 < q_hint < 0.9):
-            q_hint = None
+        sides.append((-1, u_lo))
+    for direction, start in sides:
         live = np.flatnonzero(status != DIVERGENT)
-        add, st, edge, n = _extend(f, live, start, direction, value[live], closure, q_hint)
+        add, st, edge, n = _extend(f, live, start, direction, value[live], closure)
         value[live] += add
         n_eval[live] += n
         edges[direction][live] = np.exp(edge)
@@ -409,7 +403,6 @@ def improper_integral(
     lo: float = 0.0,
     hi: float = np.inf,
     closure: bool = True,
-    tail_exponents: tuple[float, float] | None = None,
 ) -> IntegralResult:
     """Integrate f over (lo, hi) with adaptive endpoint extension: the
     one-column case of :func:`improper_columns`, for an f that maps a
@@ -418,9 +411,7 @@ def improper_integral(
     Returns an IntegralResult; use :func:`improper_value` to raise on
     divergence instead.
     """
-    return improper_columns(
-        lambda r, _col: f(r), 1, lo=lo, hi=hi, closure=closure, tail_exponents=tail_exponents
-    )[0]
+    return improper_columns(lambda r, _col: f(r), 1, lo=lo, hi=hi, closure=closure)[0]
 
 
 def improper_value(f, **kw) -> float:

@@ -80,9 +80,7 @@ class GeneratingModel:
         """Integrability and drift-domination invariants as a report."""
         items = []
         res = radial_integral(
-            self.mu,
-            lambda v: np.minimum(np.asarray(v, float), np.asarray(v, float) ** 2),
-            weight_exponents=(2.0, 1.0),
+            self.mu, lambda v: np.minimum(np.asarray(v, float), np.asarray(v, float) ** 2)
         )
         items.append(
             rpt.item(
@@ -92,11 +90,7 @@ class GeneratingModel:
                 detail="int (v wedge v^2) mu(dv)",
             )
         )
-        res = radial_integral(
-            self.nu_G0,
-            lambda v: np.asarray(v, dtype=float),
-            weight_exponents=(1.0, 1.0),
-        )
+        res = radial_integral(self.nu_G0, lambda v: np.asarray(v, dtype=float))
         nu_first = res.value
         items.append(
             rpt.item(
@@ -110,7 +104,6 @@ class GeneratingModel:
             self.nu_G0,
             lambda v: np.maximum(np.asarray(v, dtype=float) - 1.0, 0.0),
             lo=1.0,
-            weight_exponents=(1.0, 1.0),
         )
         items.append(
             rpt.item(
@@ -466,21 +459,21 @@ def apply_generator(model: GeneratingModel, lam: float, x: float) -> float:
         v = np.asarray(v, dtype=float)
         return 1.0 - v
 
-    def integrate(measure, fn, exponents, what, lo=0.0):
+    def integrate(measure, fn, what, lo=0.0):
         if measure.is_zero:
             return 0.0
-        res = radial_integral(measure, fn, lo=lo, weight_exponents=exponents)
+        res = radial_integral(measure, fn, lo=lo)
         if res.status != CONVERGED:
             raise DivergentIntegral(f"generator {what} integral did not converge")
         return res.value
 
-    jump = integrate(model.nu_G0, jump_kernel, (2.0, 0.0), "jump") + x * integrate(
-        model.mu, jump_kernel, (2.0, 0.0), "jump"
+    jump = integrate(model.nu_G0, jump_kernel, "jump") + x * integrate(
+        model.mu, jump_kernel, "jump"
     )
     drift = (
         model.a * x
         + model.b
-        + integrate(model.nu_G0, tail_drift, (1.0, 1.0), "drift", lo=1.0)
-        + x * integrate(model.mu, tail_drift, (1.0, 1.0), "drift", lo=1.0)
+        + integrate(model.nu_G0, tail_drift, "drift", lo=1.0)
+        + x * integrate(model.mu, tail_drift, "drift", lo=1.0)
     )
     return model.c * x * lam * lam * f - lam * drift * f + jump * f

@@ -253,13 +253,7 @@ class JumpSampler:
 def _radius_table(gamma, eps: float) -> np.ndarray:
     """Inverse-CDF table of a radial density restricted to (eps, inf),
     tabulated uniformly in v = -log(tail probability)."""
-    hint = gamma.hints[1] if gamma.hints is not None else None
-    if hint is not None and hint > 1.0:
-        # power tail: radius covering all but _TAIL_REMAINDER of the mass
-        r_max = eps * _TAIL_REMAINDER ** (-1.0 / (hint - 1.0))
-    else:
-        r_max = eps * 1e8
-    r_max = min(max(r_max, 10.0 * eps), R_HIGH)
+    r_max = min(eps * 1e8, R_HIGH)
     n_cells = max(int(np.log10(r_max / eps) * _TABLE_CELLS_PER_DECADE), 16)
     grid = np.geomspace(eps, r_max, n_cells + 1)
     # one batched pass, each cell refined to its own tolerance
@@ -324,17 +318,10 @@ def truncated_jump_sampler(
 
     def tail(gamma):
         mass_res = radial_integral(gamma, lo=eps)
-        flux_res = radial_integral(
-            gamma, lambda r: np.asarray(r, float), lo=eps, weight_exponents=(1.0, 1.0)
-        )
+        flux_res = radial_integral(gamma, lambda r: np.asarray(r, float), lo=eps)
         if mass_res.status != CONVERGED or flux_res.status != CONVERGED:
             return None
-        drop_res = radial_integral(
-            gamma,
-            lambda r: np.asarray(r, float) ** 2,
-            hi=eps,
-            weight_exponents=(2.0, 2.0),
-        )
+        drop_res = radial_integral(gamma, lambda r: np.asarray(r, float) ** 2, hi=eps)
         laws.append(_radius_law(gamma, eps, mass_res.value))
         return len(laws) - 1, mass_res.value, flux_res.value, max(drop_res.value, 0.0)
 

@@ -73,10 +73,7 @@ def radial_from_density(dspec: DensityLevySpec, xi) -> RadialMeasure:
         pts = r[:, None] * _xi[None, :]
         return _g(pts) * r**_p
 
-    hints = None
-    if dspec.hints is not None:
-        hints = (dspec.hints[0] - power, dspec.hints[1] - power)
-    return RadialMeasure(density=dens, hints=hints)
+    return RadialMeasure(density=dens)
 
 
 def induced_spec(dspec: DensityLevySpec) -> LevySpec:

@@ -66,7 +66,7 @@ def cos_density_spec():
         cos_t = points[:, 0] / r
         return (1.0 + 0.5 * cos_t) * r**-3.5
 
-    return density_spec(g, 2, hints=(3.5, 3.5))
+    return density_spec(g, 2)
 
 
 @pytest.fixture

@@ -51,10 +51,7 @@ def test_criterion_01_stable_coefficient_identity():
     start = time.perf_counter()
     worst = 0.0
     for alpha in (1.1, 1.5, 1.9):
-        quad = improper_value(
-            lambda v, _a=alpha: compensated_exp(v) * v ** (-1.0 - _a),
-            tail_exponents=(alpha - 1.0, 1.0 + alpha),
-        )
+        quad = improper_value(lambda v, _a=alpha: compensated_exp(v) * v ** (-1.0 - _a))
         worst = max(worst, abs(quad / stable_coefficient(alpha) - 1.0))
     elapsed = time.perf_counter() - start
     verdict(

@@ -290,8 +290,8 @@ class TestReducePipeline:
         assert payload["overall_pass"] is True
         assert "reduced.json" in payload["outputs"]
         model = json.loads((out / "reduced.json").read_text())
-        assert model["alpha"] == pytest.approx(1.5, abs=1e-6)
-        assert model["C"] == pytest.approx(1.0, rel=1e-4)
+        assert model["alpha"] == pytest.approx(1.5, abs=1e-12)
+        assert model["C"] == pytest.approx(1.0, abs=1e-12)
         assert model["a"] == -0.5
         assert model["b"] == 0.1
 

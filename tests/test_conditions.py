@@ -40,7 +40,7 @@ class TestMartingale:
             2,
             np.zeros((2, 2)),
             two_atom_spherical,
-            lambda xi: RadialMeasure(density=lambda r: r**-1.8, hints=(1.8, 1.8)),
+            lambda xi: RadialMeasure(density=lambda r: r**-1.8),
         )
         report = check_martingale(spec)
         assert not report.overall_pass
@@ -274,10 +274,7 @@ class TestQRatios:
         # Gamma = gamma + 1_(2,3)(r) dr: both window integrals of the
         # lower measure diverge, so the shared part dominates both limits
         lower = power_radial(1.5)
-        upper = RadialMeasure(
-            density=lambda r: r**-2.5 + ((r > 2.0) & (r < 3.0)),
-            hints=(2.5, 2.5),
-        )
+        upper = RadialMeasure(density=lambda r: r**-2.5 + ((r > 2.0) & (r < 3.0)))
         eps = np.logspace(-4, -9, 11)
         q0, q_inf, report = q_ratios(lower, upper, eps_grid=eps)
         assert q0 == pytest.approx(1.0, abs=1e-6)
@@ -294,9 +291,7 @@ class TestQRatios:
 
     def test_denominator_zero(self):
         lower = RadialMeasure(atoms=((5.0, 1.0),))  # no mass below 1
-        upper = RadialMeasure(
-            density=lambda r: np.ones_like(r), atoms=((5.0, 1.0),), hints=(0.0, 0.0)
-        )
+        upper = RadialMeasure(density=lambda r: np.ones_like(r), atoms=((5.0, 1.0),))
         with pytest.raises(DenominatorZero):
             q_ratios(lower, upper)
 

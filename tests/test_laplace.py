@@ -72,10 +72,7 @@ class TestStableCoefficient:
     def test_quadrature_identity(self):
         # int_0^inf H(v) v^(-1-alpha) dv reproduces the coefficient
         alpha = 1.5
-        val = improper_value(
-            lambda v: compensated_exp(v) * v ** (-1.0 - alpha),
-            tail_exponents=(alpha - 1.0, 1.0 + alpha),
-        )
+        val = improper_value(lambda v: compensated_exp(v) * v ** (-1.0 - alpha))
         assert val == pytest.approx(stable_coefficient(alpha), rel=1e-8)
 
     def test_rejects_boundary(self):
@@ -86,7 +83,11 @@ class TestStableCoefficient:
 
 class TestLaplaceRadial:
     def test_stable_closed_form(self):
-        assert laplace_radial(power_radial(1.5), 1.0) == pytest.approx(C_15, rel=1e-8)
+        # J(b) = c_alpha b^alpha over six decades of b
+        b = np.logspace(-3.0, 3.0, 61)
+        for alpha in (1.1, 1.5, 1.9):
+            exact = stable_coefficient(alpha) * b**alpha
+            np.testing.assert_allclose(laplace_radial(power_radial(alpha), b), exact, rtol=1e-10)
 
     def test_zero_argument(self):
         assert laplace_radial(power_radial(1.5), 0.0) == 0.0
@@ -204,16 +205,14 @@ _R_TABLE = np.geomspace(1e-6, 1e6, 400)
 ARRAY_MEASURES = [
     power_radial(1.5),
     RadialMeasure(atoms=((0.5, 2.0), (3.0, 0.25))),
-    tabulated_radial(_R_TABLE, _R_TABLE**-2.5, hints=(2.5, 2.5)),
+    tabulated_radial(_R_TABLE, _R_TABLE**-2.5),
 ]
 ARRAY_IDS = ["power", "atoms", "tabulated"]
 _TEMPERED_R = np.geomspace(1e-4, 50.0, 400)
 COLUMN_MEASURES = [
     power_radial(1.5),
     tabulated_radial(_TEMPERED_R, _TEMPERED_R**-2.5 * np.exp(-_TEMPERED_R)),
-    RadialMeasure(
-        density=power_radial(1.5).density, atoms=((0.5, 2.0), (3.0, 0.25)), hints=(2.5, 2.5)
-    ),
+    RadialMeasure(density=power_radial(1.5).density, atoms=((0.5, 2.0), (3.0, 0.25))),
 ]
 COLUMN_IDS = ["power", "tempered-no-hints", "atoms-and-density"]
 
@@ -254,9 +253,7 @@ class TestArrayArguments:
     def test_lower_cutoff_matches_radial_integral(self, rho):
         eps = 3e-3
         for b in (0.1, 2.0, 50.0):
-            ref = radial_integral(
-                rho, lambda r: compensated_exp(b * r), lo=eps, weight_exponents=(2.0, 1.0)
-            ).value
+            ref = radial_integral(rho, lambda r: compensated_exp(b * r), lo=eps).value
             assert laplace_radial(rho, np.array([b]), lo=eps)[0] == ref
 
     def test_moment_failure_raises_on_a_grid(self):

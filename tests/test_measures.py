@@ -38,9 +38,9 @@ class TestRadialMeasure:
 
     def test_list_inputs_stay_hashable(self):
         # sweeps memoise per-measure work with the measure as the key
-        rho = RadialMeasure(atoms=[[0.5, 1.0]], hints=[2.5, 2.5])
-        assert rho.atoms == ((0.5, 1.0),) and rho.hints == (2.5, 2.5)
-        assert {rho: 1}[RadialMeasure(atoms=((0.5, 1.0),), hints=(2.5, 2.5))] == 1
+        rho = RadialMeasure(atoms=[[0.5, 1.0]])
+        assert rho.atoms == ((0.5, 1.0),)
+        assert {rho: 1}[RadialMeasure(atoms=((0.5, 1.0),))] == 1
 
     def test_power_radial_density(self):
         rho = power_radial(1.5, scale=2.0)
@@ -63,11 +63,7 @@ class TestRadialMeasure:
 
     def test_radial_integral_power_law(self):
         # int (r^2 wedge r) r^(-2.5) dr = 2 + 2
-        res = radial_integral(
-            power_radial(1.5),
-            lambda r: np.minimum(r * r, r),
-            weight_exponents=(2.0, 1.0),
-        )
+        res = radial_integral(power_radial(1.5), lambda r: np.minimum(r * r, r))
         assert res.status == CONVERGED
         assert res.value == pytest.approx(4.0, rel=1e-8)
 
@@ -180,7 +176,6 @@ class TestDensitySpec:
     def test_wraps_density_and_hints(self):
         dspec = density_spec(lambda p: np.linalg.norm(p, axis=1) ** -3.5, 2, (3.5, 3.5))
         assert dspec.dimension == 2
-        assert dspec.hints == (3.5, 3.5)
         vals = dspec(np.array([[1.0, 0.0], [2.0, 0.0]]))
         assert vals == pytest.approx([1.0, 2.0**-3.5])
 

@@ -74,9 +74,7 @@ def test_improper_integral_exponential_tail():
 
 def test_improper_integral_endpoint_singularity():
     # integrable singularity r^(-1/2) over (0, 1]
-    res = improper_integral(
-        lambda r: r**-0.5, lo=0.0, hi=1.0, tail_exponents=(0.5, 0.5)
-    )
+    res = improper_integral(lambda r: r**-0.5, lo=0.0, hi=1.0)
     assert res.status == CONVERGED
     assert abs(res.value - 2.0) < 1e-8
 
@@ -119,6 +117,28 @@ def test_finite_endpoints_honoured_exactly():
     assert abs(res.value - 0.5) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(1e7, np.inf), (1e9, np.inf), (1e12, np.inf), (0.0, 1e-10)]
+)
+def test_base_window_stays_inside_the_range(lo, hi):
+    # an open end more than a decade beyond the base window's edge
+    # (above 1e8, below 1e-8) collapses that window; f must still see
+    # only radii in (lo, hi).  Both integrands come to B(3/2, 3/2) = pi/8
+    seen = []
+
+    def f(r):
+        seen.append(r)
+        if np.isinf(hi):
+            return lo**1.5 * np.sqrt(r - lo) * r**-3.0
+        return 0.25 * np.sqrt((hi - r) / r) / hi
+
+    res = improper_integral(f, lo=lo, hi=hi)
+    r = np.concatenate(seen)
+    assert np.all((lo < r) & (r < hi))
+    assert res.status == CONVERGED
+    assert res.value == pytest.approx(np.pi / 8.0, rel=1e-9)
+
+
 def test_tail_probes_classify_power_laws():
     # int_eps^1 r^(-0.5) dr converges, r^(-1.5) diverges
     assert improper_integral(lambda r: r**-0.5, lo=0.0, hi=1.0).status == CONVERGED
@@ -135,8 +155,8 @@ def test_lower_tail_probe_value():
 
 def test_determinism():
     f = lambda r: np.exp(-r) * r**-0.3  # noqa: E731
-    a = improper_integral(f, lo=0.0, hi=np.inf, tail_exponents=(0.3, np.inf))
-    b = improper_integral(f, lo=0.0, hi=np.inf, tail_exponents=(0.3, np.inf))
+    a = improper_integral(f, lo=0.0, hi=np.inf)
+    b = improper_integral(f, lo=0.0, hi=np.inf)
     assert a == b
 
 
@@ -147,8 +167,6 @@ def test_determinism():
 )
 def test_power_singularity_closed_form(p, scale):
     # int_0^1 s r^(-p) dr = s / (1 - p)
-    res = improper_integral(
-        lambda r, _s=scale, _p=p: _s * r**-_p, lo=0.0, hi=1.0, tail_exponents=(p, p)
-    )
+    res = improper_integral(lambda r, _s=scale, _p=p: _s * r**-_p, lo=0.0, hi=1.0)
     assert res.status == CONVERGED
     assert abs(res.value - scale / (1.0 - p)) < 1e-7 * scale / (1.0 - p)

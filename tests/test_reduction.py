@@ -345,9 +345,7 @@ def test_residual_intercept_detected(two_atom_spherical, example_vol):
     from levyreduce import LevySpec
 
     def family(xi):
-        return RadialMeasure(
-            density=lambda r: r**-2.5, atoms=((1.0, 0.4),), hints=(2.5, 2.5)
-        )
+        return RadialMeasure(density=lambda r: r**-2.5, atoms=((1.0, 0.4),))
 
     spec = LevySpec(2, np.zeros((2, 2)), two_atom_spherical, family)
     base = VolatilityFunction.power(2.0 / 3.0, [1.0, 1.0])

@@ -334,13 +334,13 @@ class TestBatchedJumpDraws:
             assert abs(obs.mean() - np.exp(dt * power_laplace_exponent(eps, u))) <= 3.0 * se
 
     def test_mixed_laws_keep_their_marginals_and_independence(self):
-        # power, tabulated (with hints, still tabulated) and atom radii on
-        # three axes: each coordinate follows its own compound-Poisson law
-        # and the coordinates are independent
+        # power, tabulated and atom radii on three axes: each coordinate
+        # follows its own compound-Poisson law and the coordinates are
+        # independent
         r = np.linspace(0.05, 2.0, 40)
         laws = [
             power_radial(ALPHA),
-            tabulated_radial(r, 3.0 * (2.0 - r), hints=(0.0, 2.5)),
+            tabulated_radial(r, 3.0 * (2.0 - r)),
             RadialMeasure(atoms=((0.05, 9.0), (0.5, 2.0), (1.5, 1.0))),
         ]
         eps, dt, n = 0.1, 0.02, 400_000
@@ -399,10 +399,10 @@ class TestBatchedJumpDraws:
 
 class TestRadiusTable:
     def test_tabulation_stops_a_decade_past_the_support(self, monkeypatch):
-        # the tempered law r^-2.5 e^-r tabulated on [1e-4, 50] without
-        # hints: the grid runs to eps 1e8, far past the support.  A bump
-        # on [1e4, 2e4], behind two empty decades, lies in cells after
-        # the first empty decade, so the table ignores it
+        # the tempered law r^-2.5 e^-r tabulated on [1e-4, 50]: the grid
+        # runs to eps 1e8, far past the support.  A bump on [1e4, 2e4],
+        # behind two empty decades, lies in cells after the first empty
+        # decade, so the table ignores it
         r = np.r_[np.geomspace(1e-4, 50.0, 400), 60.0]
         dens = np.r_[r[:-1] ** -2.5 * np.exp(-r[:-1]), 0.0]
         gamma = tabulated_radial(r, dens)
