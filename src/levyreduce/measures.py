@@ -112,14 +112,15 @@ def radial_columns(
     *,
     lo: float = 0.0,
     hi: float = np.inf,
-    closure: bool = True,
 ) -> list[IntegralResult]:
     """int weight(r, k) measure(dr) over (lo, hi) for the m columns k, as
     one IntegralResult each, integrated in one column pass.
 
     weight(r, col) gives column col[i]'s weight at radius r[i] (1-d
-    arrays).
+    arrays).  Raises ValueError unless 0 <= lo < hi.
     """
+    if not 0.0 <= lo < hi:
+        raise ValueError("require 0 <= lo < hi")
     total = np.zeros(m)
     columns = np.arange(m)
     for r, w in measure.atoms:
@@ -127,7 +128,7 @@ def radial_columns(
             total += w * (1.0 if weight is None else weight(np.full(m, r), columns))
 
     if measure.density is None:
-        return [_atoms_only_result(float(t), lo, hi) for t in total]
+        return [IntegralResult(float(t), CONVERGED, 0) for t in total]
 
     dens = measure.density
     if weight is None:
@@ -135,7 +136,7 @@ def radial_columns(
     else:
         f = lambda r, col: weight(r, col) * dens(r)
 
-    results = improper_columns(f, m, lo=lo, hi=hi, closure=closure)
+    results = improper_columns(f, m, lo=lo, hi=hi)
     return [replace(res, value=res.value + t) for res, t in zip(results, total)]
 
 
@@ -145,17 +146,12 @@ def radial_integral(
     *,
     lo: float = 0.0,
     hi: float = np.inf,
-    closure: bool = True,
 ):
     """int weight(r) measure(dr) over (lo, hi) as an IntegralResult: the
     one-column case of :func:`radial_columns`, for a weight that maps a
     1-d array of radii to values."""
     column_weight = None if weight is None else (lambda r, _col: weight(r))
-    return radial_columns(measure, column_weight, 1, lo=lo, hi=hi, closure=closure)[0]
-
-
-def _atoms_only_result(total, lo, hi):
-    return IntegralResult(total, CONVERGED, lo if lo > 0 else 0.0, hi, 0)
+    return radial_columns(measure, column_weight, 1, lo=lo, hi=hi)[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ contributions:
 
 * contributions that keep growing mean the integral diverges,
 * geometrically decaying contributions admit an exact geometric tail
-  sum, which is applied once two successive closures agree.
+  sum, which is applied once two successive closures agree; a tail
+  closes only across blocks of one sign.
 
 The second point matters: tails like r^(-0.1) decay so slowly that a
 naive truncate-at-large-R rule would need cutoffs beyond 1e80 to reach
@@ -78,13 +79,7 @@ class IntegralResult:
 
     value: float
     status: str
-    lower_edge: float
-    upper_edge: float
     n_eval: int
-
-    @property
-    def converged(self) -> bool:
-        return self.status == CONVERGED
 
 
 def panel_integral(f, lo, hi):
@@ -222,119 +217,89 @@ def _decade_block(f, cols, u_start: float, direction: int):
     return _shared_sum(f, cols, edges), new_edge
 
 
-def _extend(f, cols, u_start, direction, scale_hint, closure):
+def _extend(f, cols, u_start, direction, scale_hint):
     """Extend an improper endpoint decade by decade, for the columns cols.
 
-    Returns arrays (added_value, status, final_edge, n_blocks) aligned
-    with cols.  scale_hint holds the magnitude of each column's integral
-    gathered so far; tolerances are taken relative to it (it is updated
-    as blocks accumulate).  The columns share each decade while they
-    extend, but every column keeps its own state and leaves as soon as
+    Returns arrays (added_value, status, n_blocks) aligned with cols.
+    scale_hint holds the magnitude of each column's integral gathered
+    so far; tolerances are taken relative to it (it is updated as blocks
+    accumulate).  The columns share each decade while they extend, but
+    every column keeps its own state and leaves the live set as soon as
     it converges, diverges or closes its tail.
 
-    closure=True enables the geometric tail sum.  It must only be used
-    for integrands of one sign: the consistency test compares successive
-    tail estimates, which is meaningless under cancellation.
+    A tail closes geometrically only across two blocks of one sign: the
+    consistency test compares successive tail estimates, which is
+    meaningless under cancellation.  Columns the loop leaves open (the
+    range or the budget ran out, or a decaying trend overflowed) get one
+    forced close at the end.
     """
     n = cols.size
-    value = np.zeros(n)
     status = np.full(n, INCONCLUSIVE, dtype=object)
-    final_edge = np.full(n, u_start)
     n_blocks = np.zeros(n, dtype=int)
-    # state of the columns still extending, compacted as columns leave;
-    # NaN marks a previous block, tail estimate or ratio not yet set
-    live = np.arange(n)
+    # per-column state, read and written through live; NaN marks a
+    # previous block, tail estimate or ratio not yet set
     added = np.zeros(n)
     scale = np.abs(scale_hint)
     prev_block = np.full(n, np.nan)
     prev_est = np.full(n, np.nan)
     ratio_prev = np.full(n, np.nan)
     growth_streak = np.zeros(n, dtype=int)
+    live = np.arange(n)
     edge = u_start
     u_limit = _U_MAX if direction > 0 else _U_MIN
 
-    def _leave(gone, st, at, blocks_used):
-        if not gone.any():
-            return
-        which = live[gone]
-        value[which] = added[gone]
-        status[which] = st
-        final_edge[which] = at
-        n_blocks[which] = blocks_used
-
-    def _forced_close(gone, at, blocks_used):
-        # range or budget ran out: close the tail from the last ratio if
-        # the trend was decaying and the leftover is provably small
-        q = ratio_prev[gone]
-        decaying = (0 < q) & (q < 0.99)
-        q = np.where(decaying, q, np.nan)
-        est = np.abs(prev_block[gone]) * q / (1.0 - q)
-        small = decaying & (est <= np.maximum(ABS_TOL, REL_TOL * scale[gone]) * 10)
-        _leave(gone, INCONCLUSIVE, at, blocks_used)
-        status[live[gone][small]] = CONVERGED
-
-    blocks_used = MAX_DECADES
-    for k in range(MAX_DECADES):
-        if live.size == 0:
+    for _ in range(MAX_DECADES):
+        if live.size == 0 or direction * (edge - u_limit) >= 0:
             break
-        if (direction > 0 and edge >= u_limit) or (direction < 0 and edge <= u_limit):
-            blocks_used = k
-            break
-        block, new_edge = _decade_block(f, cols[live], edge, direction)
+        block, edge = _decade_block(f, cols[live], edge, direction)
+        n_blocks[live] += 1
         finite = np.isfinite(block)
         if not finite.all():
-            # a decaying trend hit the representable range: close it;
-            # otherwise the contributions grew beyond float range
-            decaying = ratio_prev < 0.99
-            _forced_close(~finite & decaying, edge, k + 1)
-            _leave(~finite & ~decaying, DIVERGENT, new_edge, k + 1)
-            live, added, scale, prev_block, prev_est, ratio_prev, growth_streak, block = (
-                a[finite]
-                for a in (live, added, scale, prev_block, prev_est, ratio_prev, growth_streak, block)
-            )
-        edge = new_edge
-        added = added + block
-        scale = np.maximum(scale, np.abs(added))
-        tol = np.maximum(ABS_TOL, REL_TOL * scale)
+            # a decaying trend hit the representable range and is closed
+            # below; otherwise the contributions grew beyond float range
+            over = live[~finite]
+            status[over[~(ratio_prev[over] < 0.99)]] = DIVERGENT
+            live, block = live[finite], block[finite]
+        added[live] += block
+        scale[live] = np.maximum(scale[live], np.abs(added[live]))
+        tol = np.maximum(ABS_TOL, REL_TOL * scale[live])
         mag = np.abs(block)
 
-        prev = np.abs(prev_block)
-        has_prev = prev > 0
-        q = mag / np.where(has_prev, prev, 1.0)
+        prev = prev_block[live]
+        has_prev = np.abs(prev) > 0
+        q = mag / np.where(has_prev, np.abs(prev), 1.0)
         growing = has_prev & (q >= _DIVERGENCE_RATIO)
-        growth_streak = np.where(has_prev, (growth_streak + 1) * growing, growth_streak)
+        streak = np.where(has_prev, (growth_streak[live] + 1) * growing, growth_streak[live])
         # geometric tail estimate from the ratio measured on this block
-        ratio = np.where(has_prev, q, ratio_prev)
-        usable = closure & has_prev & (ratio < 0.98)
-        q_tail = np.where(usable, ratio, np.nan)
+        ratio = np.where(has_prev, q, ratio_prev[live])
+        q_tail = np.where((block * prev > 0) & (ratio < 0.98), ratio, np.nan)
         est = mag * q_tail / (1.0 - q_tail)
 
         converged = mag <= 0.1 * tol
-        diverged = growing & (growth_streak >= 2) & ~converged
+        diverged = growing & (streak >= 2) & ~converged
         # exact for a geometric tail: the previous estimate must equal
         # this block plus the new estimate
         closed = (
-            (np.abs(prev_est - (mag + est)) <= 0.3 * tol)
-            & (est <= 1e6 * scale)
-            & has_prev
+            (np.abs(prev_est[live] - (mag + est)) <= 0.3 * tol)
+            & (est <= 1e6 * scale[live])
             & ~converged
         )
-        gone = converged | diverged | closed
-        if gone.any():
-            added = np.where(closed, added + np.where(block >= 0, est, -est), added)
-            _leave(converged | closed, CONVERGED, edge, k + 1)
-            _leave(diverged, DIVERGENT, edge, k + 1)
-        prev_est = np.where(has_prev, est, prev_est)
-        ratio_prev = ratio
-        prev_block = block
-        if gone.any():
-            keep = ~gone
-            live, added, scale, prev_block, prev_est, ratio_prev, growth_streak = (
-                a[keep] for a in (live, added, scale, prev_block, prev_est, ratio_prev, growth_streak)
-            )
+        added[live[closed]] += np.where(block >= 0, est, -est)[closed]
+        status[live[converged | closed]] = CONVERGED
+        status[live[diverged]] = DIVERGENT
+        prev_est[live] = np.where(has_prev, est, prev_est[live])
+        ratio_prev[live] = ratio
+        prev_block[live] = block
+        growth_streak[live] = streak
+        live = live[~(converged | diverged | closed)]
 
-    _forced_close(np.ones(live.size, dtype=bool), edge, blocks_used)
-    return value, status, final_edge, n_blocks
+    # forced close of the columns left open: close the tail from the
+    # last ratio if the trend was decaying and the leftover is provably
+    # small
+    q = np.where((0 < ratio_prev) & (ratio_prev < 0.99), ratio_prev, np.nan)
+    small = np.abs(prev_block) * q / (1.0 - q) <= np.maximum(ABS_TOL, REL_TOL * scale) * 10
+    status[(status == INCONCLUSIVE) & small] = CONVERGED
+    return added, status, n_blocks
 
 
 def improper_columns(
@@ -343,7 +308,6 @@ def improper_columns(
     *,
     lo: float = 0.0,
     hi: float = np.inf,
-    closure: bool = True,
 ) -> list[IntegralResult]:
     """Integrate m integrands over (lo, hi) at once, with adaptive
     endpoint extension.
@@ -356,8 +320,11 @@ def improper_columns(
     alone.  lo = 0 and/or hi = inf request improper handling of that
     endpoint.  Finite endpoints are honoured exactly.
 
-    Returns one IntegralResult per column.
+    Returns one IntegralResult per column; raises ValueError unless
+    0 <= lo < hi.
     """
+    if not 0.0 <= lo < hi:
+        raise ValueError("require 0 <= lo < hi")
     lower_open = lo == 0.0
     upper_open = np.isinf(hi)
     base_lo = max(EPS_LOW, lo) if lower_open else lo
@@ -376,7 +343,6 @@ def improper_columns(
     status = np.full(m, CONVERGED, dtype=object)
     status[~np.isfinite(value)] = DIVERGENT
     n_eval = np.zeros(m, dtype=int)
-    edges = {-1: np.full(m, base_lo), +1: np.full(m, base_hi)}
 
     # (direction, start) of each open end
     sides = [(+1, u_hi)] if upper_open else []
@@ -384,17 +350,13 @@ def improper_columns(
         sides.append((-1, u_lo))
     for direction, start in sides:
         live = np.flatnonzero(status != DIVERGENT)
-        add, st, edge, n = _extend(f, live, start, direction, value[live], closure)
+        add, st, n = _extend(f, live, start, direction, value[live])
         value[live] += add
         n_eval[live] += n
-        edges[direction][live] = np.exp(edge)
         failed = st != CONVERGED
         status[live[failed]] = st[failed]
 
-    return [
-        IntegralResult(float(v), s, float(a), float(b), int(k))
-        for v, s, a, b, k in zip(value, status, edges[-1], edges[+1], n_eval)
-    ]
+    return [IntegralResult(float(v), s, int(k)) for v, s, k in zip(value, status, n_eval)]
 
 
 def improper_integral(
@@ -402,7 +364,6 @@ def improper_integral(
     *,
     lo: float = 0.0,
     hi: float = np.inf,
-    closure: bool = True,
 ) -> IntegralResult:
     """Integrate f over (lo, hi) with adaptive endpoint extension: the
     one-column case of :func:`improper_columns`, for an f that maps a
@@ -411,7 +372,7 @@ def improper_integral(
     Returns an IntegralResult; use :func:`improper_value` to raise on
     divergence instead.
     """
-    return improper_columns(lambda r, _col: f(r), 1, lo=lo, hi=hi, closure=closure)[0]
+    return improper_columns(lambda r, _col: f(r), 1, lo=lo, hi=hi)[0]
 
 
 def improper_value(f, **kw) -> float:

@@ -207,7 +207,7 @@ def spherical_integrate(f, spec: LevySpec) -> float:
             pts = np.asarray(r, dtype=float)[:, None] * _xi[None, :]
             return np.asarray(f(pts), dtype=float)
 
-        res = radial_integral(gamma, weight, closure=False)
+        res = radial_integral(gamma, weight)
         if res.status != "converged":
             raise DivergentIntegral(
                 f"radial integral along {np.round(xi, 6)} did not converge"

@@ -250,6 +250,22 @@ class TestCheckPipeline:
         assert run(["check", write_config(doc), str(out), "--quiet"]) == 0
         assert load_report(out)["overall_pass"] is True
 
+    def test_tabulated_angular_density_matches_uniform(self, write_config, tmp_path):
+        # a constant table over [0, 2pi], rows unsorted, is the uniform
+        # angular law of scale 1
+        reports = []
+        for kind, angular in (
+            ("uniform", {"kind": "uniform", "scale": 1.0}),
+            ("tabulated", {"kind": "tabulated", "points": [[2.0 * np.pi, 1.0], [0.0, 1.0]]}),
+        ):
+            doc = base_config()
+            doc["model"]["spherical"] = {"angular": angular}
+            del doc["G"]
+            out = tmp_path / kind
+            assert run(["check", write_config(doc), str(out), "--quiet"]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_tabulated_sections_parse(self, write_config, tmp_path):
         # tabulated radial table (a finite measure, so the variation
         # check would fail) combined with a tabulated G with G(0) = 0,

@@ -73,6 +73,17 @@ class TestRadialMeasure:
         assert res.value == pytest.approx(2.0 * 0.25 + 4.0)
 
 
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (-1.0, np.inf)])
+    @pytest.mark.parametrize(
+        "measure",
+        [power_radial(1.5), RadialMeasure(atoms=((1.5, 1.0),))],
+        ids=["density", "atoms-only"],
+    )
+    def test_reversed_or_negative_range_rejected(self, measure, lo, hi):
+        with pytest.raises(ValueError, match="0 <= lo < hi"):
+            radial_integral(measure, lo=lo, hi=hi)
+
+
 class TestSphericalMeasure:
     def test_from_atoms(self, two_atom_spherical):
         assert two_atom_spherical.is_atomic

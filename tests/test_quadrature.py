@@ -117,6 +117,12 @@ def test_finite_endpoints_honoured_exactly():
     assert abs(res.value - 0.5) < 1e-13
 
 
+@pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, np.inf)])
+def test_reversed_or_negative_range_rejected(lo, hi):
+    with pytest.raises(ValueError, match="0 <= lo < hi"):
+        improper_integral(lambda r: np.ones_like(r), lo=lo, hi=hi)
+
+
 @pytest.mark.parametrize(
     "lo, hi", [(1e7, np.inf), (1e9, np.inf), (1e12, np.inf), (0.0, 1e-10)]
 )

@@ -1,7 +1,8 @@
 """Source hygiene: every module compiles with warnings raised as errors,
 no module imports a name it never uses, every parameter of the public
-API is read by its function, and every defaulted parameter and
-dataclass field of the public API is set by some caller."""
+API is read by its function, every defaulted parameter and dataclass
+field of the public API is set by some caller, and every dataclass
+field and property of a public class is read somewhere."""
 
 import ast
 import warnings
@@ -253,3 +254,68 @@ def test_unset_field_is_detected():
     ]
     callers = [source, "Cfg(2, cap=3)\nreplace(Cfg(1), low=2.0)\n"]
     assert _unset_fields([("mod.py", source)], callers) == ["mod.py: Cfg.high"]
+
+
+def _public_attributes(tree):
+    """(class name, attribute) of each dataclass field and property of
+    the public classes."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+        for item in node.body:
+            if dataclass and isinstance(item, ast.AnnAssign):
+                yield node.name, item.target.id
+            elif isinstance(item, ast.FunctionDef) and any(
+                ast.unparse(d) == "property" for d in item.decorator_list
+            ):
+                yield node.name, item.name
+
+
+def _attribute_reads(tree):
+    """Names read as attributes: attribute loads and getattr() calls
+    with a constant name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+
+
+def _unread_attributes(sources, callers) -> list[str]:
+    """Dataclass fields and properties of public classes that no caller
+    reads; a read of the name on any object counts."""
+    reads = {name for text in callers for name in _attribute_reads(ast.parse(text))}
+    return sorted(
+        f"{label}: {cls}.{name}"
+        for label, text in sources
+        for cls, name in _public_attributes(ast.parse(text))
+        if name not in reads
+    )
+
+
+def test_every_public_attribute_is_read():
+    assert _unread_attributes([(p.name, p.read_text()) for p in SOURCES], _callers()) == []
+
+
+def test_unread_attribute_is_detected():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Result:\n"
+        "    value: float\n    edge: float\n    n_eval: int = 0\n"
+        "    @property\n    def ok(self):\n        return self.value > 0\n"
+        "    @property\n    def spare(self):\n        return 0\n"
+        "@dataclass\n"
+        "class _Private:\n    x: int = 0\n"
+        "class Plain:\n    y: int = 0\n"
+    )
+    callers = [source, "r = Result(1.0, 2.0)\nr.edge = 3.0\nprint(r.ok, getattr(r, 'n_eval'))\n"]
+    assert _unread_attributes([("mod.py", source)], callers) == [
+        "mod.py: Result.edge", "mod.py: Result.spare",
+    ]

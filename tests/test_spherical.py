@@ -1,6 +1,8 @@
 """Polar geometry: the trigonometric direction map, induced radial
 measures, and integration against decomposed specs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,7 +110,24 @@ class TestSphericalIntegrate:
             return np.minimum(n * n, n)
 
         val = spherical_integrate(f, spec)
-        assert val == pytest.approx(8.0 * np.pi, rel=1e-6)
+        assert val == pytest.approx(8.0 * np.pi, rel=1e-12)
+
+    def test_sign_changing_weight_closed_form(self):
+        # 2pi int (1 - r) (r^2 wedge r) e^(-r) r^(-2.5) dr
+        #   = 2pi [g(1/2, 1) - g(3/2, 1) + G(-1/2, 1) - G(1/2, 1)]
+        # in lower (g) and upper (G) incomplete gamma functions
+        uniform = SphericalMeasure.from_angular(2, lambda a: np.ones(a.shape[0]))
+        spec = stable_spec(1.5, uniform)
+
+        def f(pts):
+            n = np.linalg.norm(pts, axis=1)
+            return (1.0 - n) * np.minimum(n * n, n) * np.exp(-n)
+
+        root_pi = np.sqrt(np.pi)
+        expected = 2.0 * np.pi * (
+            0.5 * root_pi * math.erf(1.0) + 3.0 * np.exp(-1.0) - 3.0 * root_pi * math.erfc(1.0)
+        )
+        assert spherical_integrate(f, spec) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_integrand(self, example_spec):
         assert spherical_integrate(lambda pts: np.zeros(pts.shape[0]), example_spec) == 0.0
