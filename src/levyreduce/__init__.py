@@ -82,9 +82,11 @@ from .simulate import (
     JumpSampler,
     PathEnsemble,
     RngStream,
+    StableAtomSampler,
     sample_stable,
     simulate_original,
     simulate_reduced,
+    stable_atom_sampler,
     truncated_jump_sampler,
 )
 from .pricing import (

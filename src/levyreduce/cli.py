@@ -248,10 +248,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
             "n_paths": ens.n_paths,
             "n_steps": ens.n_steps,
             "dt": ens.dt,
-            "clamp_frequency": ens.clamp_frequency,
-            "cutoff": ens.cutoff,
-            "jump_intensity": ens.jump_intensity,
-            "dropped_variance": ens.dropped_variance,
+            **ens.scheme_summary(),
             "terminal_mean": float(ens.values[:, -1].mean(dtype=np.float64)),
         },
     )
@@ -306,7 +303,8 @@ def _cmd_compare(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     )
     merged = report.merged(result.report)
     payload = _report_payload(
-        "compare", merged, ["comparison.csv"], model=_model_dict(model)
+        "compare", merged, ["comparison.csv"], model=_model_dict(model),
+        summary=result.summary,
     )
     _write_json(outdir / "report.json", payload)
     if not quiet:

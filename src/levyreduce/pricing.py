@@ -240,6 +240,7 @@ class ComparisonResult:
 
     report: CheckReport
     rows: tuple
+    summary: dict
 
     @property
     def passed(self) -> bool:
@@ -261,9 +262,12 @@ def compare_term_structures(
     from the reduced equation by Riccati integration.
 
     original is (G, spec, a, b).  Each maturity passes when
-    |MC - ODE| <= 3 SE + scheme tolerance, where the scheme tolerance
-    is the Riccati price shift caused by the jump cutoff plus a dt
-    margin for the Euler bias.
+    |MC - ODE| <= 3 SE + scheme tolerance.  The scheme tolerance is
+    built from the error terms of the scheme simulate_original picks: a
+    dt margin for the Euler bias, plus, for truncated compound-Poisson
+    jumps only, the Riccati price shift caused by the jump cutoff.
+    Exact stable increments have no cutoff, so they skip that second
+    Riccati solve.  summary names the scheme and its numerical slack.
     """
     G, spec, a, b = original
     taus = np.sort(np.asarray(tau_grid, dtype=float))
@@ -280,22 +284,25 @@ def compare_term_structures(
     )
     ts = riccati_solve(reduced, horizon, sim_cfg.n_ode_steps)
 
-    # cutoff-perturbed reduced model: same Riccati solve with the
-    # stable J replaced by its tail-truncated version
-    j_eps = _interpolated_laplace(
-        power_radial(reduced.alpha, reduced.C ** reduced.alpha),
-        2.0 * B_CAP_DEFAULT,
-        lo=sim_cfg.eps,
-    )
-    trunc = _CallableModel(reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
-    ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps)
+    ts_eps = None
+    if ens.cutoff is not None:
+        # cutoff-perturbed reduced model: same Riccati solve with the
+        # stable J replaced by its tail-truncated version
+        j_eps = _interpolated_laplace(
+            power_radial(reduced.alpha, reduced.C ** reduced.alpha),
+            2.0 * B_CAP_DEFAULT,
+            lo=ens.cutoff,
+        )
+        trunc = _CallableModel(reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
+        ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps)
 
     rows = []
     items = []
     for tau in taus:
         p_ode = bond_price(ts, x0, tau)
         p_mc, se = mc_bond_price(ens, tau)
-        scheme_tol = abs(bond_price(ts_eps, x0, tau) - p_ode) + _DT_MARGIN * sim_cfg.dt
+        cutoff_shift = 0.0 if ts_eps is None else abs(bond_price(ts_eps, x0, tau) - p_ode)
+        scheme_tol = cutoff_shift + _DT_MARGIN * sim_cfg.dt
         disc = abs(p_mc - p_ode)
         band = 3.0 * se + scheme_tol
         rows.append(
@@ -319,6 +326,6 @@ def compare_term_structures(
                 detail=f"mc={p_mc:.6f} se={se:.2e} ode={p_ode:.6f} scheme_tol={scheme_tol:.2e}",
             )
         )
-    return ComparisonResult(CheckReport(tuple(items)), tuple(rows))
+    return ComparisonResult(CheckReport(tuple(items)), tuple(rows), ens.scheme_summary())
 
 

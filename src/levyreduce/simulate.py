@@ -2,13 +2,18 @@
 
 Two schemes live here: an Euler scheme for the one-factor stable-CIR
 equation driven by exact stable increments, and an Euler scheme for
-the multivariate equation driven by a compound-Poisson approximation
-that keeps jumps above a cutoff and compensates their mean.  Each Euler
-step draws all jumps at once: Poisson totals per direction are split
-across paths, exact power tails get closed-form Pareto radii and other
-radial laws inverse-CDF tables or atom weights.  Small jumps below the
-cutoff are dropped, not Gaussian-approximated; their variance is
-reported so callers can budget the bias.
+the multivariate equation.  The multivariate scheme draws its driving
+increment in one of two ways, chosen per (spec, eps, dt) by expected
+cost.  When every atom of the spherical part carries a pure power law
+of index in (1, 2), each atom gets one exact stable increment per
+step, and nothing is truncated.  Otherwise a compound-Poisson
+approximation keeps the jumps above the cutoff eps and compensates
+their mean: all jumps of a step are drawn at once, Poisson totals per
+direction are split across paths, and exact power tails get
+closed-form Pareto radii, other radial laws inverse-CDF tables or atom
+weights.  Its small jumps below the cutoff are dropped, not
+Gaussian-approximated; their variance is reported so callers can
+budget the bias.
 """
 
 from __future__ import annotations
@@ -107,6 +112,22 @@ class PathEnsemble:
 
     def times(self) -> np.ndarray:
         return np.arange(self.values.shape[1]) * self.dt
+
+    @property
+    def scheme(self) -> str:
+        """"compound_poisson" for truncated jumps, "exact_stable" for
+        exact stable increments."""
+        return "exact_stable" if self.cutoff is None else "compound_poisson"
+
+    def scheme_summary(self) -> dict:
+        """The scheme behind the paths and its numerical slack."""
+        return {
+            "scheme": self.scheme,
+            "cutoff": self.cutoff,
+            "jump_intensity": self.jump_intensity,
+            "dropped_variance": self.dropped_variance,
+            "clamp_frequency": self.clamp_frequency,
+        }
 
 
 def sample_stable(alpha: float, scale: float, dt: float, rng, size=None):
@@ -353,6 +374,66 @@ def truncated_jump_sampler(
     return sampler, dropped
 
 
+@dataclass(frozen=True)
+class StableAtomSampler:
+    """Exact increments of Z = sum_i xi_i Y_i over a step, where each Y_i
+    is an independent compensated, spectrally positive alpha_i-stable
+    martingale of scale scales[i] along the atom directions[i].
+
+    Each atom gets its own stable draw.  The atoms are never merged into
+    one draw through (sum_i w_i <v, xi_i>^alpha)^(1/alpha): that merge
+    is the reduction, so a comparison built on it would be circular.
+    """
+
+    directions: np.ndarray
+    alphas: np.ndarray
+    scales: np.ndarray
+
+    def sample_increment(self, dt: float, n_paths: int, rng) -> np.ndarray:
+        gen = _as_generator(rng)
+        y = np.empty((n_paths, len(self.alphas)))
+        for i, (alpha, scale) in enumerate(zip(self.alphas, self.scales)):
+            y[:, i] = sample_stable(alpha, scale, dt, gen, size=n_paths)
+        return y @ self.directions
+
+
+def stable_atom_sampler(spec: LevySpec, eps: float, dt: float):
+    """The exact per-atom sampler of spec's jumps when it is cheaper than
+    the compound-Poisson sampler at cutoff eps and step dt, else None.
+
+    It applies when the spherical part is atoms and every atom's radial
+    law is a pure power law s r^-(1+alpha), alpha in (1, 2), without
+    atoms; atom i of weight w_i then drives a stable process of scale
+    (w_i s_i)^(1/alpha_i).  One stable draw costs about two truncated
+    jumps, so the exact sampler is chosen iff 2 n_atoms is at most the
+    expected jumps per path-step, dt sum_i w_i s_i eps^-alpha_i / alpha_i.
+    Atoms of zero weight or scale carry no jumps and get no draw.
+    """
+    if eps <= 0:
+        raise ValueError("cutoff must be positive")
+    if not spec.spherical.is_atomic:
+        return None
+    laws = [spec.radial(xi) for xi in spec.spherical.directions]
+    if any(g.atoms or g.power_index is None or not 1.0 < g.power_index < 2.0 for g in laws):
+        return None
+    alphas = np.array([g.power_index for g in laws])
+    # the power_index contract makes density(1) the scale s exactly
+    mass = np.asarray(spec.spherical.weights, float) * np.array(
+        [float(g.density(1.0)) for g in laws]
+    )
+    if np.any(mass < 0.0):
+        raise ValueError("atom weights and radial scales must be nonnegative")
+    live = mass > 0.0
+    jumps = dt * float(np.sum(mass[live] * eps ** -alphas[live] / alphas[live]))
+    if 2 * np.count_nonzero(live) > jumps:
+        return None
+    return StableAtomSampler(
+        directions=np.asarray(spec.spherical.directions, float)[live],
+        alphas=alphas[live],
+        scales=mass[live] ** (1.0 / alphas[live]),
+    )
+
+
 def simulate_original(
     G,
     spec: LevySpec,
@@ -365,12 +446,15 @@ def simulate_original(
     n_paths: int,
     rng,
 ) -> PathEnsemble:
-    """Euler scheme for dR = (aR+b)dt + <G(R), dZ> with truncated jumps.
+    """Euler scheme for dR = (aR+b)dt + <G(R), dZ>.
 
-    The driving increments combine the compound-Poisson approximation
-    of the jump martingale with correlated Gaussian increments for a
-    nonzero Wiener covariance.  States are clipped at zero and the clip
-    frequency recorded.
+    The jump part of dZ comes from stable_atom_sampler when it applies
+    and is cheaper: exact per-atom stable increments, with no cutoff.
+    Otherwise it comes from the compound-Poisson approximation above
+    the cutoff eps, and the ensemble records that sampler's cutoff,
+    intensity and dropped variance.  A nonzero Wiener covariance adds
+    correlated Gaussian increments.  States are clipped at zero and the
+    clip frequency recorded.
     """
     if x0 < 0 or b < 0:
         raise ValueError("x0 and b must be nonnegative")
@@ -379,7 +463,11 @@ def simulate_original(
     gen = _as_generator(rng)
     dt = float(horizon) / n_steps
 
-    sampler, _ = truncated_jump_sampler(spec, eps)
+    cutoff = intensity = dropped = None
+    sampler = stable_atom_sampler(spec, eps, dt)
+    if sampler is None:
+        sampler, dropped = truncated_jump_sampler(spec, eps)
+        cutoff, intensity = sampler.cutoff, sampler.intensity
 
     q = np.asarray(spec.wiener_cov, dtype=float)
     if np.any(q != 0.0):
@@ -403,5 +491,5 @@ def simulate_original(
         values[:, k + 1] = r
     return PathEnsemble(
         values, dt, _seed_tag(rng), clamped / float(n_steps * n_paths),
-        sampler.cutoff, sampler.intensity, sampler.dropped_variance,
+        cutoff, intensity, dropped,
     )

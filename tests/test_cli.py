@@ -469,6 +469,7 @@ class TestSimulatePipeline:
         assert payload["summary"]["n_steps"] == 10
         # sampler statistics of the half-weight axis atoms at eps = 0.05
         summary = payload["summary"]
+        assert summary["scheme"] == "compound_poisson"
         assert summary["cutoff"] == 0.05
         assert summary["jump_intensity"] == pytest.approx(0.05**-1.5 / 1.5, rel=1e-6)
         assert summary["dropped_variance"] == pytest.approx(2.0 * np.sqrt(0.05), rel=1e-6)
@@ -539,3 +540,41 @@ class TestComparePipeline:
         lines = (out / "comparison.csv").read_text().splitlines()
         assert lines[0] == "tau,A,B,price_riccati,price_mc,se"
         assert len(lines) == 2
+        # 9.4 expected jumps per path-step on two atoms: exact increments,
+        # so no cutoff and a band of 3 SE + dt
+        summary = payload["summary"]
+        assert summary["scheme"] == "exact_stable"
+        assert summary["cutoff"] is None
+        assert summary["jump_intensity"] is None
+        assert summary["dropped_variance"] is None
+        assert 0.0 <= summary["clamp_frequency"] < 1.0
+        se = float(lines[1].split(",")[5])
+        (band,) = [it["tolerance"] for it in payload["items"] if it["name"] == "price_match_tau_0.25"]
+        assert band == pytest.approx(3.0 * se + 0.005, rel=1e-12)
+
+    def test_compound_poisson_summary_is_reproducible(self, write_config, tmp_path):
+        # 1.2 expected jumps per path-step: the truncated sampler runs and
+        # the summary names its slack; reruns are byte-identical
+        doc = base_config(
+            simulation={
+                "x0": 1.0,
+                "horizon": 0.2,
+                "dt": 0.02,
+                "n_paths": 500,
+                "eps": 0.05,
+                "seed": 3,
+            },
+            pricing={"tau_grid": [0.2]},
+        )
+        cfg = write_config(doc)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            run(["compare", cfg, str(out), "--quiet"])
+        summary = load_report(outs[0])["summary"]
+        assert summary["scheme"] == "compound_poisson"
+        assert summary["cutoff"] == 0.05
+        assert summary["jump_intensity"] == pytest.approx(0.05**-1.5 / 1.5, rel=1e-6)
+        assert summary["dropped_variance"] == pytest.approx(2.0 * np.sqrt(0.05), rel=1e-6)
+        assert 0.0 <= summary["clamp_frequency"] < 1.0
+        for name in ("report.json", "comparison.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

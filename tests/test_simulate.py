@@ -1,5 +1,6 @@
 """Tests for random streams, stable increments, jump samplers, and path schemes."""
 
+import dataclasses
 import types
 
 import numpy as np
@@ -16,11 +17,13 @@ from levyreduce import (
     SphericalMeasure,
     VolatilityFunction,
     compensated_exp,
+    laplace_jump,
     panel_integral,
     power_radial,
     sample_stable,
     simulate_original,
     simulate_reduced,
+    stable_atom_sampler,
     stable_coefficient,
     stable_spec,
     tabulated_radial,
@@ -303,6 +306,20 @@ def axis_spec(laws, weights):
     return LevySpec(d, np.zeros((d, d)), spherical, lambda xi: laws[int(np.argmax(xi))])
 
 
+def tabulated_power_law():
+    """r^-2.5 as a table on [1e-6, 1e6]: the power law to table accuracy,
+    but without a power_index, so it never selects exact increments."""
+    r = np.geomspace(1e-6, 1e6, 1201)
+    return tabulated_radial(r, r**-2.5)
+
+
+@pytest.fixture(scope="module")
+def tabulated_example_spec():
+    """example_spec with its radial law tabulated: every cutoff and step
+    select the compound-Poisson sampler."""
+    return axis_spec([tabulated_power_law()] * 2, [0.5, 0.5])
+
+
 def power_laplace_exponent(eps, u):
     """int_eps^inf (e^{-ur} - 1 + ur) r^-2.5 dr: the stable exponent minus
     its part below the cutoff."""
@@ -428,6 +445,36 @@ class TestRadiusTable:
                 assert not np.array_equal(simulate._radius_table(bumped, eps), table)
 
 
+def assert_mean_tracks_drift(spec, vol, scheme):
+    # compensated jumps leave the mean ODE m' = am + b intact; frozen
+    # seed because the marginals have tail index alpha
+    paths = simulate_original(vol, spec, -0.5, 0.1, 1.0, 0.01, 1.0, 100, 20_000, RngStream(4))
+    assert paths.scheme == scheme
+    for t in (0.5, 1.0):
+        k = int(round(t / paths.dt))
+        col = paths.values[:, k].astype(float)
+        se = col.std() / np.sqrt(col.size)
+        target = drift_mean(1.0, -0.5, 0.1, t)
+        assert abs(col.mean() - target) <= 3.0 * se + 2.0 * paths.dt
+
+
+def assert_refinement_consistent(spec, vol, scheme):
+    # the discounted-path functional is bounded in (0, 1], so CLT
+    # bands are honest; halving dt and eps must stay within the joint
+    # band plus an O(dt) allowance for the scheme bias
+    def discounted(paths):
+        integral = np.trapezoid(paths.values.astype(float), dx=paths.dt, axis=1)
+        disc = np.exp(-integral)
+        return disc.mean(), disc.std() / np.sqrt(disc.size)
+
+    coarse = simulate_original(vol, spec, -0.5, 0.1, 1.0, 0.01, 1.0, 100, 4000, RngStream(30))
+    fine = simulate_original(vol, spec, -0.5, 0.1, 1.0, 0.005, 1.0, 200, 4000, RngStream(31))
+    assert coarse.scheme == fine.scheme == scheme
+    p1, se1 = discounted(coarse)
+    p2, se2 = discounted(fine)
+    assert abs(p1 - p2) <= 3.0 * np.hypot(se1, se2) + 1.5 * coarse.dt
+
+
 class TestSimulateOriginal:
     def test_no_noise_reduces_to_drift_euler(self):
         spherical = SphericalMeasure.from_atoms([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
@@ -443,18 +490,11 @@ class TestSimulateOriginal:
         assert np.abs(paths.values - exact[None, :]).max() < 2.0 * paths.dt
         assert paths.clamp_frequency == 0.0
 
-    def test_ensemble_mean_tracks_drift_ode(self, example_spec, example_vol):
-        # compensated jumps leave the mean ODE m' = am + b intact; frozen
-        # seed because the marginals have tail index alpha
-        paths = simulate_original(
-            example_vol, example_spec, -0.5, 0.1, 1.0, 0.01, 1.0, 100, 20_000, RngStream(4)
-        )
-        for t in (0.5, 1.0):
-            k = int(round(t / paths.dt))
-            col = paths.values[:, k].astype(float)
-            se = col.std() / np.sqrt(col.size)
-            target = drift_mean(1.0, -0.5, 0.1, t)
-            assert abs(col.mean() - target) <= 3.0 * se + 2.0 * paths.dt
+    def test_ensemble_mean_tracks_drift_ode(self, tabulated_example_spec, example_vol):
+        assert_mean_tracks_drift(tabulated_example_spec, example_vol, "compound_poisson")
+
+    def test_exact_ensemble_mean_tracks_drift_ode(self, example_spec, example_vol):
+        assert_mean_tracks_drift(example_spec, example_vol, "exact_stable")
 
     def test_wiener_part_produces_gaussian_scheme(self):
         # pure diffusion with G = (sqrt(x), 0): a CIR Euler scheme whose
@@ -494,6 +534,7 @@ class TestSimulateOriginal:
             )
             for _ in range(2)
         ]
+        assert runs[0].scheme == "compound_poisson"
         assert np.array_equal(runs[0].values, runs[1].values)
         assert runs[0].seed == (9, 0)
 
@@ -511,24 +552,12 @@ class TestSimulateOriginal:
                 example_vol, example_spec, -0.5, 0.1, 1.0, 0.05, 1.0, 0, 10, RngStream(0)
             )
 
-    def test_refining_step_and_cutoff_is_consistent(self, example_spec, example_vol):
-        # the discounted-path functional is bounded in (0, 1], so CLT
-        # bands are honest; halving dt and eps must stay within the joint
-        # band plus an O(dt) allowance for the scheme bias
-        def discounted(paths):
-            integral = np.trapezoid(paths.values.astype(float), dx=paths.dt, axis=1)
-            disc = np.exp(-integral)
-            return disc.mean(), disc.std() / np.sqrt(disc.size)
+    def test_refining_step_and_cutoff_is_consistent(self, tabulated_example_spec, example_vol):
+        assert_refinement_consistent(tabulated_example_spec, example_vol, "compound_poisson")
 
-        coarse = simulate_original(
-            example_vol, example_spec, -0.5, 0.1, 1.0, 0.01, 1.0, 100, 4000, RngStream(30)
-        )
-        fine = simulate_original(
-            example_vol, example_spec, -0.5, 0.1, 1.0, 0.005, 1.0, 200, 4000, RngStream(31)
-        )
-        p1, se1 = discounted(coarse)
-        p2, se2 = discounted(fine)
-        assert abs(p1 - p2) <= 3.0 * np.hypot(se1, se2) + 1.5 * coarse.dt
+    def test_refining_exact_step_is_consistent(self, example_spec, example_vol):
+        # exact increments have no cutoff, so only dt is refined
+        assert_refinement_consistent(example_spec, example_vol, "exact_stable")
 
     @pytest.mark.slow
     def test_marginal_law_matches_reduced_model(self, example_spec, example_vol):
@@ -550,6 +579,100 @@ class TestSimulateOriginal:
         reduced = simulate_reduced(model, 1.0, 1.0, 1000, 100_000, RngStream(42))
         ks = stats.ks_2samp(original.values[:, -1], reduced.values[:, -1]).statistic
         assert ks < 0.02
+
+
+def sixteen_atom_spec():
+    """16 atoms on the positive octant of S^2 with weights summing to 1,
+    each carrying r^-2.5."""
+    gen = RngStream(16).generator()
+    dirs = np.abs(gen.standard_normal((16, 3)))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    weights = gen.uniform(0.5, 1.5, 16)
+    spherical = SphericalMeasure.from_atoms(dirs, weights / weights.sum())
+    return stable_spec(ALPHA, spherical)
+
+
+def scaled_atom_spec():
+    """Three atoms in d = 3, each with its own power index and scale."""
+    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [1.0, 1.0, 1.0] / np.sqrt(3.0)])
+    laws = [power_radial(1.5, 1.0), power_radial(1.3, 0.4), power_radial(1.8, 2.5)]
+
+    def family(xi):
+        return laws[int(np.argmin(np.linalg.norm(dirs - xi, axis=1)))]
+
+    spherical = SphericalMeasure.from_atoms(dirs, [0.5, 1.0, 0.3])
+    return LevySpec(3, np.zeros((3, 3)), spherical, family)
+
+
+class TestExactStableIncrements:
+    @pytest.mark.parametrize(
+        "make_spec,z",
+        [
+            (lambda: axis_spec([power_radial(ALPHA)] * 2, [0.5, 0.5]), [0.7, 1.3]),
+            (scaled_atom_spec, [0.9, 0.5, 1.2]),
+        ],
+        ids=["example_spec", "scaled_atoms_d3"],
+    )
+    def test_one_step_laplace_transform(self, make_spec, z):
+        # E exp(-<z, dZ>) = exp(dt J_X(z)) for <z, xi_i> >= 0; exp(-<z, dZ>)
+        # has finite variance (its square is the transform at 2z)
+        spec, z = make_spec(), np.asarray(z)
+        dt, n = 0.05, 400_000
+        sampler = stable_atom_sampler(spec, 1e-3, dt)
+        assert sampler is not None
+        inc = sampler.sample_increment(dt, n, RngStream(27))
+        assert inc.shape == (n, spec.dimension)
+        obs = np.exp(-inc @ z)
+        target = np.exp(dt * float(laplace_jump(spec, z)))
+        assert abs(obs.mean() - target) <= 3.0 * obs.std() / np.sqrt(n)
+
+    def test_bitwise_reproducible(self, example_spec, example_vol):
+        runs = [
+            simulate_original(
+                example_vol, example_spec, -0.5, 0.1, 1.0, 1e-3, 0.5, 10, 200, RngStream(9)
+            )
+            for _ in range(2)
+        ]
+        assert runs[0].scheme == "exact_stable"
+        assert np.array_equal(runs[0].values, runs[1].values)
+
+
+class TestSchemeChoice:
+    # (radial law of the half-weight axis atoms, or None for the 16-atom
+    # spec; eps; dt; scheme): exact increments iff every law is a pure
+    # power law of index in (1, 2) and 2 n_atoms is at most the expected
+    # jumps per path-step above eps.  The last three cases expect more
+    # than 4 jumps per path-step, so only the law rules them out
+    CASES = {
+        "criterion-08": ([power_radial(ALPHA)], 1.5e-3, 2e-3, "exact_stable"),
+        "cli-small-doc": ([power_radial(ALPHA)], 0.05, 0.02, "compound_poisson"),
+        "sixteen-atoms": (None, 1e-2, 2e-3, "compound_poisson"),
+        "tabulated-power": ([tabulated_power_law()], 1.5e-3, 2e-3, "compound_poisson"),
+        "power-index-2.5": ([power_radial(2.5)], 1e-2, 2e-3, "compound_poisson"),
+        "power-with-atoms": (
+            [dataclasses.replace(power_radial(ALPHA), atoms=((1e-3, 2.0),))],
+            1.5e-3, 2e-3, "compound_poisson",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rule_picks_scheme(self, case):
+        law, eps, dt, scheme = self.CASES[case]
+        spec = sixteen_atom_spec() if law is None else axis_spec(law * 2, [0.5, 0.5])
+        exact = stable_atom_sampler(spec, eps, dt) is not None
+        assert exact == (scheme == "exact_stable")
+        G = VolatilityFunction.power(2.0 / 3.0, np.ones(spec.dimension))
+        paths = simulate_original(G, spec, -0.5, 0.1, 1.0, eps, dt, 1, 2, RngStream(0))
+        assert paths.scheme == scheme
+
+    def test_rejects_nonpositive_cutoff(self, example_spec):
+        with pytest.raises(ValueError):
+            stable_atom_sampler(example_spec, 0.0, 1e-3)
+
+    def test_rejects_negative_weight(self):
+        spec = axis_spec([power_radial(ALPHA)] * 2, [0.5, -0.5])
+        with pytest.raises(ValueError):
+            stable_atom_sampler(spec, 1e-3, 1e-3)
 
 
 class TestPathEnsemble:
