@@ -300,7 +300,7 @@ class VolatilityFunction:
             raise ValueError("power exponent must be positive")
 
         def g(x, _p=exponent, _v=direction):
-            return np.asarray(x, dtype=float)[:, None] ** _p * _v[None, :]
+            return (np.asarray(x, dtype=float) ** _p)[:, None] * _v[None, :]
 
         return cls(g, int(direction.shape[0]))
 

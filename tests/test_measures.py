@@ -209,6 +209,12 @@ class TestVolatilityFunction:
         assert np.allclose(out[1], [1.0, 1.0])
         assert np.all(example_vol(0.0) == 0.0)
 
+    def test_power_is_the_elementwise_product(self):
+        x = np.concatenate([[0.0, 1e-300, 1.0, 1e10], np.geomspace(1e-8, 1e3, 200)])
+        direction = np.array([0.3, -1.7, 2.0])
+        expected = x[:, None] ** 0.6 * direction[None, :]
+        assert np.array_equal(VolatilityFunction.power(0.6, direction)(x), expected)
+
     def test_scalar_call_returns_vector(self, example_vol):
         out = example_vol(4.0)
         assert out.shape == (2,)

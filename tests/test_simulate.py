@@ -136,6 +136,59 @@ class TestSampleStable:
         lo = np.quantile(draws, 0.001)
         assert hi > -lo
 
+    def test_draws_uniforms_then_exponentials(self):
+        gen = RngStream(16).generator()
+        v = gen.uniform(-0.5 * np.pi, 0.5 * np.pi, size=50)
+        w = gen.standard_exponential(size=50)
+        draws = sample_stable(1.7, 2.0, 0.3, RngStream(16), size=50)
+        assert np.array_equal(draws, simulate._cms(1.7, 2.0 * 0.3 ** (1.0 / 1.7), v, w))
+
+
+def direct_cms(alpha, v, w):
+    """The direct trigonometric Chambers-Mallows-Stuck formula, scaled to
+    E exp(-u X) = exp(c_alpha u^alpha)."""
+    t = np.tan(0.5 * np.pi * alpha)
+    b0 = np.arctan(t) / alpha
+    s0 = (1.0 + t * t) ** (1.0 / (2.0 * alpha))
+    x = (
+        s0
+        * np.sin(alpha * (v + b0))
+        / np.cos(v) ** (1.0 / alpha)
+        * (np.cos(v - alpha * (v + b0)) / w) ** ((1.0 - alpha) / alpha)
+    )
+    return (stable_coefficient(alpha) * abs(np.cos(0.5 * np.pi * alpha))) ** (1.0 / alpha) * x
+
+
+class TestStableKernel:
+    ALPHAS = [1.05, 1.1, 1.5, 1.7, 1.9, 1.95]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_direct_trigonometric_formula(self, alpha):
+        # up to 1e-6 from either end; the grid stays 0.015 or more away
+        # from the zero of sin(alpha (v + pi/2)), where relative error
+        # means nothing
+        half = 0.5 * np.pi
+        v = np.concatenate(
+            [[-half + 1e-6, -half + 1e-3], np.linspace(-1.5, 1.5, 31), [half - 1e-3, half - 1e-6]]
+        )
+        w = np.resize([0.05, 0.7, 3.0], v.size)
+        kernel = simulate._cms(alpha, 1.0, v, w)
+        np.testing.assert_allclose(kernel, direct_cms(alpha, v, w), rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_closed_end_gives_the_limit(self, alpha):
+        # uniform(-pi/2, pi/2) can return -pi/2 itself; there every sine
+        # vanishes and X tends to -c^(1/a) a (a-1)^((1-a)/a) w^((a-1)/a)
+        w = np.array([0.05, 0.7, 3.0])
+        x = simulate._cms(alpha, 1.0, np.full(3, -0.5 * np.pi), w)
+        limit = (
+            -stable_coefficient(alpha) ** (1.0 / alpha)
+            * alpha
+            * (alpha - 1.0) ** ((1.0 - alpha) / alpha)
+            * w ** ((alpha - 1.0) / alpha)
+        )
+        np.testing.assert_allclose(x, limit, rtol=1e-12)
+
 
 class TestSimulateReduced:
     def test_zero_model_is_constant(self):
@@ -527,10 +580,11 @@ class TestSimulateOriginal:
         exact = simulate_reduced(model, 1.0, 0.1, 2, 10, RngStream(0))
         assert (exact.cutoff, exact.jump_intensity, exact.dropped_variance) == (None,) * 3
 
-    def test_bitwise_reproducible(self, example_spec, example_vol):
+    def test_bitwise_reproducible(self, tabulated_example_spec, example_vol):
         runs = [
             simulate_original(
-                example_vol, example_spec, -0.5, 0.1, 1.0, 0.05, 0.5, 10, 200, RngStream(9)
+                example_vol, tabulated_example_spec, -0.5, 0.1, 1.0, 0.05, 0.5, 10, 200,
+                RngStream(9),
             )
             for _ in range(2)
         ]
@@ -640,13 +694,19 @@ class TestExactStableIncrements:
 class TestSchemeChoice:
     # (radial law of the half-weight axis atoms, or None for the 16-atom
     # spec; eps; dt; scheme): exact increments iff every law is a pure
-    # power law of index in (1, 2) and 2 n_atoms is at most the expected
-    # jumps per path-step above eps.  The last three cases expect more
-    # than 4 jumps per path-step, so only the law rules them out
+    # power law of index in (1, 2) and n_atoms is at most the expected
+    # jumps per path-step above eps, dt eps^-1.5 / 1.5 for both specs.
+    # The "-above"/"-below" cases sit at 2.05 / 1.94 and 16.8 / 15.5
+    # expected jumps.  The last three cases expect more than 4 jumps per
+    # path-step, so only the law rules them out
     CASES = {
         "criterion-08": ([power_radial(ALPHA)], 1.5e-3, 2e-3, "exact_stable"),
         "cli-small-doc": ([power_radial(ALPHA)], 0.05, 0.02, "compound_poisson"),
+        "two-atoms-above": ([power_radial(ALPHA)], 7.5e-3, 2e-3, "exact_stable"),
+        "two-atoms-below": ([power_radial(ALPHA)], 7.8e-3, 2e-3, "compound_poisson"),
         "sixteen-atoms": (None, 1e-2, 2e-3, "compound_poisson"),
+        "sixteen-atoms-above": (None, 1.85e-3, 2e-3, "exact_stable"),
+        "sixteen-atoms-below": (None, 1.95e-3, 2e-3, "compound_poisson"),
         "tabulated-power": ([tabulated_power_law()], 1.5e-3, 2e-3, "compound_poisson"),
         "power-index-2.5": ([power_radial(2.5)], 1e-2, 2e-3, "compound_poisson"),
         "power-with-atoms": (
