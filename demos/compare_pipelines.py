@@ -5,7 +5,7 @@ demos/configs/example1.json, writing all artifacts under demos/out/.
 The compare stage simulates 20k paths of the two-dimensional equation
 with exact per-atom stable increments and verifies the Monte Carlo bond
 prices against the Riccati prices of the reduced model; the whole run
-takes about seven seconds on two vCPUs.
+takes about four seconds on two vCPUs.
 
 Run from the repository root:  python3 demos/compare_pipelines.py
 """

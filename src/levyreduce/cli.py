@@ -10,7 +10,6 @@ codes: 0 pass, 1 condition or verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -181,11 +180,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows, fmt: str) -> None:
+    """Write the header, then each row of floats through one template
+    of the %-format fmt per cell."""
+    template = ",".join([fmt] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=",", lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(template % tuple(row) for row in rows)
 
 
 def _report_payload(command: str, report: CheckReport, outputs, **extra) -> dict:
@@ -237,8 +238,10 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         cfg.horizon, max(int(round(cfg.horizon / cfg.dt)), 1), cfg.n_paths,
         RngStream(cfg.seed),
     )
+    # 9 significant digits round-trip every float32 state
     header = [f"t_{k}" for k in range(ens.values.shape[1])]
-    _write_csv(outdir / "paths.csv", header, ens.values.tolist())
+    rows = (row.tolist() for row in ens.values)
+    _write_csv(outdir / "paths.csv", header, rows, "%.9g")
     report = CheckReport(())
     payload = _report_payload(
         "simulate",
@@ -264,21 +267,21 @@ def _cmd_price(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     ts = riccati_solve(model, tau_max, 400)
     rows = [
         [
-            f"{tau:.12g}",
-            f"{float(np.interp(tau, ts.tau_grid, ts.A)):.12g}",
-            f"{float(np.interp(tau, ts.tau_grid, ts.B)):.12g}",
-            f"{bond_price(ts, cfg.x0, tau):.12g}",
+            tau,
+            float(np.interp(tau, ts.tau_grid, ts.A)),
+            float(np.interp(tau, ts.tau_grid, ts.B)),
+            bond_price(ts, cfg.x0, tau),
         ]
         for tau in cfg.tau_grid
     ]
-    _write_csv(outdir / "term_structure.csv", ["tau", "A", "B", "price"], rows)
+    _write_csv(outdir / "term_structure.csv", ["tau", "A", "B", "price"], rows, "%.12g")
     payload = _report_payload(
         "price", report, ["term_structure.csv"], model=_model_dict(model)
     )
     _write_json(outdir / "report.json", payload)
     if not quiet:
         for row in rows:
-            print(f"tau={row[0]} price={row[3]}")
+            print(f"tau={row[0]:.12g} price={row[3]:.12g}")
     return 0 if report.overall_pass else 1
 
 
@@ -289,18 +292,9 @@ def _cmd_compare(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         (cfg.require_volatility(), cfg.spec, cfg.a, cfg.b),
         model, cfg.x0, cfg.tau_grid, sim_cfg,
     )
-    rows = [
-        [
-            f"{r['tau']:.12g}", f"{r['A']:.12g}", f"{r['B']:.12g}",
-            f"{r['price_riccati']:.12g}", f"{r['price_mc']:.12g}", f"{r['se']:.12g}",
-        ]
-        for r in result.rows
-    ]
-    _write_csv(
-        outdir / "comparison.csv",
-        ["tau", "A", "B", "price_riccati", "price_mc", "se"],
-        rows,
-    )
+    header = ["tau", "A", "B", "price_riccati", "price_mc", "se"]
+    rows = ([r[name] for name in header] for r in result.rows)
+    _write_csv(outdir / "comparison.csv", header, rows, "%.12g")
     merged = report.merged(result.report)
     payload = _report_payload(
         "compare", merged, ["comparison.csv"], model=_model_dict(model),

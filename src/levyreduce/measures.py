@@ -284,6 +284,14 @@ class VolatilityFunction:
 
     func: Callable
     dimension: int
+    # the row-wise <G(x), dz> of a form that need not build G(x)
+    contraction: Callable | None = None
+
+    def inner(self, x, dz) -> np.ndarray:
+        """Row-wise <G(x_i), dz_i> of states x (n,) and increments dz (n, d)."""
+        if self.contraction is not None:
+            return self.contraction(np.asarray(x, dtype=float), dz)
+        return np.einsum("ij,ij->i", self(x), dz)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -302,7 +310,10 @@ class VolatilityFunction:
         def g(x, _p=exponent, _v=direction):
             return (np.asarray(x, dtype=float) ** _p)[:, None] * _v[None, :]
 
-        return cls(g, int(direction.shape[0]))
+        def inner(x, dz, _p=exponent, _v=direction):
+            return x ** _p * (dz @ _v)
+
+        return cls(g, int(direction.shape[0]), inner)
 
     @classmethod
     def tabulated(cls, x_grid, values) -> "VolatilityFunction":

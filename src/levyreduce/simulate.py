@@ -531,8 +531,7 @@ def simulate_original(
         dz = sampler.sample_increment(dt, n_paths, gen)
         if root is not None:
             dz += gen.standard_normal((n_paths, q.shape[0])) @ root.T * np.sqrt(dt)
-        gx = np.asarray(G(np.maximum(r, 0.0)), dtype=float)
-        r = r + (a * r + b) * dt + np.einsum("ij,ij->i", gx, dz)
+        r = r + (a * r + b) * dt + G.inner(np.maximum(r, 0.0), dz)
         clamped += int(np.count_nonzero(r < 0.0))
         r = np.maximum(r, 0.0)
         values[k + 1] = r

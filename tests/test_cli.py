@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levyreduce.cli import run
+from levyreduce.cli import RunConfig, run
+from levyreduce.simulate import RngStream, simulate_original
 
 from conftest import base_config
 
@@ -490,6 +491,21 @@ class TestSimulatePipeline:
         p1 = (out1 / "paths.csv").read_bytes()
         assert p1 == (out2 / "paths.csv").read_bytes()
         assert p1 != (out3 / "paths.csv").read_bytes()
+
+    def test_paths_csv_round_trips_the_float32_states(self, write_config, tmp_path):
+        # states near 12: in [10, 16) float32 values lie closer together
+        # (9.5e-7) than 8 significant digits can tell apart (1e-6)
+        doc = self.small_doc()
+        doc["simulation"]["x0"] = 12.0
+        out = tmp_path / "out"
+        assert run(["simulate", write_config(doc), str(out), "--quiet"]) == 0
+        written = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)
+        cfg = RunConfig(doc)
+        ens = simulate_original(
+            cfg.volatility, cfg.spec, cfg.a, cfg.b, cfg.x0, cfg.eps,
+            cfg.horizon, 10, cfg.n_paths, RngStream(cfg.seed),
+        )
+        assert np.array_equal(written.astype(np.float32), ens.values)
 
 
 class TestPricePipeline:

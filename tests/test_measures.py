@@ -215,6 +215,23 @@ class TestVolatilityFunction:
         expected = x[:, None] ** 0.6 * direction[None, :]
         assert np.array_equal(VolatilityFunction.power(0.6, direction)(x), expected)
 
+    @pytest.mark.parametrize(
+        "G",
+        [
+            VolatilityFunction.power(0.6, [0.3, 1.7, 2.0]),
+            VolatilityFunction.tabulated(
+                [0.0, 1.0, 1e3], [[0.0, 0.5, 1.0], [1.0, 2.0, 0.2], [3.0, 1.0, 4.0]]
+            ),
+        ],
+        ids=["power", "tabulated"],
+    )
+    def test_inner_is_the_contraction_of_the_call(self, G):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([[0.0, 1e-300, 1.0], rng.gamma(2.0, 0.5, 500)])
+        dz = rng.exponential(size=(x.size, 3))
+        expected = np.einsum("ij,ij->i", G(x), dz)
+        np.testing.assert_allclose(G.inner(x, dz), expected, rtol=1e-15, atol=0.0)
+
     def test_scalar_call_returns_vector(self, example_vol):
         out = example_vol(4.0)
         assert out.shape == (2,)
