@@ -79,10 +79,13 @@ from .reduction import (
     stable_generating_condition,
 )
 from .simulate import (
+    EulerRun,
     JumpSampler,
     PathEnsemble,
     RngStream,
     StableAtomSampler,
+    original_run,
+    reduced_run,
     sample_stable,
     simulate_original,
     simulate_reduced,
@@ -96,6 +99,7 @@ from .pricing import (
     bond_price,
     compare_term_structures,
     mc_bond_price,
+    mc_bond_prices,
     riccati_solve,
 )
 

@@ -23,7 +23,7 @@ from .laplace import laplace_radial, stable_coefficient
 from .measures import RadialMeasure, power_radial
 from .report import CheckReport, item
 from .reduction import GeneratingModel, ReducedModel
-from .simulate import RngStream, simulate_original
+from .simulate import RngStream, original_run
 
 B_CAP_DEFAULT = 1e3
 _INTERP_U_MIN = 1e-8
@@ -192,35 +192,63 @@ def bond_price(ts: TermStructure, x: float, tau: float) -> float:
     return float(np.exp(-a_val - b_val * x))
 
 
-def mc_bond_price(ensemble, tau: float):
-    """(price, standard error) of E exp(-int_0^tau R) over an ensemble.
+def mc_bond_prices(states, dt: float, taus) -> list:
+    """(price, standard error) of E exp(-int_0^tau R) at each maturity
+    in taus, from the rate states on the grid t = k dt.
 
-    The rate integral is the trapezoid rule on the stored grid, with a
-    linearly interpolated partial cell when tau falls between nodes.
+    states yields one (n_paths,) float64 state per node in step order,
+    from t = 0: an EulerRun, or the columns of a path matrix.  The rate
+    integral is the trapezoid rule on the grid, with a linearly
+    interpolated partial cell when tau falls between nodes.  It is read
+    off one float64 running sum, so no state outlives the node after
+    it, and reading stops once the last maturity is priced.  Raises
+    ValueError when the states end before a maturity's cell does.
     """
-    if not (0.0 <= tau <= ensemble.horizon * (1.0 + 1e-12)):
-        raise ValueError(f"maturity {tau:g} exceeds the simulated horizon")
-    v = ensemble.values
-    dt = ensemble.dt
-    m = min(int(tau / dt + 1e-9), ensemble.n_steps)
-    integral = np.zeros(v.shape[0])
-    if m >= 1:
-        integral += dt * (
-            0.5 * v[:, 0].astype(np.float64)
-            + np.sum(v[:, 1:m], axis=1, dtype=np.float64)
-            + 0.5 * v[:, m].astype(np.float64)
-        )
-    rest = tau - m * dt
-    if rest > 1e-12 * max(tau, dt):
-        frac = rest / dt
-        left = v[:, m].astype(np.float64)
-        right = v[:, min(m + 1, ensemble.n_steps)].astype(np.float64)
-        r_tau = left + frac * (right - left)
-        integral += 0.5 * rest * (left + r_tau)
+    cells = []
+    for tau in taus:
+        if tau < 0.0:
+            raise ValueError("maturities must be nonnegative")
+        m = int(tau / dt + 1e-9)
+        rest = tau - m * dt
+        cells.append((m, rest if rest > 1e-12 * max(tau, dt) else 0.0))
+    quotes = [None] * len(cells)
+    partial = {}
+    # 0.5 r_0 + r_1 + ... + r_(k-1) before node k is added
+    total = None
+    for k, r in enumerate(states):
+        for j, (m, rest) in enumerate(cells):
+            if k == m:
+                integral = np.zeros_like(r) if total is None else dt * (total + 0.5 * r)
+                if rest:
+                    partial[j] = integral + rest * (1.0 - 0.5 * rest / dt) * r
+                else:
+                    quotes[j] = _discount_moments(integral)
+            elif k == m + 1 and rest:
+                quotes[j] = _discount_moments(partial.pop(j) + 0.5 * rest * rest / dt * r)
+        if None not in quotes:
+            return quotes
+        if total is None:
+            total = 0.5 * r
+        else:
+            total += r
+    raise ValueError("a maturity exceeds the simulated horizon")
+
+
+def _discount_moments(integral: np.ndarray):
+    """(mean, standard error) of exp(-integral) over the paths."""
     disc = np.exp(-integral)
     price = float(disc.mean())
     se = float(disc.std(ddof=1) / np.sqrt(len(disc))) if len(disc) > 1 else 0.0
     return price, se
+
+
+def mc_bond_price(ensemble, tau: float):
+    """(price, standard error) of E exp(-int_0^tau R) over an ensemble:
+    mc_bond_prices fed the ensemble's stored states."""
+    if not (0.0 <= tau <= ensemble.horizon * (1.0 + 1e-12)):
+        raise ValueError(f"maturity {tau:g} exceeds the simulated horizon")
+    columns = (col.astype(np.float64) for col in ensemble.values.T)
+    return mc_bond_prices(columns, ensemble.dt, [tau])[0]
 
 
 @dataclass(frozen=True)
@@ -263,7 +291,7 @@ def compare_term_structures(
 
     original is (G, spec, a, b).  Each maturity passes when
     |MC - ODE| <= 3 SE + scheme tolerance.  The scheme tolerance is
-    built from the error terms of the scheme simulate_original picks: a
+    built from the error terms of the scheme original_run picks: a
     dt margin for the Euler bias, plus, for truncated compound-Poisson
     jumps only, the Riccati price shift caused by the jump cutoff.
     Exact stable increments have no cutoff, so they skip that second
@@ -278,29 +306,28 @@ def compare_term_structures(
         raise ValueError("need at least one positive maturity")
     n_steps = max(int(round(horizon / sim_cfg.dt)), 1)
 
-    ens = simulate_original(
+    run = original_run(
         G, spec, a, b, x0, sim_cfg.eps, horizon, n_steps, sim_cfg.n_paths,
         RngStream(sim_cfg.seed),
     )
     ts = riccati_solve(reduced, horizon, sim_cfg.n_ode_steps)
 
     ts_eps = None
-    if ens.cutoff is not None:
+    if run.cutoff is not None:
         # cutoff-perturbed reduced model: same Riccati solve with the
         # stable J replaced by its tail-truncated version
         j_eps = _interpolated_laplace(
             power_radial(reduced.alpha, reduced.C ** reduced.alpha),
             2.0 * B_CAP_DEFAULT,
-            lo=ens.cutoff,
+            lo=run.cutoff,
         )
         trunc = _CallableModel(reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
         ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps)
 
     rows = []
     items = []
-    for tau in taus:
+    for tau, (p_mc, se) in zip(taus, mc_bond_prices(run, run.dt, taus)):
         p_ode = bond_price(ts, x0, tau)
-        p_mc, se = mc_bond_price(ens, tau)
         cutoff_shift = 0.0 if ts_eps is None else abs(bond_price(ts_eps, x0, tau) - p_ode)
         scheme_tol = cutoff_shift + _DT_MARGIN * sim_cfg.dt
         disc = abs(p_mc - p_ode)
@@ -326,6 +353,6 @@ def compare_term_structures(
                 detail=f"mc={p_mc:.6f} se={se:.2e} ode={p_ode:.6f} scheme_tol={scheme_tol:.2e}",
             )
         )
-    return ComparisonResult(CheckReport(tuple(items)), tuple(rows), ens.scheme_summary())
+    return ComparisonResult(CheckReport(tuple(items)), tuple(rows), run.scheme_summary())
 
 

@@ -14,6 +14,12 @@ closed-form Pareto radii, other radial laws inverse-CDF tables or atom
 weights.  Its small jumps below the cutoff are dropped, not
 Gaussian-approximated; their variance is reported so callers can
 budget the bias.
+
+Each scheme's Euler loop runs behind an EulerRun, which yields the
+float64 states as the scheme steps.  simulate_reduced and
+simulate_original store every state as a float32 path; a reader that
+needs only sums of the states, such as the Monte Carlo bond price,
+reads the run itself and keeps no paths.
 """
 
 from __future__ import annotations
@@ -76,13 +82,35 @@ def _seed_tag(rng):
     return None
 
 
+class _SchemeSlack:
+    """The scheme and its numerical slack, for PathEnsemble and EulerRun:
+    both carry cutoff, jump_intensity, dropped_variance and
+    clamp_frequency."""
+
+    @property
+    def scheme(self) -> str:
+        """"compound_poisson" for truncated jumps, "exact_stable" for
+        exact stable increments."""
+        return "exact_stable" if self.cutoff is None else "compound_poisson"
+
+    def scheme_summary(self) -> dict:
+        """The scheme behind the paths and its numerical slack."""
+        return {
+            "scheme": self.scheme,
+            "cutoff": self.cutoff,
+            "jump_intensity": self.jump_intensity,
+            "dropped_variance": self.dropped_variance,
+            "clamp_frequency": self.clamp_frequency,
+        }
+
+
 @dataclass(frozen=True)
-class PathEnsemble:
+class PathEnsemble(_SchemeSlack):
     """Simulated short-rate paths on a uniform time grid.
 
     values is (n_paths, n_steps+1) in float32; every entry is
-    nonnegative by construction of the schemes.  The schemes store it
-    time-major and pass its transpose, so each Euler step writes one
+    nonnegative by construction of the schemes.  The simulators store
+    it time-major and pass its transpose, so each Euler step writes one
     contiguous row.  clamp_frequency is the fraction of proposed steps
     that were clipped at zero.  cutoff, jump_intensity and
     dropped_variance describe the truncated jump sampler behind the
@@ -119,21 +147,50 @@ class PathEnsemble:
     def times(self) -> np.ndarray:
         return np.arange(self.values.shape[1]) * self.dt
 
-    @property
-    def scheme(self) -> str:
-        """"compound_poisson" for truncated jumps, "exact_stable" for
-        exact stable increments."""
-        return "exact_stable" if self.cutoff is None else "compound_poisson"
 
-    def scheme_summary(self) -> dict:
-        """The scheme behind the paths and its numerical slack."""
-        return {
-            "scheme": self.scheme,
-            "cutoff": self.cutoff,
-            "jump_intensity": self.jump_intensity,
-            "dropped_variance": self.dropped_variance,
-            "clamp_frequency": self.clamp_frequency,
-        }
+class EulerRun(_SchemeSlack):
+    """One run of a full-truncation Euler scheme, stepped as it is read.
+
+    Iterating yields the float64 state at t = k dt for k = 0..n_steps,
+    each a fresh (n_paths,) array, so a reader may keep any of them; the
+    run itself keeps none.  steps is the scheme's Euler loop: it yields
+    each state together with the number of proposals clipped at zero
+    to reach it.  clamp_frequency is the fraction of proposals clipped
+    so far, over all n_steps * n_paths of them.  jumps is the truncated
+    jump sampler behind the increments, None for exact stable
+    increments.  A run steps once.
+    """
+
+    def __init__(self, steps, dt, n_steps, n_paths, seed, jumps):
+        self._steps = steps
+        self._clipped = 0
+        self.dt = dt
+        self.n_steps = n_steps
+        self.n_paths = n_paths
+        self.seed = seed
+        self.cutoff = None if jumps is None else jumps.cutoff
+        self.jump_intensity = None if jumps is None else jumps.intensity
+        self.dropped_variance = None if jumps is None else jumps.dropped_variance
+
+    def __iter__(self):
+        for r, clipped in self._steps:
+            self._clipped += clipped
+            yield r
+
+    @property
+    def clamp_frequency(self) -> float:
+        return self._clipped / float(self.n_steps * self.n_paths)
+
+
+def _stored(run: EulerRun) -> PathEnsemble:
+    """Every state of run, rounded into the float32 path matrix."""
+    values = np.empty((run.n_steps + 1, run.n_paths), dtype=np.float32)
+    for k, r in enumerate(run):
+        values[k] = r
+    return PathEnsemble(
+        values.T, run.dt, run.seed, run.clamp_frequency,
+        run.cutoff, run.jump_intensity, run.dropped_variance,
+    )
 
 
 def sample_stable(alpha: float, scale: float, dt: float, rng, size=None):
@@ -210,6 +267,43 @@ def _half_sine(t: np.ndarray, buf: np.ndarray) -> None:
     t /= buf
 
 
+def reduced_run(
+    model: ReducedModel,
+    x0: float,
+    horizon: float,
+    n_steps: int,
+    n_paths: int,
+    rng,
+) -> EulerRun:
+    """Full-truncation Euler scheme for the one-factor stable-CIR rate.
+
+    R <- max(0, R + (aR+b)dt + C (R v 0)^(1/alpha) dZ); the coefficient
+    uses the clipped state and the state itself is clipped after every
+    step, so the run stays nonnegative.  model may be any object with
+    fields a, b, C, alpha; C = 0 degenerates to the drift ODE.
+    """
+    if x0 < 0:
+        raise ValueError("x0 must be nonnegative")
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("need at least one step and one path")
+    dt = float(horizon) / n_steps
+    steps = _reduced_steps(model, x0, dt, n_steps, n_paths, _as_generator(rng))
+    return EulerRun(steps, dt, n_steps, n_paths, _seed_tag(rng), None)
+
+
+def _reduced_steps(model, x0, dt, n_steps, n_paths, gen):
+    """The Euler loop of reduced_run: (state, proposals clipped) per node."""
+    r = np.full(n_paths, float(x0))
+    yield r, 0
+    inv_alpha = 1.0 / model.alpha
+    for _ in range(n_steps):
+        dz = sample_stable(model.alpha, 1.0, dt, gen, size=n_paths)
+        r = r + (model.a * r + model.b) * dt + model.C * np.maximum(r, 0.0) ** inv_alpha * dz
+        clipped = int(np.count_nonzero(r < 0.0))
+        r = np.maximum(r, 0.0)
+        yield r, clipped
+
+
 def simulate_reduced(
     model: ReducedModel,
     x0: float,
@@ -218,34 +312,8 @@ def simulate_reduced(
     n_paths: int,
     rng,
 ) -> PathEnsemble:
-    """Full-truncation Euler scheme for the one-factor stable-CIR rate.
-
-    R <- max(0, R + (aR+b)dt + C (R v 0)^(1/alpha) dZ); the coefficient
-    uses the clipped state and the state itself is clipped after every
-    step, so the ensemble stays nonnegative.  model may be any object
-    with fields a, b, C, alpha; C = 0 degenerates to the drift ODE.
-    """
-    if x0 < 0:
-        raise ValueError("x0 must be nonnegative")
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("need at least one step and one path")
-    gen = _as_generator(rng)
-    dt = float(horizon) / n_steps
-
-    values = np.empty((n_steps + 1, n_paths), dtype=np.float32)
-    r = np.full(n_paths, float(x0))
-    values[0] = r
-    clamped = 0
-    inv_alpha = 1.0 / model.alpha
-    for k in range(n_steps):
-        dz = sample_stable(model.alpha, 1.0, dt, gen, size=n_paths)
-        r = r + (model.a * r + model.b) * dt + model.C * np.maximum(r, 0.0) ** inv_alpha * dz
-        clamped += int(np.count_nonzero(r < 0.0))
-        r = np.maximum(r, 0.0)
-        values[k + 1] = r
-    return PathEnsemble(
-        values.T, dt, _seed_tag(rng), clamped / float(n_steps * n_paths)
-    )
+    """The paths of reduced_run, every state stored."""
+    return _stored(reduced_run(model, x0, horizon, n_steps, n_paths, rng))
 
 
 @dataclass(frozen=True)
@@ -481,6 +549,65 @@ def stable_atom_sampler(spec: LevySpec, eps: float, dt: float):
     )
 
 
+def original_run(
+    G,
+    spec: LevySpec,
+    a: float,
+    b: float,
+    x0: float,
+    eps: float,
+    horizon: float,
+    n_steps: int,
+    n_paths: int,
+    rng,
+) -> EulerRun:
+    """Euler scheme for dR = (aR+b)dt + <G(R), dZ>.
+
+    The jump part of dZ comes from stable_atom_sampler when it applies
+    and is cheaper: exact per-atom stable increments, with no cutoff.
+    Otherwise it comes from the compound-Poisson approximation above
+    the cutoff eps, and the run records that sampler's cutoff,
+    intensity and dropped variance.  A nonzero Wiener covariance adds
+    correlated Gaussian increments.  States are clipped at zero and the
+    clip frequency recorded.
+    """
+    if x0 < 0 or b < 0:
+        raise ValueError("x0 and b must be nonnegative")
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("need at least one step and one path")
+    gen = _as_generator(rng)
+    dt = float(horizon) / n_steps
+
+    jumps = None
+    sampler = stable_atom_sampler(spec, eps, dt)
+    if sampler is None:
+        sampler = jumps = truncated_jump_sampler(spec, eps)[0]
+
+    q = np.asarray(spec.wiener_cov, dtype=float)
+    if np.any(q != 0.0):
+        w, vecs = np.linalg.eigh(q)
+        root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    else:
+        root = None
+
+    steps = _original_steps(G, sampler, root, a, b, x0, dt, n_steps, n_paths, gen)
+    return EulerRun(steps, dt, n_steps, n_paths, _seed_tag(rng), jumps)
+
+
+def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, n_paths, gen):
+    """The Euler loop of original_run: (state, proposals clipped) per node."""
+    r = np.full(n_paths, float(x0))
+    yield r, 0
+    for _ in range(n_steps):
+        dz = sampler.sample_increment(dt, n_paths, gen)
+        if root is not None:
+            dz += gen.standard_normal((n_paths, root.shape[0])) @ root.T * np.sqrt(dt)
+        r = r + (a * r + b) * dt + G.inner(np.maximum(r, 0.0), dz)
+        clipped = int(np.count_nonzero(r < 0.0))
+        r = np.maximum(r, 0.0)
+        yield r, clipped
+
+
 def simulate_original(
     G,
     spec: LevySpec,
@@ -493,49 +620,7 @@ def simulate_original(
     n_paths: int,
     rng,
 ) -> PathEnsemble:
-    """Euler scheme for dR = (aR+b)dt + <G(R), dZ>.
-
-    The jump part of dZ comes from stable_atom_sampler when it applies
-    and is cheaper: exact per-atom stable increments, with no cutoff.
-    Otherwise it comes from the compound-Poisson approximation above
-    the cutoff eps, and the ensemble records that sampler's cutoff,
-    intensity and dropped variance.  A nonzero Wiener covariance adds
-    correlated Gaussian increments.  States are clipped at zero and the
-    clip frequency recorded.
-    """
-    if x0 < 0 or b < 0:
-        raise ValueError("x0 and b must be nonnegative")
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("need at least one step and one path")
-    gen = _as_generator(rng)
-    dt = float(horizon) / n_steps
-
-    cutoff = intensity = dropped = None
-    sampler = stable_atom_sampler(spec, eps, dt)
-    if sampler is None:
-        sampler, dropped = truncated_jump_sampler(spec, eps)
-        cutoff, intensity = sampler.cutoff, sampler.intensity
-
-    q = np.asarray(spec.wiener_cov, dtype=float)
-    if np.any(q != 0.0):
-        w, vecs = np.linalg.eigh(q)
-        root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    else:
-        root = None
-
-    values = np.empty((n_steps + 1, n_paths), dtype=np.float32)
-    r = np.full(n_paths, float(x0))
-    values[0] = r
-    clamped = 0
-    for k in range(n_steps):
-        dz = sampler.sample_increment(dt, n_paths, gen)
-        if root is not None:
-            dz += gen.standard_normal((n_paths, q.shape[0])) @ root.T * np.sqrt(dt)
-        r = r + (a * r + b) * dt + G.inner(np.maximum(r, 0.0), dz)
-        clamped += int(np.count_nonzero(r < 0.0))
-        r = np.maximum(r, 0.0)
-        values[k + 1] = r
-    return PathEnsemble(
-        values.T, dt, _seed_tag(rng), clamped / float(n_steps * n_paths),
-        cutoff, intensity, dropped,
+    """The paths of original_run, every state stored."""
+    return _stored(
+        original_run(G, spec, a, b, x0, eps, horizon, n_steps, n_paths, rng)
     )

@@ -23,14 +23,14 @@ from levyreduce import (
     improper_value,
     induced_spec,
     laplace_radial,
-    mc_bond_price,
+    mc_bond_prices,
     power_radial,
     q_ratios,
     radial_balance,
     reduce_model,
+    reduced_run,
     riccati_solve,
     sample_stable,
-    simulate_reduced,
     spherical_integrate,
     stable_coefficient,
 )
@@ -180,11 +180,12 @@ def test_criterion_06_riccati_steady_state():
 def test_criterion_07_mc_vs_riccati_pricing():
     start = time.perf_counter()
     model = ReducedModel(a=-0.5, b=0.1, C=1.0, alpha=1.5)
-    ens = simulate_reduced(model, 1.0, 5.0, 5000, 100_000, RngStream(7))
+    # the prices are summed while the run steps; no path matrix is kept
+    run = reduced_run(model, 1.0, 5.0, 5000, 100_000, RngStream(7))
     ts = riccati_solve(model, 5.0, 500)
     details, ok = [], True
-    for tau in (0.5, 1.0, 5.0):
-        p_mc, se = mc_bond_price(ens, tau)
+    taus = (0.5, 1.0, 5.0)
+    for tau, (p_mc, se) in zip(taus, mc_bond_prices(run, run.dt, taus)):
         p_ode = bond_price(ts, 1.0, tau)
         gap = abs(p_mc - p_ode)
         band = 3.0 * se + 1e-3

@@ -1,6 +1,8 @@
 """Tests for Riccati term structures, bond pricing, and the Monte Carlo
 cross-check of the exponent-equation sign convention."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,10 @@ from levyreduce import (
     bond_price,
     compare_term_structures,
     mc_bond_price,
+    mc_bond_prices,
+    reduced_run,
     riccati_solve,
+    simulate_original,
     simulate_reduced,
 )
 from levyreduce import pricing
@@ -225,6 +230,72 @@ class TestMcBondPrice:
             p_mc, se = mc_bond_price(ens, tau)
             p_ode = bond_price(ts, 1.0, tau)
             assert abs(p_mc - p_ode) <= 3.0 * se + 1.0 * ens.dt
+
+
+class TestStreamedPrices:
+    # at dt = 0.01, tau = 0.1234 cuts a partial cell and 0.25 is a node
+    TAUS = (0.1234, 0.25)
+
+    @staticmethod
+    def assert_quotes_match(streamed, ens, taus):
+        # the stored paths are the streamed float64 states rounded to
+        # float32, so the prices agree to float32 rounding
+        assert len(streamed) == len(taus)
+        for tau, (price, se) in zip(taus, streamed):
+            stored_price, stored_se = mc_bond_price(ens, tau)
+            assert abs(price - stored_price) <= 1e-6
+            assert abs(se - stored_se) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "eps, scheme", [(1e-3, "exact_stable"), (0.05, "compound_poisson")]
+    )
+    def test_compare_prices_the_stored_paths(self, example_spec, example_vol, eps, scheme):
+        cfg = SimConfig(dt=0.01, n_paths=2000, eps=eps, seed=3, n_ode_steps=50)
+        result = compare_term_structures(
+            (example_vol, example_spec, -0.5, 0.1),
+            ReducedModel(-0.5, 0.1, 1.0, 1.5),
+            1.0,
+            self.TAUS,
+            cfg,
+        )
+        ens = simulate_original(
+            example_vol, example_spec, -0.5, 0.1, 1.0, eps, 0.25, 25, 2000, RngStream(3)
+        )
+        assert result.summary == ens.scheme_summary()
+        assert result.summary["scheme"] == scheme
+        quotes = [(row["price_mc"], row["se"]) for row in result.rows]
+        self.assert_quotes_match(quotes, ens, self.TAUS)
+
+    def test_reduced_run_prices_the_stored_paths(self):
+        model = ReducedModel(-0.5, 0.1, 1.0, 1.5)
+        run = reduced_run(model, 1.0, 0.25, 25, 2000, RngStream(5))
+        ens = simulate_reduced(model, 1.0, 0.25, 25, 2000, RngStream(5))
+        self.assert_quotes_match(mc_bond_prices(run, run.dt, self.TAUS), ens, self.TAUS)
+        assert run.clamp_frequency == ens.clamp_frequency
+
+    @pytest.mark.parametrize("tau", [1.05, 1.5])
+    def test_maturity_beyond_the_stream_rejected(self, tau):
+        # 11 states end at t = 1; 1.05 cuts a cell that never closes
+        states = (np.full(4, 0.1) for _ in range(11))
+        with pytest.raises(ValueError):
+            mc_bond_prices(states, 0.1, [0.5, tau])
+
+    def test_compare_keeps_no_path_matrix(self, example_spec, example_vol):
+        # 10k paths x 1001 float32 states would be a 40 MB matrix
+        cfg = SimConfig(dt=1e-3, n_paths=10_000, eps=1e-3, seed=2, n_ode_steps=50)
+        tracemalloc.start()
+        try:
+            compare_term_structures(
+                (example_vol, example_spec, -0.5, 0.1),
+                ReducedModel(-0.5, 0.1, 1.0, 1.5),
+                1.0,
+                [0.5, 1.0],
+                cfg,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 10_000 * 1001 * 4
 
 
 class TestCompareTermStructures:

@@ -1,5 +1,6 @@
 """Tests for random streams, stable increments, jump samplers, and path schemes."""
 
+import collections
 import dataclasses
 import types
 
@@ -18,8 +19,10 @@ from levyreduce import (
     VolatilityFunction,
     compensated_exp,
     laplace_jump,
+    original_run,
     panel_integral,
     power_radial,
+    reduced_run,
     sample_stable,
     simulate_original,
     simulate_reduced,
@@ -592,6 +595,21 @@ class TestSimulateOriginal:
         assert np.array_equal(runs[0].values, runs[1].values)
         assert runs[0].seed == (9, 0)
 
+    @pytest.mark.parametrize("eps", [1e-3, 0.05])
+    def test_run_streams_the_stored_states(self, example_spec, example_vol, eps):
+        # the stored paths are the streamed float64 states rounded to
+        # float32, from the same draws in the same order; b = 0 makes
+        # both schemes clip
+        args = (example_vol, example_spec, -0.5, 0.0, 0.05, eps, 0.5, 20, 300, RngStream(12))
+        run = original_run(*args)
+        states = list(run)  # each state is a fresh array
+        paths = simulate_original(*args)
+        assert len(states) == paths.n_steps + 1
+        assert np.array_equal(np.array(states, dtype=np.float32).T, paths.values)
+        assert run.scheme_summary() == paths.scheme_summary()
+        assert run.scheme == ("exact_stable" if eps < 0.01 else "compound_poisson")
+        assert run.clamp_frequency > 0.0
+
     def test_rejects_bad_arguments(self, example_spec, example_vol):
         with pytest.raises(ValueError):
             simulate_original(
@@ -617,7 +635,8 @@ class TestSimulateOriginal:
     def test_marginal_law_matches_reduced_model(self, example_spec, example_vol):
         # distributional reducibility: the original scheme's R(1) marginal
         # and the reduced stable-CIR marginal agree in Kolmogorov distance
-        original = simulate_original(
+        # only the terminal states are read, so no path matrix is kept
+        original = original_run(
             example_vol,
             example_spec,
             -0.5,
@@ -630,8 +649,9 @@ class TestSimulateOriginal:
             RngStream(41),
         )
         model = ReducedModel(a=-0.5, b=0.1, C=1.0, alpha=1.5)
-        reduced = simulate_reduced(model, 1.0, 1.0, 1000, 100_000, RngStream(42))
-        ks = stats.ks_2samp(original.values[:, -1], reduced.values[:, -1]).statistic
+        reduced = reduced_run(model, 1.0, 1.0, 1000, 100_000, RngStream(42))
+        terminal = [collections.deque(run, maxlen=1).pop() for run in (original, reduced)]
+        ks = stats.ks_2samp(*terminal).statistic
         assert ks < 0.02
 
 
