@@ -68,15 +68,12 @@ from .conditions import (
     wiener_cir_check,
 )
 from .reduction import (
-    GeneratingModel,
     ReducedModel,
-    apply_generator,
     check_hypotheses,
     direction_limit_at_zero,
     extract_affine_exponents,
     fit_power_law,
     reduce_model,
-    stable_generating_condition,
 )
 from .simulate import (
     EulerRun,
@@ -98,7 +95,6 @@ from .pricing import (
     TermStructure,
     bond_price,
     compare_term_structures,
-    mc_bond_price,
     mc_bond_prices,
     riccati_solve,
 )

@@ -56,6 +56,19 @@ _KIND_KEYS = {
 }
 
 
+# the JSON parser's hooks: a config number must be a finite float, so
+# NaN, Infinity, -Infinity and a literal like 1e999 are refused
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in the configuration")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not np.isfinite(value):
+        raise ValueError(f"number {literal} overflows a float")
+    return value
+
+
 def _check_keys(section, allowed, name=None) -> None:
     """Refuse a section that is not a JSON object or holds a key outside
     allowed; name None stands for the top level."""
@@ -346,13 +359,17 @@ def run(argv) -> int:
         return 2
 
     try:
-        doc = json.loads(Path(args.config).read_text())
+        doc = json.loads(
+            Path(args.config).read_text(),
+            parse_constant=_refuse_constant,
+            parse_float=_finite_float,
+        )
         cfg = RunConfig(doc)
         if args.seed is not None:
             cfg.seed = args.seed
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         print(f"usage: {_USAGE}", file=sys.stderr)
         return 2
@@ -367,7 +384,7 @@ def run(argv) -> int:
         _write_json(out / "report.json", payload)
         print(f"{args.subcommand} refused: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 

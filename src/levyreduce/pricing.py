@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BlowUp
-from .laplace import laplace_radial, stable_coefficient
+from .laplace import laplace_radial
 from .measures import RadialMeasure, power_radial
 from .report import CheckReport, item
-from .reduction import GeneratingModel, ReducedModel
+from .reduction import ReducedModel
 from .simulate import RngStream, original_run
 
 B_CAP_DEFAULT = 1e3
@@ -90,36 +90,6 @@ def _interpolated_laplace(measure: RadialMeasure, u_max: float, lo: float = 0.0)
     return j
 
 
-@dataclass(frozen=True)
-class _CallableModel:
-    """Internal model form with the Laplace exponents given directly."""
-
-    a: float
-    b: float
-    c: float
-    j_mu: object
-    j_nu: object
-
-
-def _model_rhs(model, u_max: float):
-    """(a, b, c, J_mu, J_nu0) pulled out of either model form."""
-    if isinstance(model, _CallableModel):
-        return model.a, model.b, model.c, model.j_mu, model.j_nu
-    if isinstance(model, ReducedModel):
-        scale = model.C ** model.alpha * stable_coefficient(model.alpha)
-        alpha = model.alpha
-        return model.a, model.b, 0.0, lambda u: scale * u ** alpha, lambda u: 0.0
-    if isinstance(model, GeneratingModel):
-        return (
-            model.a,
-            model.b,
-            model.c,
-            _interpolated_laplace(model.mu, u_max),
-            _interpolated_laplace(model.nu_G0, u_max),
-        )
-    raise TypeError("model must be a ReducedModel or GeneratingModel")
-
-
 def riccati_solve(
     model,
     tau_max: float,
@@ -128,6 +98,10 @@ def riccati_solve(
     b_cap: float = B_CAP_DEFAULT,
 ) -> TermStructure:
     """Integrate the term-structure equations out to tau_max.
+
+    model takes one of two forms: a ReducedModel, which supplies its
+    closed-form exponents(), or the tuple (a, b, c, J_mu, J_nu0) of the
+    equations above, each J a function of one float.
 
     Classical Runge-Kutta with step doubling inside each output cell:
     a step is accepted when the doubling estimate meets 1e-9 relative,
@@ -138,7 +112,7 @@ def riccati_solve(
         raise ValueError("tau_max must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    a, b, c, j_mu, j_nu = _model_rhs(model, 2.0 * b_cap)
+    a, b, c, j_mu, j_nu = model.exponents() if isinstance(model, ReducedModel) else model
 
     def rhs(y):
         bb = y[0]
@@ -242,15 +216,6 @@ def _discount_moments(integral: np.ndarray):
     return price, se
 
 
-def mc_bond_price(ensemble, tau: float):
-    """(price, standard error) of E exp(-int_0^tau R) over an ensemble:
-    mc_bond_prices fed the ensemble's stored states."""
-    if not (0.0 <= tau <= ensemble.horizon * (1.0 + 1e-12)):
-        raise ValueError(f"maturity {tau:g} exceeds the simulated horizon")
-    columns = (col.astype(np.float64) for col in ensemble.values.T)
-    return mc_bond_prices(columns, ensemble.dt, [tau])[0]
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo settings for the comparison pipeline."""
@@ -292,7 +257,8 @@ def compare_term_structures(
     original is (G, spec, a, b).  Each maturity passes when
     |MC - ODE| <= 3 SE + scheme tolerance.  The scheme tolerance is
     built from the error terms of the scheme original_run picks: a
-    dt margin for the Euler bias, plus, for truncated compound-Poisson
+    margin of one step the run took (run.dt, horizon over the step
+    count) for the Euler bias, plus, for truncated compound-Poisson
     jumps only, the Riccati price shift caused by the jump cutoff.
     Exact stable increments have no cutoff, so they skip that second
     Riccati solve.  summary names the scheme and its numerical slack.
@@ -321,7 +287,7 @@ def compare_term_structures(
             2.0 * B_CAP_DEFAULT,
             lo=run.cutoff,
         )
-        trunc = _CallableModel(reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
+        trunc = (reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
         ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps)
 
     rows = []
@@ -329,7 +295,7 @@ def compare_term_structures(
     for tau, (p_mc, se) in zip(taus, mc_bond_prices(run, run.dt, taus)):
         p_ode = bond_price(ts, x0, tau)
         cutoff_shift = 0.0 if ts_eps is None else abs(bond_price(ts_eps, x0, tau) - p_ode)
-        scheme_tol = cutoff_shift + _DT_MARGIN * sim_cfg.dt
+        scheme_tol = cutoff_shift + _DT_MARGIN * run.dt
         disc = abs(p_mc - p_ode)
         band = 3.0 * se + scheme_tol
         rows.append(

@@ -3,13 +3,12 @@
 The pipeline regresses the joint Laplace exponent against the state
 level to isolate the state-proportional jump measure, fits its exponent
 as a power law, and packages the result as the one-factor stable-CIR
-model.  A literal generator evaluator is included so both forms can be
-compared as operators.
+model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .conditions import (
 )
 from .exceptions import (
     AffinityViolation,
-    DivergentIntegral,
     NotPowerLaw,
     PreconditionFailed,
     ResidualNuG0,
@@ -32,19 +30,10 @@ from .exceptions import (
 from .laplace import (
     B_GRID_DEFAULT,
     X_GRID_DEFAULT,
-    compensated_exp,
     laplace_total,
     stable_coefficient,
-    stable_exponent,
 )
-from .measures import (
-    LevySpec,
-    RadialMeasure,
-    SphericalMeasure,
-    power_radial,
-    radial_integral,
-)
-from .quadrature import CONVERGED
+from .measures import LevySpec
 
 PROBE_X_DEFAULT = np.logspace(-2.0, -8.0, 13)
 
@@ -53,68 +42,6 @@ FIT_TOL = 1e-4
 DIRECTION_TOL = 1e-4
 GAUSSIAN_BAND = (1.995, 2.005)
 _SCALING_FACTORS = (2.0, 3.0)
-
-
-@dataclass(frozen=True)
-class GeneratingModel:
-    """Parameters of a one-dimensional affine short-rate generator.
-
-    The drift is a*x + b; c is the CIR diffusion coefficient; nu_G0 is
-    the state-independent jump measure and mu the one multiplying the
-    state level.
-    """
-
-    a: float
-    b: float
-    c: float = 0.0
-    nu_G0: RadialMeasure = field(default_factory=RadialMeasure)
-    mu: RadialMeasure = field(default_factory=RadialMeasure)
-
-    def __post_init__(self):
-        if self.b < 0:
-            raise ValueError("constant drift term b must be nonnegative")
-        if self.c < 0:
-            raise ValueError("diffusion coefficient c must be nonnegative")
-
-    def validate(self) -> rpt.CheckReport:
-        """Integrability and drift-domination invariants as a report."""
-        items = []
-        res = radial_integral(
-            self.mu, lambda v: np.minimum(np.asarray(v, float), np.asarray(v, float) ** 2)
-        )
-        items.append(
-            rpt.item(
-                "mu_moment",
-                res.status == CONVERGED and np.isfinite(res.value),
-                value=res.value,
-                detail="int (v wedge v^2) mu(dv)",
-            )
-        )
-        res = radial_integral(self.nu_G0, lambda v: np.asarray(v, dtype=float))
-        nu_first = res.value
-        items.append(
-            rpt.item(
-                "nu_first_moment",
-                res.status == CONVERGED and np.isfinite(nu_first),
-                value=nu_first,
-                detail="int v nu_G0(dv)",
-            )
-        )
-        res = radial_integral(
-            self.nu_G0,
-            lambda v: np.maximum(np.asarray(v, dtype=float) - 1.0, 0.0),
-            lo=1.0,
-        )
-        items.append(
-            rpt.item(
-                "drift_dominates_tail",
-                res.status == CONVERGED and self.b >= res.value - 1e-12,
-                value=res.value,
-                tolerance=self.b,
-                detail="b must dominate int_(1,inf) (v-1) nu_G0(dv)",
-            )
-        )
-        return rpt.CheckReport(tuple(items))
 
 
 @dataclass(frozen=True)
@@ -138,17 +65,13 @@ class ReducedModel:
         if self.b < 0:
             raise ValueError("constant drift term b must be nonnegative")
 
-    def to_generating(self) -> GeneratingModel:
-        """The same model in generator parameters: the state-proportional
-        jump measure is C^alpha v^(-1-alpha) dv, no diffusion, no
+    def exponents(self):
+        """The Riccati right-hand side (a, b, c, J_mu, J_nu0) in closed
+        form: no diffusion, J_mu(u) = C^alpha c_alpha u^alpha, and no
         state-independent jumps."""
-        return GeneratingModel(
-            self.a,
-            self.b,
-            0.0,
-            RadialMeasure(),
-            power_radial(self.alpha, scale=self.C**self.alpha),
-        )
+        scale = self.C ** self.alpha * stable_coefficient(self.alpha)
+        alpha = self.alpha
+        return self.a, self.b, 0.0, lambda u: scale * u ** alpha, lambda u: 0.0
 
 
 def direction_limit_at_zero(G):
@@ -391,89 +314,3 @@ def reduce_model(
     )
     report = hypotheses.merged(wiener, extras, fit_report)
     return model, report
-
-
-def stable_generating_condition(G, spherical: SphericalMeasure, alpha: float):
-    """Test the closed-form generating condition for a stable spec:
-    the directional moment I(x) = int <G(x), xi>^alpha lambda(dxi) must
-    be linear through the origin in x.
-
-    Returns (coefficient, CheckReport) where coefficient = c_alpha *
-    slope is the coefficient of b^alpha in the level-proportional
-    exponent.  A level whose G(x) has a negative inner product with a
-    direction that carries mass raises NegativeDirection.
-    """
-    coef = stable_coefficient(alpha)
-    x_grid = X_GRID_DEFAULT
-    gx = G(x_grid)
-    if not np.any(gx):
-        it = rpt.CheckItem(
-            "stable_generating_linearity",
-            rpt.WARN,
-            value=0.0,
-            detail="G vanishes on the whole grid",
-        )
-        return 0.0, rpt.CheckReport((it,))
-    moments = stable_exponent(spherical, alpha, gx) / coef
-
-    slope = float(np.dot(x_grid, moments) / np.dot(x_grid, x_grid))
-    floor = 1e-30 * max(1.0, float(np.max(np.abs(moments))))
-    scale = np.maximum(np.maximum(np.abs(moments), abs(slope) * x_grid), floor)
-    residual = float(np.max(np.abs(moments - slope * x_grid) / scale))
-    coefficient = coef * slope
-    report = rpt.CheckReport(
-        (
-            rpt.item(
-                "stable_generating_linearity",
-                residual < 1e-6,
-                value=residual,
-                tolerance=1e-6,
-                detail=f"directional moment slope {slope:.6g}",
-            ),
-        )
-    )
-    return coefficient, report
-
-
-def apply_generator(model: GeneratingModel, lam: float, x: float) -> float:
-    """Apply the affine generator to the exponential f(y) = e^(-lam y)
-    at the point x, integrating the jump terms by quadrature with the
-    bounded truncation kernel.
-
-    The jump integrand e^(-lam v) - 1 + lam (1 wedge v) is evaluated as
-    the compensated kernel minus lam (v-1)^+ so the small-v cancellation
-    stays exact; the drift correction int_(1,inf) (1-v) rho(dv) is kept
-    as a separate literal term.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    f = float(np.exp(-lam * x))
-
-    def jump_kernel(v):
-        v = np.asarray(v, dtype=float)
-        return compensated_exp(lam * v) - lam * np.maximum(v - 1.0, 0.0)
-
-    def tail_drift(v):
-        v = np.asarray(v, dtype=float)
-        return 1.0 - v
-
-    def integrate(measure, fn, what, lo=0.0):
-        if measure.is_zero:
-            return 0.0
-        res = radial_integral(measure, fn, lo=lo)
-        if res.status != CONVERGED:
-            raise DivergentIntegral(f"generator {what} integral did not converge")
-        return res.value
-
-    jump = integrate(model.nu_G0, jump_kernel, "jump") + x * integrate(
-        model.mu, jump_kernel, "jump"
-    )
-    drift = (
-        model.a * x
-        + model.b
-        + integrate(model.nu_G0, tail_drift, "drift", lo=1.0)
-        + x * integrate(model.mu, tail_drift, "drift", lo=1.0)
-    )
-    return model.c * x * lam * lam * f - lam * drift * f + jump * f

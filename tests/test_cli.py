@@ -219,6 +219,44 @@ class TestInvalidModelExits2:
         assert not (out / "report.json").exists()
 
 
+class TestNonFiniteNumbersExit2:
+    """JSON accepts NaN, Infinity and overflowing literals; these used to
+    run to exit 0 with NaN paths or prices, or end in a traceback."""
+
+    @pytest.mark.parametrize(
+        "path, literal, command",
+        [
+            (("simulation", "x0"), "NaN", "simulate"),
+            (("simulation", "x0"), "NaN", "price"),
+            (("model", "radial", "scale"), "1e999", "simulate"),
+            (("G", "exponent"), "NaN", "simulate"),
+            (("simulation", "dt"), "Infinity", "compare"),
+            (("simulation", "horizon"), "Infinity", "simulate"),
+            (("pricing", "tau_grid"), "[0.5, Infinity]", "compare"),
+            (("drift", "b"), "NaN", "price"),
+        ],
+        ids=lambda v: v[-1] if isinstance(v, tuple) else v,
+    )
+    def test_refused_before_any_output(self, path, literal, command, tmp_path, capsys):
+        doc = base_config()
+        _set(path, "@literal")(doc)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc).replace('"@literal"', literal))
+        out = tmp_path / "out"
+        assert run([command, str(config), str(out), "--quiet"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_count_overflow_exits_2(self, write_config, tmp_path, capsys):
+        # finite numbers whose ratio horizon / dt overflows to infinity
+        doc = base_config()
+        doc["simulation"].update(horizon=1e300, dt=1e-300)
+        out = tmp_path / "out"
+        assert run(["simulate", write_config(doc), str(out), "--quiet"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
 class TestCheckPipeline:
     def test_worked_example_passes(self, write_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,13 +2,13 @@
 cross-check of the exponent-equation sign convention."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from levyreduce import (
     BlowUp,
-    GeneratingModel,
     RadialMeasure,
     ReducedModel,
     RngStream,
@@ -16,8 +16,9 @@ from levyreduce import (
     TermStructure,
     bond_price,
     compare_term_structures,
-    mc_bond_price,
+    laplace_radial,
     mc_bond_prices,
+    power_radial,
     reduced_run,
     riccati_solve,
     simulate_original,
@@ -31,7 +32,14 @@ B_LIMIT = C_15 ** (-1.0 / 1.5)  # fixed point of 1 = J(B) for C = 1
 
 
 def drift_only(a, b):
-    return GeneratingModel(a=a, b=b)
+    # Riccati exponents (a, b, c, J_mu, J_nu0) of a jump-free model
+    return a, b, 0.0, lambda u: 0.0, lambda u: 0.0
+
+
+def stored_quotes(ens, taus):
+    """mc_bond_prices fed the float64 columns of a stored ensemble."""
+    columns = (col.astype(np.float64) for col in ens.values.T)
+    return mc_bond_prices(columns, ens.dt, taus)
 
 
 class TestTermStructure:
@@ -87,9 +95,12 @@ class TestRiccatiSolve:
         assert np.all(ts.B >= 0.0)
 
     def test_reduced_and_generating_forms_agree(self):
+        # the closed form against J_mu integrated from the stable measure
+        # C^alpha r^(-1-alpha) dr, the path of compare's cutoff leg at lo = 0
         reduced = ReducedModel(-0.5, 0.1, 1.0, 1.5)
+        j_mu = pricing._interpolated_laplace(power_radial(1.5, 1.0**1.5), 2e3)
         ts1 = riccati_solve(reduced, 5.0, 100)
-        ts2 = riccati_solve(reduced.to_generating(), 5.0, 100)
+        ts2 = riccati_solve((-0.5, 0.1, 0.0, j_mu, lambda u: 0.0), 5.0, 100)
         np.testing.assert_allclose(ts1.B, ts2.B, rtol=0, atol=5e-6)
         np.testing.assert_allclose(ts1.A, ts2.A, rtol=0, atol=5e-6)
 
@@ -128,7 +139,8 @@ class TestSignConvention:
     the J_nu0 term would produce exp(-2 x0 + (4/e - 8 + 8/e)) instead.
     """
 
-    model = GeneratingModel(a=0.0, b=1.0, nu_G0=RadialMeasure(atoms=((0.5, 2.0),)))
+    nu0 = RadialMeasure(atoms=((0.5, 2.0),))
+    model = (0.0, 1.0, 0.0, lambda u: 0.0, partial(laplace_radial, nu0))
     a_exact = 4.0 / np.e  # = b tau^2/2 - 2 int_0^2 H(tau'/2) dtau'
 
     def test_closed_form_coefficients(self):
@@ -191,7 +203,7 @@ class TestMcBondPrice:
         from levyreduce import PathEnsemble
 
         ens = PathEnsemble(np.zeros((50, 11), dtype=np.float32), 0.1)
-        price, se = mc_bond_price(ens, 1.0)
+        price, se = stored_quotes(ens, [1.0])[0]
         assert price == 1.0
         assert se == 0.0
 
@@ -200,7 +212,7 @@ class TestMcBondPrice:
 
         ens = PathEnsemble(np.full((3, 11), 0.4, dtype=np.float32), 0.1)
         for tau in (0.3, 0.55, 1.0):
-            price, se = mc_bond_price(ens, tau)
+            price, se = stored_quotes(ens, [tau])[0]
             assert price == pytest.approx(np.exp(-0.4 * tau), rel=1e-6)
             assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -211,7 +223,7 @@ class TestMcBondPrice:
         # trapezoid rule on a linear function is exact at any cut point
         values = np.linspace(0.0, 1.0, 11, dtype=np.float32)[None, :]
         ens = PathEnsemble(values, 0.1)
-        price, _ = mc_bond_price(ens, 0.55)
+        price, _ = stored_quotes(ens, [0.55])[0]
         assert price == pytest.approx(np.exp(-0.5 * 0.55**2), rel=1e-5)
 
     def test_rejects_maturity_beyond_horizon(self):
@@ -219,15 +231,14 @@ class TestMcBondPrice:
 
         ens = PathEnsemble(np.zeros((2, 11), dtype=np.float32), 0.1)
         with pytest.raises(ValueError):
-            mc_bond_price(ens, 1.5)
+            stored_quotes(ens, [1.5])
 
     def test_matches_riccati_on_reduced_model(self):
         # bounded discounted payoff: honest CLT band plus O(dt) allowance
         model = ReducedModel(-0.5, 0.1, 1.0, 1.5)
         ens = simulate_reduced(model, 1.0, 1.0, 250, 30_000, RngStream(17))
         ts = riccati_solve(model, 1.0, 100)
-        for tau in (0.5, 1.0):
-            p_mc, se = mc_bond_price(ens, tau)
+        for tau, (p_mc, se) in zip((0.5, 1.0), stored_quotes(ens, (0.5, 1.0))):
             p_ode = bond_price(ts, 1.0, tau)
             assert abs(p_mc - p_ode) <= 3.0 * se + 1.0 * ens.dt
 
@@ -241,8 +252,7 @@ class TestStreamedPrices:
         # the stored paths are the streamed float64 states rounded to
         # float32, so the prices agree to float32 rounding
         assert len(streamed) == len(taus)
-        for tau, (price, se) in zip(taus, streamed):
-            stored_price, stored_se = mc_bond_price(ens, tau)
+        for (price, se), (stored_price, stored_se) in zip(streamed, stored_quotes(ens, taus)):
             assert abs(price - stored_price) <= 1e-6
             assert abs(se - stored_se) <= 1e-6
 
@@ -314,6 +324,24 @@ class TestCompareTermStructures:
         assert set(row) >= {"tau", "A", "B", "price_riccati", "price_mc", "se", "discrepancy"}
         assert 0.0 < row["price_mc"] <= 1.0
         assert result.max_discrepancy == row["discrepancy"]
+
+    @pytest.mark.parametrize(
+        "dt, taus, step", [(100.0, [0.25], 0.25), (0.3, [0.5, 1.0], 1.0 / 3.0)]
+    )
+    def test_dt_margin_is_the_step_taken(self, example_spec, example_vol, dt, taus, step):
+        # the run steps horizon / round(horizon / dt), not dt; exact
+        # increments add no cutoff shift, so the band is 3 SE + one step
+        cfg = SimConfig(dt=dt, n_paths=2000, eps=1e-3, seed=4, n_ode_steps=50)
+        result = compare_term_structures(
+            (example_vol, example_spec, -0.5, 0.1),
+            ReducedModel(-0.5, 0.1, 1.0, 1.5),
+            1.0,
+            taus,
+            cfg,
+        )
+        assert result.summary["scheme"] == "exact_stable"
+        for row in result.rows:
+            assert row["band"] - 3.0 * row["se"] == pytest.approx(step, rel=1e-12)
 
     def test_zero_maturity_grid_rejected(self, example_spec, example_vol):
         with pytest.raises(ValueError):

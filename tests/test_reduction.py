@@ -6,8 +6,6 @@ import pytest
 
 from levyreduce import (
     AffinityViolation,
-    GeneratingModel,
-    NegativeDirection,
     NotPowerLaw,
     PreconditionFailed,
     RadialMeasure,
@@ -16,7 +14,6 @@ from levyreduce import (
     SphericalMeasure,
     VolatilityFunction,
     ZeroVolatility,
-    apply_generator,
     check_hypotheses,
     direction_limit_at_zero,
     extract_affine_exponents,
@@ -24,9 +21,6 @@ from levyreduce import (
     laplace_radial,
     power_radial,
     reduce_model,
-    stable_coefficient,
-    stable_exponent,
-    stable_generating_condition,
     stable_spec,
 )
 
@@ -125,25 +119,14 @@ class TestReducedModel:
             with pytest.raises(ValueError):
                 ReducedModel(**kwargs)
 
-    def test_to_generating_matches_closed_form(self):
-        gen = ReducedModel(a=-0.5, b=0.1, C=1.0, alpha=1.5).to_generating()
-        assert gen.c == 0.0
-        assert gen.nu_G0.is_zero
-        # J_mu(2) = c_alpha 2^1.5 for the unit-scale stable measure
-        val = laplace_radial(gen.mu, 2.0)
-        assert val == pytest.approx(C_15 * 2.0**1.5, rel=1e-8)
-
-    def test_generating_model_invariants(self):
-        report = GeneratingModel(a=0.0, b=1.0, mu=power_radial(1.5)).validate()
-        assert report.overall_pass
-        assert report.item("mu_moment").value == pytest.approx(4.0, rel=1e-8)
-
-    def test_drift_domination_failure(self):
-        model = GeneratingModel(
-            a=0.0, b=0.5, nu_G0=RadialMeasure(atoms=((2.0, 1.0),))
-        )
-        report = model.validate()
-        assert not report.item("drift_dominates_tail").passed
+    def test_exponents_match_closed_form(self):
+        a, b, c, j_mu, j_nu = ReducedModel(a=-0.5, b=0.1, C=1.3, alpha=1.5).exponents()
+        assert (a, b, c, j_nu(2.0)) == (-0.5, 0.1, 0.0, 0.0)
+        # J_mu is the Laplace exponent of the stable measure C^alpha r^(-1-alpha) dr
+        for u in (0.01, 2.0, 50.0):
+            expected = laplace_radial(power_radial(1.5, 1.3**1.5), u)
+            assert j_mu(u) == pytest.approx(expected, rel=1e-8)
+        assert j_mu(2.0) == pytest.approx(1.3**1.5 * C_15 * 2.0**1.5, rel=1e-12)
 
 
 class TestCheckHypotheses:
@@ -247,96 +230,21 @@ class TestReduceModel:
         # doubling lambda doubles C^alpha, so C gains 2^(1/alpha)
         assert m2.C == pytest.approx(m1.C * 2.0 ** (1.0 / 1.5), rel=1e-6)
 
-
-class TestStableGeneratingCondition:
-    def test_power_volatility_exact(self, two_atom_spherical):
-        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 1.0])
-        coefficient, report = stable_generating_condition(G, two_atom_spherical, 1.5)
-        assert report.overall_pass
-        # int <(1,1), xi>^1.5 d(lambda) = 1 on the half-weight atoms
-        assert coefficient == pytest.approx(C_15, rel=1e-12)
-
-    def test_wrong_exponent_fails(self, two_atom_spherical):
-        G = VolatilityFunction(lambda x: np.stack([x, x], axis=-1), 2)
-        _, report = stable_generating_condition(G, two_atom_spherical, 1.5)
-        assert not report.overall_pass
-
-    def test_degenerate_warns(self, two_atom_spherical):
-        G = VolatilityFunction(lambda x: np.zeros((x.shape[0], 2)), 2)
-        coefficient, report = stable_generating_condition(G, two_atom_spherical, 1.5)
-        assert coefficient == 0.0
-        assert report.item("stable_generating_linearity").status == "warn"
-
-    @staticmethod
-    def half_disc(sign):
-        # angular density 1{sign * cos(theta) > 0}: jumps on one half-plane
-        return SphericalMeasure.from_angular(
-            2, lambda a: (sign * np.cos(a[:, 0]) > 0).astype(float)
-        )
-
-    def test_zero_density_sector_is_not_a_violation(self):
-        # <G(x), xi> < 0 only where cos(theta) < 0, which carries no mass
-        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 0.0])
-        half = self.half_disc(1.0)
-        coefficient, report = stable_generating_condition(G, half, 1.5)
-        assert report.overall_pass
-        assert coefficient == pytest.approx(
-            stable_exponent(half, 1.5, np.array([1.0, 0.0])), rel=1e-12
-        )
-
-    def test_mass_on_the_negative_side_raises(self):
-        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 0.0])
-        with pytest.raises(NegativeDirection):
-            stable_generating_condition(G, self.half_disc(-1.0), 1.5)
-
-
-class TestApplyGenerator:
-    def test_pure_drift_closed_form(self):
-        model = GeneratingModel(a=-1.0, b=0.5)
-        for lam, x in ((0.5, 0.0), (1.0, 1.0), (2.0, 3.0)):
-            val = apply_generator(model, lam, x)
-            expected = -lam * (model.a * x + model.b) * np.exp(-lam * x)
-            assert val == pytest.approx(expected, rel=1e-10, abs=1e-12)
-
-    def test_vanishes_for_flat_function(self):
-        model = GeneratingModel(a=-0.5, b=0.2, mu=power_radial(1.5))
-        vals = [abs(apply_generator(model, lam, 1.0)) for lam in (1e-3, 1e-4, 1e-5)]
-        assert vals[2] < vals[1] < vals[0]
-        assert vals[2] < 1e-4
-
-    def test_affine_in_level(self):
-        model = GeneratingModel(a=-0.5, b=0.2, c=0.1, mu=power_radial(1.5))
-        lam = 0.8
-        xs = np.array([0.5, 1.0, 2.0, 4.0])
-        ratios = np.array(
-            [apply_generator(model, lam, x) * np.exp(lam * x) for x in xs]
-        )
-        coef = np.polyfit(xs, ratios, 1)
-        fit = np.polyval(coef, xs)
-        assert np.max(np.abs(ratios - fit)) < 1e-8 * np.max(np.abs(ratios))
-
-    def test_matches_reduced_form_of_worked_example(
-        self, example_spec, example_vol
-    ):
-        # the generator of the reduced model reproduces the original
-        # exponent slope: A f(x)/f(x) affine with slope -lam a + J_mu(lam)
-        model, _ = reduce_model(example_spec, example_vol, a=-0.5, b=0.1)
-        gen = model.to_generating()
-        lam = 1.3
-        xs = np.array([0.5, 1.0, 2.0])
-        ratios = np.array(
-            [apply_generator(gen, lam, x) * np.exp(lam * x) for x in xs]
-        )
-        slope = np.polyfit(xs, ratios, 1)[0]
-        expected = -lam * gen.a + model.C**1.5 * stable_coefficient(1.5) * lam**1.5
-        assert slope == pytest.approx(expected, rel=1e-6)
-
-    def test_argument_validation(self):
-        model = GeneratingModel(a=0.0, b=0.0)
-        with pytest.raises(ValueError):
-            apply_generator(model, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            apply_generator(model, 1.0, -1.0)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_c_matches_the_closed_form(self, seed):
+        # 16 atoms on the positive octant of S^2 with weights summing to
+        # one; for G(x) = x^(1/alpha) g0 the paper's constant is
+        # C = (sum_i w_i <g0, xi_i>^alpha)^(1/alpha)
+        rng = np.random.default_rng(seed)
+        dirs = np.abs(rng.standard_normal((16, 3)))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        weights = rng.uniform(0.5, 1.5, 16)
+        weights /= weights.sum()
+        g0 = np.ones(3)
+        spec = stable_spec(1.5, SphericalMeasure.from_atoms(dirs, weights))
+        model, _ = reduce_model(spec, VolatilityFunction.power(2.0 / 3.0, g0))
+        closed_form = float(np.sum(weights * (dirs @ g0) ** 1.5)) ** (1.0 / 1.5)
+        assert model.C == pytest.approx(closed_form, rel=1e-10)
 
 
 def test_residual_intercept_detected(two_atom_spherical, example_vol):
