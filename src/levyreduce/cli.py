@@ -177,6 +177,14 @@ class RunConfig:
                 raise ValueError(f"simulation {name} must be positive")
         if self.n_paths < 1:
             raise ValueError("simulation n_paths must be at least 1")
+        if any(t < 0.0 for t in self.tau_grid):
+            raise ValueError("pricing tau_grid holds a negative maturity")
+        if not any(t > 0.0 for t in self.tau_grid):
+            raise ValueError("pricing tau_grid needs a positive maturity")
+        # simulate steps to horizon, compare to the longest maturity
+        for name, span in (("horizon", self.horizon), ("max(tau_grid)", max(self.tau_grid))):
+            if not np.isfinite(span / self.dt):
+                raise ValueError(f"simulation {name} / dt is not a finite step count")
 
     def require_volatility(self) -> VolatilityFunction:
         if self.volatility is None:

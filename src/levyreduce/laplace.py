@@ -21,8 +21,9 @@ main internal cross-check of the library.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .exceptions import DivergentIntegral, NegativeDirection
 from .measures import LevySpec, RadialMeasure, radial_columns
@@ -59,7 +60,7 @@ def stable_coefficient(alpha: float) -> float:
     """Gamma(2 - alpha) / (alpha (alpha - 1)) for alpha in (1, 2)."""
     if not (1.0 < alpha < 2.0):
         raise ValueError("stable index must lie in (1, 2)")
-    return float(_gamma(2.0 - alpha) / (alpha * (alpha - 1.0)))
+    return float(math.gamma(2.0 - alpha) / (alpha * (alpha - 1.0)))
 
 
 def laplace_radial(

@@ -14,6 +14,7 @@ both signs; the Monte Carlo comparison below cross-checks them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .laplace import laplace_radial
 from .measures import RadialMeasure, power_radial
 from .report import CheckReport, item
 from .reduction import ReducedModel
-from .simulate import RngStream, original_run
+from .simulate import EulerRun, RngStream, original_run
 
 B_CAP_DEFAULT = 1e3
 _INTERP_U_MIN = 1e-8
@@ -177,6 +178,13 @@ def mc_bond_prices(states, dt: float, taus) -> list:
     off one float64 running sum, so no state outlives the node after
     it, and reading stops once the last maturity is priced.  Raises
     ValueError when the states end before a maturity's cell does.
+
+    An EulerRun is read block by block: with several path blocks and
+    several usable CPUs, the blocks are stepped on forked worker
+    processes, which are all joined before this returns.  Each path's
+    integral is the same wherever its block is stepped, so the prices
+    do not depend on the number of workers.  The clipped proposals of
+    the blocks are added to the run's count.
     """
     cells = []
     for tau in taus:
@@ -185,7 +193,17 @@ def mc_bond_prices(states, dt: float, taus) -> list:
         m = int(tau / dt + 1e-9)
         rest = tau - m * dt
         cells.append((m, rest if rest > 1e-12 * max(tau, dt) else 0.0))
-    quotes = [None] * len(cells)
+    if isinstance(states, EulerRun):
+        integrals = _run_integrals(states, dt, cells)
+    else:
+        integrals = _rate_integrals(states, dt, cells)
+    return [_discount_moments(integral) for integral in integrals]
+
+
+def _rate_integrals(states, dt: float, cells) -> list:
+    """The rate integral over the paths at each maturity cell (m, rest):
+    node m plus a partial cell of length rest."""
+    integrals = [None] * len(cells)
     partial = {}
     # 0.5 r_0 + r_1 + ... + r_(k-1) before node k is added
     total = None
@@ -196,16 +214,77 @@ def mc_bond_prices(states, dt: float, taus) -> list:
                 if rest:
                     partial[j] = integral + rest * (1.0 - 0.5 * rest / dt) * r
                 else:
-                    quotes[j] = _discount_moments(integral)
+                    integrals[j] = integral
             elif k == m + 1 and rest:
-                quotes[j] = _discount_moments(partial.pop(j) + 0.5 * rest * rest / dt * r)
-        if None not in quotes:
-            return quotes
+                integrals[j] = partial.pop(j) + 0.5 * rest * rest / dt * r
+        if all(integral is not None for integral in integrals):
+            return integrals
         if total is None:
             total = 0.5 * r
         else:
             total += r
     raise ValueError("a maturity exceeds the simulated horizon")
+
+
+def _worker_count(n_blocks: int) -> int:
+    """Processes to step n_blocks path blocks on: one per usable CPU and
+    at most one per block; 1, in-process, where the platform cannot
+    fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n_blocks))
+
+
+def _run_integrals(run: EulerRun, dt: float, cells) -> list:
+    """_rate_integrals over every path block of run, concatenated in
+    block order.
+
+    Workers are forked, not spawned: they inherit the run, with its jump
+    sampler and its unstarted block loops, instead of importing the
+    package afresh and rebuilding them.
+    """
+    n = len(run.blocks)
+    workers = _worker_count(n)
+    if workers > 1:
+        # imported here, so that the pipelines that never fork do not
+        # pay for these imports at start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit,
+            initargs=(run, dt, cells),
+        )
+        try:
+            parts = list(pool.map(_forked_block, range(n)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        parts = [_block_integrals(run, dt, cells, i) for i in range(n)]
+    run.clipped += sum(clipped for _, clipped in parts)
+    return [np.concatenate(column) for column in zip(*(part for part, _ in parts))]
+
+
+def _block_integrals(run: EulerRun, dt: float, cells, i: int):
+    """(rate integrals, proposals clipped) of path block i of run."""
+    block = run.block(i)
+    return _rate_integrals(block, dt, cells), block.clipped
+
+
+# the (run, dt, cells) of the pricing job, set in each forked worker
+_job = None
+
+
+def _inherit(*job) -> None:
+    global _job
+    _job = job
+
+
+def _forked_block(i: int):
+    return _block_integrals(*_job, i)
 
 
 def _discount_moments(integral: np.ndarray):

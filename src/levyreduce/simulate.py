@@ -16,15 +16,20 @@ Gaussian-approximated; their variance is reported so callers can
 budget the bias.
 
 Each scheme's Euler loop runs behind an EulerRun, which yields the
-float64 states as the scheme steps.  simulate_reduced and
+float64 states as the scheme steps.  A run splits its paths into fixed
+blocks of at most _PATH_BLOCK paths, each with its own random stream,
+so a path's draws depend on the seed and its block alone, never on how
+many processes step the blocks.  simulate_reduced and
 simulate_original store every state as a float32 path; a reader that
 needs only sums of the states, such as the Monte Carlo bond price,
-reads the run itself and keeps no paths.
+reads the run itself, or its blocks one by one, and keeps no paths.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +51,10 @@ _V_STEP = _V_MAX / (_INVERSE_TABLE_SIZE - 1)
 # pi/2 - |v| keep their relative accuracy for doubles v near -pi/2, pi/2
 _HALF_PI = 0.5 * np.pi
 _HALF_PI_LO = 6.123233995736766e-17
+# paths per block of an Euler run: every (n,) float64 temporary of a
+# block step then stays under glibc's 128 KiB mmap threshold, so the
+# step reuses heap memory instead of faulting in fresh pages
+_PATH_BLOCK = 10_000
 
 
 @dataclass(frozen=True)
@@ -74,12 +83,25 @@ def _as_generator(rng):
     raise TypeError("rng must be an RngStream, Generator, or integer seed")
 
 
-def _seed_tag(rng):
-    if isinstance(rng, RngStream):
-        return (rng.seed, rng.stream)
+def _path_blocks(rng, n_paths: int, loop):
+    """(paths, block loop) of each path block of a run over n_paths, and
+    the seed tag of rng.
+
+    Every block holds _PATH_BLOCK paths but the last, which holds the
+    rest.  Block i draws from the child i of SeedSequence([seed,
+    stream]), so a block's draws do not depend on the number of blocks.
+    The block loop is loop(paths, generator), unstarted.
+    """
     if isinstance(rng, (int, np.integer)):
-        return (int(rng), 0)
-    return None
+        rng = RngStream(int(rng))
+    if not isinstance(rng, RngStream):
+        raise TypeError("an Euler run needs an RngStream or an integer seed")
+    blocks = []
+    for i, start in enumerate(range(0, n_paths, _PATH_BLOCK)):
+        n = min(_PATH_BLOCK, n_paths - start)
+        seq = np.random.SeedSequence([rng.seed, rng.stream], spawn_key=(i,))
+        blocks.append((n, partial(loop, n, np.random.default_rng(seq))))
+    return blocks, (rng.seed, rng.stream)
 
 
 class _SchemeSlack:
@@ -151,35 +173,50 @@ class PathEnsemble(_SchemeSlack):
 class EulerRun(_SchemeSlack):
     """One run of a full-truncation Euler scheme, stepped as it is read.
 
-    Iterating yields the float64 state at t = k dt for k = 0..n_steps,
-    each a fresh (n_paths,) array, so a reader may keep any of them; the
-    run itself keeps none.  steps is the scheme's Euler loop: it yields
-    each state together with the number of proposals clipped at zero
-    to reach it.  clamp_frequency is the fraction of proposals clipped
-    so far, over all n_steps * n_paths of them.  jumps is the truncated
-    jump sampler behind the increments, None for exact stable
-    increments.  A run steps once.
+    blocks holds one (paths, loop) pair per path block, in path order;
+    loop() starts that block's Euler loop, which yields the block's
+    state at t = k dt for k = 0..n_steps together with the number of
+    proposals clipped at zero to reach it.  Iterating the run steps
+    every block in lockstep and yields their states concatenated, each
+    a fresh (n_paths,) float64 array, so a reader may keep any of them;
+    the run itself keeps none.  block(i) is block i as a run of its own,
+    for readers that step the blocks one by one.  clipped counts the
+    proposals clipped so far; a reader of block(i) adds that run's count
+    to it.  clamp_frequency is clipped over all n_steps * n_paths
+    proposals.  jumps is the truncated jump sampler behind the
+    increments, None for exact stable increments.  A run steps once.
     """
 
-    def __init__(self, steps, dt, n_steps, n_paths, seed, jumps):
-        self._steps = steps
-        self._clipped = 0
+    def __init__(self, blocks, dt, n_steps, seed, jumps):
+        self.blocks = tuple(blocks)
+        self.clipped = 0
         self.dt = dt
         self.n_steps = n_steps
-        self.n_paths = n_paths
+        self.n_paths = sum(n for n, _ in self.blocks)
         self.seed = seed
         self.cutoff = None if jumps is None else jumps.cutoff
         self.jump_intensity = None if jumps is None else jumps.intensity
         self.dropped_variance = None if jumps is None else jumps.dropped_variance
 
     def __iter__(self):
-        for r, clipped in self._steps:
-            self._clipped += clipped
-            yield r
+        for nodes in zip(*(loop() for _, loop in self.blocks)):
+            self.clipped += sum(clipped for _, clipped in nodes)
+            if len(nodes) == 1:
+                yield nodes[0][0]
+            else:
+                yield np.concatenate([r for r, _ in nodes])
+
+    def block(self, i: int) -> "EulerRun":
+        """Path block i as a run of its own, with its own clip count."""
+        run = copy.copy(self)
+        run.blocks = (self.blocks[i],)
+        run.n_paths = self.blocks[i][0]
+        run.clipped = 0
+        return run
 
     @property
     def clamp_frequency(self) -> float:
-        return self._clipped / float(self.n_steps * self.n_paths)
+        return self.clipped / float(self.n_steps * self.n_paths)
 
 
 def _stored(run: EulerRun) -> PathEnsemble:
@@ -280,19 +317,24 @@ def reduced_run(
     R <- max(0, R + (aR+b)dt + C (R v 0)^(1/alpha) dZ); the coefficient
     uses the clipped state and the state itself is clipped after every
     step, so the run stays nonnegative.  model may be any object with
-    fields a, b, C, alpha; C = 0 degenerates to the drift ODE.
+    fields a, b, C, alpha; C = 0 degenerates to the drift ODE.  rng is
+    an RngStream or an integer seed; each path block draws from its own
+    child stream of it.
     """
     if x0 < 0:
         raise ValueError("x0 must be nonnegative")
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
     dt = float(horizon) / n_steps
-    steps = _reduced_steps(model, x0, dt, n_steps, n_paths, _as_generator(rng))
-    return EulerRun(steps, dt, n_steps, n_paths, _seed_tag(rng), None)
+    blocks, seed = _path_blocks(
+        rng, n_paths, partial(_reduced_steps, model, x0, dt, n_steps)
+    )
+    return EulerRun(blocks, dt, n_steps, seed, None)
 
 
 def _reduced_steps(model, x0, dt, n_steps, n_paths, gen):
-    """The Euler loop of reduced_run: (state, proposals clipped) per node."""
+    """The Euler loop of one path block of reduced_run: (state,
+    proposals clipped) per node."""
     r = np.full(n_paths, float(x0))
     yield r, 0
     inv_alpha = 1.0 / model.alpha
@@ -569,13 +611,14 @@ def original_run(
     the cutoff eps, and the run records that sampler's cutoff,
     intensity and dropped variance.  A nonzero Wiener covariance adds
     correlated Gaussian increments.  States are clipped at zero and the
-    clip frequency recorded.
+    clip frequency recorded.  The sampler is built once and shared by
+    the path blocks, each drawing from its own child stream of rng, an
+    RngStream or an integer seed.
     """
     if x0 < 0 or b < 0:
         raise ValueError("x0 and b must be nonnegative")
     if n_steps < 1 or n_paths < 1:
         raise ValueError("need at least one step and one path")
-    gen = _as_generator(rng)
     dt = float(horizon) / n_steps
 
     jumps = None
@@ -590,12 +633,15 @@ def original_run(
     else:
         root = None
 
-    steps = _original_steps(G, sampler, root, a, b, x0, dt, n_steps, n_paths, gen)
-    return EulerRun(steps, dt, n_steps, n_paths, _seed_tag(rng), jumps)
+    blocks, seed = _path_blocks(
+        rng, n_paths, partial(_original_steps, G, sampler, root, a, b, x0, dt, n_steps)
+    )
+    return EulerRun(blocks, dt, n_steps, seed, jumps)
 
 
 def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, n_paths, gen):
-    """The Euler loop of original_run: (state, proposals clipped) per node."""
+    """The Euler loop of one path block of original_run: (state,
+    proposals clipped) per node."""
     r = np.full(n_paths, float(x0))
     yield r, 0
     for _ in range(n_steps):

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from levyreduce import pricing
 from levyreduce.cli import RunConfig, run
 from levyreduce.simulate import RngStream, simulate_original
 
@@ -254,7 +255,28 @@ class TestNonFiniteNumbersExit2:
         out = tmp_path / "out"
         assert run(["simulate", write_config(doc), str(out), "--quiet"]) == 2
         assert "invalid configuration" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, simulation, taus",
+        [
+            ("price", {}, [-1.0, 0.5]),
+            ("compare", {}, [0.0]),
+            ("price", {}, []),
+            ("compare", {"dt": 1e-300}, [0.5, 1e300]),
+        ],
+        ids=["negative", "no-positive", "empty", "step-count-overflow"],
+    )
+    def test_refused_maturities_exit_2(
+        self, command, simulation, taus, write_config, tmp_path, capsys
+    ):
+        # refused before the model is reduced, not by the pricing stage
+        doc = base_config(pricing={"tau_grid": taus})
+        doc["simulation"].update(simulation)
+        out = tmp_path / "out"
+        assert run([command, write_config(doc), str(out), "--quiet"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheckPipeline:
@@ -605,6 +627,30 @@ class TestComparePipeline:
         se = float(lines[1].split(",")[5])
         (band,) = [it["tolerance"] for it in payload["items"] if it["name"] == "price_match_tau_0.25"]
         assert band == pytest.approx(3.0 * se + 0.005, rel=1e-12)
+
+    def test_outputs_do_not_depend_on_the_worker_count(
+        self, write_config, tmp_path, monkeypatch
+    ):
+        # 20k paths are two path blocks: priced in-process, then on two
+        # forked workers
+        doc = base_config(
+            simulation={
+                "x0": 1.0,
+                "horizon": 0.05,
+                "dt": 0.01,
+                "n_paths": 20_000,
+                "eps": 0.005,
+                "seed": 8,
+            },
+            pricing={"tau_grid": [0.025, 0.05]},
+        )
+        cfg = write_config(doc)
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for workers, out in zip((1, 2), outs):
+            monkeypatch.setattr(pricing, "_worker_count", lambda n_blocks, w=workers: w)
+            assert run(["compare", cfg, str(out), "--quiet"]) == 0
+        for name in ("report.json", "comparison.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_compound_poisson_summary_is_reproducible(self, write_config, tmp_path):
         # 1.2 expected jumps per path-step: the truncated sampler runs and

@@ -1,6 +1,7 @@
 """Tests for Riccati term structures, bond pricing, and the Monte Carlo
 cross-check of the exponent-equation sign convention."""
 
+import multiprocessing
 import tracemalloc
 from functools import partial
 
@@ -256,11 +257,23 @@ class TestStreamedPrices:
             assert abs(price - stored_price) <= 1e-6
             assert abs(se - stored_se) <= 1e-6
 
+    # 12k paths are two path blocks, priced block by block and stored
+    # through the lockstep iteration of the run
     @pytest.mark.parametrize(
-        "eps, scheme", [(1e-3, "exact_stable"), (0.05, "compound_poisson")]
+        "eps, scheme, n_paths",
+        [
+            pytest.param(1e-3, "exact_stable", 2000, id="0.001-exact_stable"),
+            pytest.param(0.05, "compound_poisson", 2000, id="0.05-compound_poisson"),
+            pytest.param(1e-3, "exact_stable", 12_000, id="0.001-exact_stable-two-blocks"),
+            pytest.param(
+                0.05, "compound_poisson", 12_000, id="0.05-compound_poisson-two-blocks"
+            ),
+        ],
     )
-    def test_compare_prices_the_stored_paths(self, example_spec, example_vol, eps, scheme):
-        cfg = SimConfig(dt=0.01, n_paths=2000, eps=eps, seed=3, n_ode_steps=50)
+    def test_compare_prices_the_stored_paths(
+        self, example_spec, example_vol, eps, scheme, n_paths
+    ):
+        cfg = SimConfig(dt=0.01, n_paths=n_paths, eps=eps, seed=3, n_ode_steps=50)
         result = compare_term_structures(
             (example_vol, example_spec, -0.5, 0.1),
             ReducedModel(-0.5, 0.1, 1.0, 1.5),
@@ -269,7 +282,7 @@ class TestStreamedPrices:
             cfg,
         )
         ens = simulate_original(
-            example_vol, example_spec, -0.5, 0.1, 1.0, eps, 0.25, 25, 2000, RngStream(3)
+            example_vol, example_spec, -0.5, 0.1, 1.0, eps, 0.25, 25, n_paths, RngStream(3)
         )
         assert result.summary == ens.scheme_summary()
         assert result.summary["scheme"] == scheme
@@ -289,6 +302,27 @@ class TestStreamedPrices:
         states = (np.full(4, 0.1) for _ in range(11))
         with pytest.raises(ValueError):
             mc_bond_prices(states, 0.1, [0.5, tau])
+
+    def test_no_worker_outlives_compare(self, example_spec, example_vol, monkeypatch):
+        monkeypatch.setattr(pricing, "_worker_count", lambda n_blocks: 2)
+        cfg = SimConfig(dt=0.05, n_paths=12_000, eps=1e-3, seed=6, n_ode_steps=50)
+        result = compare_term_structures(
+            (example_vol, example_spec, -0.5, 0.1),
+            ReducedModel(-0.5, 0.1, 1.0, 1.5),
+            1.0,
+            [0.5, 1.0],
+            cfg,
+        )
+        assert len(result.rows) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failing_block(self, monkeypatch):
+        # every block of the run ends at t = 1, before the maturity 2
+        monkeypatch.setattr(pricing, "_worker_count", lambda n_blocks: 2)
+        run = reduced_run(ReducedModel(-0.5, 0.1, 1.0, 1.5), 1.0, 1.0, 4, 12_000, RngStream(5))
+        with pytest.raises(ValueError, match="exceeds the simulated horizon"):
+            mc_bond_prices(run, run.dt, [0.5, 2.0])
+        assert multiprocessing.active_children() == []
 
     def test_compare_keeps_no_path_matrix(self, example_spec, example_vol):
         # 10k paths x 1001 float32 states would be a 40 MB matrix

@@ -610,6 +610,15 @@ class TestSimulateOriginal:
         assert run.scheme == ("exact_stable" if eps < 0.01 else "compound_poisson")
         assert run.clamp_frequency > 0.0
 
+    @pytest.mark.parametrize("eps", [1e-3, 0.05])
+    def test_a_block_does_not_depend_on_the_path_count(self, example_spec, example_vol, eps):
+        # the first of two path blocks draws what a one-block run draws
+        args = (example_vol, example_spec, -0.5, 0.1, 1.0, eps, 0.1, 5)
+        one = simulate_original(*args, 10_000, RngStream(13))
+        two = simulate_original(*args, 12_000, RngStream(13))
+        assert np.array_equal(two.values[:10_000], one.values)
+        assert not np.array_equal(two.values[10_000:], one.values[:2000])
+
     def test_rejects_bad_arguments(self, example_spec, example_vol):
         with pytest.raises(ValueError):
             simulate_original(

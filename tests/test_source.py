@@ -1,10 +1,14 @@
 """Source hygiene: every module compiles with warnings raised as errors,
 no module imports a name it never uses, every parameter of the public
 API is read by its function, every defaulted parameter and dataclass
-field of the public API is set by some caller, and every dataclass
-field and property of a public class is read somewhere."""
+field of the public API is set by some caller, every dataclass field
+and property of a public class is read somewhere, and the command line
+starts without importing scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -319,3 +323,15 @@ def test_unread_attribute_is_detected():
     assert _unread_attributes([("mod.py", source)], callers) == [
         "mod.py: Result.edge", "mod.py: Result.spare",
     ]
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy is a test dependency only; importing it would add about
+    # 0.2 s to the start of every pipeline
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, levyreduce.cli; print('scipy' in sys.modules)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
