@@ -4,9 +4,9 @@ Runs check, reduce, simulate, price, and compare in sequence against
 demos/configs/example1.json, writing all artifacts under demos/out/.
 The compare stage simulates 20k paths of the two-dimensional equation
 with exact per-atom stable increments, as two path blocks stepped on
-one forked worker per usable CPU, and verifies the Monte Carlo bond
-prices against the Riccati prices of the reduced model; the whole run
-takes about two seconds on two vCPUs.
+one forked worker per usable CPU while the model is reduced, and
+verifies the Monte Carlo bond prices against the Riccati prices of the
+reduced model; the whole run takes about two seconds on two vCPUs.
 
 Run from the repository root:  python3 demos/compare_pipelines.py
 """

@@ -307,12 +307,20 @@ def _cmd_price(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    model, report = cfg.reduce()
     sim_cfg = SimConfig(dt=cfg.dt, n_paths=cfg.n_paths, eps=cfg.eps, seed=cfg.seed)
+    # compare reduces once its Monte Carlo workers are stepping; the
+    # reduction's report is kept here
+    reduction = []
+
+    def reduce():
+        reduction.extend(cfg.reduce())
+        return reduction[0]
+
     result = compare_term_structures(
         (cfg.require_volatility(), cfg.spec, cfg.a, cfg.b),
-        model, cfg.x0, cfg.tau_grid, sim_cfg,
+        reduce, cfg.x0, cfg.tau_grid, sim_cfg,
     )
+    model, report = reduction
     header = ["tau", "A", "B", "price_riccati", "price_mc", "se"]
     rows = ([r[name] for name in header] for r in result.rows)
     _write_csv(outdir / "comparison.csv", header, rows, "%.12g")

@@ -179,13 +179,27 @@ def mc_bond_prices(states, dt: float, taus) -> list:
     it, and reading stops once the last maturity is priced.  Raises
     ValueError when the states end before a maturity's cell does.
 
-    An EulerRun is read block by block: with several path blocks and
-    several usable CPUs, the blocks are stepped on forked worker
-    processes, which are all joined before this returns.  Each path's
-    integral is the same wherever its block is stepped, so the prices
-    do not depend on the number of workers.  The clipped proposals of
-    the blocks are added to the run's count.
+    An EulerRun is read block by block: with two or more usable CPUs
+    its blocks step on forked worker processes, one per block and at
+    most one per CPU, even a single block, and every worker is joined
+    before this returns.  Each path's integral is the same wherever its
+    block is stepped, so the prices do not depend on the number of
+    workers.  The clipped proposals of the blocks are added to the
+    run's count.
     """
+    cells = _maturity_cells(taus, dt)
+    if not isinstance(states, EulerRun):
+        return [_discount_moments(integral) for integral in _rate_integrals(states, dt, cells)]
+    leg = _MonteCarloLeg(states, dt, cells)
+    try:
+        return leg.collect()
+    finally:
+        leg.stop()
+
+
+def _maturity_cells(taus, dt: float) -> list:
+    """The cell (m, rest) of each maturity on the grid t = k dt: node m
+    plus a partial cell of length rest."""
     cells = []
     for tau in taus:
         if tau < 0.0:
@@ -193,11 +207,7 @@ def mc_bond_prices(states, dt: float, taus) -> list:
         m = int(tau / dt + 1e-9)
         rest = tau - m * dt
         cells.append((m, rest if rest > 1e-12 * max(tau, dt) else 0.0))
-    if isinstance(states, EulerRun):
-        integrals = _run_integrals(states, dt, cells)
-    else:
-        integrals = _rate_integrals(states, dt, cells)
-    return [_discount_moments(integral) for integral in integrals]
+    return cells
 
 
 def _rate_integrals(states, dt: float, cells) -> list:
@@ -226,46 +236,96 @@ def _rate_integrals(states, dt: float, cells) -> list:
     raise ValueError("a maturity exceeds the simulated horizon")
 
 
-def _worker_count(n_blocks: int) -> int:
-    """Processes to step n_blocks path blocks on: one per usable CPU and
-    at most one per block; 1, in-process, where the platform cannot
-    fork."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot
+    fork, so that a Monte Carlo leg steps in-process."""
     if not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, n_blocks))
+    return cpus or 1
 
 
-def _run_integrals(run: EulerRun, dt: float, cells) -> list:
-    """_rate_integrals over every path block of run, concatenated in
-    block order.
+class _MonteCarloLeg:
+    """The bond prices of an EulerRun at maturity cells, started.
+
+    With two or more usable CPUs, the path blocks start stepping on
+    forked workers as the leg is made: one worker per block, at most one
+    per CPU, worker w taking blocks w, w + workers, ...  The caller is
+    free until collect(), which waits for them.  With one CPU the blocks
+    step in-process inside collect().  stop() ends every worker without
+    waiting for its blocks and joins it; call it in a finally.
 
     Workers are forked, not spawned: they inherit the run, with its jump
     sampler and its unstarted block loops, instead of importing the
     package afresh and rebuilding them.
     """
-    n = len(run.blocks)
-    workers = _worker_count(n)
-    if workers > 1:
-        # imported here, so that the pipelines that never fork do not
-        # pay for these imports at start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_inherit,
-            initargs=(run, dt, cells),
-        )
+    def __init__(self, run: EulerRun, dt: float, cells):
+        self.run, self.dt, self.cells = run, dt, cells
+        # (process, receiving end of its pipe) of each worker
+        self.workers = []
+        cpus = _usable_cpus()
+        if cpus < 2:
+            return
+        # imported here, so that the pipelines that never fork do not
+        # pay for the import at start-up
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        n = len(run.blocks)
+        count = min(cpus, n)
         try:
-            parts = list(pool.map(_forked_block, range(n)))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        parts = [_block_integrals(run, dt, cells, i) for i in range(n)]
-    run.clipped += sum(clipped for _, clipped in parts)
-    return [np.concatenate(column) for column in zip(*(part for part, _ in parts))]
+            for w in range(count):
+                receive, send = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_step_blocks,
+                    args=(send, run, dt, cells, range(w, n, count)),
+                    daemon=True,
+                )
+                try:
+                    process.start()
+                finally:
+                    # the worker holds the only sending end, so the pipe
+                    # reads as ended once the worker has exited
+                    send.close()
+                self.workers.append((process, receive))
+        except BaseException:
+            self.stop()
+            raise
+
+    def collect(self) -> list:
+        """(price, standard error) at each cell, with the blocks'
+        clipped proposals added to the run's count."""
+        n = len(self.run.blocks)
+        if self.workers:
+            parts = [None] * n
+            for w, (process, receive) in enumerate(self.workers):
+                try:
+                    result = receive.recv()
+                except EOFError:
+                    result = None
+                process.join()
+                if isinstance(result, Exception):
+                    raise result
+                if result is None:
+                    raise RuntimeError(
+                        f"a Monte Carlo worker ended with exit code {process.exitcode}"
+                    )
+                parts[w::len(self.workers)] = result
+        else:
+            parts = [_block_integrals(self.run, self.dt, self.cells, i) for i in range(n)]
+        self.run.clipped += sum(clipped for _, clipped in parts)
+        integrals = [np.concatenate(column) for column in zip(*(part for part, _ in parts))]
+        return [_discount_moments(integral) for integral in integrals]
+
+    def stop(self) -> None:
+        """End every worker still stepping and join them all."""
+        for process, _ in self.workers:
+            process.terminate()
+        for process, receive in self.workers:
+            process.join()
+            receive.close()
+        self.workers = []
 
 
 def _block_integrals(run: EulerRun, dt: float, cells, i: int):
@@ -274,17 +334,14 @@ def _block_integrals(run: EulerRun, dt: float, cells, i: int):
     return _rate_integrals(block, dt, cells), block.clipped
 
 
-# the (run, dt, cells) of the pricing job, set in each forked worker
-_job = None
-
-
-def _inherit(*job) -> None:
-    global _job
-    _job = job
-
-
-def _forked_block(i: int):
-    return _block_integrals(*_job, i)
+def _step_blocks(send, run: EulerRun, dt: float, cells, indices) -> None:
+    """A forked worker's job: send the parent the _block_integrals of
+    each block in indices, or the exception that stopped them."""
+    try:
+        result = [_block_integrals(run, dt, cells, i) for i in indices]
+    except Exception as exc:
+        result = exc
+    send.send(result)
 
 
 def _discount_moments(integral: np.ndarray):
@@ -325,7 +382,7 @@ class ComparisonResult:
 
 def compare_term_structures(
     original,
-    reduced: ReducedModel,
+    reduced,
     x0: float,
     tau_grid,
     sim_cfg: SimConfig = SimConfig(),
@@ -333,45 +390,69 @@ def compare_term_structures(
     """Price bonds from the multivariate equation by Monte Carlo and
     from the reduced equation by Riccati integration.
 
-    original is (G, spec, a, b).  Each maturity passes when
-    |MC - ODE| <= 3 SE + scheme tolerance.  The scheme tolerance is
-    built from the error terms of the scheme original_run picks: a
-    margin of one step the run took (run.dt, horizon over the step
-    count) for the Euler bias, plus, for truncated compound-Poisson
-    jumps only, the Riccati price shift caused by the jump cutoff.
-    Exact stable increments have no cutoff, so they skip that second
-    Riccati solve.  summary names the scheme and its numerical slack.
+    original is (G, spec, a, b).  reduced is the ReducedModel, or a
+    function of no arguments that returns it.  The Monte Carlo leg
+    starts first: with two or more usable CPUs its path blocks step on
+    forked workers as mc_bond_prices steps them, even a single block,
+    while this process calls reduced and solves the Riccati legs; then
+    it waits for the workers.  An error in setting up the leg is raised only once
+    reduced has returned, so a refused reduction wins over it, and when
+    anything raises, the workers are stopped and joined without waiting
+    for their blocks.
+
+    Each maturity passes when |MC - ODE| <= 3 SE + scheme tolerance.
+    The scheme tolerance is built from the error terms of the scheme
+    original_run picks: a margin of one step the run took (run.dt,
+    horizon over the step count) for the Euler bias, plus, for
+    truncated compound-Poisson jumps only, the Riccati price shift
+    caused by the jump cutoff.  Exact stable increments have no cutoff,
+    so they skip that second Riccati solve.  summary names the scheme
+    and its numerical slack.
     """
     G, spec, a, b = original
     taus = np.sort(np.asarray(tau_grid, dtype=float))
-    if np.any(taus < 0):
-        raise ValueError("maturities must be nonnegative")
-    horizon = float(taus[-1])
-    if horizon == 0.0:
-        raise ValueError("need at least one positive maturity")
-    n_steps = max(int(round(horizon / sim_cfg.dt)), 1)
-
-    run = original_run(
-        G, spec, a, b, x0, sim_cfg.eps, horizon, n_steps, sim_cfg.n_paths,
-        RngStream(sim_cfg.seed),
-    )
-    ts = riccati_solve(reduced, horizon, sim_cfg.n_ode_steps)
-
-    ts_eps = None
-    if run.cutoff is not None:
-        # cutoff-perturbed reduced model: same Riccati solve with the
-        # stable J replaced by its tail-truncated version
-        j_eps = _interpolated_laplace(
-            power_radial(reduced.alpha, reduced.C ** reduced.alpha),
-            2.0 * B_CAP_DEFAULT,
-            lo=run.cutoff,
+    leg = held = None
+    try:
+        if np.any(taus < 0):
+            raise ValueError("maturities must be nonnegative")
+        horizon = float(taus[-1])
+        if horizon == 0.0:
+            raise ValueError("need at least one positive maturity")
+        n_steps = max(int(round(horizon / sim_cfg.dt)), 1)
+        run = original_run(
+            G, spec, a, b, x0, sim_cfg.eps, horizon, n_steps, sim_cfg.n_paths,
+            RngStream(sim_cfg.seed),
         )
-        trunc = (reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
-        ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps)
+        leg = _MonteCarloLeg(run, run.dt, _maturity_cells(taus, run.dt))
+    except Exception as exc:
+        # re-raised once the reduction has returned, as when the
+        # reduction ran before the leg was set up
+        held = exc
+    try:
+        if callable(reduced):
+            reduced = reduced()
+        if held is not None:
+            raise held
+        ts = riccati_solve(reduced, horizon, sim_cfg.n_ode_steps)
+        ts_eps = None
+        if run.cutoff is not None:
+            # cutoff-perturbed reduced model: same Riccati solve with the
+            # stable J replaced by its tail-truncated version
+            j_eps = _interpolated_laplace(
+                power_radial(reduced.alpha, reduced.C ** reduced.alpha),
+                2.0 * B_CAP_DEFAULT,
+                lo=run.cutoff,
+            )
+            trunc = (reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
+            ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps)
+        quotes = leg.collect()
+    finally:
+        if leg is not None:
+            leg.stop()
 
     rows = []
     items = []
-    for tau, (p_mc, se) in zip(taus, mc_bond_prices(run, run.dt, taus)):
+    for tau, (p_mc, se) in zip(taus, quotes):
         p_ode = bond_price(ts, x0, tau)
         cutoff_shift = 0.0 if ts_eps is None else abs(bond_price(ts_eps, x0, tau) - p_ode)
         scheme_tol = cutoff_shift + _DT_MARGIN * run.dt

@@ -382,6 +382,15 @@ class JumpSampler:
     dropped_variance: float
     cutoff: float
 
+    def __post_init__(self):
+        # what every sample_increment reads: the directions grouped by
+        # radius law, the first direction of each law, and the columns
+        # of the grouped directions
+        order = np.argsort(self.law_of, kind="stable")
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_firsts", np.unique(self.law_of, return_index=True)[1])
+        object.__setattr__(self, "_columns", self.directions[order].T)
+
     @property
     def intensity(self) -> float:
         return float(np.sum(self.intensities))
@@ -411,18 +420,18 @@ class JumpSampler:
         # Poisson(lam dt) counts per direction
         totals = gen.poisson(self.intensities * (dt * n_paths))
         # jumps grouped by radius law, so each law needs one draw
-        order = np.argsort(self.law_of, kind="stable")
-        counts = totals[order]
-        firsts = np.unique(self.law_of, return_index=True)[1]
-        sizes = np.bincount(self.law_of, weights=totals, minlength=len(firsts))
-        radii = [self._draw_radii(i, int(n), gen) for i, n in zip(firsts, sizes) if n]
+        counts = totals[self._order]
+        sizes = np.bincount(self.law_of, weights=totals, minlength=len(self._firsts))
+        radii = [self._draw_radii(i, int(n), gen) for i, n in zip(self._firsts, sizes) if n]
         radii = np.concatenate(radii) if radii else np.empty(0)
         owners = gen.integers(0, n_paths, radii.size)
-        sums = [
-            np.bincount(owners, weights=radii * np.repeat(col, counts), minlength=n_paths)
-            for col in self.directions[order].T
-        ]
-        return np.stack(sums, axis=1) - dt * self.mean_flux[None, :]
+        out = np.empty((n_paths, len(self._columns)))
+        for j, col in enumerate(self._columns):
+            out[:, j] = np.bincount(
+                owners, weights=radii * np.repeat(col, counts), minlength=n_paths
+            )
+        out -= dt * self.mean_flux
+        return out
 
 
 def _radius_table(gamma, eps: float) -> np.ndarray:

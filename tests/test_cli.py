@@ -2,6 +2,8 @@
 and CSV artifacts, schema validity, and byte-level reproducibility."""
 
 import json
+import multiprocessing
+import signal
 from pathlib import Path
 
 import jsonschema
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from levyreduce import pricing
+from levyreduce.exceptions import CutoffTooSmall
 from levyreduce.cli import RunConfig, run
 from levyreduce.simulate import RngStream, simulate_original
 
@@ -631,26 +634,36 @@ class TestComparePipeline:
     def test_outputs_do_not_depend_on_the_worker_count(
         self, write_config, tmp_path, monkeypatch
     ):
-        # 20k paths are two path blocks: priced in-process, then on two
-        # forked workers
-        doc = base_config(
-            simulation={
-                "x0": 1.0,
-                "horizon": 0.05,
-                "dt": 0.01,
-                "n_paths": 20_000,
-                "eps": 0.005,
-                "seed": 8,
-            },
-            pricing={"tau_grid": [0.025, 0.05]},
-        )
-        cfg = write_config(doc)
-        outs = [tmp_path / "one", tmp_path / "two"]
-        for workers, out in zip((1, 2), outs):
-            monkeypatch.setattr(pricing, "_worker_count", lambda n_blocks, w=workers: w)
-            assert run(["compare", cfg, str(out), "--quiet"]) == 0
-        for name in ("report.json", "comparison.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # 20k paths are two path blocks, 2000 paths one; each is priced
+        # in-process on one CPU, then on forked workers on two CPUs
+        workers = []
+        collect = pricing._MonteCarloLeg.collect
+
+        def counted(leg):
+            workers.append(len(leg.workers))
+            return collect(leg)
+
+        monkeypatch.setattr(pricing._MonteCarloLeg, "collect", counted)
+        for n_paths, forked in ((20_000, 2), (2000, 1)):
+            doc = base_config(
+                simulation={
+                    "x0": 1.0,
+                    "horizon": 0.05,
+                    "dt": 0.01,
+                    "n_paths": n_paths,
+                    "eps": 0.005,
+                    "seed": 8,
+                },
+                pricing={"tau_grid": [0.025, 0.05]},
+            )
+            cfg = write_config(doc)
+            outs = [tmp_path / f"{n_paths}-one", tmp_path / f"{n_paths}-two"]
+            for cpus, out in zip((1, 2), outs):
+                monkeypatch.setattr(pricing, "_usable_cpus", lambda c=cpus: c)
+                assert run(["compare", cfg, str(out), "--quiet"]) == 0
+            assert workers[-2:] == [0, forked]
+            for name in ("report.json", "comparison.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_compound_poisson_summary_is_reproducible(self, write_config, tmp_path):
         # 1.2 expected jumps per path-step: the truncated sampler runs and
@@ -678,3 +691,60 @@ class TestComparePipeline:
         assert 0.0 <= summary["clamp_frequency"] < 1.0
         for name in ("report.json", "comparison.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestCompareRefusalWithWorkers:
+    """compare starts its Monte Carlo workers before it reduces; a
+    refused reduction still gives the report of a refusal, and no worker
+    outlives the pipeline."""
+
+    @staticmethod
+    def refused_config():
+        # the tabulated tempered law over the axis atoms is not reducible,
+        # and its refusal takes about 2.6 s; 100k steps of 2000 paths
+        # keep the worker stepping for about 10 s
+        doc = base_config()
+        doc["model"]["radial"] = TestReducePipeline.tempered_radial()
+        doc["simulation"].update(dt=5e-6, n_paths=2000)
+        return doc
+
+    @staticmethod
+    def refusal_of(command, cfg, out):
+        assert run([command, cfg, str(out), "--quiet"]) == 1
+        payload = load_report(out)
+        del payload["command"]
+        return payload
+
+    def test_refused_reduction_stops_the_workers(self, write_config, tmp_path, monkeypatch):
+        monkeypatch.setattr(pricing, "_usable_cpus", lambda: 2)
+        stopped = []
+        stop = pricing._MonteCarloLeg.stop
+
+        def recorded(leg):
+            stopped.extend(process for process, _ in leg.workers)
+            stop(leg)
+
+        monkeypatch.setattr(pricing._MonteCarloLeg, "stop", recorded)
+        cfg = write_config(self.refused_config())
+        compared = self.refusal_of("compare", cfg, tmp_path / "compare")
+        assert len(stopped) == 1
+        assert stopped[0].exitcode == -signal.SIGTERM
+        assert multiprocessing.active_children() == []
+        # the report is the refusal of the reduction alone
+        assert "not affine" in compared["error"]
+        assert compared == self.refusal_of("reduce", cfg, tmp_path / "reduce")
+
+    def test_refused_reduction_wins_over_a_build_error(
+        self, write_config, tmp_path, monkeypatch
+    ):
+        def refused(*args):
+            raise CutoffTooSmall("tail intensity exceeds the budget")
+
+        monkeypatch.setattr(pricing, "original_run", refused)
+        cfg = write_config(base_config(G=TestReducePipeline.UNSETTLED_G))
+        compared = self.refusal_of("compare", cfg, tmp_path / "compare")
+        assert compared == self.refusal_of("reduce", cfg, tmp_path / "reduce")
+        # a reduction that succeeds lets the held build error through
+        compared = self.refusal_of("compare", write_config(base_config()), tmp_path / "built")
+        assert compared["error"] == "tail intensity exceeds the budget"
+        assert compared["items"] == []

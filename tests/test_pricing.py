@@ -304,7 +304,7 @@ class TestStreamedPrices:
             mc_bond_prices(states, 0.1, [0.5, tau])
 
     def test_no_worker_outlives_compare(self, example_spec, example_vol, monkeypatch):
-        monkeypatch.setattr(pricing, "_worker_count", lambda n_blocks: 2)
+        monkeypatch.setattr(pricing, "_usable_cpus", lambda: 2)
         cfg = SimConfig(dt=0.05, n_paths=12_000, eps=1e-3, seed=6, n_ode_steps=50)
         result = compare_term_structures(
             (example_vol, example_spec, -0.5, 0.1),
@@ -318,14 +318,17 @@ class TestStreamedPrices:
 
     def test_no_worker_outlives_a_failing_block(self, monkeypatch):
         # every block of the run ends at t = 1, before the maturity 2
-        monkeypatch.setattr(pricing, "_worker_count", lambda n_blocks: 2)
+        monkeypatch.setattr(pricing, "_usable_cpus", lambda: 2)
         run = reduced_run(ReducedModel(-0.5, 0.1, 1.0, 1.5), 1.0, 1.0, 4, 12_000, RngStream(5))
         with pytest.raises(ValueError, match="exceeds the simulated horizon"):
             mc_bond_prices(run, run.dt, [0.5, 2.0])
         assert multiprocessing.active_children() == []
 
-    def test_compare_keeps_no_path_matrix(self, example_spec, example_vol):
-        # 10k paths x 1001 float32 states would be a 40 MB matrix
+    def test_compare_keeps_no_path_matrix(self, example_spec, example_vol, monkeypatch):
+        # 10k paths x 1001 float32 states would be a 40 MB matrix.  The
+        # block steps in-process, where tracemalloc sees it; on two CPUs
+        # it would step in a forked worker
+        monkeypatch.setattr(pricing, "_usable_cpus", lambda: 1)
         cfg = SimConfig(dt=1e-3, n_paths=10_000, eps=1e-3, seed=2, n_ode_steps=50)
         tracemalloc.start()
         try:

@@ -3,7 +3,7 @@ no module imports a name it never uses, every parameter of the public
 API is read by its function, every defaulted parameter and dataclass
 field of the public API is set by some caller, every dataclass field
 and property of a public class is read somewhere, and the command line
-starts without importing scipy."""
+starts without importing scipy or multiprocessing."""
 
 import ast
 import os
@@ -325,13 +325,26 @@ def test_unread_attribute_is_detected():
     ]
 
 
+def _loaded_by_cli_import(modules) -> str:
+    """Which of modules importing levyreduce.cli loads, in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = f"import sys, levyreduce.cli; print([m for m in {modules!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_cli_import_leaves_out_scipy():
     # scipy is a test dependency only; importing it would add about
     # 0.2 s to the start of every pipeline
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, levyreduce.cli; print('scipy' in sys.modules)"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert _loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_cli_import_leaves_out_process_pools():
+    # only a Monte Carlo leg that forks imports multiprocessing, so the
+    # pipelines that never fork do not pay for it
+    assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
