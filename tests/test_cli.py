@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from levyreduce import pricing
-from levyreduce.exceptions import CutoffTooSmall
 from levyreduce.cli import RunConfig, run
+from levyreduce.exceptions import CutoffTooSmall
 from levyreduce.simulate import RngStream, simulate_original
 
 from conftest import base_config
@@ -700,9 +700,9 @@ class TestCompareRefusalWithWorkers:
 
     @staticmethod
     def refused_config():
-        # the tabulated tempered law over the axis atoms is not reducible,
-        # and its refusal takes about 2.6 s; 100k steps of 2000 paths
-        # keep the worker stepping for about 10 s
+        # the tabulated tempered law over the axis atoms is not reducible;
+        # its 100k steps of 2000 paths take about four times as long as
+        # the refusal, so the worker is still stepping when it comes
         doc = base_config()
         doc["model"]["radial"] = TestReducePipeline.tempered_radial()
         doc["simulation"].update(dt=5e-6, n_paths=2000)
