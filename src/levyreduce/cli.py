@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -56,17 +57,27 @@ _KIND_KEYS = {
 }
 
 
-# the JSON parser's hooks: a config number must be a finite float, so
-# NaN, Infinity, -Infinity and a literal like 1e999 are refused
-def _refuse_constant(name):
-    raise ValueError(f"non-finite number {name} in the configuration")
+# the config values that count, so a fraction must not be cut to an int
+_INTEGRAL = {"model.d", "simulation.n_paths", "simulation.seed"}
 
 
-def _finite_float(literal: str) -> float:
-    value = float(literal)
-    if not np.isfinite(value):
-        raise ValueError(f"number {literal} overflows a float")
-    return value
+def _check_numbers(node, name=None) -> None:
+    """Refuse a config value outside a kind key that is not a finite
+    JSON number (float() takes "NaN" and true; json takes NaN and 1e999
+    as nan and inf), and a fraction among the _INTEGRAL values."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key != "kind":
+                _check_numbers(value, f"{name}.{key}" if name else key)
+    elif isinstance(node, list):
+        for value in node:
+            _check_numbers(value, name)
+    elif isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, not {json.dumps(node)}")
+    elif not math.isfinite(node):
+        raise ValueError(f"{name} must be finite, not {node!r}")
+    elif name in _INTEGRAL and node != int(node):
+        raise ValueError(f"{name} must be an integer, not {node!r}")
 
 
 def _check_keys(section, allowed, name=None) -> None:
@@ -143,6 +154,7 @@ class RunConfig:
     def __init__(self, doc: dict):
         for name, allowed in _KEYS.items():
             _check_keys(doc if name is None else doc.get(name, {}), allowed, name)
+        _check_numbers(doc)
         model = doc["model"]
         d = int(model["d"])
         q = np.asarray(model.get("Q", np.zeros((d, d))), dtype=float)
@@ -375,11 +387,7 @@ def run(argv) -> int:
         return 2
 
     try:
-        doc = json.loads(
-            Path(args.config).read_text(),
-            parse_constant=_refuse_constant,
-            parse_float=_finite_float,
-        )
+        doc = json.loads(Path(args.config).read_text())
         cfg = RunConfig(doc)
         if args.seed is not None:
             cfg.seed = args.seed

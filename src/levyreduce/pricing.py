@@ -61,14 +61,11 @@ def _interpolated_laplace(measure: RadialMeasure, u_max: float, lo: float = 0.0)
     """u -> J(u) = int_(lo, inf) H(u r) measure(dr) for the Riccati
     right-hand side.
 
-    Pure atoms (and the zero measure) are summed exactly at each u.
-    Otherwise J is sampled on a log grid in one laplace_radial call and
+    J is sampled on a log grid in one laplace_radial call and
     interpolated in log-log form: below the grid J follows the local
     power of the lowest decade (J(0+) = 0), above it the top slope
     extrapolates (the blow-up guard keeps B inside the grid).
     """
-    if measure.density is None:
-        return lambda u: laplace_radial(measure, max(u, 0.0), lo=lo)
     n = max(int(np.log10(u_max / _INTERP_U_MIN) * _INTERP_PER_DECADE), 8)
     ug = np.geomspace(_INTERP_U_MIN, u_max, n)
     jg = laplace_radial(measure, ug, lo=lo)

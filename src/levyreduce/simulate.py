@@ -1,28 +1,28 @@
 """Seedable path simulation for the short-rate equations.
 
-Two schemes live here: an Euler scheme for the one-factor stable-CIR
-equation driven by exact stable increments, and an Euler scheme for
-the multivariate equation.  The multivariate scheme draws its driving
-increment in one of two ways, chosen per (spec, eps, dt) by expected
-cost.  When every atom of the spherical part carries a pure power law
-of index in (1, 2), each atom gets one exact stable increment per
-step, and nothing is truncated.  Otherwise a compound-Poisson
-approximation keeps the jumps above the cutoff eps and compensates
-their mean: all jumps of a step are drawn at once, Poisson totals per
-direction are split across paths, and exact power tails get
-closed-form Pareto radii, other radial laws inverse-CDF tables or atom
-weights.  Its small jumps below the cutoff are dropped, not
-Gaussian-approximated; their variance is reported so callers can
-budget the bias.
+One Euler scheme lives here, for the multivariate equation dR =
+(aR+b)dt + <G(R), dZ>, with two samplers of the driving increment,
+chosen per (spec, eps, dt) by expected cost.  The one-factor stable-CIR
+equation is its one-atom case: reduced_run steps the same loop with
+G(x) = C x^(1/alpha) and one exact stable atom.  When every atom of the
+spherical part carries a pure power law of index in (1, 2), each atom
+gets one exact stable increment per step, and nothing is truncated.
+Otherwise a compound-Poisson approximation keeps the jumps above the
+cutoff eps and compensates their mean: all jumps of a step are drawn
+at once, Poisson totals per direction are split across paths, and
+exact power tails get closed-form Pareto radii, other radial laws
+inverse-CDF tables or atom weights.  Its small jumps below the cutoff
+are dropped, not Gaussian-approximated; their variance is reported so
+callers can budget the bias.
 
-Each scheme's Euler loop runs behind an EulerRun, which yields the
-float64 states as the scheme steps.  A run splits its paths into fixed
-blocks of at most _PATH_BLOCK paths, each with its own random stream,
-so a path's draws depend on the seed and its block alone, never on how
-many processes step the blocks.  simulate_reduced and
-simulate_original store every state as a float32 path; a reader that
-needs only sums of the states, such as the Monte Carlo bond price,
-reads the run itself, or its blocks one by one, and keeps no paths.
+The Euler loop runs behind an EulerRun, which yields the float64
+states as the scheme steps.  A run splits its paths into fixed blocks
+of at most _PATH_BLOCK paths, each with its own random stream, so a
+path's draws depend on the seed and its block alone, never on how many
+processes step the blocks.  simulate_reduced and simulate_original
+store every state as a float32 path; a reader that needs only sums of
+the states, such as the Monte Carlo bond price, reads the run itself,
+or its blocks one by one, and keeps no paths.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .exceptions import CutoffTooSmall
 from .laplace import stable_coefficient
-from .measures import LevySpec, radial_integral
+from .measures import LevySpec, VolatilityFunction, radial_integral
 from .quadrature import CONVERGED, R_HIGH, panel_integral
 from .reduction import ReducedModel
 from .spherical import _per_measure, _sample_directions
@@ -304,6 +304,15 @@ def _half_sine(t: np.ndarray, buf: np.ndarray) -> None:
     t /= buf
 
 
+def _checked_step(x0, horizon, n_steps, n_paths) -> float:
+    """The step of an Euler run, once x0 and its sizes are checked."""
+    if x0 < 0:
+        raise ValueError("x0 must be nonnegative")
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("need at least one step and one path")
+    return float(horizon) / n_steps
+
+
 def reduced_run(
     model: ReducedModel,
     x0: float,
@@ -314,36 +323,18 @@ def reduced_run(
 ) -> EulerRun:
     """Full-truncation Euler scheme for the one-factor stable-CIR rate.
 
-    R <- max(0, R + (aR+b)dt + C (R v 0)^(1/alpha) dZ); the coefficient
-    uses the clipped state and the state itself is clipped after every
-    step, so the run stays nonnegative.  model may be any object with
-    fields a, b, C, alpha; C = 0 degenerates to the drift ODE.  rng is
-    an RngStream or an integer seed; each path block draws from its own
-    child stream of it.
+    It steps original_run's loop on the original equation with d = 1:
+    one atom of weight 1 under r^-(1+alpha) dr, drawn by its exact
+    stable sampler, and G(x) = C x^(1/alpha).  model may be any object
+    with fields a, b, C, alpha; C = 0 degenerates to the drift ODE.  rng
+    is an RngStream or an integer seed.
     """
-    if x0 < 0:
-        raise ValueError("x0 must be nonnegative")
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("need at least one step and one path")
-    dt = float(horizon) / n_steps
-    blocks, seed = _path_blocks(
-        rng, n_paths, partial(_reduced_steps, model, x0, dt, n_steps)
-    )
+    dt = _checked_step(x0, horizon, n_steps, n_paths)
+    sampler = StableAtomSampler(np.ones((1, 1)), np.array([model.alpha]), np.ones(1))
+    G = VolatilityFunction.power(1.0 / model.alpha, [model.C])
+    loop = partial(_original_steps, G, sampler, None, model.a, model.b, x0, dt, n_steps)
+    blocks, seed = _path_blocks(rng, n_paths, loop)
     return EulerRun(blocks, dt, n_steps, seed, None)
-
-
-def _reduced_steps(model, x0, dt, n_steps, n_paths, gen):
-    """The Euler loop of one path block of reduced_run: (state,
-    proposals clipped) per node."""
-    r = np.full(n_paths, float(x0))
-    yield r, 0
-    inv_alpha = 1.0 / model.alpha
-    for _ in range(n_steps):
-        dz = sample_stable(model.alpha, 1.0, dt, gen, size=n_paths)
-        r = r + (model.a * r + model.b) * dt + model.C * np.maximum(r, 0.0) ** inv_alpha * dz
-        clipped = int(np.count_nonzero(r < 0.0))
-        r = np.maximum(r, 0.0)
-        yield r, clipped
 
 
 def simulate_reduced(
@@ -555,9 +546,11 @@ class StableAtomSampler:
     def sample_increment(self, dt: float, n_paths: int, rng) -> np.ndarray:
         gen = _as_generator(rng)
         y = np.empty((n_paths, len(self.alphas)))
-        for i, (alpha, scale) in enumerate(zip(self.alphas, self.scales)):
+        # Python floats: numpy scalars slow every scalar step of _cms
+        for i, (alpha, scale) in enumerate(zip(self.alphas.tolist(), self.scales.tolist())):
             y[:, i] = sample_stable(alpha, scale, dt, gen, size=n_paths)
-        return y @ self.directions
+        # np.dot, as @ leaves BLAS and is 6x slower for one atom
+        return np.dot(y, self.directions)
 
 
 def stable_atom_sampler(spec: LevySpec, eps: float, dt: float):
@@ -624,11 +617,9 @@ def original_run(
     the path blocks, each drawing from its own child stream of rng, an
     RngStream or an integer seed.
     """
-    if x0 < 0 or b < 0:
-        raise ValueError("x0 and b must be nonnegative")
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("need at least one step and one path")
-    dt = float(horizon) / n_steps
+    if b < 0:
+        raise ValueError("b must be nonnegative")
+    dt = _checked_step(x0, horizon, n_steps, n_paths)
 
     jumps = None
     sampler = stable_atom_sampler(spec, eps, dt)
@@ -657,9 +648,10 @@ def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, n_paths, gen):
         dz = sampler.sample_increment(dt, n_paths, gen)
         if root is not None:
             dz += gen.standard_normal((n_paths, root.shape[0])) @ root.T * np.sqrt(dt)
-        r = r + (a * r + b) * dt + G.inner(np.maximum(r, 0.0), dz)
+        # r is clipped already, so G reads the clipped state
+        r = r + (a * r + b) * dt + G.inner(r, dz)
         clipped = int(np.count_nonzero(r < 0.0))
-        r = np.maximum(r, 0.0)
+        np.maximum(r, 0.0, out=r)
         yield r, clipped
 
 

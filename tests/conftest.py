@@ -81,6 +81,14 @@ def write_config(tmp_path):
     return _write
 
 
+def one_atom_form(C, alpha=ALPHA):
+    """(G, spec) of the reduced equation written as the original one in
+    d = 1: one atom xi = 1 of weight 1 under r^-(1+alpha) dr, and
+    G(x) = C x^(1/alpha)."""
+    spec = stable_spec(alpha, SphericalMeasure.from_atoms([[1.0]], [1.0]))
+    return VolatilityFunction.power(1.0 / alpha, [C]), spec
+
+
 def base_config(**overrides):
     """The worked example as a CLI config; overrides patch top-level keys."""
     doc = {

@@ -224,8 +224,10 @@ class TestInvalidModelExits2:
 
 
 class TestNonFiniteNumbersExit2:
-    """JSON accepts NaN, Infinity and overflowing literals; these used to
-    run to exit 0 with NaN paths or prices, or end in a traceback."""
+    """JSON accepts NaN, Infinity and overflowing literals, and float()
+    and int() take quoted numbers, bools and fractions; these used to
+    run to exit 0 with NaN paths or prices, cut a count to an integer,
+    or end in a traceback."""
 
     @pytest.mark.parametrize(
         "path, literal, command",
@@ -238,6 +240,13 @@ class TestNonFiniteNumbersExit2:
             (("simulation", "horizon"), "Infinity", "simulate"),
             (("pricing", "tau_grid"), "[0.5, Infinity]", "compare"),
             (("drift", "b"), "NaN", "price"),
+            (("simulation", "x0"), '"NaN"', "simulate"),
+            (("simulation", "x0"), '"NaN"', "price"),
+            (("drift", "b"), '"nan"', "simulate"),
+            (("simulation", "n_paths"), "2000.7", "simulate"),
+            (("simulation", "n_paths"), "true", "simulate"),
+            (("simulation", "seed"), "1.9", "simulate"),
+            (("model", "d"), "2.5", "simulate"),
         ],
         ids=lambda v: v[-1] if isinstance(v, tuple) else v,
     )
@@ -250,6 +259,14 @@ class TestNonFiniteNumbersExit2:
         assert run([command, str(config), str(out), "--quiet"]) == 2
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integral_floats_are_counts(self, write_config, tmp_path):
+        doc = base_config()
+        doc["model"]["d"] = 2.0
+        doc["simulation"].update(n_paths=1e4, seed=10.0)
+        cfg = RunConfig(doc)
+        assert (cfg.spec.dimension, cfg.n_paths, cfg.seed) == (2, 10_000, 10)
+        assert run(["check", write_config(doc), str(tmp_path / "out"), "--quiet"]) == 0
 
     def test_step_count_overflow_exits_2(self, write_config, tmp_path, capsys):
         # finite numbers whose ratio horizon / dt overflows to infinity

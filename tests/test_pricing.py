@@ -27,7 +27,7 @@ from levyreduce import (
 )
 from levyreduce import pricing
 
-from conftest import C_15
+from conftest import C_15, one_atom_form
 
 B_LIMIT = C_15 ** (-1.0 / 1.5)  # fixed point of 1 = J(B) for C = 1
 
@@ -361,6 +361,18 @@ class TestCompareTermStructures:
         assert set(row) >= {"tau", "A", "B", "price_riccati", "price_mc", "se", "discrepancy"}
         assert 0.0 < row["price_mc"] <= 1.0
         assert result.max_discrepancy == row["discrepancy"]
+
+    def test_one_atom_form_against_its_own_riccati(self):
+        # the Monte Carlo leg of the one-atom original against the
+        # Riccati leg of the reduced model it is
+        model = ReducedModel(-0.5, 0.1, 1.476, 1.5)
+        G, spec = one_atom_form(model.C)
+        cfg = SimConfig(dt=2e-3, n_paths=20_000, eps=1e-3, seed=0)
+        result = compare_term_structures(
+            (G, spec, model.a, model.b), model, 1.0, [0.5, 1.0, 2.0], cfg
+        )
+        assert result.summary["scheme"] == "exact_stable"
+        assert result.passed
 
     @pytest.mark.parametrize(
         "dt, taus, step", [(100.0, [0.25], 0.25), (0.3, [0.5, 1.0], 1.0 / 3.0)]

@@ -24,7 +24,7 @@ from levyreduce import (
     stable_spec,
 )
 
-from conftest import C_15
+from conftest import C_15, one_atom_form
 
 
 class TestDirectionLimit:
@@ -175,6 +175,16 @@ class TestReduceModel:
         assert model.a == -0.5 and model.b == 0.1
         assert model.alpha == pytest.approx(1.5, abs=1e-6)
         assert model.C == pytest.approx(1.0, rel=1e-6)
+
+    def test_one_atom_form_returns_its_own_coefficients(self):
+        # the reduced equation written as the original one in d = 1
+        # reduces to itself
+        G, spec = one_atom_form(1.476)
+        model, report = reduce_model(spec, G, a=-0.5, b=0.1)
+        assert report.overall_pass
+        assert (model.a, model.b) == (-0.5, 0.1)
+        assert model.C == pytest.approx(1.476, rel=1e-10)
+        assert model.alpha == pytest.approx(1.5, rel=1e-10)
 
     def test_span_deficiency_is_a_precondition(self):
         spec = stable_spec(1.5, SphericalMeasure.from_atoms([[1.0, 0.0]], [1.0]))

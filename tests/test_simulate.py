@@ -34,7 +34,7 @@ from levyreduce import (
 )
 from levyreduce import simulate
 
-from conftest import ALPHA, C_15
+from conftest import ALPHA, C_15, one_atom_form
 
 
 def drift_mean(x0, a, b, t):
@@ -244,6 +244,37 @@ class TestSimulateReduced:
         third = simulate_reduced(model, 1.0, 0.5, 20, 100, RngStream(8, 1))
         assert np.array_equal(first.values, second.values)
         assert not np.array_equal(first.values, third.values)
+
+    def test_steps_the_stable_cir_recursion(self):
+        # reference: R <- max(0, R + (aR+b)dt + C R^(1/alpha) dZ) on the
+        # first block's stream; at C = 1 the one-atom step does the same
+        # arithmetic, so the states are equal to the bit
+        model = ReducedModel(a=-0.5, b=0.1, C=1.0, alpha=1.5)
+        run = reduced_run(model, 1.0, 1.0, 50, 500, RngStream(3))
+        gen = np.random.default_rng(np.random.SeedSequence([3, 0], spawn_key=(0,)))
+        r = np.full(500, 1.0)
+        for k, state in enumerate(run):
+            if k:
+                dz = sample_stable(1.5, 1.0, run.dt, gen, size=500)
+                r = np.maximum(r + (-0.5 * r + 0.1) * run.dt + r ** (1.0 / 1.5) * dz, 0.0)
+            assert np.array_equal(state, r)
+
+    def test_steps_the_one_atom_original(self):
+        # the reduced equation is the original one with d = 1; both runs
+        # step one loop with the same sampler and G, so every state is
+        # equal to the bit, also where C != 1 and steps are clipped
+        model = ReducedModel(a=-0.5, b=0.1, C=1.476, alpha=1.5)
+        G, spec = one_atom_form(model.C)
+        # at eps 1e-3 the rule expects 210 jumps per path-step: exact
+        assert stable_atom_sampler(spec, 1e-3, 0.01) is not None
+        reduced = reduced_run(model, 1.0, 1.0, 100, 12_000, RngStream(3))
+        original = original_run(
+            G, spec, model.a, model.b, 1.0, 1e-3, 1.0, 100, 12_000, RngStream(3)
+        )
+        for r, s in zip(reduced, original, strict=True):
+            assert np.array_equal(r, s)
+        assert reduced.clipped > 0
+        assert reduced.scheme_summary() == original.scheme_summary()
 
     def test_rejects_bad_arguments(self):
         model = ReducedModel(a=-0.5, b=0.1, C=1.0, alpha=1.5)
