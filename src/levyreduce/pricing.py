@@ -24,7 +24,7 @@ from .laplace import laplace_radial
 from .measures import RadialMeasure, power_radial
 from .report import CheckReport, item
 from .reduction import ReducedModel
-from .simulate import EulerRun, RngStream, original_run
+from .simulate import _PATH_BLOCK, EulerRun, RngStream, original_run
 
 B_CAP_DEFAULT = 1e3
 _INTERP_U_MIN = 1e-8
@@ -33,6 +33,23 @@ _DT_MARGIN = 1.0
 # step-doubling tolerance of riccati_solve and its cap on substep halvings
 _RICCATI_REL_TOL = 1e-9
 _RICCATI_MAX_SPLITS = 400
+# the pilot block of each level of a multilevel leg holds this share of
+# n_paths, at most one block; with fewer than _PILOT_MIN paths in it, or
+# pilots over the budget, the leg keeps one level
+_PILOT_SHARE = 20
+_PILOT_MIN = 100
+# the modelled time of a step of a path block, in fine path-steps: a
+# fine step costs _STEP_COST plus one per path, a coarse step, which
+# draws nothing, _COARSE_COST[0] plus _COARSE_COST[1] per path.  Timed
+# on a 2-vCPU x86-64 host for two exact stable atoms: 95 us plus 87 ns
+# per path, and 12 us plus 10 ns per path
+_STEP_COST = 1100.0
+_COARSE_COST = (140.0, 0.12)
+# the share of the plain run's modelled time a multilevel leg may spend:
+# its workers idle at the pilot barrier and after their last blocks,
+# where worked's two plain blocks end together.  Without it, compare
+# took 3.5 and 5.8 % longer than the plain run in two benchmark pairs
+_TIME_SHARE = 0.93
 
 
 @dataclass(frozen=True)
@@ -177,17 +194,17 @@ def mc_bond_prices(states, dt: float, taus) -> list:
     ValueError when the states end before a maturity's cell does.
 
     An EulerRun is read block by block: with two or more usable CPUs
-    its blocks step on forked worker processes, one per block and at
-    most one per CPU, even a single block, and every worker is joined
+    its blocks step on forked worker processes, at most one per block
+    and one per CPU, even for a single block, and every worker is joined
     before this returns.  Each path's integral is the same wherever its
     block is stepped, so the prices do not depend on the number of
     workers.  The clipped proposals of the blocks are added to the
     run's count.
     """
-    cells = _maturity_cells(taus, dt)
     if not isinstance(states, EulerRun):
-        return [_discount_moments(integral) for integral in _rate_integrals(states, dt, cells)]
-    leg = _MonteCarloLeg(states, dt, cells)
+        integrals = _rate_integrals(states, dt, _maturity_cells(taus, dt))
+        return [_moments(np.exp(-integral)) for integral in integrals]
+    leg = _MonteCarloLeg(states, dt, taus)
     try:
         return leg.collect()
     finally:
@@ -207,29 +224,70 @@ def _maturity_cells(taus, dt: float) -> list:
     return cells
 
 
-def _rate_integrals(states, dt: float, cells) -> list:
-    """The rate integral over the paths at each maturity cell (m, rest):
-    node m plus a partial cell of length rest."""
-    integrals = [None] * len(cells)
-    partial = {}
-    # 0.5 r_0 + r_1 + ... + r_(k-1) before node k is added
-    total = None
-    for k, r in enumerate(states):
-        for j, (m, rest) in enumerate(cells):
+class _RateIntegrals:
+    """The rate integral over the paths at each maturity cell (m, rest)
+    of the grid t = k dt, node m plus a partial cell of length rest,
+    summed as the states come in node by node.  values holds None for a
+    maturity not yet priced."""
+
+    def __init__(self, dt: float, cells):
+        self.dt, self.cells = dt, cells
+        self.values = [None] * len(cells)
+        self.nodes = 0
+        self._partial = {}
+        # 0.5 r_0 + r_1 + ... + r_(k-1) before node k is added
+        self._total = None
+
+    def add(self, r) -> bool:
+        """Add the states at the next node; True once every maturity is
+        priced."""
+        k, dt = self.nodes, self.dt
+        self.nodes += 1
+        for j, (m, rest) in enumerate(self.cells):
             if k == m:
+                total = self._total
                 integral = np.zeros_like(r) if total is None else dt * (total + 0.5 * r)
                 if rest:
-                    partial[j] = integral + rest * (1.0 - 0.5 * rest / dt) * r
+                    self._partial[j] = integral + rest * (1.0 - 0.5 * rest / dt) * r
                 else:
-                    integrals[j] = integral
+                    self.values[j] = integral
             elif k == m + 1 and rest:
-                integrals[j] = partial.pop(j) + 0.5 * rest * rest / dt * r
-        if all(integral is not None for integral in integrals):
-            return integrals
-        if total is None:
-            total = 0.5 * r
+                self.values[j] = self._partial.pop(j) + 0.5 * rest * rest / dt * r
+        if all(value is not None for value in self.values):
+            return True
+        if self._total is None:
+            self._total = 0.5 * r
         else:
-            total += r
+            self._total += r
+        return False
+
+
+def _rate_integrals(states, dt: float, cells) -> list:
+    """The rate integral over the paths at each maturity cell of the
+    states on the grid t = k dt."""
+    sums = _RateIntegrals(dt, cells)
+    for r in states:
+        if sums.add(r):
+            return sums.values
+    raise ValueError("a maturity exceeds the simulated horizon")
+
+
+def _block_integrals(nodes, dt: float, cells, coarse_cells):
+    """(fine integrals, coarse integrals, proposals clipped) of the nodes
+    (state, coarse state, clipped) of one path block loop: the states on
+    the grid dt, the coarse states on the grid 2 dt at coarse_cells.
+    The coarse integrals are None when coarse_cells is."""
+    fine = _RateIntegrals(dt, cells)
+    coarse = None if coarse_cells is None else _RateIntegrals(2.0 * dt, coarse_cells)
+    clipped = 0
+    fine_done, coarse_done = False, coarse is None
+    for r, rc, c in nodes:
+        clipped += c
+        fine_done = fine_done or fine.add(r)
+        if rc is not None and not coarse_done:
+            coarse_done = coarse.add(rc)
+        if fine_done and coarse_done:
+            return fine.values, None if coarse is None else coarse.values, clipped
     raise ValueError("a maturity exceeds the simulated horizon")
 
 
@@ -242,108 +300,315 @@ def _usable_cpus() -> int:
     return cpus or 1
 
 
-class _MonteCarloLeg:
-    """The bond prices of an EulerRun at maturity cells, started.
+def _leg_cost(n_steps: int, coupled: bool, n_paths: int, blocks: int) -> float:
+    """The modelled time of n_paths paths over n_steps fine steps, in
+    blocks path blocks, plus their coarse leg when coupled: one step of
+    a block costs _STEP_COST and one per path, one coarse step costs
+    _COARSE_COST.  The unit is a fine path-step."""
+    cost = n_steps * (blocks * _STEP_COST + n_paths)
+    if coupled:
+        fixed, per_path = _COARSE_COST
+        cost += n_steps // 2 * (blocks * fixed + per_path * n_paths)
+    return cost
 
-    With two or more usable CPUs, the path blocks start stepping on
-    forked workers as the leg is made: one worker per block, at most one
-    per CPU, worker w taking blocks w, w + workers, ...  The caller is
-    free until collect(), which waits for them.  With one CPU the blocks
-    step in-process inside collect().  stop() ends every worker without
-    waiting for its blocks and joins it; call it in a finally.
+
+def _rest_blocks(n_paths: int, pilot: int) -> list:
+    """The path counts of the blocks after a pilot block, for n_paths
+    paths in all: _PATH_BLOCK each but the last, which holds the rest."""
+    return [min(_PATH_BLOCK, n_paths - start) for start in range(pilot, n_paths, _PATH_BLOCK)]
+
+
+def _fits(levels, paths, pilot: int, budget) -> bool:
+    """Whether paths[l] paths of each level, pilot block first, stay
+    within budget: (path-steps, modelled time)."""
+    steps = sum(level.path_steps * n for level, n in zip(levels, paths))
+    time = sum(
+        _leg_cost(level.n_steps, level.coupled, n, 1 + len(_rest_blocks(n, pilot)))
+        for level, n in zip(levels, paths)
+    )
+    return steps <= budget[0] and time <= budget[1]
+
+
+def _allocation(levels, variances, pilot: int, budget) -> list:
+    """The paths of each level, its pilot included: level l gets
+    floor(k sqrt(V_l / C_l)), for V_l its variance and C_l the modelled
+    time of one of its paths, at the largest k that _fits the budget.
+    A level keeps its pilot alone where that count would add fewer than
+    sqrt(pilot * _STEP_COST) paths to it: so few paths cost more in
+    fixed step costs than spending that time on the other levels saves.
+    The pilots alone must fit the budget."""
+    weights = [
+        np.sqrt(v / _leg_cost(level.n_steps, level.coupled, 1, 0))
+        for level, v in zip(levels, variances)
+    ]
+    least = pilot + np.sqrt(pilot * _STEP_COST)
+
+    def paths(k):
+        return [n if n >= least else pilot for n in (int(k * w) for w in weights)]
+
+    if not any(weights):
+        return paths(0.0)
+    lo, hi = 0.0, 1.0
+    while _fits(levels, paths(hi), pilot, budget):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if _fits(levels, paths(mid), pilot, budget):
+            lo = mid
+        else:
+            hi = mid
+    return paths(lo)
+
+
+class _MonteCarloLeg:
+    """The bond prices of an EulerRun at the maturities taus, started.
+
+    The leg steps tasks (level, block, paths), each one path block, and
+    prices every level from its blocks in block order.  A plain leg has
+    one level, the run at dt, and its tasks are the run's blocks.  A
+    multilevel leg (multilevel set, and the run has levels whose pilots
+    fit) first steps a pilot block of the same size on every level of
+    run.levels, then, from the variances the pilots measure, the further
+    blocks that _allocation gives each level.  Level l prices the fine
+    leg's discount factor less the coarse leg's, and the price is the
+    sum over the levels of their means, its standard error the root of
+    the sum of their squared standard errors.  All of it spends at most
+    the plain run's path-steps n_paths * n_steps and _TIME_SHARE of its
+    modelled time, in which every step of a block has a fixed cost.
+
+    With two or more usable CPUs, the tasks step on forked workers as the
+    leg is made: at most one worker per task of the first phase and one
+    per CPU, each sent its next task, the costliest left, by a scheduler
+    thread of this process as soon as it is idle.  The thread starts once
+    every worker is forked, and only it touches the results until
+    collect(), which waits for it; the caller is free until then.  With
+    one CPU the tasks step in-process inside collect().  stop() ends
+    every worker without waiting for its tasks and joins it; call it in
+    a finally.
 
     Workers are forked, not spawned: they inherit the run, with its jump
     sampler and its unstarted block loops, instead of importing the
     package afresh and rebuilding them.
     """
 
-    def __init__(self, run: EulerRun, dt: float, cells):
-        self.run, self.dt, self.cells = run, dt, cells
-        # (process, receiving end of its pipe) of each worker
+    def __init__(self, run: EulerRun, dt: float, taus, multilevel: bool = False):
+        self.run, self.taus = run, taus
+        self.pilot = min(_PATH_BLOCK, run.n_paths // _PILOT_SHARE)
+        self.budget = (
+            run.n_paths * run.n_steps,
+            _TIME_SHARE * _leg_cost(run.n_steps, False, run.n_paths, len(run.blocks)),
+        )
+        levels = run.levels if multilevel and self.pilot >= _PILOT_MIN else ()
+        if levels and _fits(levels, [self.pilot] * len(levels), self.pilot, self.budget):
+            self.levels = levels
+            self.grids = [
+                (level.dt, _maturity_cells(taus, level.dt),
+                 _maturity_cells(taus, 2.0 * level.dt) if level.coupled else None)
+                for level in levels
+            ]
+            self.tasks = [[(i, 0, self.pilot)] for i in range(len(levels))]
+        else:
+            self.levels = None
+            self.grids = [(dt, _maturity_cells(taus, dt), None)]
+            self.tasks = [[(0, j, n) for j, (n, _) in enumerate(run.blocks)]]
+        self.results = {}
+        self.moments = None
+        # (process, this process's end of its pipe) of each worker
         self.workers = []
+        self.thread = None
+        self.error = None
         cpus = _usable_cpus()
         if cpus < 2:
             return
         # imported here, so that the pipelines that never fork do not
         # pay for the import at start-up
         import multiprocessing
+        import threading
 
         context = multiprocessing.get_context("fork")
-        n = len(run.blocks)
-        count = min(cpus, n)
         try:
-            for w in range(count):
-                receive, send = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_step_blocks,
-                    args=(send, run, dt, cells, range(w, n, count)),
-                    daemon=True,
-                )
+            for _ in range(min(cpus, sum(len(tasks) for tasks in self.tasks))):
+                here, there = context.Pipe()
+                process = context.Process(target=_serve, args=(there, self), daemon=True)
                 try:
                     process.start()
                 finally:
-                    # the worker holds the only sending end, so the pipe
+                    # the worker holds the only other end, so the pipe
                     # reads as ended once the worker has exited
-                    send.close()
-                self.workers.append((process, receive))
+                    there.close()
+                self.workers.append((process, here))
         except BaseException:
             self.stop()
             raise
+        self.thread = threading.Thread(target=self._schedule, daemon=True)
+        self.thread.start()
 
-    def collect(self) -> list:
-        """(price, standard error) at each cell, with the blocks'
-        clipped proposals added to the run's count."""
-        n = len(self.run.blocks)
-        if self.workers:
-            parts = [None] * n
-            for w, (process, receive) in enumerate(self.workers):
+    def step(self, task):
+        """(fine integrals, coarse integrals, proposals clipped) of task."""
+        i, j, n = task
+        if self.levels is None:
+            nodes = self.run.blocks[j][1]()
+        else:
+            nodes = self.levels[i].block(j, n)
+        return _block_integrals(nodes, *self.grids[i])
+
+    def _run(self, step_all) -> None:
+        """Step the first tasks, then, on a multilevel leg, the blocks the
+        pilots allocate; step_all(tasks) returns {task: step(task)}."""
+        self.results.update(step_all(self._costliest_first(sum(self.tasks, []))))
+        if self.levels is None:
+            return
+        variances = [
+            sum(d.var(ddof=1) for d in self._discounts(i)) for i in range(len(self.levels))
+        ]
+        rest = []
+        for i, n in enumerate(_allocation(self.levels, variances, self.pilot, self.budget)):
+            for j, size in enumerate(_rest_blocks(n, self.pilot), start=1):
+                self.tasks[i].append((i, j, size))
+                rest.append((i, j, size))
+        self.results.update(step_all(self._costliest_first(rest)))
+
+    def _costliest_first(self, tasks) -> list:
+        if self.levels is None:
+            return tasks
+
+        def cost(task):
+            level = self.levels[task[0]]
+            return _leg_cost(level.n_steps, level.coupled, task[2], 1)
+
+        return sorted(tasks, key=cost, reverse=True)
+
+    def _step_here(self, tasks) -> dict:
+        return {task: self.step(task) for task in tasks}
+
+    def _schedule(self) -> None:
+        """The scheduler thread's job: step every task on the workers,
+        then tell each worker to end."""
+        try:
+            self._run(self._step_on_workers)
+        except Exception as exc:
+            self.error = exc
+        finally:
+            for _, conn in self.workers:
                 try:
-                    result = receive.recv()
-                except EOFError:
-                    result = None
-                process.join()
-                if isinstance(result, Exception):
-                    raise result
-                if result is None:
+                    conn.send(None)
+                except OSError:
+                    pass
+
+    def _step_on_workers(self, tasks) -> dict:
+        """{task: step(task)}, each task sent, in order, to the next idle
+        worker."""
+        from multiprocessing.connection import wait
+
+        pending = tasks[::-1]
+        # (process, task) of each worker's pipe end that awaits a result
+        sent, results = {}, {}
+
+        def send_next(process, conn):
+            if pending:
+                sent[conn] = (process, pending.pop())
+                conn.send(sent[conn][1])
+
+        for process, conn in self.workers:
+            send_next(process, conn)
+        while sent:
+            for conn in wait(list(sent)):
+                process, task = sent.pop(conn)
+                try:
+                    result = conn.recv()
+                except (EOFError, OSError):
+                    process.join()
                     raise RuntimeError(
                         f"a Monte Carlo worker ended with exit code {process.exitcode}"
-                    )
-                parts[w::len(self.workers)] = result
+                    ) from None
+                if isinstance(result, Exception):
+                    raise result
+                results[task] = result
+                send_next(process, conn)
+        return results
+
+    def _discounts(self, i: int) -> list:
+        """Per maturity, the discount factor exp(-I) of the fine leg less
+        that of the coarse leg, over the paths of level i stepped so far,
+        in block order."""
+        parts = [self.results[task] for task in self.tasks[i] if task in self.results]
+        out = []
+        for m in range(len(self.taus)):
+            d = np.exp(-np.concatenate([fine[m] for fine, _, _ in parts]))
+            if parts[0][1] is not None:
+                d -= np.exp(-np.concatenate([coarse[m] for _, coarse, _ in parts]))
+            out.append(d)
+        return out
+
+    def collect(self) -> list:
+        """(price, standard error) at each maturity; a plain leg adds the
+        blocks' clipped proposals to the run's count."""
+        if self.thread is None:
+            self._run(self._step_here)
         else:
-            parts = [_block_integrals(self.run, self.dt, self.cells, i) for i in range(n)]
-        self.run.clipped += sum(clipped for _, clipped in parts)
-        integrals = [np.concatenate(column) for column in zip(*(part for part, _ in parts))]
-        return [_discount_moments(integral) for integral in integrals]
+            self.thread.join()
+            if self.error is not None:
+                raise self.error
+            for process, _ in self.workers:
+                process.join()
+        if self.levels is None:
+            self.run.clipped += sum(clipped for _, _, clipped in self.results.values())
+        self.moments = [[_moments(d) for d in self._discounts(i)] for i in range(len(self.tasks))]
+        return [
+            (sum(p for p, _ in column), float(np.sqrt(sum(se * se for _, se in column))))
+            for column in zip(*self.moments)
+        ]
+
+    def summary(self) -> dict:
+        """The run's scheme_summary, once collected.  A multilevel leg
+        counts clamp_frequency over every path-step it took and adds
+        levels, the step dt, paths, path-steps and clamp_frequency of
+        each level, and finest_difference, the finest level's mean and
+        standard error of P_dt - P_2dt at each maturity."""
+        summary = self.run.scheme_summary()
+        if self.levels is None:
+            return summary
+        paths = [sum(n for _, _, n in tasks) for tasks in self.tasks]
+        steps = [level.path_steps * n for level, n in zip(self.levels, paths)]
+        clipped = [sum(self.results[task][2] for task in tasks) for tasks in self.tasks]
+        summary["clamp_frequency"] = sum(clipped) / sum(steps)
+        summary["levels"] = [
+            {"dt": level.dt, "n_paths": n, "path_steps": s, "clamp_frequency": c / s}
+            for level, n, s, c in zip(self.levels, paths, steps, clipped)
+        ]
+        summary["finest_difference"] = [
+            {"tau": float(tau), "mean": p, "se": se}
+            for tau, (p, se) in zip(self.taus, self.moments[-1])
+        ]
+        return summary
 
     def stop(self) -> None:
         """End every worker still stepping and join them all."""
         for process, _ in self.workers:
             process.terminate()
-        for process, receive in self.workers:
+        if self.thread is not None:
+            self.thread.join()
+            self.thread = None
+        for process, conn in self.workers:
             process.join()
-            receive.close()
+            conn.close()
         self.workers = []
 
 
-def _block_integrals(run: EulerRun, dt: float, cells, i: int):
-    """(rate integrals, proposals clipped) of path block i of run."""
-    block = run.block(i)
-    return _rate_integrals(block, dt, cells), block.clipped
+def _serve(conn, leg: _MonteCarloLeg) -> None:
+    """A forked worker's loop: step each task the parent sends and send
+    back its result, or the exception that stopped it, until the parent
+    sends None."""
+    for task in iter(conn.recv, None):
+        try:
+            result = leg.step(task)
+        except Exception as exc:
+            result = exc
+        conn.send(result)
 
 
-def _step_blocks(send, run: EulerRun, dt: float, cells, indices) -> None:
-    """A forked worker's job: send the parent the _block_integrals of
-    each block in indices, or the exception that stopped them."""
-    try:
-        result = [_block_integrals(run, dt, cells, i) for i in indices]
-    except Exception as exc:
-        result = exc
-    send.send(result)
-
-
-def _discount_moments(integral: np.ndarray):
-    """(mean, standard error) of exp(-integral) over the paths."""
-    disc = np.exp(-integral)
+def _moments(disc: np.ndarray):
+    """(mean, standard error) of disc over the paths."""
     price = float(disc.mean())
     se = float(disc.std(ddof=1) / np.sqrt(len(disc))) if len(disc) > 1 else 0.0
     return price, se
@@ -351,7 +616,13 @@ def _discount_moments(integral: np.ndarray):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo settings for the comparison pipeline."""
+    """Monte Carlo settings for the comparison pipeline.
+
+    n_paths paths of horizon / dt steps are the Monte Carlo budget of
+    compare_term_structures: a multilevel leg spreads no more path-steps
+    than n_paths * n_steps over its levels, pilots included, and it
+    steps the finest of them at the step the plain run would take.
+    """
 
     dt: float = 1e-3
     n_paths: int = 100_000
@@ -390,12 +661,21 @@ def compare_term_structures(
     original is (G, spec, a, b).  reduced is the ReducedModel, or a
     function of no arguments that returns it.  The Monte Carlo leg
     starts first: with two or more usable CPUs its path blocks step on
-    forked workers as mc_bond_prices steps them, even a single block,
-    while this process calls reduced and solves the Riccati legs; then
-    it waits for the workers.  An error in setting up the leg is raised only once
-    reduced has returned, so a refused reduction wins over it, and when
-    anything raises, the workers are stopped and joined without waiting
-    for their blocks.
+    forked workers, even a single block, while this process calls
+    reduced and solves the Riccati legs; then it waits for the workers.
+    An error in setting up the leg is raised only once reduced has
+    returned, so a refused reduction wins over it, and when anything
+    raises, the workers are stopped and joined without waiting for
+    their blocks.
+
+    Under exact stable increments with an even step count the leg is
+    multilevel (see _MonteCarloLeg): levels at dt, 2 dt, 4 dt, ... while
+    the step count stays even, each coupled to the next coarser one
+    through the sum of its increments, so the estimate keeps the bias of
+    the plain run at dt.  A pilot block on every level sets how the
+    budget of SimConfig is spread over them.  Otherwise, and always
+    under compound-Poisson jumps, it is the plain run at dt.  SE is the
+    standard error of the estimate either way.
 
     Each maturity passes when |MC - ODE| <= 3 SE + scheme tolerance.
     The scheme tolerance is built from the error terms of the scheme
@@ -404,7 +684,9 @@ def compare_term_structures(
     truncated compound-Poisson jumps only, the Riccati price shift
     caused by the jump cutoff.  Exact stable increments have no cutoff,
     so they skip that second Riccati solve.  summary names the scheme
-    and its numerical slack.
+    and its numerical slack; a multilevel leg adds its levels and the
+    finest level's P_dt - P_2dt (see _MonteCarloLeg.summary), which do
+    not enter the band.
     """
     G, spec, a, b = original
     taus = np.sort(np.asarray(tau_grid, dtype=float))
@@ -420,7 +702,7 @@ def compare_term_structures(
             G, spec, a, b, x0, sim_cfg.eps, horizon, n_steps, sim_cfg.n_paths,
             RngStream(sim_cfg.seed),
         )
-        leg = _MonteCarloLeg(run, run.dt, _maturity_cells(taus, run.dt))
+        leg = _MonteCarloLeg(run, run.dt, taus, multilevel=True)
     except Exception as exc:
         # re-raised once the reduction has returned, as when the
         # reduction ran before the leg was set up
@@ -476,6 +758,6 @@ def compare_term_structures(
                 detail=f"mc={p_mc:.6f} se={se:.2e} ode={p_ode:.6f} scheme_tol={scheme_tol:.2e}",
             )
         )
-    return ComparisonResult(CheckReport(tuple(items)), tuple(rows), run.scheme_summary())
+    return ComparisonResult(CheckReport(tuple(items)), tuple(rows), leg.summary())
 
 

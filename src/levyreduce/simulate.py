@@ -23,13 +23,21 @@ processes step the blocks.  simulate_reduced and simulate_original
 store every state as a float32 path; a reader that needs only sums of
 the states, such as the Monte Carlo bond price, reads the run itself,
 or its blocks one by one, and keeps no paths.
+
+An original_run under exact stable increments with an even step count
+also carries its multilevel form, a tuple of EulerLevels: the finest
+steps the run's dt, each coarser one twice the step of the next, and
+every level but the coarsest steps a coarse leg at twice its step on
+the sum of each pair of its own increments.  The sum of two exact
+increments over dt is an exact increment over 2 dt, so the coarse leg
+has the law of a plain run at 2 dt and draws nothing of its own.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -174,18 +182,20 @@ class EulerRun(_SchemeSlack):
     """One run of a full-truncation Euler scheme, stepped as it is read.
 
     blocks holds one (paths, loop) pair per path block, in path order;
-    loop() starts that block's Euler loop, which yields the block's
-    state at t = k dt for k = 0..n_steps together with the number of
-    proposals clipped at zero to reach it.  Iterating the run steps
-    every block in lockstep and yields their states concatenated, each
-    a fresh (n_paths,) float64 array, so a reader may keep any of them;
-    the run itself keeps none.  block(i) is block i as a run of its own,
-    for readers that step the blocks one by one.  clipped counts the
-    proposals clipped so far; a reader of block(i) adds that run's count
-    to it.  clamp_frequency is clipped over all n_steps * n_paths
-    proposals.  jumps is the truncated jump sampler behind the
-    increments, None for exact stable increments.  A run steps once.
+    loop() starts that block's Euler loop, which yields the nodes
+    (state, None, proposals clipped) of _original_steps at t = k dt for
+    k = 0..n_steps.  Iterating the run steps every block in lockstep and
+    yields their states concatenated, each a fresh (n_paths,) float64
+    array, so a reader may keep any of them; the run itself keeps none.
+    A reader that steps the blocks one by one adds their clipped counts
+    to clipped, the proposals clipped so far.  clamp_frequency is
+    clipped over all n_steps * n_paths proposals.  jumps is the
+    truncated jump sampler behind the increments, None for exact stable
+    increments.  levels is the run's multilevel form, () where it has
+    none (see original_run).  A run steps once.
     """
+
+    levels: tuple = ()
 
     def __init__(self, blocks, dt, n_steps, seed, jumps):
         self.blocks = tuple(blocks)
@@ -200,19 +210,11 @@ class EulerRun(_SchemeSlack):
 
     def __iter__(self):
         for nodes in zip(*(loop() for _, loop in self.blocks)):
-            self.clipped += sum(clipped for _, clipped in nodes)
+            self.clipped += sum(clipped for _, _, clipped in nodes)
             if len(nodes) == 1:
                 yield nodes[0][0]
             else:
-                yield np.concatenate([r for r, _ in nodes])
-
-    def block(self, i: int) -> "EulerRun":
-        """Path block i as a run of its own, with its own clip count."""
-        run = copy.copy(self)
-        run.blocks = (self.blocks[i],)
-        run.n_paths = self.blocks[i][0]
-        run.clipped = 0
-        return run
+                yield np.concatenate([r for r, _, _ in nodes])
 
     @property
     def clamp_frequency(self) -> float:
@@ -332,7 +334,7 @@ def reduced_run(
     dt = _checked_step(x0, horizon, n_steps, n_paths)
     sampler = StableAtomSampler(np.ones((1, 1)), np.array([model.alpha]), np.ones(1))
     G = VolatilityFunction.power(1.0 / model.alpha, [model.C])
-    loop = partial(_original_steps, G, sampler, None, model.a, model.b, x0, dt, n_steps)
+    loop = partial(_original_steps, G, sampler, None, model.a, model.b, x0, dt, n_steps, False)
     blocks, seed = _path_blocks(rng, n_paths, loop)
     return EulerRun(blocks, dt, n_steps, seed, None)
 
@@ -616,6 +618,10 @@ def original_run(
     clip frequency recorded.  The sampler is built once and shared by
     the path blocks, each drawing from its own child stream of rng, an
     RngStream or an integer seed.
+
+    Under exact stable increments with an even n_steps, the run's
+    levels hold its multilevel form (see _levels); a compound-Poisson
+    run and an odd step count have none.
     """
     if b < 0:
         raise ValueError("b must be nonnegative")
@@ -633,26 +639,100 @@ def original_run(
     else:
         root = None
 
-    blocks, seed = _path_blocks(
-        rng, n_paths, partial(_original_steps, G, sampler, root, a, b, x0, dt, n_steps)
-    )
-    return EulerRun(blocks, dt, n_steps, seed, jumps)
+    steps = partial(_original_steps, G, sampler, root, a, b, x0)
+    blocks, seed = _path_blocks(rng, n_paths, partial(steps, dt, n_steps, False))
+    run = EulerRun(blocks, dt, n_steps, seed, jumps)
+    if jumps is None:
+        run.levels = _levels(steps, dt, n_steps, seed)
+    return run
 
 
-def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, n_paths, gen):
-    """The Euler loop of one path block of original_run: (state,
-    proposals clipped) per node."""
+def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen):
+    """The Euler loop of one path block: (state, coarse state, proposals
+    clipped) at each node t = k dt.
+
+    With coupled, a coarse leg steps at 2 dt beside the fine one, on the
+    sum of each pair of fine increments, Wiener part included; its state
+    comes at the even nodes, None at the odd ones, and the clipped count
+    covers both legs.  Without, the coarse state is always None.
+    """
     r = np.full(n_paths, float(x0))
-    yield r, 0
-    for _ in range(n_steps):
+    coarse = r.copy() if coupled else None
+    yield r, coarse, 0
+    for k in range(1, n_steps + 1):
         dz = sampler.sample_increment(dt, n_paths, gen)
         if root is not None:
-            dz += gen.standard_normal((n_paths, root.shape[0])) @ root.T * np.sqrt(dt)
-        # r is clipped already, so G reads the clipped state
-        r = r + (a * r + b) * dt + G.inner(r, dz)
-        clipped = int(np.count_nonzero(r < 0.0))
-        np.maximum(r, 0.0, out=r)
-        yield r, clipped
+            # np.dot, as @ leaves BLAS and is 12x slower for d = 1
+            dz += np.dot(gen.standard_normal((n_paths, root.shape[0])), root.T) * np.sqrt(dt)
+        r, clipped = _euler_step(G, a, b, r, dt, dz)
+        if not coupled:
+            yield r, None, clipped
+        elif k % 2:
+            # G.inner leaves dz as it is, so the pair sum may reuse it
+            pair = dz
+            yield r, None, clipped
+        else:
+            pair += dz
+            coarse, coarse_clipped = _euler_step(G, a, b, coarse, 2.0 * dt, pair)
+            yield r, coarse, clipped + coarse_clipped
+
+
+def _euler_step(G, a, b, r, dt, dz):
+    """The full-truncation Euler step over dt from the states r with the
+    increments dz: (next states, proposals clipped at zero)."""
+    # r is clipped already, so G reads the clipped state
+    r = r + (a * r + b) * dt + G.inner(r, dz)
+    clipped = int(np.count_nonzero(r < 0.0))
+    np.maximum(r, 0.0, out=r)
+    return r, clipped
+
+
+@dataclass(frozen=True)
+class EulerLevel:
+    """One level of a run's multilevel form, index counted from the
+    coarsest: n_steps Euler steps of dt, and with coupled the coarse leg
+    at 2 dt beside them.
+
+    steps is the run's _original_steps up to its step arguments.
+    block(j, n_paths) starts the loop of the level's path block j, which
+    draws from the child (index, j) of SeedSequence(seed), so a block's
+    draws depend on the seed, the level, the block and its path count
+    alone.
+    """
+
+    index: int
+    dt: float
+    n_steps: int
+    coupled: bool
+    steps: Callable
+    seed: tuple
+
+    def block(self, j: int, n_paths: int):
+        seq = np.random.SeedSequence(list(self.seed), spawn_key=(self.index, j))
+        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, np.random.default_rng(seq))
+
+    @property
+    def path_steps(self) -> int:
+        """Path-steps of one path of the level, over both legs."""
+        return self.n_steps + self.n_steps // 2 if self.coupled else self.n_steps
+
+
+def _levels(steps, dt: float, n_steps: int, seed) -> tuple:
+    """The multilevel form of a run of n_steps steps of dt, coarsest
+    first: the finest level steps dt, and each coarser one twice the
+    step of the next while the step count stays even; () for an odd
+    n_steps.  Every level but the coarsest is coupled."""
+    sizes = []
+    while n_steps % 2 == 0:
+        sizes.append((dt, n_steps, True))
+        dt, n_steps = 2.0 * dt, n_steps // 2
+    if not sizes:
+        return ()
+    sizes.append((dt, n_steps, False))
+    return tuple(
+        EulerLevel(index, h, n, coupled, steps, seed)
+        for index, (h, n, coupled) in enumerate(reversed(sizes))
+    )
 
 
 def simulate_original(

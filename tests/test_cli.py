@@ -652,7 +652,9 @@ class TestComparePipeline:
         self, write_config, tmp_path, monkeypatch
     ):
         # 20k paths are two path blocks, 2000 paths one; each is priced
-        # in-process on one CPU, then on forked workers on two CPUs
+        # in-process on one CPU, then on forked workers on two CPUs.  At
+        # 8 steps, 4000 paths price on four levels, whose four pilots
+        # start one worker per CPU
         workers = []
         collect = pricing._MonteCarloLeg.collect
 
@@ -661,17 +663,17 @@ class TestComparePipeline:
             return collect(leg)
 
         monkeypatch.setattr(pricing._MonteCarloLeg, "collect", counted)
-        for n_paths, forked in ((20_000, 2), (2000, 1)):
+        for n_paths, horizon, forked in ((20_000, 0.05, 2), (2000, 0.05, 1), (4000, 0.08, 2)):
             doc = base_config(
                 simulation={
                     "x0": 1.0,
-                    "horizon": 0.05,
+                    "horizon": horizon,
                     "dt": 0.01,
                     "n_paths": n_paths,
                     "eps": 0.005,
                     "seed": 8,
                 },
-                pricing={"tau_grid": [0.025, 0.05]},
+                pricing={"tau_grid": [horizon / 2, horizon]},
             )
             cfg = write_config(doc)
             outs = [tmp_path / f"{n_paths}-one", tmp_path / f"{n_paths}-two"]
@@ -679,6 +681,8 @@ class TestComparePipeline:
                 monkeypatch.setattr(pricing, "_usable_cpus", lambda c=cpus: c)
                 assert run(["compare", cfg, str(out), "--quiet"]) == 0
             assert workers[-2:] == [0, forked]
+            levels = load_report(outs[0])["summary"].get("levels", [])
+            assert len(levels) == (4 if horizon == 0.08 else 0)
             for name in ("report.json", "comparison.csv"):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
@@ -702,6 +706,8 @@ class TestComparePipeline:
             run(["compare", cfg, str(out), "--quiet"])
         summary = load_report(outs[0])["summary"]
         assert summary["scheme"] == "compound_poisson"
+        # compound-Poisson jumps keep one level
+        assert "levels" not in summary
         assert summary["cutoff"] == 0.05
         assert summary["jump_intensity"] == pytest.approx(0.05**-1.5 / 1.5, rel=1e-6)
         assert summary["dropped_variance"] == pytest.approx(2.0 * np.sqrt(0.05), rel=1e-6)

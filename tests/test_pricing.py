@@ -19,6 +19,7 @@ from levyreduce import (
     compare_term_structures,
     laplace_radial,
     mc_bond_prices,
+    original_run,
     power_radial,
     reduced_run,
     riccati_solve,
@@ -409,3 +410,101 @@ class TestCompareTermStructures:
                 1.0,
                 [-1.0, 0.5],
             )
+
+
+def level_blocks(n_paths, pilot):
+    """Path counts of a level's blocks: the pilot, then blocks of at most
+    10 000 paths."""
+    return [pilot] + [min(10_000, n_paths - s) for s in range(pilot, n_paths, 10_000)]
+
+
+def trapezoid(states, dt, m):
+    """The rate integral up to node m of a (nodes, paths) state matrix."""
+    return dt * (0.5 * states[0] + states[1:m].sum(axis=0) + 0.5 * states[m])
+
+
+class TestMultilevelCompare:
+    # 48 steps of 0.01: levels at 0.16, 0.08, 0.04, 0.02 and 0.01, on
+    # whose grids both maturities are nodes; 6000 paths make pilots of 300
+    TAUS = (0.32, 0.48)
+    CFG = SimConfig(dt=0.01, n_paths=6000, eps=1e-3, seed=5, n_ode_steps=50)
+
+    def compare(self, example_spec, example_vol, monkeypatch, cpus=1):
+        monkeypatch.setattr(pricing, "_usable_cpus", lambda: cpus)
+        return compare_term_structures(
+            (example_vol, example_spec, -0.5, 0.1),
+            ReducedModel(-0.5, 0.1, 1.0, 1.5),
+            1.0,
+            self.TAUS,
+            self.CFG,
+        )
+
+    def test_levels_spend_at_most_the_budget(self, example_spec, example_vol, monkeypatch):
+        result = self.compare(example_spec, example_vol, monkeypatch)
+        assert result.passed
+        levels = result.summary["levels"]
+        assert [level["dt"] for level in levels] == pytest.approx([0.16, 0.08, 0.04, 0.02, 0.01])
+        # path-steps per path: the fine leg, plus half as many coarse ones
+        for level, steps in zip(levels, (3, 9, 18, 36, 72)):
+            assert level["n_paths"] >= 300
+            assert level["path_steps"] == level["n_paths"] * steps
+        assert sum(level["path_steps"] for level in levels) <= 6000 * 48
+        finest = result.summary["finest_difference"]
+        assert [row["tau"] for row in finest] == list(self.TAUS)
+        assert all(row["se"] > 0.0 for row in finest)
+
+    def test_price_is_the_sum_of_the_level_means(self, example_spec, example_vol, monkeypatch):
+        # each level stepped again block by block from its own streams:
+        # the price is the sum of the level means of P_fine - P_coarse,
+        # the squared SE the sum of their variances over their paths
+        result = self.compare(example_spec, example_vol, monkeypatch)
+        run = original_run(
+            example_vol, example_spec, -0.5, 0.1, 1.0, 1e-3, 0.48, 48, 6000, RngStream(5)
+        )
+        price, var = np.zeros(2), np.zeros(2)
+        for level, info in zip(run.levels, result.summary["levels"]):
+            sizes = level_blocks(info["n_paths"], 300)
+            fine, coarse = [], []
+            for j, n in enumerate(sizes):
+                nodes = list(level.block(j, n))
+                fine.append(np.array([r for r, _, _ in nodes]))
+                coarse.append(np.array([c for _, c, _ in nodes if c is not None]))
+            diffs = []
+            for tau in self.TAUS:
+                m = int(round(tau / level.dt))
+                d = np.exp(-np.concatenate([trapezoid(f, level.dt, m) for f in fine]))
+                if level.coupled:
+                    d -= np.exp(
+                        -np.concatenate([trapezoid(c, 2 * level.dt, m // 2) for c in coarse])
+                    )
+                diffs.append(d)
+            price += [d.mean() for d in diffs]
+            var += [d.var(ddof=1) / d.size for d in diffs]
+        for row, p, v in zip(result.rows, price, var):
+            assert row["price_mc"] == pytest.approx(p, rel=1e-12)
+            assert row["se"] == pytest.approx(np.sqrt(v), rel=1e-9)
+
+    def test_more_workers_than_cores_give_the_same_outputs(
+        self, example_spec, example_vol, monkeypatch
+    ):
+        # five workers, one per pilot, share the host's cores and the
+        # scheduler thread hands them the further blocks as they finish
+        one = self.compare(example_spec, example_vol, monkeypatch, cpus=1)
+        five = self.compare(example_spec, example_vol, monkeypatch, cpus=5)
+        assert one.rows == five.rows
+        assert one.summary == five.summary
+        assert multiprocessing.active_children() == []
+
+    def test_allocation_keeps_within_both_budgets(self, example_spec, example_vol):
+        levels = original_run(
+            example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 2.0, 1000, 10, RngStream(1)
+        ).levels
+        budget = (20_000 * 1000, pricing._leg_cost(1000, False, 20_000, 2))
+        variances = [0.07, 7.3e-4, 2.8e-4, 1.2e-4]
+        paths = pricing._allocation(levels, variances, 1000, budget)
+        assert pricing._fits(levels, paths, 1000, budget)
+        assert not pricing._fits(levels, [int(n * 1.01) for n in paths], 1000, budget)
+        # most paths go to the cheap, noisy coarsest level
+        assert paths[0] > 10 * paths[1] > 0
+        # without variance, as for C = 0, every level keeps its pilot alone
+        assert pricing._allocation(levels, [0.0] * 4, 1000, budget) == [1000] * 4

@@ -801,3 +801,105 @@ class TestPathEnsemble:
             PathEnsemble(np.zeros(5), 0.1)
         with pytest.raises(ValueError):
             PathEnsemble(np.zeros((2, 5)), 0.0)
+
+
+def wiener_spec(d):
+    """Exact stable jumps on d axis atoms plus a Wiener part."""
+    q = [[0.3]] if d == 1 else [[0.3, 0.1], [0.1, 0.2]]
+    spherical = SphericalMeasure.from_atoms(np.eye(d), [0.5] * d)
+    return LevySpec(d, np.array(q), spherical, lambda xi: power_radial(ALPHA))
+
+
+def block_increments(spec, eps, dt, n_paths, gen):
+    """The increments of an Euler step of original_run with its Wiener
+    part formed through @, drawn from gen in the loop's order."""
+    sampler = stable_atom_sampler(spec, eps, dt)
+    w, vecs = np.linalg.eigh(spec.wiener_cov)
+    root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    while True:
+        dz = sampler.sample_increment(dt, n_paths, gen)
+        dz += gen.standard_normal((n_paths, root.shape[0])) @ root.T * np.sqrt(dt)
+        yield dz
+
+
+def euler_step(G, r, dt, dz, a=-0.5, b=0.1):
+    r = r + (a * r + b) * dt + G.inner(r, dz)
+    np.maximum(r, 0.0, out=r)
+    return r
+
+
+class TestMultilevelForm:
+    def test_levels_double_the_step_while_the_count_is_even(self, example_spec, example_vol):
+        args = (example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 2.0)
+        run = original_run(*args, 1000, 10, RngStream(1))
+        sizes = [(level.index, level.dt, level.n_steps, level.coupled) for level in run.levels]
+        assert sizes == [
+            (0, 0.016, 125, False), (1, 0.008, 250, True),
+            (2, 0.004, 500, True), (3, 0.002, 1000, True),
+        ]
+        assert [level.path_steps for level in run.levels] == [125, 375, 750, 1500]
+        # an odd step count and compound-Poisson jumps have no levels
+        assert original_run(*args, 25, 10, RngStream(1)).levels == ()
+        jumps = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 0.05, 0.2, 10, 10, 1)
+        assert jumps.scheme == "compound_poisson"
+        assert jumps.levels == ()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_wiener_increments_match_the_matmul_form(self, d):
+        spec, G = wiener_spec(d), VolatilityFunction.power(2.0 / 3.0, [1.0] * d)
+        run = original_run(G, spec, -0.5, 0.1, 1.0, 1e-3, 0.2, 20, 300, RngStream(7))
+        gen = np.random.default_rng(np.random.SeedSequence([7, 0], spawn_key=(0,)))
+        increments = block_increments(spec, 1e-3, 0.01, 300, gen)
+        r = np.ones(300)
+        for k, state in enumerate(run):
+            if k:
+                r = euler_step(G, r, 0.01, next(increments))
+            assert np.array_equal(state, r)
+
+    def test_coupled_leg_steps_the_pair_sums(self):
+        # the fine leg is the plain loop on the level's stream; the coarse
+        # leg steps 2 dt on the sum of each pair, Wiener part included
+        spec, G = wiener_spec(2), VolatilityFunction.power(2.0 / 3.0, [1.0, 1.0])
+        run = original_run(G, spec, -0.5, 0.1, 1.0, 1e-3, 0.2, 20, 300, RngStream(4))
+        level = run.levels[-1]
+        assert (level.dt, level.n_steps, level.coupled) == (0.01, 20, True)
+        gen = np.random.default_rng(np.random.SeedSequence([4, 0], spawn_key=(level.index, 5)))
+        increments = block_increments(spec, 1e-3, 0.01, 300, gen)
+        r = coarse = np.ones(300)
+        for k, (state, coarse_state, _) in enumerate(level.block(5, 300)):
+            if k:
+                dz = next(increments)
+                r = euler_step(G, r, 0.01, dz)
+            assert np.array_equal(state, r)
+            if k % 2:
+                first = dz
+                assert coarse_state is None
+                continue
+            if k:
+                coarse = euler_step(G, coarse, 0.02, first + dz)
+            assert np.array_equal(coarse_state, coarse)
+
+    def test_pair_sums_of_exact_increments_have_the_double_step_law(self, example_spec):
+        # as criterion 09: two-sample KS statistic below 0.01 at 100k draws
+        dt, n = 0.01, 100_000
+        sampler = stable_atom_sampler(example_spec, 1e-3, dt)
+        pairs = sampler.sample_increment(dt, 2 * n, RngStream(30)).reshape(n, 2, 2).sum(axis=1)
+        double = sampler.sample_increment(2.0 * dt, n, RngStream(31))
+        for i in range(2):
+            assert stats.ks_2samp(pairs[:, i], double[:, i]).statistic < 0.01
+
+    def test_pair_sums_of_compound_poisson_increments_have_the_double_step_moments(self):
+        # bounded radii 0.5 and 1.5 of weights 2 and 1 on both axes: the
+        # compensated 2 dt increment has mean 0 and variance
+        # 2 dt int r^2 gamma(dr) = 2 dt 2.75 per axis
+        spherical = SphericalMeasure.from_atoms(np.eye(2), [1.0, 1.0])
+        radial = RadialMeasure(atoms=((0.5, 2.0), (1.5, 1.0)))
+        spec = LevySpec(2, np.zeros((2, 2)), spherical, lambda xi: radial)
+        sampler, dropped = truncated_jump_sampler(spec, 0.1)
+        assert dropped == 0.0
+        dt, n = 0.05, 200_000
+        pairs = sampler.sample_increment(dt, 2 * n, RngStream(32)).reshape(n, 2, 2).sum(axis=1)
+        var = 2.0 * dt * 2.75
+        for i in range(2):
+            assert abs(pairs[:, i].mean()) <= 3.0 * np.sqrt(var / n)
+            assert pairs[:, i].var() == pytest.approx(var, rel=0.03)
