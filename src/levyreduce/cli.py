@@ -10,6 +10,7 @@ codes: 0 pass, 1 condition or verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -372,8 +373,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters and the values run() gives them: arrays
+# under 4 MiB come from the heap, and up to 32 MiB of freed heap stays
+# mapped.  The temporaries of an Euler step then reuse the same pages
+# each step; at the dynamic defaults, freed heap near the 128 KiB mmap
+# threshold is trimmed and faulted back in every step
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_THRESHOLDS = ((_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 32 << 20))
+
+
+def _hold_freed_heap() -> None:
+    """Set _HEAP_THRESHOLDS for this process, and its forked workers;
+    a no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _HEAP_THRESHOLDS:
+        mallopt(param, value)
+
+
 def run(argv) -> int:
     """Execute one pipeline; returns the process exit code."""
+    _hold_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))

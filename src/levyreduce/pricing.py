@@ -20,15 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BlowUp
-from .laplace import laplace_radial
-from .measures import RadialMeasure, power_radial
 from .report import CheckReport, item
 from .reduction import ReducedModel
-from .simulate import _PATH_BLOCK, EulerRun, RngStream, original_run
+from .simulate import (
+    _PATH_BLOCK,
+    EulerRun,
+    RngStream,
+    _block_sizes,
+    _gaussian_cutoff,
+    original_run,
+    stable_atom_sampler,
+)
 
 B_CAP_DEFAULT = 1e3
-_INTERP_U_MIN = 1e-8
-_INTERP_PER_DECADE = 32
 _DT_MARGIN = 1.0
 # step-doubling tolerance of riccati_solve and its cap on substep halvings
 _RICCATI_REL_TOL = 1e-9
@@ -38,13 +42,6 @@ _RICCATI_MAX_SPLITS = 400
 # pilots over the budget, the leg keeps one level
 _PILOT_SHARE = 20
 _PILOT_MIN = 100
-# the modelled time of a step of a path block, in fine path-steps: a
-# fine step costs _STEP_COST plus one per path, a coarse step, which
-# draws nothing, _COARSE_COST[0] plus _COARSE_COST[1] per path.  Timed
-# on a 2-vCPU x86-64 host for two exact stable atoms: 95 us plus 87 ns
-# per path, and 12 us plus 10 ns per path
-_STEP_COST = 1100.0
-_COARSE_COST = (140.0, 0.12)
 # the share of the plain run's modelled time a multilevel leg may spend:
 # its workers idle at the pilot barrier and after their last blocks,
 # where worked's two plain blocks end together.  Without it, compare
@@ -72,37 +69,6 @@ class TermStructure:
     @property
     def tau_max(self) -> float:
         return float(self.tau_grid[-1])
-
-
-def _interpolated_laplace(measure: RadialMeasure, u_max: float, lo: float = 0.0):
-    """u -> J(u) = int_(lo, inf) H(u r) measure(dr) for the Riccati
-    right-hand side.
-
-    J is sampled on a log grid in one laplace_radial call and
-    interpolated in log-log form: below the grid J follows the local
-    power of the lowest decade (J(0+) = 0), above it the top slope
-    extrapolates (the blow-up guard keeps B inside the grid).
-    """
-    n = max(int(np.log10(u_max / _INTERP_U_MIN) * _INTERP_PER_DECADE), 8)
-    ug = np.geomspace(_INTERP_U_MIN, u_max, n)
-    jg = laplace_radial(measure, ug, lo=lo)
-    if np.any(jg <= 0.0):
-        raise ValueError("Laplace exponent samples must be positive")
-    lu, lj = np.log(ug), np.log(jg)
-    slope_lo = (lj[1] - lj[0]) / (lu[1] - lu[0])
-    slope_hi = (lj[-1] - lj[-2]) / (lu[-1] - lu[-2])
-
-    def j(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        x = np.log(u)
-        if x <= lu[0]:
-            return float(np.exp(lj[0] + slope_lo * (x - lu[0])))
-        if x >= lu[-1]:
-            return float(np.exp(lj[-1] + slope_hi * (x - lu[-1])))
-        return float(np.exp(np.interp(x, lu, lj)))
-
-    return j
 
 
 def riccati_solve(
@@ -204,11 +170,13 @@ def mc_bond_prices(states, dt: float, taus) -> list:
     if not isinstance(states, EulerRun):
         integrals = _rate_integrals(states, dt, _maturity_cells(taus, dt))
         return [_moments(np.exp(-integral)) for integral in integrals]
-    leg = _MonteCarloLeg(states, dt, taus)
+    leg = _MonteCarloLeg(states, taus)
     try:
-        return leg.collect()
+        quotes = leg.collect()
     finally:
         leg.stop()
+    states.clipped += sum(clipped for _, _, clipped in leg.results.values())
+    return quotes
 
 
 def _maturity_cells(taus, dt: float) -> list:
@@ -300,31 +268,12 @@ def _usable_cpus() -> int:
     return cpus or 1
 
 
-def _leg_cost(n_steps: int, coupled: bool, n_paths: int, blocks: int) -> float:
-    """The modelled time of n_paths paths over n_steps fine steps, in
-    blocks path blocks, plus their coarse leg when coupled: one step of
-    a block costs _STEP_COST and one per path, one coarse step costs
-    _COARSE_COST.  The unit is a fine path-step."""
-    cost = n_steps * (blocks * _STEP_COST + n_paths)
-    if coupled:
-        fixed, per_path = _COARSE_COST
-        cost += n_steps // 2 * (blocks * fixed + per_path * n_paths)
-    return cost
-
-
-def _rest_blocks(n_paths: int, pilot: int) -> list:
-    """The path counts of the blocks after a pilot block, for n_paths
-    paths in all: _PATH_BLOCK each but the last, which holds the rest."""
-    return [min(_PATH_BLOCK, n_paths - start) for start in range(pilot, n_paths, _PATH_BLOCK)]
-
-
 def _fits(levels, paths, pilot: int, budget) -> bool:
     """Whether paths[l] paths of each level, pilot block first, stay
     within budget: (path-steps, modelled time)."""
     steps = sum(level.path_steps * n for level, n in zip(levels, paths))
     time = sum(
-        _leg_cost(level.n_steps, level.coupled, n, 1 + len(_rest_blocks(n, pilot)))
-        for level, n in zip(levels, paths)
+        level.cost(n, 1 + len(_block_sizes(n, pilot))) for level, n in zip(levels, paths)
     )
     return steps <= budget[0] and time <= budget[1]
 
@@ -334,14 +283,13 @@ def _allocation(levels, variances, pilot: int, budget) -> list:
     floor(k sqrt(V_l / C_l)), for V_l its variance and C_l the modelled
     time of one of its paths, at the largest k that _fits the budget.
     A level keeps its pilot alone where that count would add fewer than
-    sqrt(pilot * _STEP_COST) paths to it: so few paths cost more in
-    fixed step costs than spending that time on the other levels saves.
-    The pilots alone must fit the budget."""
-    weights = [
-        np.sqrt(v / _leg_cost(level.n_steps, level.coupled, 1, 0))
-        for level, v in zip(levels, variances)
-    ]
-    least = pilot + np.sqrt(pilot * _STEP_COST)
+    sqrt(pilot F / P) paths to it, for F and P the fixed and per-path
+    time of a step: so few paths cost more in fixed step costs than
+    spending that time on the other levels saves.  The pilots alone
+    must fit the budget."""
+    weights = [np.sqrt(v / level.cost(1, 0)) for level, v in zip(levels, variances)]
+    fixed, per_path = levels[-1].step_cost
+    least = pilot + np.sqrt(pilot * fixed / per_path)
 
     def paths(k):
         return [n if n >= least else pilot for n in (int(k * w) for w in weights)]
@@ -363,18 +311,20 @@ def _allocation(levels, variances, pilot: int, budget) -> list:
 class _MonteCarloLeg:
     """The bond prices of an EulerRun at the maturities taus, started.
 
-    The leg steps tasks (level, block, paths), each one path block, and
-    prices every level from its blocks in block order.  A plain leg has
-    one level, the run at dt, and its tasks are the run's blocks.  A
-    multilevel leg (multilevel set, and the run has levels whose pilots
-    fit) first steps a pilot block of the same size on every level of
-    run.levels, then, from the variances the pilots measure, the further
-    blocks that _allocation gives each level.  Level l prices the fine
-    leg's discount factor less the coarse leg's, and the price is the
-    sum over the levels of their means, its standard error the root of
-    the sum of their squared standard errors.  All of it spends at most
-    the plain run's path-steps n_paths * n_steps and _TIME_SHARE of its
-    modelled time, in which every step of a block has a fixed cost.
+    The leg prices levels, the run's multilevel form or its plain level
+    alone, and steps tasks (level, block, paths), each one path block.
+    Level l prices the fine leg's discount factor less the coarse leg's
+    (the fine one alone when it is uncoupled) from its blocks in block
+    order.  The price is the sum over the levels of their means, its
+    standard error the root of the sum of their squared standard errors.
+
+    With multilevel set, a run of several levels whose pilots fit first
+    steps a pilot block of the same size on every level, then, from the
+    variances the pilots measure, the further blocks that _allocation
+    gives each level.  All of it spends at most the plain run's
+    path-steps n_paths * n_steps and _TIME_SHARE of its modelled time
+    (see EulerLevel.cost).  Otherwise the leg prices the plain level,
+    and its tasks are the run's blocks.
 
     With two or more usable CPUs, the tasks step on forked workers as the
     leg is made: at most one worker per task of the first phase and one
@@ -391,26 +341,25 @@ class _MonteCarloLeg:
     package afresh and rebuilding them.
     """
 
-    def __init__(self, run: EulerRun, dt: float, taus, multilevel: bool = False):
+    def __init__(self, run: EulerRun, taus, multilevel: bool = False):
         self.run, self.taus = run, taus
         self.pilot = min(_PATH_BLOCK, run.n_paths // _PILOT_SHARE)
         self.budget = (
             run.n_paths * run.n_steps,
-            _TIME_SHARE * _leg_cost(run.n_steps, False, run.n_paths, len(run.blocks)),
+            _TIME_SHARE * run.plain.cost(run.n_paths, len(run.blocks)),
         )
         levels = run.levels if multilevel and self.pilot >= _PILOT_MIN else ()
-        if levels and _fits(levels, [self.pilot] * len(levels), self.pilot, self.budget):
-            self.levels = levels
-            self.grids = [
-                (level.dt, _maturity_cells(taus, level.dt),
-                 _maturity_cells(taus, 2.0 * level.dt) if level.coupled else None)
-                for level in levels
-            ]
+        if len(levels) > 1 and _fits(levels, [self.pilot] * len(levels), self.pilot, self.budget):
             self.tasks = [[(i, 0, self.pilot)] for i in range(len(levels))]
         else:
-            self.levels = None
-            self.grids = [(dt, _maturity_cells(taus, dt), None)]
+            levels = (run.plain,)
             self.tasks = [[(0, j, n) for j, (n, _) in enumerate(run.blocks)]]
+        self.levels = levels
+        self.grids = [
+            (level.dt, _maturity_cells(taus, level.dt),
+             _maturity_cells(taus, 2.0 * level.dt) if level.coupled else None)
+            for level in levels
+        ]
         self.results = {}
         self.moments = None
         # (process, this process's end of its pipe) of each worker
@@ -446,37 +395,26 @@ class _MonteCarloLeg:
     def step(self, task):
         """(fine integrals, coarse integrals, proposals clipped) of task."""
         i, j, n = task
-        if self.levels is None:
-            nodes = self.run.blocks[j][1]()
-        else:
-            nodes = self.levels[i].block(j, n)
-        return _block_integrals(nodes, *self.grids[i])
+        return _block_integrals(self.levels[i].block(j, n), *self.grids[i])
 
     def _run(self, step_all) -> None:
-        """Step the first tasks, then, on a multilevel leg, the blocks the
+        """Step the first tasks, then, on several levels, the blocks the
         pilots allocate; step_all(tasks) returns {task: step(task)}."""
         self.results.update(step_all(self._costliest_first(sum(self.tasks, []))))
-        if self.levels is None:
+        if len(self.levels) == 1:
             return
         variances = [
             sum(d.var(ddof=1) for d in self._discounts(i)) for i in range(len(self.levels))
         ]
         rest = []
         for i, n in enumerate(_allocation(self.levels, variances, self.pilot, self.budget)):
-            for j, size in enumerate(_rest_blocks(n, self.pilot), start=1):
+            for j, size in enumerate(_block_sizes(n, self.pilot), start=1):
                 self.tasks[i].append((i, j, size))
                 rest.append((i, j, size))
         self.results.update(step_all(self._costliest_first(rest)))
 
     def _costliest_first(self, tasks) -> list:
-        if self.levels is None:
-            return tasks
-
-        def cost(task):
-            level = self.levels[task[0]]
-            return _leg_cost(level.n_steps, level.coupled, task[2], 1)
-
-        return sorted(tasks, key=cost, reverse=True)
+        return sorted(tasks, key=lambda task: self.levels[task[0]].cost(task[2], 1), reverse=True)
 
     def _step_here(self, tasks) -> dict:
         return {task: self.step(task) for task in tasks}
@@ -541,8 +479,7 @@ class _MonteCarloLeg:
         return out
 
     def collect(self) -> list:
-        """(price, standard error) at each maturity; a plain leg adds the
-        blocks' clipped proposals to the run's count."""
+        """(price, standard error) at each maturity."""
         if self.thread is None:
             self._run(self._step_here)
         else:
@@ -551,8 +488,6 @@ class _MonteCarloLeg:
                 raise self.error
             for process, _ in self.workers:
                 process.join()
-        if self.levels is None:
-            self.run.clipped += sum(clipped for _, _, clipped in self.results.values())
         self.moments = [[_moments(d) for d in self._discounts(i)] for i in range(len(self.tasks))]
         return [
             (sum(p for p, _ in column), float(np.sqrt(sum(se * se for _, se in column))))
@@ -560,14 +495,12 @@ class _MonteCarloLeg:
         ]
 
     def summary(self) -> dict:
-        """The run's scheme_summary, once collected.  A multilevel leg
-        counts clamp_frequency over every path-step it took and adds
-        levels, the step dt, paths, path-steps and clamp_frequency of
-        each level, and finest_difference, the finest level's mean and
+        """The run's scheme_summary, once collected, with clamp_frequency
+        counted over every path-step the leg took, and levels, the step
+        dt, paths, path-steps and clamp_frequency of each level.  When
+        the finest level is coupled, finest_difference holds its mean and
         standard error of P_dt - P_2dt at each maturity."""
         summary = self.run.scheme_summary()
-        if self.levels is None:
-            return summary
         paths = [sum(n for _, _, n in tasks) for tasks in self.tasks]
         steps = [level.path_steps * n for level, n in zip(self.levels, paths)]
         clipped = [sum(self.results[task][2] for task in tasks) for tasks in self.tasks]
@@ -576,10 +509,11 @@ class _MonteCarloLeg:
             {"dt": level.dt, "n_paths": n, "path_steps": s, "clamp_frequency": c / s}
             for level, n, s, c in zip(self.levels, paths, steps, clipped)
         ]
-        summary["finest_difference"] = [
-            {"tau": float(tau), "mean": p, "se": se}
-            for tau, (p, se) in zip(self.taus, self.moments[-1])
-        ]
+        if self.levels[-1].coupled:
+            summary["finest_difference"] = [
+                {"tau": float(tau), "mean": p, "se": se}
+                for tau, (p, se) in zip(self.taus, self.moments[-1])
+            ]
         return summary
 
     def stop(self) -> None:
@@ -668,25 +602,33 @@ def compare_term_structures(
     raises, the workers are stopped and joined without waiting for
     their blocks.
 
-    Under exact stable increments with an even step count the leg is
-    multilevel (see _MonteCarloLeg): levels at dt, 2 dt, 4 dt, ... while
-    the step count stays even, each coupled to the next coarser one
-    through the sum of its increments, so the estimate keeps the bias of
-    the plain run at dt.  A pilot block on every level sets how the
-    budget of SimConfig is spread over them.  Otherwise, and always
-    under compound-Poisson jumps, it is the plain run at dt.  SE is the
-    standard error of the estimate either way.
+    The leg is multilevel when the step count is even (see
+    _MonteCarloLeg): levels at dt, 2 dt, 4 dt, ... while the step count
+    stays even, each coupled to the next coarser one through the sum of
+    its increments, so the estimate keeps the bias of the plain run at
+    dt.  A pilot block on every level sets how the budget of SimConfig
+    is spread over them.  Otherwise it is the plain run at dt.  SE is
+    the standard error of the estimate either way.
+
+    original_run picks exact stable increments or compound-Poisson jumps
+    at the configured eps, as simulate does.  For compound-Poisson jumps
+    the leg then takes its own cutoff, summary's cutoff: the largest
+    that _gaussian_cutoff allows for a bound on the third-moment term
+    below of one Euler margin _DT_MARGIN dt, taken with B(s) <= (e^(as)
+    - 1) / a and P <= 1.  It is chosen before the leg starts, from the
+    spec, x0, a, dt and the horizon, while the reduction is still to
+    come.  The jumps below it become a Gaussian of their covariance.
 
     Each maturity passes when |MC - ODE| <= 3 SE + scheme tolerance.
     The scheme tolerance is built from the error terms of the scheme
-    original_run picks: a margin of one step the run took (run.dt,
-    horizon over the step count) for the Euler bias, plus, for
-    truncated compound-Poisson jumps only, the Riccati price shift
-    caused by the jump cutoff.  Exact stable increments have no cutoff,
-    so they skip that second Riccati solve.  summary names the scheme
-    and its numerical slack; a multilevel leg adds its levels and the
-    finest level's P_dt - P_2dt (see _MonteCarloLeg.summary), which do
-    not enter the band.
+    the leg runs: a margin of one step the run took (run.dt, horizon
+    over the step count) for the Euler bias, plus, for compound-Poisson
+    jumps, the error of the Gaussian in place of the small jumps,
+    |m3| / 6 G(x0)^3 int_0^tau B(s)^3 ds P(tau), for m3 the third
+    moment of the small jumps projected on G(x0) (JumpSampler.
+    third_moment) and B, P the Riccati leg's.  summary names the scheme
+    and its numerical slack, and the leg's levels (see
+    _MonteCarloLeg.summary), which do not enter the band.
     """
     G, spec, a, b = original
     taus = np.sort(np.asarray(tau_grid, dtype=float))
@@ -698,11 +640,16 @@ def compare_term_structures(
         if horizon == 0.0:
             raise ValueError("need at least one positive maturity")
         n_steps = max(int(round(horizon / sim_cfg.dt)), 1)
+        eps, dt = sim_cfg.eps, horizon / n_steps
+        if stable_atom_sampler(spec, eps, dt) is None:
+            s = np.linspace(0.0, horizon, 257)
+            bound = np.expm1(a * s) / a if a else s
+            cap = 6.0 * _DT_MARGIN * dt / np.trapezoid(bound**3, s)
+            eps = _gaussian_cutoff(G, spec, x0, eps, cap)
         run = original_run(
-            G, spec, a, b, x0, sim_cfg.eps, horizon, n_steps, sim_cfg.n_paths,
-            RngStream(sim_cfg.seed),
+            G, spec, a, b, x0, eps, horizon, n_steps, sim_cfg.n_paths, RngStream(sim_cfg.seed)
         )
-        leg = _MonteCarloLeg(run, run.dt, taus, multilevel=True)
+        leg = _MonteCarloLeg(run, taus, multilevel=True)
     except Exception as exc:
         # re-raised once the reduction has returned, as when the
         # reduction ran before the leg was set up
@@ -713,28 +660,20 @@ def compare_term_structures(
         if held is not None:
             raise held
         ts = riccati_solve(reduced, horizon, sim_cfg.n_ode_steps)
-        ts_eps = None
-        if run.cutoff is not None:
-            # cutoff-perturbed reduced model: same Riccati solve with the
-            # stable J replaced by its tail-truncated version
-            j_eps = _interpolated_laplace(
-                power_radial(reduced.alpha, reduced.C ** reduced.alpha),
-                2.0 * B_CAP_DEFAULT,
-                lo=run.cutoff,
-            )
-            trunc = (reduced.a, reduced.b, 0.0, j_eps, lambda u: 0.0)
-            ts_eps = riccati_solve(trunc, horizon, sim_cfg.n_ode_steps)
         quotes = leg.collect()
     finally:
         if leg is not None:
             leg.stop()
 
+    # |m3| / 6 G(x0)^3 and int_0^tau B^3 on the Riccati grid
+    skew = 0.0 if run.jumps is None else abs(run.jumps.third_moment(G(x0))) / 6.0
+    cubes = 0.5 * np.diff(ts.tau_grid) * (ts.B[1:] ** 3 + ts.B[:-1] ** 3)
+    cubes = np.concatenate([[0.0], np.cumsum(cubes)])
     rows = []
     items = []
     for tau, (p_mc, se) in zip(taus, quotes):
         p_ode = bond_price(ts, x0, tau)
-        cutoff_shift = 0.0 if ts_eps is None else abs(bond_price(ts_eps, x0, tau) - p_ode)
-        scheme_tol = cutoff_shift + _DT_MARGIN * run.dt
+        scheme_tol = _DT_MARGIN * run.dt + skew * float(np.interp(tau, ts.tau_grid, cubes)) * p_ode
         disc = abs(p_mc - p_ode)
         band = 3.0 * se + scheme_tol
         rows.append(

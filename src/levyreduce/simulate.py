@@ -12,8 +12,9 @@ cutoff eps and compensates their mean: all jumps of a step are drawn
 at once, Poisson totals per direction are split across paths, and
 exact power tails get closed-form Pareto radii, other radial laws
 inverse-CDF tables or atom weights.  Its small jumps below the cutoff
-are dropped, not Gaussian-approximated; their variance is reported so
-callers can budget the bias.
+become a Gaussian of their covariance, drawn with the Wiener part
+(Asmussen and Rosinski 2001; Cohen and Rosinski 2007); the third
+moment they leave out is kept, and compare budgets that error.
 
 The Euler loop runs behind an EulerRun, which yields the float64
 states as the scheme steps.  A run splits its paths into fixed blocks
@@ -24,13 +25,15 @@ store every state as a float32 path; a reader that needs only sums of
 the states, such as the Monte Carlo bond price, reads the run itself,
 or its blocks one by one, and keeps no paths.
 
-An original_run under exact stable increments with an even step count
-also carries its multilevel form, a tuple of EulerLevels: the finest
-steps the run's dt, each coarser one twice the step of the next, and
-every level but the coarsest steps a coarse leg at twice its step on
-the sum of each pair of its own increments.  The sum of two exact
-increments over dt is an exact increment over 2 dt, so the coarse leg
-has the law of a plain run at 2 dt and draws nothing of its own.
+Every run also carries its multilevel form, a tuple of EulerLevels:
+with an even step count, the finest steps the run's dt, each coarser
+one twice the step of the next, and every level but the coarsest
+steps a coarse leg at twice its step on the sum of each pair of its
+own increments; with an odd one, the plain run alone.  The sum of two
+exact increments over dt is an exact increment over 2 dt, and at a
+fixed cutoff so is the sum of two compound-Poisson and Gaussian ones,
+so the coarse leg has the law of a plain run at 2 dt and draws nothing
+of its own (Dereich 2011).
 """
 
 from __future__ import annotations
@@ -63,6 +66,30 @@ _HALF_PI_LO = 6.123233995736766e-17
 # block step then stays under glibc's 128 KiB mmap threshold, so the
 # step reuses heap memory instead of faulting in fresh pages
 _PATH_BLOCK = 10_000
+# the modelled (fixed, per-path) time in ns of one step of a path block,
+# as the sum of its parts: the Euler step, each exact stable atom drawn,
+# the compound-Poisson sampler, each expected jump of a path-step and
+# each Gaussian column.  Timed once, in-process on a 2-vCPU x86-64 host,
+# as the best of 15 runs of _original_steps at 100 and 10 000 paths in
+# d = 2 and 3, for 1 to 8 exact atoms, 16 atoms at cutoffs of 0.021 to
+# 1.33 expected jumps per path-step, and 0 or 3 Gaussian columns.  The
+# atom row is scaled so that two atoms give the 95 us + 87 ns per path
+# that the multilevel allocation was tuned on; timed, an atom cost about
+# 19 us + 26 ns, and the fixed-to-per-path ratio of a step stayed at 750
+# to 850 paths from 1 to 8 atoms
+_STEP_COSTS = np.array([
+    [7_000.0, 6.0],  # Euler step
+    [44_350.0, 40.5],  # per exact stable atom
+    [36_000.0, 9.5],  # compound-Poisson sampler
+    [0.0, 29.0],  # per expected jump of a path-step
+    [1_500.0, 16.0],  # per Gaussian column
+])
+# the (fixed, per-path) time in ns of a coarse step, which draws nothing:
+# timed with the atom row, 12 us + 10 ns per path
+_COARSE_COST = (12_180.0, 10.44)
+# the cutoff compare takes for compound-Poisson jumps is at most this
+# many doublings of the configured one
+_CUTOFF_DOUBLINGS = 4
 
 
 @dataclass(frozen=True)
@@ -91,25 +118,19 @@ def _as_generator(rng):
     raise TypeError("rng must be an RngStream, Generator, or integer seed")
 
 
-def _path_blocks(rng, n_paths: int, loop):
-    """(paths, block loop) of each path block of a run over n_paths, and
-    the seed tag of rng.
-
-    Every block holds _PATH_BLOCK paths but the last, which holds the
-    rest.  Block i draws from the child i of SeedSequence([seed,
-    stream]), so a block's draws do not depend on the number of blocks.
-    The block loop is loop(paths, generator), unstarted.
-    """
+def _seed_tag(rng) -> tuple:
+    """(seed, stream) of rng, an RngStream or an integer seed."""
     if isinstance(rng, (int, np.integer)):
         rng = RngStream(int(rng))
     if not isinstance(rng, RngStream):
         raise TypeError("an Euler run needs an RngStream or an integer seed")
-    blocks = []
-    for i, start in enumerate(range(0, n_paths, _PATH_BLOCK)):
-        n = min(_PATH_BLOCK, n_paths - start)
-        seq = np.random.SeedSequence([rng.seed, rng.stream], spawn_key=(i,))
-        blocks.append((n, partial(loop, n, np.random.default_rng(seq))))
-    return blocks, (rng.seed, rng.stream)
+    return rng.seed, rng.stream
+
+
+def _block_sizes(n_paths: int, start: int = 0) -> list:
+    """The path counts of the blocks of paths start..n_paths:
+    _PATH_BLOCK each but the last, which holds the rest."""
+    return [min(_PATH_BLOCK, n_paths - s) for s in range(start, n_paths, _PATH_BLOCK)]
 
 
 class _SchemeSlack:
@@ -181,7 +202,8 @@ class PathEnsemble(_SchemeSlack):
 class EulerRun(_SchemeSlack):
     """One run of a full-truncation Euler scheme, stepped as it is read.
 
-    blocks holds one (paths, loop) pair per path block, in path order;
+    plain is the run itself as one uncoupled EulerLevel, and blocks
+    holds one (paths, loop) pair per path block of it, in path order;
     loop() starts that block's Euler loop, which yields the nodes
     (state, None, proposals clipped) of _original_steps at t = k dt for
     k = 0..n_steps.  Iterating the run steps every block in lockstep and
@@ -190,20 +212,23 @@ class EulerRun(_SchemeSlack):
     A reader that steps the blocks one by one adds their clipped counts
     to clipped, the proposals clipped so far.  clamp_frequency is
     clipped over all n_steps * n_paths proposals.  jumps is the
-    truncated jump sampler behind the increments, None for exact stable
-    increments.  levels is the run's multilevel form, () where it has
-    none (see original_run).  A run steps once.
+    compound-Poisson jump sampler behind the increments, None for exact
+    stable increments.  levels is the run's multilevel form (see
+    _levels).  A run steps once.
     """
 
-    levels: tuple = ()
-
-    def __init__(self, blocks, dt, n_steps, seed, jumps):
-        self.blocks = tuple(blocks)
+    def __init__(self, steps, dt, n_steps, n_paths, rng, jumps, step_cost):
+        self.seed = _seed_tag(rng)
+        self.plain = EulerLevel(None, dt, n_steps, False, steps, self.seed, step_cost)
+        self.blocks = tuple(
+            (n, partial(self.plain.block, j, n)) for j, n in enumerate(_block_sizes(n_paths))
+        )
+        self.levels = _levels(self.plain)
         self.clipped = 0
         self.dt = dt
         self.n_steps = n_steps
-        self.n_paths = sum(n for n, _ in self.blocks)
-        self.seed = seed
+        self.n_paths = n_paths
+        self.jumps = jumps
         self.cutoff = None if jumps is None else jumps.cutoff
         self.jump_intensity = None if jumps is None else jumps.intensity
         self.dropped_variance = None if jumps is None else jumps.dropped_variance
@@ -334,9 +359,8 @@ def reduced_run(
     dt = _checked_step(x0, horizon, n_steps, n_paths)
     sampler = StableAtomSampler(np.ones((1, 1)), np.array([model.alpha]), np.ones(1))
     G = VolatilityFunction.power(1.0 / model.alpha, [model.C])
-    loop = partial(_original_steps, G, sampler, None, model.a, model.b, x0, dt, n_steps, False)
-    blocks, seed = _path_blocks(rng, n_paths, loop)
-    return EulerRun(blocks, dt, n_steps, seed, None)
+    steps = partial(_original_steps, G, sampler, None, model.a, model.b, x0)
+    return EulerRun(steps, dt, n_steps, n_paths, rng, None, _step_cost(sampler, 0, dt))
 
 
 def simulate_reduced(
@@ -354,7 +378,7 @@ def simulate_reduced(
 @dataclass(frozen=True)
 class JumpSampler:
     """Compound-Poisson approximation of the jump martingale above a
-    cutoff.
+    cutoff, with the moments of the small jumps below it.
 
     Jumps land along a finite list of directions (atoms of the
     spherical part, or its quadrature discretization).  Directions that
@@ -365,6 +389,12 @@ class JumpSampler:
     (radii, cumulative weights) pair.  sample_increment returns
     compensated per-path increments, i.e. the jump sums minus dt times
     the mean flux.
+
+    small_cov is the covariance per unit time of the small jumps,
+    sum_i w_i xi_i xi_i^T int_0^cutoff r^2 gamma_i(dr), which
+    original_run gives to a Gaussian; dropped_variance is its trace.
+    small_third holds w_i int_0^cutoff r^3 gamma_i(dr) per direction:
+    the third moments the Gaussian does not carry.
     """
 
     directions: np.ndarray
@@ -372,7 +402,8 @@ class JumpSampler:
     law_of: np.ndarray
     radius_laws: tuple
     mean_flux: np.ndarray
-    dropped_variance: float
+    small_cov: np.ndarray
+    small_third: np.ndarray
     cutoff: float
 
     def __post_init__(self):
@@ -387,6 +418,15 @@ class JumpSampler:
     @property
     def intensity(self) -> float:
         return float(np.sum(self.intensities))
+
+    @property
+    def dropped_variance(self) -> float:
+        return float(np.trace(self.small_cov))
+
+    def third_moment(self, g) -> float:
+        """sum_i w_i <g, xi_i>^3 int_0^cutoff r^3 gamma_i(dr): the third
+        moment per unit time of the small jumps projected on g."""
+        return float(self.small_third @ (self.directions @ g) ** 3)
 
     def _draw_radii(self, i: int, n: int, gen) -> np.ndarray:
         """n radii from the tail law of direction i."""
@@ -480,8 +520,9 @@ def truncated_jump_sampler(
     """Compound-Poisson approximation of a decomposed jump measure.
 
     Returns (JumpSampler, dropped_variance) where dropped_variance is
-    int_{|y| <= eps} |y|^2 nu(dy), the second moment of the discarded
-    small jumps.  Tail mass, flux, dropped variance and radius law are
+    int_{|y| <= eps} |y|^2 nu(dy), the trace of the sampler's small_cov:
+    the variance the Gaussian of original_run carries in place of the
+    small jumps.  Tail mass, flux, small-jump moments and radius law are
     computed once per distinct radial measure.  Raises CutoffTooSmall
     when the total tail intensity exceeds the configured budget.
     """
@@ -498,9 +539,12 @@ def truncated_jump_sampler(
         flux_res = radial_integral(gamma, lambda r: np.asarray(r, float), lo=eps)
         if mass_res.status != CONVERGED or flux_res.status != CONVERGED:
             return None
-        drop_res = radial_integral(gamma, lambda r: np.asarray(r, float) ** 2, hi=eps)
+        small = [
+            max(radial_integral(gamma, lambda r, p=p: np.asarray(r, float) ** p, hi=eps).value, 0.0)
+            for p in (2, 3)
+        ]
         laws.append(_radius_law(gamma, eps, mass_res.value))
-        return len(laws) - 1, mass_res.value, flux_res.value, max(drop_res.value, 0.0)
+        return len(laws) - 1, mass_res.value, flux_res.value, *small
 
     rows = _per_measure(spec, dirs, tail)
     for xi, row in zip(dirs, rows):
@@ -509,9 +553,8 @@ def truncated_jump_sampler(
                 f"tail mass above eps={eps:g} is not finite along {np.round(xi, 6)}"
             )
     law_of = np.array([row[0] for row in rows], dtype=np.intp)
-    mass, flux, drop = np.array([row[1:] for row in rows], dtype=float).T
+    mass, flux, second, third = np.array([row[1:] for row in rows], dtype=float).T
     intensities = wgts * mass
-    dropped = float(np.sum(wgts * drop))
 
     total = float(np.sum(intensities))
     if total > intensity_budget:
@@ -524,10 +567,34 @@ def truncated_jump_sampler(
         law_of=law_of,
         radius_laws=tuple(laws),
         mean_flux=((wgts * flux)[:, None] * dirs).sum(axis=0),
-        dropped_variance=dropped,
+        small_cov=(dirs.T * (wgts * second)) @ dirs,
+        small_third=wgts * third,
         cutoff=float(eps),
     )
-    return sampler, dropped
+    return sampler, sampler.dropped_variance
+
+
+def _gaussian_cutoff(G, spec: LevySpec, x0: float, eps: float, cap: float) -> float:
+    """The largest of eps, 2 eps, ..., 2^_CUTOFF_DOUBLINGS eps at which
+    the small jumps below it have sum_i w_i |<G(x0), xi_i>|^3
+    int_0^cutoff r^3 gamma_i(dr) at most cap; eps where none has.
+
+    That sum grows with the cutoff and bounds the third moment of the
+    small jumps projected on G(x0), the leading error of giving them to
+    a Gaussian of their covariance."""
+    dirs, wgts = _sample_directions(spec.spherical, 64)
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    cutoffs = eps * 2.0 ** np.arange(_CUTOFF_DOUBLINGS + 1)
+
+    def thirds(gamma):
+        return [
+            radial_integral(gamma, lambda r: np.asarray(r, float) ** 3, hi=cut).value
+            for cut in cutoffs
+        ]
+
+    weights = np.asarray(wgts, dtype=float) * np.abs(dirs @ G(x0)) ** 3
+    moments = weights @ np.array(_per_measure(spec, dirs, thirds))
+    return float(cutoffs[moments <= cap][-1]) if moments[0] <= cap else float(eps)
 
 
 @dataclass(frozen=True)
@@ -569,6 +636,10 @@ def stable_atom_sampler(spec: LevySpec, eps: float, dt: float):
     exact sampler is chosen iff n_atoms is at most the expected jumps
     per path-step, dt sum_i w_i s_i eps^-alpha_i / alpha_i.  Atoms of
     zero weight or scale carry no jumps and get no draw.
+
+    eps is the configured cutoff, in simulate and compare alike; compare
+    takes its own, larger cutoff only once this has chosen the
+    compound-Poisson sampler, which any larger cutoff would choose too.
     """
     if eps <= 0:
         raise ValueError("cutoff must be positive")
@@ -612,27 +683,31 @@ def original_run(
     The jump part of dZ comes from stable_atom_sampler when it applies
     and is cheaper: exact per-atom stable increments, with no cutoff.
     Otherwise it comes from the compound-Poisson approximation above
-    the cutoff eps, and the run records that sampler's cutoff,
-    intensity and dropped variance.  A nonzero Wiener covariance adds
-    correlated Gaussian increments.  States are clipped at zero and the
-    clip frequency recorded.  The sampler is built once and shared by
-    the path blocks, each drawing from its own child stream of rng, an
-    RngStream or an integer seed.
+    the cutoff eps, and the small jumps below it become a Gaussian of
+    their covariance, the sampler's small_cov; the run records that
+    sampler's cutoff, intensity and dropped variance.  The Gaussian and
+    a nonzero Wiener covariance add up to one correlated Gaussian
+    increment.  States are clipped at zero and the clip frequency
+    recorded.  The sampler is built once and shared by the path blocks,
+    each drawing from its own child stream of rng, an RngStream or an
+    integer seed.
 
-    Under exact stable increments with an even n_steps, the run's
-    levels hold its multilevel form (see _levels); a compound-Poisson
-    run and an odd step count have none.
+    The run's levels hold its multilevel form (see _levels), under
+    either sampler: at a fixed cutoff the sum of two compound-Poisson
+    and Gaussian increments over dt has the law of one over 2 dt, as
+    the sum of two exact stable increments has.
     """
     if b < 0:
         raise ValueError("b must be nonnegative")
     dt = _checked_step(x0, horizon, n_steps, n_paths)
 
     jumps = None
+    q = np.asarray(spec.wiener_cov, dtype=float)
     sampler = stable_atom_sampler(spec, eps, dt)
     if sampler is None:
         sampler = jumps = truncated_jump_sampler(spec, eps)[0]
+        q = q + jumps.small_cov
 
-    q = np.asarray(spec.wiener_cov, dtype=float)
     if np.any(q != 0.0):
         w, vecs = np.linalg.eigh(q)
         root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
@@ -640,11 +715,8 @@ def original_run(
         root = None
 
     steps = partial(_original_steps, G, sampler, root, a, b, x0)
-    blocks, seed = _path_blocks(rng, n_paths, partial(steps, dt, n_steps, False))
-    run = EulerRun(blocks, dt, n_steps, seed, jumps)
-    if jumps is None:
-        run.levels = _levels(steps, dt, n_steps, seed)
-    return run
+    cost = _step_cost(sampler, 0 if root is None else root.shape[1], dt)
+    return EulerRun(steps, dt, n_steps, n_paths, rng, jumps, cost)
 
 
 def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen):
@@ -658,12 +730,18 @@ def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, g
     """
     r = np.full(n_paths, float(x0))
     coarse = r.copy() if coupled else None
+    if root is not None:
+        # the Gaussian's normals and their mix, held for the whole block
+        noise, mixed = np.empty((2, n_paths, root.shape[0]))
     yield r, coarse, 0
     for k in range(1, n_steps + 1):
         dz = sampler.sample_increment(dt, n_paths, gen)
         if root is not None:
+            gen.standard_normal(out=noise)
             # np.dot, as @ leaves BLAS and is 12x slower for d = 1
-            dz += np.dot(gen.standard_normal((n_paths, root.shape[0])), root.T) * np.sqrt(dt)
+            np.dot(noise, root.T, out=mixed)
+            mixed *= np.sqrt(dt)
+            dz += mixed
         r, clipped = _euler_step(G, a, b, r, dt, dz)
         if not coupled:
             yield r, None, clipped
@@ -675,6 +753,20 @@ def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, g
             pair += dz
             coarse, coarse_clipped = _euler_step(G, a, b, coarse, 2.0 * dt, pair)
             yield r, coarse, clipped + coarse_clipped
+
+
+def _step_cost(sampler, columns: int, dt: float) -> tuple:
+    """The modelled (fixed, per-path) time in ns of one Euler step of a
+    path block under sampler, with columns Gaussian columns: an exact
+    sampler pays per stable atom drawn, a compound-Poisson one per
+    expected jump of a path-step, and each pays for the Gaussian (see
+    _STEP_COSTS)."""
+    if isinstance(sampler, StableAtomSampler):
+        units = [1.0, len(sampler.alphas), 0.0, 0.0, columns]
+    else:
+        units = [1.0, 0.0, 1.0, dt * sampler.intensity, columns]
+    fixed, per_path = np.array(units, dtype=float) @ _STEP_COSTS
+    return float(fixed), float(per_path)
 
 
 def _euler_step(G, a, b, r, dt, dz):
@@ -697,18 +789,23 @@ class EulerLevel:
     block(j, n_paths) starts the loop of the level's path block j, which
     draws from the child (index, j) of SeedSequence(seed), so a block's
     draws depend on the seed, the level, the block and its path count
-    alone.
+    alone.  The run's plain level has index None, and its block j draws
+    from the child j: the run's own block j.  step_cost is the modelled
+    (fixed, per-path) time of one fine step of a block, in ns (see
+    _step_cost).
     """
 
-    index: int
+    index: int | None
     dt: float
     n_steps: int
     coupled: bool
     steps: Callable
     seed: tuple
+    step_cost: tuple
 
     def block(self, j: int, n_paths: int):
-        seq = np.random.SeedSequence(list(self.seed), spawn_key=(self.index, j))
+        key = (j,) if self.index is None else (self.index, j)
+        seq = np.random.SeedSequence(list(self.seed), spawn_key=key)
         return self.steps(self.dt, self.n_steps, self.coupled, n_paths, np.random.default_rng(seq))
 
     @property
@@ -716,21 +813,33 @@ class EulerLevel:
         """Path-steps of one path of the level, over both legs."""
         return self.n_steps + self.n_steps // 2 if self.coupled else self.n_steps
 
+    def cost(self, n_paths: int, blocks: int) -> float:
+        """The modelled time in ns of n_paths paths of the level in blocks
+        path blocks: every fine step of a block costs step_cost, every
+        coarse step _COARSE_COST."""
+        fixed, per_path = self.step_cost
+        cost = self.n_steps * (blocks * fixed + per_path * n_paths)
+        if self.coupled:
+            fixed, per_path = _COARSE_COST
+            cost += self.n_steps // 2 * (blocks * fixed + per_path * n_paths)
+        return cost
 
-def _levels(steps, dt: float, n_steps: int, seed) -> tuple:
-    """The multilevel form of a run of n_steps steps of dt, coarsest
-    first: the finest level steps dt, and each coarser one twice the
-    step of the next while the step count stays even; () for an odd
-    n_steps.  Every level but the coarsest is coupled."""
-    sizes = []
+
+def _levels(plain: EulerLevel) -> tuple:
+    """The multilevel form of the run whose plain level is plain,
+    coarsest first: the finest level steps its dt, and each coarser one
+    twice the step of the next while the step count stays even; every
+    level but the coarsest is coupled.  An odd step count leaves the
+    plain level alone."""
+    dt, n_steps, sizes = plain.dt, plain.n_steps, []
     while n_steps % 2 == 0:
         sizes.append((dt, n_steps, True))
         dt, n_steps = 2.0 * dt, n_steps // 2
     if not sizes:
-        return ()
+        return (plain,)
     sizes.append((dt, n_steps, False))
     return tuple(
-        EulerLevel(index, h, n, coupled, steps, seed)
+        EulerLevel(index, h, n, coupled, plain.steps, plain.seed, plain.step_cost)
         for index, (h, n, coupled) in enumerate(reversed(sizes))
     )
 

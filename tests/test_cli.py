@@ -681,14 +681,16 @@ class TestComparePipeline:
                 monkeypatch.setattr(pricing, "_usable_cpus", lambda c=cpus: c)
                 assert run(["compare", cfg, str(out), "--quiet"]) == 0
             assert workers[-2:] == [0, forked]
-            levels = load_report(outs[0])["summary"].get("levels", [])
-            assert len(levels) == (4 if horizon == 0.08 else 0)
+            # an odd step count prices its plain run as one level
+            levels = load_report(outs[0])["summary"]["levels"]
+            assert len(levels) == (4 if horizon == 0.08 else 1)
             for name in ("report.json", "comparison.csv"):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_compound_poisson_summary_is_reproducible(self, write_config, tmp_path):
-        # 1.2 expected jumps per path-step: the truncated sampler runs and
-        # the summary names its slack; reruns are byte-identical
+        # 1.2 expected jumps per path-step at eps: the compound-Poisson
+        # sampler runs, at the cutoff the leg takes, and the summary names
+        # its slack; reruns are byte-identical
         doc = base_config(
             simulation={
                 "x0": 1.0,
@@ -706,11 +708,12 @@ class TestComparePipeline:
             run(["compare", cfg, str(out), "--quiet"])
         summary = load_report(outs[0])["summary"]
         assert summary["scheme"] == "compound_poisson"
-        # compound-Poisson jumps keep one level
-        assert "levels" not in summary
-        assert summary["cutoff"] == 0.05
-        assert summary["jump_intensity"] == pytest.approx(0.05**-1.5 / 1.5, rel=1e-6)
-        assert summary["dropped_variance"] == pytest.approx(2.0 * np.sqrt(0.05), rel=1e-6)
+        # 500 paths make pilots of 25, too few for levels: one level
+        assert len(summary["levels"]) == 1
+        cutoff = summary["cutoff"]
+        assert cutoff >= 0.05
+        assert summary["jump_intensity"] == pytest.approx(cutoff**-1.5 / 1.5, rel=1e-6)
+        assert summary["dropped_variance"] == pytest.approx(2.0 * np.sqrt(cutoff), rel=1e-6)
         assert 0.0 <= summary["clamp_frequency"] < 1.0
         for name in ("report.json", "comparison.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -724,8 +727,8 @@ class TestCompareRefusalWithWorkers:
     @staticmethod
     def refused_config():
         # the tabulated tempered law over the axis atoms is not reducible;
-        # its 100k steps of 2000 paths take about four times as long as
-        # the refusal, so the worker is still stepping when it comes
+        # the pilots of its 100k steps take about as long as the
+        # refusal, so the workers are still stepping when it comes
         doc = base_config()
         doc["model"]["radial"] = TestReducePipeline.tempered_radial()
         doc["simulation"].update(dt=5e-6, n_paths=2000)
@@ -750,8 +753,9 @@ class TestCompareRefusalWithWorkers:
         monkeypatch.setattr(pricing._MonteCarloLeg, "stop", recorded)
         cfg = write_config(self.refused_config())
         compared = self.refusal_of("compare", cfg, tmp_path / "compare")
-        assert len(stopped) == 1
-        assert stopped[0].exitcode == -signal.SIGTERM
+        # the pilots of the levels start one worker per CPU
+        assert len(stopped) == 2
+        assert all(process.exitcode == -signal.SIGTERM for process in stopped)
         assert multiprocessing.active_children() == []
         # the report is the refusal of the reduction alone
         assert "not affine" in compared["error"]

@@ -14,7 +14,9 @@ from levyreduce import (
     ReducedModel,
     RngStream,
     SimConfig,
+    SphericalMeasure,
     TermStructure,
+    VolatilityFunction,
     bond_price,
     compare_term_structures,
     laplace_radial,
@@ -25,8 +27,10 @@ from levyreduce import (
     riccati_solve,
     simulate_original,
     simulate_reduced,
+    stable_spec,
+    truncated_jump_sampler,
 )
-from levyreduce import pricing
+from levyreduce import pricing, simulate
 
 from conftest import C_15, one_atom_form
 
@@ -98,9 +102,14 @@ class TestRiccatiSolve:
 
     def test_reduced_and_generating_forms_agree(self):
         # the closed form against J_mu integrated from the stable measure
-        # C^alpha r^(-1-alpha) dr, the path of compare's cutoff leg at lo = 0
+        # C^alpha r^(-1-alpha) dr on a log grid, interpolated in log-log form
         reduced = ReducedModel(-0.5, 0.1, 1.0, 1.5)
-        j_mu = pricing._interpolated_laplace(power_radial(1.5, 1.0**1.5), 2e3)
+        ug = np.geomspace(1e-8, 2e3, 32 * 11)
+        lu, lj = np.log(ug), np.log(laplace_radial(power_radial(1.5, 1.0**1.5), ug))
+
+        def j_mu(u):
+            return float(np.exp(np.interp(np.log(u), lu, lj))) if u > 0.0 else 0.0
+
         ts1 = riccati_solve(reduced, 5.0, 100)
         ts2 = riccati_solve((-0.5, 0.1, 0.0, j_mu, lambda u: 0.0), 5.0, 100)
         np.testing.assert_allclose(ts1.B, ts2.B, rtol=0, atol=5e-6)
@@ -282,11 +291,16 @@ class TestStreamedPrices:
             self.TAUS,
             cfg,
         )
+        # 25 steps are one level, the plain run; compound-Poisson jumps
+        # run at the cutoff the leg takes
+        cutoff = result.summary["cutoff"]
         ens = simulate_original(
-            example_vol, example_spec, -0.5, 0.1, 1.0, eps, 0.25, 25, n_paths, RngStream(3)
+            example_vol, example_spec, -0.5, 0.1, 1.0, cutoff or eps, 0.25, 25, n_paths,
+            RngStream(3),
         )
-        assert result.summary == ens.scheme_summary()
+        assert {key: result.summary[key] for key in ens.scheme_summary()} == ens.scheme_summary()
         assert result.summary["scheme"] == scheme
+        assert [level["n_paths"] for level in result.summary["levels"]] == [n_paths]
         quotes = [(row["price_mc"], row["se"]) for row in result.rows]
         self.assert_quotes_match(quotes, ens, self.TAUS)
 
@@ -496,10 +510,11 @@ class TestMultilevelCompare:
         assert multiprocessing.active_children() == []
 
     def test_allocation_keeps_within_both_budgets(self, example_spec, example_vol):
-        levels = original_run(
+        run = original_run(
             example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 2.0, 1000, 10, RngStream(1)
-        ).levels
-        budget = (20_000 * 1000, pricing._leg_cost(1000, False, 20_000, 2))
+        )
+        levels = run.levels
+        budget = (20_000 * 1000, run.plain.cost(20_000, 2))
         variances = [0.07, 7.3e-4, 2.8e-4, 1.2e-4]
         paths = pricing._allocation(levels, variances, 1000, budget)
         assert pricing._fits(levels, paths, 1000, budget)
@@ -508,3 +523,70 @@ class TestMultilevelCompare:
         assert paths[0] > 10 * paths[1] > 0
         # without variance, as for C = 0, every level keeps its pilot alone
         assert pricing._allocation(levels, [0.0] * 4, 1000, budget) == [1000] * 4
+
+
+def many_atom_form():
+    """The many-atoms benchmark shape: 16 atoms on the positive octant of
+    S^2 under r^-2.5, weights summing to 1, G(x) = x^(2/3) (1, 1, 1), and
+    its reduced model, C = (sum_i w_i <1, xi_i>^1.5)^(1/1.5)."""
+    gen = RngStream(16).generator()
+    dirs = np.abs(gen.standard_normal((16, 3)))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    weights = gen.uniform(0.5, 1.5, 16)
+    weights /= weights.sum()
+    spec = stable_spec(1.5, SphericalMeasure.from_atoms(dirs, weights))
+    G = VolatilityFunction.power(2.0 / 3.0, np.ones(3))
+    C = float(weights @ dirs.sum(axis=1) ** 1.5) ** (1.0 / 1.5)
+    return G, spec, ReducedModel(-0.5, 0.1, C, 1.5)
+
+
+class TestCompoundPoissonCompare:
+    # the many-atoms shape at its benchmark sizes: 0.17 expected jumps
+    # per path-step of 16 atoms at eps, so compound-Poisson jumps
+    TAUS = (0.25, 0.5, 1.0)
+    CFG = SimConfig(dt=0.002, n_paths=10_000, eps=0.01, seed=7)
+
+    def test_levels_at_the_leg_cutoff_pass_within_the_scheme_band(self):
+        G, spec, model = many_atom_form()
+        result = compare_term_structures((G, spec, model.a, model.b), model, 1.0, self.TAUS, self.CFG)
+        summary = result.summary
+        assert summary["scheme"] == "compound_poisson"
+        assert [level["dt"] for level in summary["levels"]] == pytest.approx([0.008, 0.004, 0.002])
+        assert summary["cutoff"] >= self.CFG.eps
+        assert result.passed
+        # band = 3 SE + dt + |m3| / 6 int_0^tau B^3 ds P(tau), for m3 the
+        # third moment of the small jumps projected on G(x0)
+        sampler, _ = truncated_jump_sampler(spec, summary["cutoff"])
+        skew = abs(sampler.third_moment(G(1.0))) / 6.0
+        ts = riccati_solve(model, 1.0, self.CFG.n_ode_steps)
+        for row in result.rows:
+            upto = ts.tau_grid <= row["tau"] * (1.0 + 1e-12)
+            term = skew * np.trapezoid(ts.B[upto] ** 3, ts.tau_grid[upto]) * row["price_riccati"]
+            assert 0.0 < term < 0.002
+            assert row["band"] - 3.0 * row["se"] - 0.002 == pytest.approx(term, rel=1e-6)
+
+    def test_the_cutoff_is_the_largest_doubling_within_the_cap(self, example_spec, example_vol):
+        # two half-weight axis atoms, G(1) = (1, 1): the bound at cutoff e
+        # is sum_i w_i e^1.5 / 1.5 = e^1.5 / 1.5
+        def cutoff(cap):
+            return simulate._gaussian_cutoff(example_vol, example_spec, 1.0, 0.01, cap)
+
+        bound = 0.04**1.5 / 1.5
+        assert cutoff(1.001 * bound) == 0.04
+        assert cutoff(0.999 * bound) == 0.02
+        # past the last doubling, and below the configured eps
+        assert cutoff(1e6) == 0.01 * 2**simulate._CUTOFF_DOUBLINGS
+        assert cutoff(1e-9) == 0.01
+
+    def test_worked_shape_stays_exact(self, example_spec, example_vol):
+        # 8.1 expected jumps per path-step of 2 atoms at the configured
+        # eps: exact increments, no cutoff and no third-moment term
+        cfg = SimConfig(dt=0.002, n_paths=2000, eps=3e-3, seed=1, n_ode_steps=50)
+        result = compare_term_structures(
+            (example_vol, example_spec, -0.5, 0.1), ReducedModel(-0.5, 0.1, 1.0, 1.5), 1.0,
+            [0.5], cfg,
+        )
+        assert result.summary["scheme"] == "exact_stable"
+        assert result.summary["cutoff"] is None
+        for row in result.rows:
+            assert row["band"] - 3.0 * row["se"] == pytest.approx(0.002, rel=1e-12)

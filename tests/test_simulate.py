@@ -6,7 +6,7 @@ import types
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from levyreduce import (
     CutoffTooSmall,
@@ -306,6 +306,40 @@ class TestTruncatedJumpSampler:
         # per direction: int_0^eps r^2 r^-2.5 dr = 2 sqrt(eps)
         _, dropped = truncated_jump_sampler(unit_weight_spec(), 0.1)
         assert dropped == pytest.approx(4.0 * np.sqrt(0.1), rel=1e-6)
+
+    def test_small_jump_moments_of_power_laws(self):
+        # atom i under s_i r^-(1+alpha_i): Sigma = sum_i w_i s_i xi_i xi_i^T
+        # eps^(2-alpha_i) / (2-alpha_i), and third moments w_i s_i
+        # eps^(3-alpha_i) / (3-alpha_i)
+        spec, eps = scaled_atom_spec(), 0.05
+        sampler, dropped = truncated_jump_sampler(spec, eps)
+        dirs = np.asarray(spec.spherical.directions)
+        laws = [spec.radial(xi) for xi in dirs]
+        alphas = np.array([law.power_index for law in laws])
+        mass = np.asarray(spec.spherical.weights) * [float(law.density(1.0)) for law in laws]
+        second = mass * eps ** (2.0 - alphas) / (2.0 - alphas)
+        third = mass * eps ** (3.0 - alphas) / (3.0 - alphas)
+        np.testing.assert_allclose(sampler.small_cov, (dirs.T * second) @ dirs, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(sampler.small_third, third, rtol=1e-6)
+        assert dropped == sampler.dropped_variance == pytest.approx(second.sum(), rel=1e-6)
+        g = np.array([1.0, -2.0, 0.5])
+        assert sampler.third_moment(g) == pytest.approx(third @ (dirs @ g) ** 3, rel=1e-6)
+
+    def test_small_jump_moments_of_a_tabulated_law(self):
+        # the tempered table is linear between its nodes, so quad settles
+        # each cell below the cutoff exactly
+        r = np.geomspace(1e-4, 50.0, 400)
+        gamma = tabulated_radial(r, r**-2.5 * np.exp(-r))
+        eps = 0.05
+        sampler, _ = truncated_jump_sampler(axis_spec([gamma] * 2, [0.5, 1.5]), eps)
+        edges = np.concatenate([[0.0], r[r < eps], [eps]])
+        for p, got in ((2, np.diag(sampler.small_cov)), (3, sampler.small_third)):
+            moment = sum(
+                integrate.quad(lambda x: x**p * float(gamma.density(x)), lo, hi)[0]
+                for lo, hi in zip(edges[:-1], edges[1:])
+            )
+            np.testing.assert_allclose(got, [0.5 * moment, 1.5 * moment], rtol=1e-7)
+        assert sampler.small_cov[0, 1] == sampler.small_cov[1, 0] == 0.0
 
     def test_mean_flux_vector(self):
         # per direction: int_eps^inf r r^-2.5 dr = 2 / sqrt(eps)
@@ -838,11 +872,17 @@ class TestMultilevelForm:
             (2, 0.004, 500, True), (3, 0.002, 1000, True),
         ]
         assert [level.path_steps for level in run.levels] == [125, 375, 750, 1500]
-        # an odd step count and compound-Poisson jumps have no levels
-        assert original_run(*args, 25, 10, RngStream(1)).levels == ()
+        # an odd step count leaves the plain run alone as the one level
+        odd = original_run(*args, 25, 10, RngStream(1))
+        assert odd.levels == (odd.plain,)
+        assert (odd.plain.index, odd.plain.dt, odd.plain.n_steps, odd.plain.coupled) == (
+            None, 0.08, 25, False
+        )
+        # compound-Poisson jumps get levels as exact increments do
         jumps = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 0.05, 0.2, 10, 10, 1)
         assert jumps.scheme == "compound_poisson"
-        assert jumps.levels == ()
+        sizes = [(level.index, level.dt, level.n_steps, level.coupled) for level in jumps.levels]
+        assert sizes == [(0, 0.04, 5, False), (1, 0.02, 10, True)]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_wiener_increments_match_the_matmul_form(self, d):
@@ -903,3 +943,37 @@ class TestMultilevelForm:
         for i in range(2):
             assert abs(pairs[:, i].mean()) <= 3.0 * np.sqrt(var / n)
             assert pairs[:, i].var() == pytest.approx(var, rel=0.03)
+
+    def test_pair_sums_of_gaussian_corrected_increments_have_the_double_step_law(self):
+        # the atom at 0.05 falls below the cutoff 0.1, so a Gaussian of
+        # variance 400 * 0.05^2 = 1 per axis and unit time carries it:
+        # the 2 dt increment has mean 0 and covariance 2 dt 3.75 I.  The
+        # pair sums of the loop's increments at dt and its increments at
+        # 2 dt agree in KS distance on <1, .> as criterion 09 asks
+        spherical = SphericalMeasure.from_atoms(np.eye(2), [1.0, 1.0])
+        radial = RadialMeasure(atoms=((0.05, 400.0), (0.5, 2.0), (1.5, 1.0)))
+        spec = LevySpec(2, np.zeros((2, 2)), spherical, lambda xi: radial)
+        sampler, _ = truncated_jump_sampler(spec, 0.1)
+        np.testing.assert_allclose(sampler.small_cov, np.eye(2), rtol=1e-12)
+        dt, n = 0.05, 100_000
+        pairs = loop_increments(spec, 0.1, 2.0 * dt, 2, n, RngStream(33))
+        double = loop_increments(spec, 0.1, 2.0 * dt, 1, n, RngStream(34))
+        cov = 2.0 * dt * 3.75 * np.eye(2)
+        for draws in (pairs, double):
+            assert np.all(np.abs(draws.mean(axis=0)) <= 3.0 * np.sqrt(np.diag(cov) / n))
+            np.testing.assert_allclose(np.cov(draws.T), cov, rtol=0.03, atol=0.03 * cov[0, 0])
+        assert stats.ks_2samp(pairs.sum(axis=1), double.sum(axis=1)).statistic < 0.01
+
+
+def loop_increments(spec, eps, horizon, n_steps, n_paths, rng):
+    """(n_paths, d) sums of the increments dz an original_run draws over
+    n_steps steps, Gaussian included: axis k is read off the run under
+    the constant G = e_k with no drift, whose draws do not depend on G."""
+    d = spec.dimension
+    columns = []
+    for e in np.eye(d):
+        G = VolatilityFunction(lambda x, e=e: np.tile(e, (len(x), 1)), d)
+        run = original_run(G, spec, 0.0, 0.0, 100.0, eps, horizon, n_steps, n_paths, rng)
+        assert run.scheme == "compound_poisson"
+        columns.append(collections.deque(run, maxlen=1).pop() - 100.0)
+    return np.column_stack(columns)

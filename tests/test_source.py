@@ -2,8 +2,9 @@
 no module imports a name it never uses, every parameter of the public
 API is read by its function, every defaulted parameter and dataclass
 field of the public API is set by some caller, every dataclass field
-and property of a public class is read somewhere, and the command line
-starts without importing scipy or multiprocessing."""
+and property of a public class is read somewhere, the command line
+starts without importing scipy or multiprocessing, and the Euler and
+pricing modules read no clock."""
 
 import ast
 import os
@@ -348,3 +349,33 @@ def test_cli_import_leaves_out_process_pools():
     # only a Monte Carlo leg that forks imports multiprocessing, so the
     # pipelines that never fork do not pay for it
     assert _loaded_by_cli_import(["multiprocessing", "concurrent.futures"]) == "[]"
+
+
+CLOCKS = {"time", "timeit"}
+
+
+def _clock_imports(source: str) -> list[str]:
+    """The clock modules source imports, with their lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name.split(".")[0] in CLOCKS]
+    return found
+
+
+# the step-cost model of the Monte Carlo leg is a table timed once; a
+# clock read at run time would make the path allocation, and so
+# report.json, differ from run to run
+@pytest.mark.parametrize("name", ["simulate.py", "pricing.py"])
+def test_euler_and_pricing_modules_read_no_clock(name):
+    assert _clock_imports((ROOT / "src" / "levyreduce" / name).read_text()) == []
+
+
+def test_clock_import_is_detected():
+    source = "import os, time\nfrom timeit import default_timer\nfrom .time import x\n"
+    assert _clock_imports(source) == ["time (line 1)", "timeit (line 2)"]
