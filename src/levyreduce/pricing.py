@@ -152,12 +152,13 @@ def mc_bond_prices(states, dt: float, taus) -> list:
     in taus, from the rate states on the grid t = k dt.
 
     states yields one (n_paths,) float64 state per node in step order,
-    from t = 0: an EulerRun, or the columns of a path matrix.  The rate
-    integral is the trapezoid rule on the grid, with a linearly
-    interpolated partial cell when tau falls between nodes.  It is read
-    off one float64 running sum, so no state outlives the node after
-    it, and reading stops once the last maturity is priced.  Raises
-    ValueError when the states end before a maturity's cell does.
+    from t = 0: an EulerRun, read on its own grid run.dt, or the columns
+    of a path matrix.  The rate integral is the trapezoid rule on the
+    grid, with a linearly interpolated partial cell when tau falls
+    between nodes.  It is read off one float64 running sum, so no state
+    outlives the node after it, and reading stops once the last maturity
+    is priced.  Raises ValueError when the states end before a
+    maturity's cell does.
 
     An EulerRun is read block by block: with two or more usable CPUs
     its blocks step on forked worker processes, at most one per block

@@ -85,7 +85,7 @@ _STEP_COSTS = np.array([
     [1_500.0, 16.0],  # per Gaussian column
 ])
 # the (fixed, per-path) time in ns of a coarse step, which draws nothing:
-# timed with the atom row, 12 us + 10 ns per path
+# 12 us + 10 ns per path, timed beside the two-atom step above
 _COARSE_COST = (12_180.0, 10.44)
 # the cutoff compare takes for compound-Poisson jumps is at most this
 # many doublings of the configured one
