@@ -28,7 +28,12 @@ import numpy as np
 from .exceptions import DivergentIntegral, NegativeDirection
 from .measures import LevySpec, RadialMeasure, radial_columns
 from .quadrature import CONVERGED
-from .spherical import _as_result, _support_directions, integrate_over_directions
+from .spherical import (
+    _as_result,
+    _measure_groups,
+    _support_directions,
+    integrate_over_directions,
+)
 
 # default evaluation grids for exponent sampling and affinity scans
 B_GRID_DEFAULT = np.logspace(-2.0, 2.0, 40)
@@ -36,6 +41,9 @@ X_GRID_DEFAULT = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
 _SERIES_CUT = 1e-4
 _DIRECTION_TOL = 1e-12
+# distinct b per quadrature pass: the engine keeps O(columns x panels)
+# state and one IntegralResult per column, so larger grids take passes
+_PASS_COLUMNS = 4096
 
 
 def compensated_exp(z):
@@ -73,12 +81,13 @@ def laplace_radial(
 
     b is a number or an array; the result has the same shape (a float
     for a number).  The distinct positive b are the columns of one
-    quadrature pass (measures.radial_columns): H(b r) rho(r) is
-    evaluated for all of them on shared log panels, and each column
-    keeps its own refinement, extension and divergence state, so it
-    gets the value it would get alone.  A measure that fails the
-    (r^2 wedge r) moment raises DivergentIntegral naming the first b
-    that did not converge.  b must be finite.
+    quadrature pass (measures.radial_columns), or of several passes of
+    at most _PASS_COLUMNS each: H(b r) is evaluated for all of them on
+    shared log panels, the measure's density once per shared node, and
+    each column keeps its own refinement, extension and divergence
+    state, so it gets the value it would get alone.  A measure that
+    fails the (r^2 wedge r) moment raises DivergentIntegral naming the
+    first b that did not converge.  b must be finite.
     """
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -87,8 +96,9 @@ def laplace_radial(
         raise ValueError("the radial Laplace exponent is defined for b >= 0")
     values, index = np.unique(b, return_inverse=True)
     j = np.zeros(values.shape)
-    cols = np.flatnonzero(values > 0.0)
-    if cols.size and not measure.is_zero:
+    positive = np.flatnonzero(values > 0.0)
+    for start in range(0, positive.size, _PASS_COLUMNS):
+        cols = positive[start : start + _PASS_COLUMNS]
         bk = values[cols]
         results = radial_columns(
             measure, lambda r, col: compensated_exp(bk[col] * r), cols.size, lo=lo
@@ -134,6 +144,11 @@ def laplace_jump(spec: LevySpec, z):
     defined for z with nonnegative inner products on the support of the
     spherical part (NegativeDirection otherwise).  z is one argument of
     shape (d,), giving a float, or a stack (..., d), giving (...).
+
+    The directions are grouped by their radial measure, keyed on the
+    measure itself, and each group is one laplace_radial call on the
+    inner products of all its directions, so equal arguments of
+    different directions share a column.
     """
     z = _argument_stack(z, spec.dimension)
     if not np.any(z):
@@ -143,8 +158,8 @@ def laplace_jump(spec: LevySpec, z):
     def per_direction(dirs):
         inner = np.clip(z @ dirs.T, 0.0, None)
         out = np.empty(inner.shape)
-        for k, xi in enumerate(dirs):
-            out[..., k] = laplace_radial(spec.radial(xi), inner[..., k])
+        for gamma, ks in _measure_groups(spec, dirs).items():
+            out[..., ks] = laplace_radial(gamma, inner[..., ks])
         return out
 
     return integrate_over_directions(spec.spherical, per_direction)

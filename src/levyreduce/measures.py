@@ -116,8 +116,11 @@ def radial_columns(
     """int weight(r, k) measure(dr) over (lo, hi) for the m columns k, as
     one IntegralResult each, integrated in one column pass.
 
-    weight(r, col) gives column col[i]'s weight at radius r[i] (1-d
-    arrays).  Raises ValueError unless 0 <= lo < hi.
+    weight(r, col) is the integrand contract of improper_columns: r is
+    a 1-d array of radii that weight broadcasts against col, which is
+    (m', 1) on the panels all columns share and r's shape elsewhere.
+    The density is evaluated once per node of the shared panels.
+    Raises ValueError unless 0 <= lo < hi.
     """
     if not 0.0 <= lo < hi:
         raise ValueError("require 0 <= lo < hi")
@@ -132,11 +135,11 @@ def radial_columns(
 
     dens = measure.density
     if weight is None:
-        f = lambda r, _col: dens(r)
+        results = improper_columns(lambda r, _col: dens(r), m, lo=lo, hi=hi)
     else:
-        f = lambda r, col: weight(r, col) * dens(r)
-
-    results = improper_columns(f, m, lo=lo, hi=hi)
+        results = improper_columns(weight, m, lo=lo, hi=hi, factor=dens)
+    if not measure.atoms:
+        return results
     return [replace(res, value=res.value + t) for res, t in zip(results, total)]
 
 

@@ -23,13 +23,23 @@ naive truncate-at-large-R rule would need cutoffs beyond 1e80 to reach
 decades and is exact for pure power laws.
 
 The engine works on columns: m integrals at once, given as f(r, col),
-the integrand of column col[i] at radius r[i].  Panels belong to
-columns; one call of f evaluates every panel node of every column still
-in play.  Each column keeps its own refinement scale, extension state,
-tail closure and divergence classification, and leaves the lockstep as
-soon as it is settled.  Every column's panels are reduced by a product
-over that column's panels alone, so a column's result equals bit for
-bit the one it gets when integrated by itself; :func:`improper_integral`
+the integrand of the columns col at the radii r.  r is 1-d, and f
+broadcasts it against col, which comes in one of two shapes:
+
+* on the panels every column shares (the base window, each extension
+  decade, and the first bisection of either), r holds the k nodes of
+  those panels once and col is (m, 1), so f returns (m, k); the radii,
+  and an optional column-free factor(r) such as a measure's density,
+  are evaluated once per node, and f is called on column slices of at
+  most _SLICE values;
+* on the panels a column refined on its own, col has r's shape and
+  f returns the integrand of column col[i] at r[i].
+
+Each column keeps its own refinement scale, extension state, tail
+closure and divergence classification, and leaves the lockstep as soon
+as it is settled.  Every column's panels are reduced by a product over
+that column's panels alone, so a column's result equals bit for bit
+the one it gets when integrated by itself; :func:`improper_integral`
 and :func:`panel_integral` are the one-column case.
 """
 
@@ -115,6 +125,10 @@ def panel_integral(f, lo, hi):
 _REFINE_TOL = 1e-12
 _MAX_REFINE_DEPTH = 12
 
+# Integrand values per call of f on shared panels: column slices this
+# size keep f's temporaries in cache however many columns are in play.
+_SLICE = 1 << 15
+
 
 def _layout(col: np.ndarray):
     """Column position of every panel (col sorted, each column's panels
@@ -160,6 +174,27 @@ def _panel_block(f, col, lo, hi, runs):
     return est * half
 
 
+def _shared_block(f, factor, cols, lo, hi):
+    """GL-16 estimates of the columns cols on the panels [lo[j], hi[j]]
+    that all of them share, as an (m, P) array.  The radii and factor(r)
+    are evaluated once per node; f sees column slices of cols[:, None]."""
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    r = np.exp(mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    common = None if factor is None else factor(r)
+    est = np.empty((cols.size, lo.size))
+    step = max(1, _SLICE // r.size)
+    for a in range(0, cols.size, step):
+        col = cols[a : a + step, None]
+        values = f(r, col) if common is None else f(r, col) * common
+        # du-measure picks up a factor r from dr = r du; one product per
+        # column, as in _panel_block, and one row for all if f ignores col
+        weighted = (values * r).reshape(-1, lo.size, _GL_X.size)
+        est[a : a + step] = weighted @ _GL_W
+    est *= half
+    return est
+
+
 def _panel_sum(f, col, lo, hi):
     """Adaptive Gauss-Legendre sums over log panels in u-space.
 
@@ -171,8 +206,16 @@ def _panel_sum(f, col, lo, hi):
     n = int(pos[-1]) + 1
     est = _panel_block(f, col, lo, hi, runs)
     scale = np.maximum(_column_sums(np.abs(est), pos, runs, n), 1e-300)
-    total = np.zeros(n)
-    for _ in range(_MAX_REFINE_DEPTH):
+    return _refine(f, pos, runs, col, lo, hi, est, scale, np.zeros(n), _MAX_REFINE_DEPTH)
+
+
+def _refine(f, pos, runs, col, lo, hi, est, scale, total, depth):
+    """Bisect panels, at most depth times, until each one's estimate
+    settles against the scale of its column, and add the settled sums
+    to total, which is indexed by column position like scale.  pos and
+    runs lay out the panels as in _layout."""
+    n = total.size
+    for _ in range(depth):
         mid = 0.5 * (lo + hi)
         left = _panel_block(f, col, lo, mid, runs)
         right = _panel_block(f, col, mid, hi, runs)
@@ -183,27 +226,59 @@ def _panel_sum(f, col, lo, hi):
         if done.any():
             total += _column_sums(refined[done], pos[done], _layout(pos[done])[1], n)
         keep = ~done
-        # each column's kept left halves, then its kept right halves
-        pos = np.concatenate([pos[keep], pos[keep]])
-        order = np.argsort(pos, kind="stable")
-        pos = pos[order]
+        pos, col, lo, hi, est = _halves(
+            pos[keep], col[keep], lo[keep], mid[keep], hi[keep], left[keep], right[keep]
+        )
         runs = _layout(pos)[1]
-        col = np.concatenate([col[keep], col[keep]])[order]
-        lo = np.concatenate([lo[keep], mid[keep]])[order]
-        hi = np.concatenate([mid[keep], hi[keep]])[order]
-        est = np.concatenate([left[keep], right[keep]])[order]
     return total + _column_sums(est, pos, runs, n)
 
 
-def _shared_sum(f, cols: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Sums of the columns cols over the same u-space panel edges."""
-    lo = np.empty((cols.size, edges.size - 1))
-    hi = np.empty_like(lo)
-    lo[:], hi[:] = edges[:-1], edges[1:]
-    return _panel_sum(f, cols.repeat(edges.size - 1), lo.ravel(), hi.ravel())
+def _halves(pos, col, lo, mid, hi, left, right):
+    """The halves of the panels kept for splitting, as (pos, col, lo, hi,
+    est): each column's left halves, then its right halves."""
+    pos = np.concatenate([pos, pos])
+    order = np.argsort(pos, kind="stable")
+    return (
+        pos[order],
+        np.concatenate([col, col])[order],
+        np.concatenate([lo, mid])[order],
+        np.concatenate([mid, hi])[order],
+        np.concatenate([left, right])[order],
+    )
 
 
-def _decade_block(f, cols, u_start: float, direction: int):
+def _shared_sum(f, factor, cols: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sums of the columns cols of f(r, col) * factor(r) over the same
+    u-space panel edges.  The panels and their first bisection are
+    shared by every column and evaluated in shared form, as (m, P)
+    arrays; only the panels a column splits further are laid out flat.
+    Each step rounds as _panel_sum's does on the same panels."""
+    u_lo, u_hi = edges[:-1], edges[1:]
+    u_mid = 0.5 * (u_lo + u_hi)
+    est = _shared_block(f, factor, cols, u_lo, u_hi)
+    left = _shared_block(f, factor, cols, u_lo, u_mid)
+    right = _shared_block(f, factor, cols, u_mid, u_hi)
+    n = cols.size
+    scale = np.maximum(np.abs(est).sum(axis=1), 1e-300)
+    refined = left + right
+    done = np.abs(refined - est) <= _REFINE_TOL * scale[:, None]
+    total = np.zeros(n)
+    if done.all():
+        return total + refined.sum(axis=1)
+    if done.any():
+        pos = np.repeat(np.arange(n), done.sum(axis=1))
+        total += _column_sums(refined[done], pos, _layout(pos)[1], n)
+    keep = ~done
+    rows, panels = np.nonzero(keep)
+    pos, col, lo, hi, est = _halves(
+        rows, cols[rows], u_lo[panels], u_mid[panels], u_hi[panels], left[keep], right[keep]
+    )
+    if factor is not None:
+        f = lambda r, col, _f=f: _f(r, col) * factor(r)  # noqa: E731
+    return _refine(f, pos, _layout(pos)[1], col, lo, hi, est, scale, total, _MAX_REFINE_DEPTH - 1)
+
+
+def _decade_block(f, factor, cols, u_start: float, direction: int):
     """Integrals of the columns cols over one decade extending from u_start.
 
     direction +1 extends upward, -1 downward.  Returns (values, new_edge).
@@ -214,10 +289,10 @@ def _decade_block(f, cols, u_start: float, direction: int):
     else:
         edges = np.linspace(u_start - _DECADE, u_start, _PANELS_PER_DECADE + 1)
         new_edge = u_start - _DECADE
-    return _shared_sum(f, cols, edges), new_edge
+    return _shared_sum(f, factor, cols, edges), new_edge
 
 
-def _extend(f, cols, u_start, direction, scale_hint):
+def _extend(f, factor, cols, u_start, direction, scale_hint):
     """Extend an improper endpoint decade by decade, for the columns cols.
 
     Returns arrays (added_value, status, n_blocks) aligned with cols.
@@ -251,7 +326,7 @@ def _extend(f, cols, u_start, direction, scale_hint):
     for _ in range(MAX_DECADES):
         if live.size == 0 or direction * (edge - u_limit) >= 0:
             break
-        block, edge = _decade_block(f, cols[live], edge, direction)
+        block, edge = _decade_block(f, factor, cols[live], edge, direction)
         n_blocks[live] += 1
         finite = np.isfinite(block)
         if not finite.all():
@@ -308,17 +383,22 @@ def improper_columns(
     *,
     lo: float = 0.0,
     hi: float = np.inf,
+    factor=None,
 ) -> list[IntegralResult]:
     """Integrate m integrands over (lo, hi) at once, with adaptive
     endpoint extension.
 
-    f(r, col) gives the integrand of column col[i] at radius r[i]; r and
-    col are 1-d arrays of one length.  All columns run on the same log
-    panels, so one call of f evaluates every column still in play; each
-    column keeps its own refinement, extension and divergence state,
-    and its result equals bit for bit the one it gets when integrated
-    alone.  lo = 0 and/or hi = inf request improper handling of that
-    endpoint.  Finite endpoints are honoured exactly.
+    The integrand of column c is f(r, c) * factor(r), or f(r, c) when
+    factor is None.  r is a 1-d array of radii and f broadcasts it
+    against col: col is (m', 1) on panels that the columns share, where
+    f returns (m', r.size), and has r's shape on panels a column refined
+    alone, where f returns the integrand of column col[i] at r[i].
+    factor maps a 1-d array of radii to values and is evaluated once
+    per node of the shared panels.  Each column keeps its own
+    refinement, extension and divergence state, and its result equals
+    bit for bit the one it gets when integrated alone.  lo = 0 and/or
+    hi = inf request improper handling of that endpoint.  Finite
+    endpoints are honoured exactly.
 
     Returns one IntegralResult per column; raises ValueError unless
     0 <= lo < hi.
@@ -339,7 +419,7 @@ def improper_columns(
             base_hi = 10.0 * lo
     u_lo, u_hi = np.log(base_lo), np.log(base_hi)
     n_panels = max(1, int(np.ceil((u_hi - u_lo) * _PANELS_PER_DECADE / _DECADE)))
-    value = _shared_sum(f, np.arange(m), np.linspace(u_lo, u_hi, n_panels + 1))
+    value = _shared_sum(f, factor, np.arange(m), np.linspace(u_lo, u_hi, n_panels + 1))
     status = np.full(m, CONVERGED, dtype=object)
     status[~np.isfinite(value)] = DIVERGENT
     n_eval = np.zeros(m, dtype=int)
@@ -350,7 +430,7 @@ def improper_columns(
         sides.append((-1, u_lo))
     for direction, start in sides:
         live = np.flatnonzero(status != DIVERGENT)
-        add, st, n = _extend(f, live, start, direction, value[live])
+        add, st, n = _extend(f, factor, live, start, direction, value[live])
         value[live] += add
         n_eval[live] += n
         failed = st != CONVERGED

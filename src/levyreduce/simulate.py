@@ -614,6 +614,10 @@ class StableAtomSampler:
 
     def sample_increment(self, dt: float, n_paths: int, rng) -> np.ndarray:
         gen = _as_generator(rng)
+        if len(self.alphas) == 1:
+            # one product per entry, equal to the bit to the k = 1 np.dot
+            y = sample_stable(self.alphas.item(), self.scales.item(), dt, gen, size=n_paths)
+            return y[:, None] * self.directions[0]
         y = np.empty((n_paths, len(self.alphas)))
         # Python floats: numpy scalars slow every scalar step of _cms
         for i, (alpha, scale) in enumerate(zip(self.alphas.tolist(), self.scales.tolist())):

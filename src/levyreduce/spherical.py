@@ -27,8 +27,9 @@ from .measures import (
     RadialMeasure,
     SphericalMeasure,
     as_unit_direction,
-    radial_integral,
+    radial_columns,
 )
+from .quadrature import CONVERGED
 
 _GL_X32, _GL_W32 = np.polynomial.legendre.leggauss(32)
 # agreement of two successive angular levels that ends the refinement
@@ -129,17 +130,24 @@ def _support_directions(spherical: SphericalMeasure) -> np.ndarray:
     return dirs[wgts > 0]
 
 
+def _measure_groups(spec: LevySpec, dirs) -> dict[RadialMeasure, list[int]]:
+    """The rows of dirs grouped by their radial measure, in order of
+    first appearance.  The groups are keyed on the measure itself and
+    hold it alive, so a freed measure can never stand in for a live one."""
+    groups: dict[RadialMeasure, list[int]] = {}
+    for k, xi in enumerate(dirs):
+        groups.setdefault(spec.radial(xi), []).append(k)
+    return groups
+
+
 def _per_measure(spec: LevySpec, dirs, fn) -> list:
     """[fn(spec.radial(xi)) for xi in dirs], with fn run once per distinct
-    radial measure.  The memo is keyed on the measure itself and holds it
-    alive, so a freed measure can never stand in for a live one."""
-    memo: dict[RadialMeasure, object] = {}
-    out = []
-    for xi in dirs:
-        gamma = spec.radial(xi)
-        if gamma not in memo:
-            memo[gamma] = fn(gamma)
-        out.append(memo[gamma])
+    radial measure."""
+    out = [None] * len(dirs)
+    for gamma, ks in _measure_groups(spec, dirs).items():
+        value = fn(gamma)
+        for k in ks:
+            out[k] = value
     return out
 
 
@@ -197,24 +205,26 @@ def spherical_integrate(f, spec: LevySpec) -> float:
 
     f maps an (n, d) array of points to values and may change sign; it
     must decay fast enough for the radial integrals to converge, else
-    DivergentIntegral propagates.
+    DivergentIntegral propagates.  The directions that share a radial
+    measure are the columns of one radial_columns pass.
     """
 
-    def along_ray(xi):
-        gamma = spec.radial(xi)
-
-        def weight(r, _xi=xi):
-            pts = np.asarray(r, dtype=float)[:, None] * _xi[None, :]
-            return np.asarray(f(pts), dtype=float)
-
-        res = radial_integral(gamma, weight)
-        if res.status != "converged":
-            raise DivergentIntegral(
-                f"radial integral along {np.round(xi, 6)} did not converge"
-            )
-        return res.value
-
     def batch(dirs):
-        return np.array([along_ray(xi) for xi in dirs])
+        out = np.empty(len(dirs))
+        converged = np.empty(len(dirs), dtype=bool)
+        for gamma, ks in _measure_groups(spec, dirs).items():
+            rows = dirs[ks]
+
+            def weight(r, col, _rows=rows):
+                pts = r[..., None] * _rows[col]
+                vals = np.asarray(f(pts.reshape(-1, pts.shape[-1])), dtype=float)
+                return vals.reshape(pts.shape[:-1])
+
+            for k, res in zip(ks, radial_columns(gamma, weight, len(ks))):
+                out[k], converged[k] = res.value, res.status == CONVERGED
+        if not converged.all():
+            xi = dirs[np.argmin(converged)]
+            raise DivergentIntegral(f"radial integral along {np.round(xi, 6)} did not converge")
+        return out
 
     return integrate_over_directions(spec.spherical, batch)

@@ -2,6 +2,7 @@
 closed stable forms and the scaling bounds they must satisfy."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from levyreduce import (
     SphericalMeasure,
     compensated_exp,
     improper_value,
+    integrate_over_directions,
     laplace_jump,
     laplace_radial,
     laplace_total,
@@ -48,6 +50,13 @@ class TestKernel:
         vals = compensated_exp(z)
         assert vals.shape == z.shape
         assert np.all(np.diff(vals) > 0)  # strictly increasing
+
+    def test_two_dimensional_argument_equals_its_flattened_result(self):
+        # the shared quadrature panels evaluate H on (columns, nodes)
+        z = np.r_[np.geomspace(1e-9, 60.0, 37), 0.0, 1e-4, 9.99e-5].reshape(5, 8)
+        np.testing.assert_array_equal(
+            compensated_exp(z), compensated_exp(z.ravel()).reshape(z.shape)
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -201,6 +210,7 @@ class TestStableExponent:
         assert stable_exponent(uniform, 1.5, np.zeros(2)) == 0.0
 
 
+_GL_NODES = 16
 _R_TABLE = np.geomspace(1e-6, 1e6, 400)
 ARRAY_MEASURES = [
     power_radial(1.5),
@@ -285,14 +295,16 @@ class TestArrayArguments:
         np.testing.assert_array_equal(out, ref)
 
     def test_one_column_pass_per_call(self, monkeypatch):
-        # the panel passes do not grow with the number of distinct b
+        # the panel passes, on shared and on per-column panels, do not
+        # grow with the number of distinct b
         from levyreduce import quadrature
 
         calls = []
-        block = quadrature._panel_block
-        monkeypatch.setattr(
-            quadrature, "_panel_block", lambda *a: calls.append(1) or block(*a)
-        )
+        for name in ("_panel_block", "_shared_block"):
+            block = getattr(quadrature, name)
+            monkeypatch.setattr(
+                quadrature, name, lambda *a, _b=block: calls.append(1) or _b(*a)
+            )
 
         def passes(n):
             calls.clear()
@@ -300,6 +312,44 @@ class TestArrayArguments:
             return len(calls)
 
         assert passes(400) <= 2 * passes(4)
+
+    def test_density_sees_each_shared_node_once(self):
+        # the density runs on the nodes the columns share, not per column
+        base = power_radial(1.5)
+        radii = []
+        rho = RadialMeasure(density=lambda r: radii.append(np.size(r)) or base.density(r))
+
+        def evaluated(n):
+            radii.clear()
+            laplace_radial(rho, np.geomspace(1e-3, 1e3, n))
+            return sum(radii)
+
+        assert evaluated(400) <= 2 * evaluated(4)
+
+    def test_columns_one_past_the_slice_bound(self):
+        # an extension decade has 32 nodes, so its shared panels take a
+        # second column slice here, and the base window 65 slices
+        from levyreduce import quadrature
+
+        m = quadrature._SLICE // (_GL_NODES * quadrature._PANELS_PER_DECADE) + 1
+        rho = power_radial(1.5)
+        b = np.geomspace(1e-3, 1e3, m)
+        ref = np.array([laplace_radial(rho, float(v)) for v in b])
+        np.testing.assert_array_equal(laplace_radial(rho, b), ref)
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # 25,600 columns in one unsliced pass held about 600 MB of
+        # temporaries; passes and slices bound them
+        rho = power_radial(1.5)
+        b = np.geomspace(1e-3, 1e3, 25_600)
+        laplace_radial(rho, b[:8])
+        tracemalloc.start()
+        try:
+            laplace_radial(rho, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_moment_failure_names_a_b_of_the_grid(self):
         grid = np.array([0.0, 0.7, 2.0])
@@ -339,3 +389,54 @@ class TestArrayArguments:
             laplace_jump(example_spec, z)
         with pytest.raises(NegativeDirection):
             stable_exponent(two_atom_spherical, 1.5, z)
+
+
+def _per_direction_jump(spec, z):
+    """laplace_jump column by column: one scalar laplace_radial per
+    direction and argument, summed over the directions as laplace_jump
+    sums them."""
+
+    def per_direction(dirs):
+        inner = np.clip(z @ dirs.T, 0.0, None)
+        out = np.empty(inner.shape)
+        for idx in np.ndindex(inner.shape):
+            out[idx] = laplace_radial(spec.radial(dirs[idx[-1]]), float(inner[idx]))
+        return out
+
+    return integrate_over_directions(spec.spherical, per_direction)
+
+
+def _seeded_atoms_spec(n_atoms=16, d=3, seed=1):
+    """Stable jumps on seeded atoms in the positive orthant, every atom
+    under the same radial measure."""
+    rng = np.random.default_rng(seed)
+    dirs = np.abs(rng.standard_normal((n_atoms, d)))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return stable_spec(1.5, SphericalMeasure.from_atoms(dirs, rng.uniform(0.5, 1.5, n_atoms)))
+
+
+class TestJumpByMeasure:
+    """laplace_jump makes one laplace_radial pass per radial measure;
+    every value equals the direction-by-direction, column-by-column sum."""
+
+    def test_seeded_atoms_in_three_dimensions(self):
+        spec = _seeded_atoms_spec()
+        z = np.geomspace(1e-2, 1e2, 6)[None, :, None] * np.array([[1.0, 1.0, 1.0], [0.3, 2.0, 0.7]])[:, None, :]
+        np.testing.assert_array_equal(laplace_jump(spec, z), _per_direction_jump(spec, z))
+
+    def test_axis_atoms_share_their_arguments(self, example_spec):
+        z = np.geomspace(1e-2, 1e2, 9)[:, None] * np.array([1.0, 1.0])
+        np.testing.assert_array_equal(laplace_jump(example_spec, z), _per_direction_jump(example_spec, z))
+
+    def test_a_family_of_distinct_measures(self):
+        # the cosine scales 1 + xi_1 / 2: one measure per direction
+        spec = _quarter_disc_spec()
+        z = np.array([[1.0, 0.0], [0.5, 0.5], [2.0, 3.0]])
+        np.testing.assert_array_equal(laplace_jump(spec, z), _per_direction_jump(spec, z))
+
+    def test_angular_uniform_stable_spec(self):
+        # uniform on the first quadrant, so the arguments there are admissible
+        quadrant = SphericalMeasure.from_angular(2, lambda a: (a[:, 0] <= 0.5 * np.pi) * 1.0)
+        spec = stable_spec(1.5, quadrant)
+        z = np.array([[0.0, 0.0], [0.7, 0.0], [3.0, 1.0]])
+        np.testing.assert_array_equal(laplace_jump(spec, z), _per_direction_jump(spec, z))

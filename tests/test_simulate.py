@@ -276,6 +276,15 @@ class TestSimulateReduced:
         assert reduced.clipped > 0
         assert reduced.scheme_summary() == original.scheme_summary()
 
+    def test_one_atom_increments_are_the_matrix_product(self):
+        # one atom takes a product per entry, the k = 1 np.dot to the bit
+        sampler = simulate.StableAtomSampler(
+            directions=np.array([[0.6, -0.8]]), alphas=np.array([1.5]), scales=np.array([1.3])
+        )
+        dz = sampler.sample_increment(0.01, 5000, np.random.default_rng(4))
+        y = sample_stable(1.5, 1.3, 0.01, np.random.default_rng(4), size=5000)
+        np.testing.assert_array_equal(dz, np.dot(y[:, None], sampler.directions))
+
     def test_rejects_bad_arguments(self):
         model = ReducedModel(a=-0.5, b=0.1, C=1.0, alpha=1.5)
         with pytest.raises(ValueError):

@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyreduce import (
+    DivergentIntegral,
     LevySpec,
     RadialMeasure,
     SphericalMeasure,
     check_structure,
     density_spec,
     induced_spec,
+    integrate_over_directions,
     polar_map,
     radial_from_density,
+    radial_integral,
     spherical_integrate,
     stable_spec,
     uniform_angle_grid,
@@ -145,6 +148,53 @@ class TestSphericalIntegrate:
         # sum_i w_i <u, xi_i>^2 with unit radial atoms
         expected = 2.0 * 0.8**2 + 3.0 * 0.6**2
         assert spherical_integrate(f, spec) == pytest.approx(expected, rel=1e-12)
+
+
+def _per_direction_integral(f, spec):
+    """spherical_integrate direction by direction: one radial_integral
+    per direction, summed as spherical_integrate sums them."""
+
+    def batch(dirs):
+        vals = []
+        for xi in dirs:
+            weight = lambda r, _xi=xi: f(r[:, None] * _xi[None, :])  # noqa: E731
+            vals.append(radial_integral(spec.radial(xi), weight).value)
+        return np.array(vals)
+
+    return integrate_over_directions(spec.spherical, batch)
+
+
+class TestDirectionsByMeasure:
+    """spherical_integrate makes one radial_columns pass per radial
+    measure; its value equals the direction-by-direction one to the bit."""
+
+    @staticmethod
+    def f(pts):
+        n = np.linalg.norm(pts, axis=1)
+        return (1.0 + pts[:, 0]) * np.minimum(n * n, n) * np.exp(-n)
+
+    def test_seeded_atoms_share_a_measure(self):
+        rng = np.random.default_rng(1)
+        dirs = rng.standard_normal((16, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        spec = stable_spec(1.5, SphericalMeasure.from_atoms(dirs, rng.uniform(0.5, 1.5, 16)))
+        assert spherical_integrate(self.f, spec) == _per_direction_integral(self.f, spec)
+
+    def test_angular_uniform_stable_spec(self):
+        uniform = SphericalMeasure.from_angular(2, lambda a: np.ones(a.shape[0]))
+        spec = stable_spec(1.5, uniform)
+        assert spherical_integrate(self.f, spec) == _per_direction_integral(self.f, spec)
+
+    def test_one_measure_per_direction(self, cos_density_spec):
+        spec = induced_spec(cos_density_spec)
+        assert spherical_integrate(self.f, spec) == _per_direction_integral(self.f, spec)
+
+    def test_a_divergent_direction_is_named(self):
+        sph = SphericalMeasure.from_atoms([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        laws = {0: stable_spec(1.5, sph).radial([1.0, 0.0]), 1: RadialMeasure(density=lambda r: r**-3.5)}
+        spec = LevySpec(2, np.zeros((2, 2)), sph, lambda xi: laws[int(xi[1])])
+        with pytest.raises(DivergentIntegral, match=r"along \[0\. 1\.\]"):
+            spherical_integrate(lambda pts: np.minimum(np.sum(pts * pts, axis=1), 1.0), spec)
 
 
 def smooth_window(r, lo, hi):
