@@ -210,7 +210,6 @@ class TestStableExponent:
         assert stable_exponent(uniform, 1.5, np.zeros(2)) == 0.0
 
 
-_GL_NODES = 16
 _R_TABLE = np.geomspace(1e-6, 1e6, 400)
 ARRAY_MEASURES = [
     power_radial(1.5),
@@ -331,7 +330,7 @@ class TestArrayArguments:
         # second column slice here, and the base window 65 slices
         from levyreduce import quadrature
 
-        m = quadrature._SLICE // (_GL_NODES * quadrature._PANELS_PER_DECADE) + 1
+        m = quadrature._SLICE // (quadrature._GL_X.size * quadrature._PANELS_PER_DECADE) + 1
         rho = power_radial(1.5)
         b = np.geomspace(1e-3, 1e3, m)
         ref = np.array([laplace_radial(rho, float(v)) for v in b])
