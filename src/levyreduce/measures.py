@@ -278,46 +278,60 @@ def density_spec(density, dimension, hints=None) -> DensityLevySpec:
     return DensityLevySpec(int(dimension), density)
 
 
-@dataclass(frozen=True)
+# eq=False: compared and hashed by identity, as basis is an array
+@dataclass(frozen=True, eq=False)
 class VolatilityFunction:
-    """State-to-volatility map G: [0, inf) -> R^d.
+    """State-to-volatility map G: [0, inf) -> R^d, written in a basis U
+    (d x K) of its range as G(x) = coeff(x) @ U^T.
 
-    Calling with an array of states returns an (n, d) array.
+    func maps states (n,) to the coefficients coeff (n, K).  basis is U;
+    None stands for the standard basis of R^d, where K = d and func is G
+    itself.  The equation sees the noise only through <G(x), dZ> =
+    <coeff(x), U^T dZ>, so a scheme may step the K coordinates U^T dZ in
+    place of dZ: one for a power form, whose range is its direction.
+    Calling with an array of states returns the (n, d) array G(x).
     """
 
     func: Callable
     dimension: int
-    # the row-wise <G(x), dz> of a form that need not build G(x)
-    contraction: Callable | None = None
+    basis: np.ndarray | None = None
+
+    def coefficients(self, x) -> np.ndarray:
+        """coeff(x), (n, K), of states x (n,)."""
+        out = np.asarray(self.func(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
+        k = self.dimension if self.basis is None else self.basis.shape[1]
+        if out.ndim != 2 or out.shape[1] != k:
+            raise ValueError("volatility evaluator must return (n, K)")
+        return out
 
     def inner(self, x, dz) -> np.ndarray:
-        """Row-wise <G(x_i), dz_i> of states x (n,) and increments dz (n, d)."""
-        if self.contraction is not None:
-            return self.contraction(np.asarray(x, dtype=float), dz)
-        return np.einsum("ij,ij->i", self(x), dz)
+        """Row-wise <coeff(x_i), dz_i> of states x (n,) and increments dz
+        (n, K) in the coordinates of the basis: <G(x_i), U dz_i>."""
+        c = self.coefficients(x)
+        if c.shape[1] == 1:
+            return c[:, 0] * dz[:, 0]
+        return np.einsum("ij,ij->i", c, dz)
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        out = np.asarray(self.func(np.atleast_1d(x)), dtype=float)
-        if out.ndim != 2 or out.shape[1] != self.dimension:
-            raise ValueError("volatility evaluator must return (n, d)")
+        scalar = np.ndim(x) == 0
+        out = self.coefficients(x)
+        if self.basis is not None:
+            # one product per entry for K = 1, the outer product coeff u^T
+            u = self.basis.T
+            out = out * u if u.shape[0] == 1 else out @ u
         return out[0] if scalar else out
 
     @classmethod
     def power(cls, exponent: float, direction) -> "VolatilityFunction":
+        """G(x) = x^exponent direction: K = 1, U = direction."""
         direction = np.asarray(direction, dtype=float)
         if exponent <= 0:
             raise ValueError("power exponent must be positive")
 
-        def g(x, _p=exponent, _v=direction):
-            return (np.asarray(x, dtype=float) ** _p)[:, None] * _v[None, :]
+        def coeff(x, _p=exponent):
+            return (x ** _p)[:, None]
 
-        def inner(x, dz, _p=exponent, _v=direction):
-            # np.dot, as @ leaves BLAS and is 6x slower for d = 1
-            return x ** _p * np.dot(dz, _v)
-
-        return cls(g, int(direction.shape[0]), inner)
+        return cls(coeff, int(direction.shape[0]), direction[:, None])
 
     @classmethod
     def tabulated(cls, x_grid, values) -> "VolatilityFunction":

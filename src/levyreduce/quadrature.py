@@ -33,7 +33,9 @@ broadcasts it against col, which comes in one of two shapes:
   are evaluated once per node, and f is called on column slices of at
   most _SLICE values;
 * on the panels a column refined on its own, col has r's shape and
-  f returns the integrand of column col[i] at r[i].
+  f returns the integrand of column col[i] at r[i]; f is called on
+  slices of whole columns of at most _SLICE nodes, or on one column
+  alone where it has more.
 
 Each column keeps its own refinement scale, extension state, tail
 closure and divergence classification, and leaves the lockstep as soon
@@ -125,8 +127,9 @@ def panel_integral(f, lo, hi):
 _REFINE_TOL = 1e-12
 _MAX_REFINE_DEPTH = 12
 
-# Integrand values per call of f on shared panels: column slices this
-# size keep f's temporaries in cache however many columns are in play.
+# Integrand values per call of f, on shared and on per-column panels:
+# column slices this size keep f's temporaries in cache however many
+# columns are in play.
 _SLICE = 1 << 15
 
 
@@ -156,7 +159,27 @@ def _column_sums(values: np.ndarray, pos: np.ndarray, runs, n: int) -> np.ndarra
 
 def _panel_block(f, col, lo, hi, runs):
     """GL-16 estimates for a batch of panels given u-space edge arrays;
-    panel i belongs to column col[i], laid out in runs."""
+    panel i belongs to column col[i], laid out in runs.  f sees slices of
+    whole columns of at most _SLICE nodes, or one column where it alone
+    has more, so each column rounds as in one call."""
+    if col.size * _GL_X.size <= _SLICE:
+        return _panel_slice(f, col, lo, hi, runs)
+    starts = np.sort(np.concatenate([idx[:, 0] for idx in runs]))
+    ends = np.append(starts[1:], col.size)
+    est = np.empty(col.size)
+    a = 0
+    while a < col.size:
+        # the last column end within the slice, or the first column's own
+        first = np.searchsorted(starts, a)
+        b = ends[max(first, np.searchsorted(ends, a + _SLICE // _GL_X.size, side="right") - 1)]
+        cut = [idx[(idx[:, 0] >= a) & (idx[:, 0] < b)] - a for idx in runs]
+        est[a:b] = _panel_slice(f, col[a:b], lo[a:b], hi[a:b], [c for c in cut if c.size])
+        a = b
+    return est
+
+
+def _panel_slice(f, col, lo, hi, runs):
+    """_panel_block on panels of at most _SLICE nodes, or of one column."""
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     r = np.exp(mid[:, None] + half[:, None] * _GL_X[None, :])

@@ -14,7 +14,10 @@ exact power tails get closed-form Pareto radii, other radial laws
 inverse-CDF tables or atom weights.  Its small jumps below the cutoff
 become a Gaussian of their covariance, drawn with the Wiener part
 (Asmussen and Rosinski 2001; Cohen and Rosinski 2007); the third
-moment they leave out is kept, and compare budgets that error.
+moment they leave out is kept, and compare budgets that error.  The
+equation reads the noise only through <G(R), dZ>, so compound-Poisson
+and Gaussian increments are drawn in the coordinates of a basis of the
+range of G: one column for a power G, d for a tabulated one.
 
 The Euler loop runs behind an EulerRun, which yields the float64
 states as the scheme steps.  A run splits its paths into fixed blocks
@@ -38,7 +41,7 @@ of its own (Dereich 2011).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -76,7 +79,11 @@ _PATH_BLOCK = 10_000
 # atom row is scaled so that two atoms give the 95 us + 87 ns per path
 # that the multilevel allocation was tuned on; timed, an atom cost about
 # 19 us + 26 ns, and the fixed-to-per-path ratio of a step stayed at 750
-# to 850 paths from 1 to 8 atoms
+# to 850 paths from 1 to 8 atoms.  The table prices the d-dimensional
+# step, with d jump and d Gaussian columns, also where original_run
+# steps the K columns of G's basis, so a leg's budget and allocation do
+# not depend on G; the projected step has about the same fixed cost and
+# a smaller cost per path
 _STEP_COSTS = np.array([
     [7_000.0, 6.0],  # Euler step
     [44_350.0, 40.5],  # per exact stable atom
@@ -359,7 +366,7 @@ def reduced_run(
     dt = _checked_step(x0, horizon, n_steps, n_paths)
     sampler = StableAtomSampler(np.ones((1, 1)), np.array([model.alpha]), np.ones(1))
     G = VolatilityFunction.power(1.0 / model.alpha, [model.C])
-    steps = partial(_original_steps, G, sampler, None, model.a, model.b, x0)
+    steps = partial(_original_steps, G, sampler, None, G.basis, model.a, model.b, x0)
     return EulerRun(steps, dt, n_steps, n_paths, rng, None, _step_cost(sampler, 0, dt))
 
 
@@ -689,12 +696,26 @@ def original_run(
     Otherwise it comes from the compound-Poisson approximation above
     the cutoff eps, and the small jumps below it become a Gaussian of
     their covariance, the sampler's small_cov; the run records that
-    sampler's cutoff, intensity and dropped variance.  The Gaussian and
-    a nonzero Wiener covariance add up to one correlated Gaussian
-    increment.  States are clipped at zero and the clip frequency
-    recorded.  The sampler is built once and shared by the path blocks,
-    each drawing from its own child stream of rng, an RngStream or an
-    integer seed.
+    sampler's cutoff, intensity and dropped variance, and keeps it as
+    jumps.  The Gaussian and a nonzero Wiener covariance add up to one
+    correlated Gaussian increment.  States are clipped at zero and the
+    clip frequency recorded.  The sampler is built once and shared by
+    the path blocks, each drawing from its own child stream of rng, an
+    RngStream or an integer seed.
+
+    Under compound-Poisson jumps the loop steps dZ in the coordinates of
+    G's basis U (d x K), U^T dZ, which is all that <G(R), dZ> reads: the
+    sampler's directions and mean flux are projected on U once, and the
+    Gaussian covariance Q + small_cov becomes U^T (Q + small_cov) U.  A
+    power G steps one coordinate, one normal and one jump column per
+    path-step, where the d-dimensional increment takes d of each; a G in
+    the standard basis steps dZ itself.  Exact increments stay in d
+    coordinates and are lifted to U's at each step: their cost is one
+    stable draw per atom whatever the columns, and the coupled leg's
+    pair sums, taken before the lift, keep the rounding of the
+    d-dimensional step.  The step is priced as the d-dimensional one
+    (_step_cost of the unprojected sampler and d Gaussian columns), so
+    the leg's budget and allocation do not depend on G's basis.
 
     The run's levels hold its multilevel form (see _levels), under
     either sampler: at a fixed cutoff the sum of two compound-Poisson
@@ -711,26 +732,39 @@ def original_run(
     if sampler is None:
         sampler = jumps = truncated_jump_sampler(spec, eps)[0]
         q = q + jumps.small_cov
+    cost = _step_cost(sampler, q.shape[0] if np.any(q != 0.0) else 0, dt)
 
+    lift = G.basis
+    if lift is not None and jumps is not None:
+        # draw U^T dZ: K jump columns and K normals per path
+        sampler = replace(
+            jumps, directions=jumps.directions @ lift, mean_flux=jumps.mean_flux @ lift
+        )
+        q = lift.T @ q @ lift
+        lift = None
     if np.any(q != 0.0):
         w, vecs = np.linalg.eigh(q)
         root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     else:
         root = None
 
-    steps = partial(_original_steps, G, sampler, root, a, b, x0)
-    cost = _step_cost(sampler, 0 if root is None else root.shape[1], dt)
+    steps = partial(_original_steps, G, sampler, root, lift, a, b, x0)
     return EulerRun(steps, dt, n_steps, n_paths, rng, jumps, cost)
 
 
-def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen):
+def _original_steps(G, sampler, root, lift, a, b, x0, dt, n_steps, coupled, n_paths, gen):
     """The Euler loop of one path block: (state, coarse state, proposals
     clipped) at each node t = k dt.
 
-    With coupled, a coarse leg steps at 2 dt beside the fine one, on the
-    sum of each pair of fine increments, Wiener part included; its state
-    comes at the even nodes, None at the odd ones, and the clipped count
-    covers both legs.  Without, the coarse state is always None.
+    Each step draws the increments dz from sampler, adds root's Gaussian,
+    one normal per column of dz, and contracts dz @ lift, or dz itself
+    without lift, with G's coefficients (G.inner).  original_run chooses
+    the columns: K, those of G's basis, for a projected sampler and root,
+    or d with lift the basis.  With coupled, a coarse leg steps at 2 dt
+    beside the fine one, on the sum of each pair of fine increments,
+    Wiener part included; its state comes at the even nodes, None at the
+    odd ones, and the clipped count covers both legs.  Without, the
+    coarse state is always None.
     """
     r = np.full(n_paths, float(x0))
     coarse = r.copy() if coupled else None
@@ -742,20 +776,20 @@ def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, g
         dz = sampler.sample_increment(dt, n_paths, gen)
         if root is not None:
             gen.standard_normal(out=noise)
-            # np.dot, as @ leaves BLAS and is 12x slower for d = 1
+            # np.dot, as @ leaves BLAS and is 12x slower for K = 1
             np.dot(noise, root.T, out=mixed)
             mixed *= np.sqrt(dt)
             dz += mixed
-        r, clipped = _euler_step(G, a, b, r, dt, dz)
+        r, clipped = _euler_step(G, a, b, r, dt, dz, lift)
         if not coupled:
             yield r, None, clipped
         elif k % 2:
-            # G.inner leaves dz as it is, so the pair sum may reuse it
+            # the step leaves dz as it is, so the pair sum may reuse it
             pair = dz
             yield r, None, clipped
         else:
             pair += dz
-            coarse, coarse_clipped = _euler_step(G, a, b, coarse, 2.0 * dt, pair)
+            coarse, coarse_clipped = _euler_step(G, a, b, coarse, 2.0 * dt, pair, lift)
             yield r, coarse, clipped + coarse_clipped
 
 
@@ -773,9 +807,13 @@ def _step_cost(sampler, columns: int, dt: float) -> tuple:
     return float(fixed), float(per_path)
 
 
-def _euler_step(G, a, b, r, dt, dz):
+def _euler_step(G, a, b, r, dt, dz, lift):
     """The full-truncation Euler step over dt from the states r with the
-    increments dz: (next states, proposals clipped at zero)."""
+    increments dz, in the coordinates of G's basis or lifted to them by
+    dz @ lift: (next states, proposals clipped at zero)."""
+    if lift is not None:
+        # np.dot, as @ leaves BLAS and is 6x slower for d = 1
+        dz = np.dot(dz, lift)
     # r is clipped already, so G reads the clipped state
     r = r + (a * r + b) * dt + G.inner(r, dz)
     clipped = int(np.count_nonzero(r < 0.0))

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from levyreduce import (
+    AffinityViolation,
     DivergentIntegral,
     LevySpec,
     NegativeDirection,
     RadialMeasure,
     SphericalMeasure,
+    VolatilityFunction,
     compensated_exp,
     improper_value,
     integrate_over_directions,
@@ -31,6 +33,7 @@ from levyreduce import (
 )
 
 from levyreduce.quadrature import REL_TOL
+from levyreduce.reduction import extract_affine_exponents
 
 from conftest import C_12, C_15
 
@@ -349,6 +352,42 @@ class TestArrayArguments:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_per_column_refinement_slices_round_as_one_pass(self, monkeypatch):
+        # the table's kinks refine column by column: 40 values of b make a
+        # flat pass of 27 920 panels, which goes to f in slices of whole
+        # columns; each column rounds as in the unsliced pass
+        from levyreduce import quadrature
+
+        rho = COLUMN_MEASURES[1]
+        b = np.geomspace(1e-2, 1e2, 40)
+        sliced = laplace_radial(rho, b)
+        widest = []
+        block = quadrature._panel_slice
+        monkeypatch.setattr(
+            quadrature, "_panel_slice",
+            lambda f, col, *a: widest.append(col.size) or block(f, col, *a),
+        )
+        monkeypatch.setattr(quadrature, "_SLICE", 1 << 40)
+        np.testing.assert_array_equal(laplace_radial(rho, b), sliced)
+        assert max(widest) * 16 > 1 << 15
+
+    def test_peak_memory_of_the_tempered_reduction(self):
+        # the reduction of the tempered table on the axis atoms refuses; its
+        # largest flat pass of 139 544 panels peaked at 105 MB unsliced
+        spec = LevySpec(
+            2, np.zeros((2, 2)), SphericalMeasure.from_atoms(np.eye(2), [0.5, 0.5]),
+            lambda xi: COLUMN_MEASURES[1],
+        )
+        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 1.0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(AffinityViolation):
+                extract_affine_exponents(spec, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_moment_failure_names_a_b_of_the_grid(self):
         grid = np.array([0.0, 0.7, 2.0])

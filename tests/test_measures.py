@@ -226,11 +226,23 @@ class TestVolatilityFunction:
         ids=["power", "tabulated"],
     )
     def test_inner_is_the_contraction_of_the_call(self, G):
+        # <G(x), dz> = <coeff(x), U^T dz>: inner reads the increments in
+        # the coordinates of the basis, one for the power form
         rng = np.random.default_rng(7)
         x = np.concatenate([[0.0, 1e-300, 1.0], rng.gamma(2.0, 0.5, 500)])
         dz = rng.exponential(size=(x.size, 3))
+        basis = np.eye(3) if G.basis is None else G.basis
         expected = np.einsum("ij,ij->i", G(x), dz)
-        np.testing.assert_allclose(G.inner(x, dz), expected, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(G.inner(x, dz @ basis), expected, rtol=1e-15, atol=0.0)
+
+    def test_power_form_has_its_direction_as_basis(self):
+        x = np.geomspace(1e-8, 1e3, 50)
+        G = VolatilityFunction.power(0.6, [0.3, -1.7, 2.0])
+        assert np.array_equal(G.basis, [[0.3], [-1.7], [2.0]])
+        assert G == G and G in {G}
+        assert np.array_equal(G.coefficients(x), x[:, None] ** 0.6)
+        dz = np.random.default_rng(3).standard_normal((x.size, 1))
+        assert np.array_equal(G.inner(x, dz), x**0.6 * dz[:, 0])
 
     def test_scalar_call_returns_vector(self, example_vol):
         out = example_vol(4.0)

@@ -853,12 +853,17 @@ def wiener_spec(d):
     return LevySpec(d, np.array(q), spherical, lambda xi: power_radial(ALPHA))
 
 
+def gaussian_root(q):
+    """The root of a Gaussian covariance q, as original_run forms it."""
+    w, vecs = np.linalg.eigh(q)
+    return vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+
+
 def block_increments(spec, eps, dt, n_paths, gen):
     """The increments of an Euler step of original_run with its Wiener
     part formed through @, drawn from gen in the loop's order."""
     sampler = stable_atom_sampler(spec, eps, dt)
-    w, vecs = np.linalg.eigh(spec.wiener_cov)
-    root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    root = gaussian_root(spec.wiener_cov)
     while True:
         dz = sampler.sample_increment(dt, n_paths, gen)
         dz += gen.standard_normal((n_paths, root.shape[0])) @ root.T * np.sqrt(dt)
@@ -866,9 +871,143 @@ def block_increments(spec, eps, dt, n_paths, gen):
 
 
 def euler_step(G, r, dt, dz, a=-0.5, b=0.1):
-    r = r + (a * r + b) * dt + G.inner(r, dz)
+    """The step of an exact run: its d-dimensional increments dz lifted to
+    the coordinates of the power G's direction."""
+    r = r + (a * r + b) * dt + G.inner(r, np.dot(dz, G.basis))
     np.maximum(r, 0.0, out=r)
     return r
+
+
+def d_dimensional_states(spec, eps, dt, n_steps, n_paths, gen, contract, a=-0.5, b=0.1):
+    """The states of the Euler loop that steps the whole d-dimensional
+    increment: the unprojected sampler's jumps, d normals per path mixed
+    by the root of Q + small_cov, and contract(r, dz) for <G(r), dz>."""
+    sampler = stable_atom_sampler(spec, eps, dt)
+    q = spec.wiener_cov
+    if sampler is None:
+        sampler = truncated_jump_sampler(spec, eps)[0]
+        q = q + sampler.small_cov
+    root = gaussian_root(q) if np.any(q != 0.0) else None
+    r = np.ones(n_paths)
+    yield r
+    for _ in range(n_steps):
+        dz = sampler.sample_increment(dt, n_paths, gen)
+        if root is not None:
+            dz += gen.standard_normal((n_paths, len(q))) @ root.T * np.sqrt(dt)
+        r = np.maximum(r + (a * r + b) * dt + contract(r, dz), 0.0)
+        yield r
+
+
+def sixteen_gaussian_jump_spec():
+    """sixteen_atom_spec's directions and weights with bounded radii 0.05,
+    0.5 and 1.5 of weights 400, 2 and 1, and a Wiener part: at the cutoff
+    0.1 the atom at 0.05 goes to the Gaussian, of variance 400 * 0.05^2 =
+    1 per unit weight, and the jumps above it have 2 * 0.5^2 + 1.5^2 =
+    2.75."""
+    radial = RadialMeasure(atoms=((0.05, 400.0), (0.5, 2.0), (1.5, 1.0)))
+    q = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, 0.4]])
+    return LevySpec(3, q, sixteen_atom_spec().spherical, lambda xi: radial)
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts the standard normals drawn through it."""
+
+    normals = 0
+
+    def standard_normal(self, *args, **kw):
+        drawn = super().standard_normal(*args, **kw)
+        self.normals += np.size(drawn)
+        return drawn
+
+
+class TestProjectedStep:
+    """Under compound-Poisson jumps the loop steps U^T dZ, the coordinates
+    of the increment in G's basis U; exact increments keep d."""
+
+    def test_tabulated_run_equals_the_d_dimensional_loop(self):
+        # U = I: the run steps the d-dimensional increment itself
+        spec = sixteen_gaussian_jump_spec()
+        G = VolatilityFunction.tabulated(
+            [0.0, 1.0, 5.0], [[0.0, 0.0, 0.0], [1.0, 0.5, 0.2], [2.0, 3.0, 1.0]]
+        )
+        run = original_run(G, spec, -0.5, 0.1, 1.0, 0.1, 0.2, 20, 300, RngStream(8))
+        assert run.scheme == "compound_poisson" and G.basis is None
+        gen = np.random.default_rng(np.random.SeedSequence([8, 0], spawn_key=(0,)))
+        contract = lambda r, dz: np.einsum("ij,ij->i", G(r), dz)  # noqa: E731
+        reference = d_dimensional_states(spec, 0.1, 0.01, 20, 300, gen, contract)
+        for state, expected in zip(run, reference, strict=True):
+            assert np.array_equal(state, expected)
+
+    def test_worked_exact_run_equals_the_d_dimensional_loop(self, example_spec, example_vol):
+        # exact increments stay in d coordinates, so the run keeps the
+        # contraction x^(2/3) <dz, u> of the d-dimensional loop to the bit
+        run = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 0.2, 20, 300, 9)
+        assert run.scheme == "exact_stable"
+        gen = np.random.default_rng(np.random.SeedSequence([9, 0], spawn_key=(0,)))
+        u = example_vol.basis[:, 0]
+        contract = lambda r, dz: r ** (2.0 / 3.0) * np.dot(dz, u)  # noqa: E731
+        reference = d_dimensional_states(example_spec, 3e-3, 0.01, 20, 300, gen, contract)
+        for state, expected in zip(run, reference, strict=True):
+            assert np.array_equal(state, expected)
+
+    @pytest.mark.parametrize(
+        "case, columns",
+        [("power", 1), ("tabulated", 3), ("exact", 2)],
+    )
+    def test_generator_sees_one_normal_per_column(self, case, columns):
+        # compound-Poisson jumps step the K columns of G's basis; exact
+        # increments step all d
+        spec = wiener_spec(2) if case == "exact" else sixteen_gaussian_jump_spec()
+        if case == "tabulated":
+            G = VolatilityFunction.tabulated([0.0, 2.0], [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        else:
+            G = VolatilityFunction.power(2.0 / 3.0, np.ones(spec.dimension))
+        eps = 1e-3 if case == "exact" else 0.1
+        run = original_run(G, spec, -0.5, 0.1, 1.0, eps, 0.2, 20, 300, RngStream(10))
+        assert run.scheme == ("exact_stable" if case == "exact" else "compound_poisson")
+        gen = CountingGenerator(np.random.PCG64(10))
+        loop = run.plain.steps(0.01, 20, False, 300, gen)
+        next(loop)
+        for _ in range(3):
+            before = gen.normals
+            next(loop)
+            assert gen.normals - before == columns * 300
+
+    @pytest.mark.parametrize("bounded", [True, False], ids=["bounded-radii", "power-law"])
+    def test_projected_increments_have_the_law_of_the_projection(self, bounded):
+        # <u, dz> of the d-dimensional step against the projected step: a
+        # two-sample KS statistic below 0.01 at 100k draws, as in criterion
+        # 09.  Bounded radii give both mean 0 and variance (u^T (Q +
+        # small_cov) u + 2.75 sum_i w_i <u, xi_i>^2) dt; many-atoms' r^-2.5
+        # atoms at compare's cutoff 0.08 have no variance
+        spec = sixteen_gaussian_jump_spec() if bounded else sixteen_atom_spec()
+        eps, dt = (0.1, 0.05) if bounded else (0.08, 0.002)
+        n = 100_000
+        u = np.array([1.0, 1.0, 1.0])
+        full = loop_increments(spec, eps, dt, 1, n, RngStream(35)) @ u
+        G = VolatilityFunction(lambda x: np.ones((len(x), 1)), 3, u[:, None])
+        run = original_run(G, spec, 0.0, 0.0, 100.0, eps, dt, 1, n, RngStream(36))
+        assert run.scheme == "compound_poisson"
+        projected = collections.deque(run, maxlen=1).pop() - 100.0
+        assert stats.ks_2samp(full, projected).statistic < 0.01
+        if bounded:
+            sampler, _ = truncated_jump_sampler(spec, eps)
+            xi, w = spec.spherical.directions, spec.spherical.weights
+            var = dt * (u @ (spec.wiener_cov + sampler.small_cov) @ u + 2.75 * w @ (xi @ u) ** 2)
+            for draws in (full, projected):
+                assert abs(draws.mean()) <= 3.0 * np.sqrt(var / n)
+                assert draws.var() == pytest.approx(var, rel=0.03)
+
+    def test_reports_read_the_unprojected_sampler(self):
+        spec = sixteen_gaussian_jump_spec()
+        G = VolatilityFunction.power(2.0 / 3.0, [1.0, 1.0, 1.0])
+        run = original_run(G, spec, -0.5, 0.1, 1.0, 0.1, 0.2, 20, 300, RngStream(11))
+        sampler, dropped = truncated_jump_sampler(spec, 0.1)
+        for field in ("directions", "mean_flux", "small_cov", "small_third"):
+            assert np.array_equal(getattr(run.jumps, field), getattr(sampler, field))
+        assert run.dropped_variance == dropped
+        # the step is priced as the d-dimensional one, 3 Gaussian columns
+        assert run.plain.step_cost == simulate._step_cost(sampler, 3, 0.01)
 
 
 class TestMultilevelForm:
