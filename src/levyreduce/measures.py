@@ -285,22 +285,27 @@ class VolatilityFunction:
     (d x K) of its range as G(x) = coeff(x) @ U^T.
 
     func maps states (n,) to the coefficients coeff (n, K).  basis is U;
-    None stands for the standard basis of R^d, where K = d and func is G
-    itself.  The equation sees the noise only through <G(x), dZ> =
-    <coeff(x), U^T dZ>, so a scheme may step the K coordinates U^T dZ in
-    place of dZ: one for a power form, whose range is its direction.
-    Calling with an array of states returns the (n, d) array G(x).
+    constructed without one, it is the identity of R^d, where K = d and
+    func is G itself.  The equation sees the noise only through <G(x),
+    dZ> = <coeff(x), U^T dZ>, so the Euler scheme steps the K
+    coordinates U^T dZ in place of dZ: one for a power form, whose range
+    is its direction.  Calling with an array of states returns the
+    (n, d) array G(x).
     """
 
     func: Callable
     dimension: int
     basis: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.basis is not None:
+            return
+        object.__setattr__(self, "basis", np.eye(self.dimension))
+
     def coefficients(self, x) -> np.ndarray:
         """coeff(x), (n, K), of states x (n,)."""
         out = np.asarray(self.func(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-        k = self.dimension if self.basis is None else self.basis.shape[1]
-        if out.ndim != 2 or out.shape[1] != k:
+        if out.ndim != 2 or out.shape[1] != self.basis.shape[1]:
             raise ValueError("volatility evaluator must return (n, K)")
         return out
 
@@ -314,11 +319,11 @@ class VolatilityFunction:
 
     def __call__(self, x) -> np.ndarray:
         scalar = np.ndim(x) == 0
+        # one product per entry for K = 1, the outer product coeff u^T;
+        # the identity basis gives a finite coeff back to the bit
+        u = self.basis.T
         out = self.coefficients(x)
-        if self.basis is not None:
-            # one product per entry for K = 1, the outer product coeff u^T
-            u = self.basis.T
-            out = out * u if u.shape[0] == 1 else out @ u
+        out = out * u if u.shape[0] == 1 else out @ u
         return out[0] if scalar else out
 
     @classmethod

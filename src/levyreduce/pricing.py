@@ -169,7 +169,8 @@ def mc_bond_prices(states, dt: float, taus) -> list:
     run's count.
     """
     if not isinstance(states, EulerRun):
-        integrals = _rate_integrals(states, dt, _maturity_cells(taus, dt))
+        nodes = ((r, None, 0) for r in states)
+        integrals = _block_integrals(nodes, dt, _maturity_cells(taus, dt), None)[0]
         return [_moments(np.exp(-integral)) for integral in integrals]
     leg = _MonteCarloLeg(states, taus)
     try:
@@ -231,21 +232,12 @@ class _RateIntegrals:
         return False
 
 
-def _rate_integrals(states, dt: float, cells) -> list:
-    """The rate integral over the paths at each maturity cell of the
-    states on the grid t = k dt."""
-    sums = _RateIntegrals(dt, cells)
-    for r in states:
-        if sums.add(r):
-            return sums.values
-    raise ValueError("a maturity exceeds the simulated horizon")
-
-
 def _block_integrals(nodes, dt: float, cells, coarse_cells):
     """(fine integrals, coarse integrals, proposals clipped) of the nodes
-    (state, coarse state, clipped) of one path block loop: the states on
-    the grid dt, the coarse states on the grid 2 dt at coarse_cells.
-    The coarse integrals are None when coarse_cells is."""
+    (state, coarse state, clipped) of one path block loop, or of a path
+    matrix's states as (state, None, 0): the states on the grid dt, the
+    coarse states on the grid 2 dt at coarse_cells.  The coarse
+    integrals are None when coarse_cells is."""
     fine = _RateIntegrals(dt, cells)
     coarse = None if coarse_cells is None else _RateIntegrals(2.0 * dt, coarse_cells)
     clipped = 0
@@ -347,14 +339,14 @@ class _MonteCarloLeg:
         self.pilot = min(_PATH_BLOCK, run.n_paths // _PILOT_SHARE)
         self.budget = (
             run.n_paths * run.n_steps,
-            _TIME_SHARE * run.plain.cost(run.n_paths, len(run.blocks)),
+            _TIME_SHARE * run.plain.cost(run.n_paths, len(_block_sizes(run.n_paths))),
         )
         levels = run.levels if multilevel and self.pilot >= _PILOT_MIN else ()
         if len(levels) > 1 and _fits(levels, [self.pilot] * len(levels), self.pilot, self.budget):
             self.tasks = [[(i, 0, self.pilot)] for i in range(len(levels))]
         else:
             levels = (run.plain,)
-            self.tasks = [[(0, j, n) for j, (n, _) in enumerate(run.blocks)]]
+            self.tasks = [[(0, j, n) for j, n in enumerate(_block_sizes(run.n_paths))]]
         self.levels = levels
         self.grids = [
             (level.dt, _maturity_cells(taus, level.dt),

@@ -71,11 +71,10 @@ _U_MIN = np.log(1e-280)
 _U_MAX = np.log(1e280)
 
 
-# Accuracy of every radial integral: relative and absolute tolerance,
+# Accuracy of every radial integral: the tolerance relative to its size,
 # the budget of extension decades per endpoint before a slow integral
 # is declared inconclusive, and the base window extension starts from.
 REL_TOL = 1e-9
-ABS_TOL = 1e-12
 MAX_DECADES = 400
 EPS_LOW = 1e-8
 R_HIGH = 1e8
@@ -320,10 +319,11 @@ def _extend(f, factor, cols, u_start, direction, scale_hint):
 
     Returns arrays (added_value, status, n_blocks) aligned with cols.
     scale_hint holds the magnitude of each column's integral gathered
-    so far; tolerances are taken relative to it (it is updated as blocks
-    accumulate).  The columns share each decade while they extend, but
-    every column keeps its own state and leaves the live set as soon as
-    it converges, diverges or closes its tail.
+    so far; tolerances are REL_TOL relative to it however small it is
+    (it is updated as blocks accumulate), so a column whose blocks are
+    exactly 0 converges at once.  The columns share each decade while
+    they extend, but every column keeps its own state and leaves the
+    live set as soon as it converges, diverges or closes its tail.
 
     A tail closes geometrically only across two blocks of one sign: the
     consistency test compares successive tail estimates, which is
@@ -360,7 +360,7 @@ def _extend(f, factor, cols, u_start, direction, scale_hint):
             live, block = live[finite], block[finite]
         added[live] += block
         scale[live] = np.maximum(scale[live], np.abs(added[live]))
-        tol = np.maximum(ABS_TOL, REL_TOL * scale[live])
+        tol = REL_TOL * scale[live]
         mag = np.abs(block)
 
         prev = prev_block[live]
@@ -395,7 +395,7 @@ def _extend(f, factor, cols, u_start, direction, scale_hint):
     # last ratio if the trend was decaying and the leftover is provably
     # small
     q = np.where((0 < ratio_prev) & (ratio_prev < 0.99), ratio_prev, np.nan)
-    small = np.abs(prev_block) * q / (1.0 - q) <= np.maximum(ABS_TOL, REL_TOL * scale) * 10
+    small = np.abs(prev_block) * q / (1.0 - q) <= REL_TOL * scale * 10
     status[(status == INCONCLUSIVE) & small] = CONVERGED
     return added, status, n_blocks
 

@@ -15,9 +15,10 @@ inverse-CDF tables or atom weights.  Its small jumps below the cutoff
 become a Gaussian of their covariance, drawn with the Wiener part
 (Asmussen and Rosinski 2001; Cohen and Rosinski 2007); the third
 moment they leave out is kept, and compare budgets that error.  The
-equation reads the noise only through <G(R), dZ>, so compound-Poisson
-and Gaussian increments are drawn in the coordinates of a basis of the
-range of G: one column for a power G, d for a tabulated one.
+equation reads the noise only through <G(R), dZ>, so every run draws
+its increments in the coordinates of a basis of the range of G: one
+column for a power G, as in the reduction's C R^(1/alpha) dZ^alpha,
+and d for a tabulated one.
 
 The Euler loop runs behind an EulerRun, which yields the float64
 states as the scheme steps.  A run splits its paths into fixed blocks
@@ -80,10 +81,10 @@ _PATH_BLOCK = 10_000
 # that the multilevel allocation was tuned on; timed, an atom cost about
 # 19 us + 26 ns, and the fixed-to-per-path ratio of a step stayed at 750
 # to 850 paths from 1 to 8 atoms.  The table prices the d-dimensional
-# step, with d jump and d Gaussian columns, also where original_run
-# steps the K columns of G's basis, so a leg's budget and allocation do
-# not depend on G; the projected step has about the same fixed cost and
-# a smaller cost per path
+# step, with d jump and d Gaussian columns, although every run steps the
+# K columns of G's basis, so a leg's budget and allocation do not depend
+# on G; the projected step has about the same fixed cost and a smaller
+# cost per path
 _STEP_COSTS = np.array([
     [7_000.0, 6.0],  # Euler step
     [44_350.0, 40.5],  # per exact stable atom
@@ -209,11 +210,11 @@ class PathEnsemble(_SchemeSlack):
 class EulerRun(_SchemeSlack):
     """One run of a full-truncation Euler scheme, stepped as it is read.
 
-    plain is the run itself as one uncoupled EulerLevel, and blocks
-    holds one (paths, loop) pair per path block of it, in path order;
-    loop() starts that block's Euler loop, which yields the nodes
-    (state, None, proposals clipped) of _original_steps at t = k dt for
-    k = 0..n_steps.  Iterating the run steps every block in lockstep and
+    plain is the run itself as one uncoupled EulerLevel, whose path
+    block j holds _block_sizes(n_paths)[j] paths: plain.block(j, n)
+    starts that block's Euler loop, which yields the nodes (state, None,
+    proposals clipped) of _original_steps at t = k dt for k =
+    0..n_steps.  Iterating the run steps every block in lockstep and
     yields their states concatenated, each a fresh (n_paths,) float64
     array, so a reader may keep any of them; the run itself keeps none.
     A reader that steps the blocks one by one adds their clipped counts
@@ -227,9 +228,6 @@ class EulerRun(_SchemeSlack):
     def __init__(self, steps, dt, n_steps, n_paths, rng, jumps, step_cost):
         self.seed = _seed_tag(rng)
         self.plain = EulerLevel(None, dt, n_steps, False, steps, self.seed, step_cost)
-        self.blocks = tuple(
-            (n, partial(self.plain.block, j, n)) for j, n in enumerate(_block_sizes(n_paths))
-        )
         self.levels = _levels(self.plain)
         self.clipped = 0
         self.dt = dt
@@ -241,7 +239,8 @@ class EulerRun(_SchemeSlack):
         self.dropped_variance = None if jumps is None else jumps.dropped_variance
 
     def __iter__(self):
-        for nodes in zip(*(loop() for _, loop in self.blocks)):
+        loops = [self.plain.block(j, n) for j, n in enumerate(_block_sizes(self.n_paths))]
+        for nodes in zip(*loops):
             self.clipped += sum(clipped for _, _, clipped in nodes)
             if len(nodes) == 1:
                 yield nodes[0][0]
@@ -357,17 +356,18 @@ def reduced_run(
 ) -> EulerRun:
     """Full-truncation Euler scheme for the one-factor stable-CIR rate.
 
-    It steps original_run's loop on the original equation with d = 1:
-    one atom of weight 1 under r^-(1+alpha) dr, drawn by its exact
-    stable sampler, and G(x) = C x^(1/alpha).  model may be any object
-    with fields a, b, C, alpha; C = 0 degenerates to the drift ODE.  rng
-    is an RngStream or an integer seed.
+    It is original_run's scheme on the original equation with d = 1:
+    one atom xi = 1 of weight 1 under r^-(1+alpha) dr, drawn by its
+    exact stable sampler, no Wiener part, and G(x) = C x^(1/alpha).
+    model may be any object with fields a, b, C, alpha; C = 0
+    degenerates to the drift ODE.  rng is an RngStream or an integer
+    seed.
     """
     dt = _checked_step(x0, horizon, n_steps, n_paths)
     sampler = StableAtomSampler(np.ones((1, 1)), np.array([model.alpha]), np.ones(1))
     G = VolatilityFunction.power(1.0 / model.alpha, [model.C])
-    steps = partial(_original_steps, G, sampler, None, G.basis, model.a, model.b, x0)
-    return EulerRun(steps, dt, n_steps, n_paths, rng, None, _step_cost(sampler, 0, dt))
+    q = np.zeros((1, 1))
+    return _euler_run(G, sampler, q, model.a, model.b, x0, dt, n_steps, n_paths, rng)
 
 
 def simulate_reduced(
@@ -703,64 +703,61 @@ def original_run(
     the path blocks, each drawing from its own child stream of rng, an
     RngStream or an integer seed.
 
-    Under compound-Poisson jumps the loop steps dZ in the coordinates of
-    G's basis U (d x K), U^T dZ, which is all that <G(R), dZ> reads: the
-    sampler's directions and mean flux are projected on U once, and the
-    Gaussian covariance Q + small_cov becomes U^T (Q + small_cov) U.  A
-    power G steps one coordinate, one normal and one jump column per
-    path-step, where the d-dimensional increment takes d of each; a G in
-    the standard basis steps dZ itself.  Exact increments stay in d
-    coordinates and are lifted to U's at each step: their cost is one
-    stable draw per atom whatever the columns, and the coupled leg's
-    pair sums, taken before the lift, keep the rounding of the
-    d-dimensional step.  The step is priced as the d-dimensional one
-    (_step_cost of the unprojected sampler and d Gaussian columns), so
-    the leg's budget and allocation do not depend on G's basis.
-
-    The run's levels hold its multilevel form (see _levels), under
-    either sampler: at a fixed cutoff the sum of two compound-Poisson
-    and Gaussian increments over dt has the law of one over 2 dt, as
-    the sum of two exact stable increments has.
+    The run steps dZ in the coordinates of G's basis U (see _euler_run),
+    under either sampler.  The run's levels hold its multilevel form
+    (see _levels), under either sampler too: at a fixed cutoff the sum
+    of two compound-Poisson and Gaussian increments over dt has the law
+    of one over 2 dt, as the sum of two exact stable increments has.
     """
     if b < 0:
         raise ValueError("b must be nonnegative")
     dt = _checked_step(x0, horizon, n_steps, n_paths)
-
-    jumps = None
     q = np.asarray(spec.wiener_cov, dtype=float)
     sampler = stable_atom_sampler(spec, eps, dt)
     if sampler is None:
-        sampler = jumps = truncated_jump_sampler(spec, eps)[0]
-        q = q + jumps.small_cov
-    cost = _step_cost(sampler, q.shape[0] if np.any(q != 0.0) else 0, dt)
+        sampler = truncated_jump_sampler(spec, eps)[0]
+        q = q + sampler.small_cov
+    return _euler_run(G, sampler, q, a, b, x0, dt, n_steps, n_paths, rng)
 
-    lift = G.basis
-    if lift is not None and jumps is not None:
-        # draw U^T dZ: K jump columns and K normals per path
-        sampler = replace(
-            jumps, directions=jumps.directions @ lift, mean_flux=jumps.mean_flux @ lift
-        )
-        q = lift.T @ q @ lift
-        lift = None
+
+def _euler_run(G, sampler, q, a, b, x0, dt, n_steps, n_paths, rng) -> EulerRun:
+    """The EulerRun of dR = (aR+b)dt + <G(R), dZ> whose increments dZ are
+    sampler's jumps plus a Gaussian of covariance q dt.
+
+    The loop steps dZ in the coordinates of G's basis U (d x K), U^T dZ,
+    which is all that <G(R), dZ> reads: the sampler's directions, and a
+    compound-Poisson sampler's mean flux, are projected on U once, and
+    q becomes U^T q U.  A power G steps one coordinate, one normal and
+    one jump column per path-step, where dZ takes d of each; a G in the
+    standard basis steps dZ itself.  The step is priced as the
+    d-dimensional one (_step_cost of the unprojected sampler and d
+    Gaussian columns), so a leg's budget and allocation do not depend on
+    G's basis.  A compound-Poisson sampler is kept unprojected as the
+    run's jumps.
+    """
+    jumps = sampler if isinstance(sampler, JumpSampler) else None
+    cost = _step_cost(sampler, q.shape[0] if np.any(q != 0.0) else 0, dt)
+    U = G.basis
+    sampler = replace(sampler, directions=sampler.directions @ U)
+    if jumps is not None:
+        sampler = replace(sampler, mean_flux=jumps.mean_flux @ U)
+    q = U.T @ q @ U
+    root = None
     if np.any(q != 0.0):
         w, vecs = np.linalg.eigh(q)
         root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    else:
-        root = None
-
-    steps = partial(_original_steps, G, sampler, root, lift, a, b, x0)
+    steps = partial(_original_steps, G, sampler, root, a, b, x0)
     return EulerRun(steps, dt, n_steps, n_paths, rng, jumps, cost)
 
 
-def _original_steps(G, sampler, root, lift, a, b, x0, dt, n_steps, coupled, n_paths, gen):
+def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen):
     """The Euler loop of one path block: (state, coarse state, proposals
     clipped) at each node t = k dt.
 
     Each step draws the increments dz from sampler, adds root's Gaussian,
-    one normal per column of dz, and contracts dz @ lift, or dz itself
-    without lift, with G's coefficients (G.inner).  original_run chooses
-    the columns: K, those of G's basis, for a projected sampler and root,
-    or d with lift the basis.  With coupled, a coarse leg steps at 2 dt
+    one normal per column of dz, and contracts dz with G's coefficients
+    (G.inner); _euler_run projects sampler and root, so dz has the K
+    columns of G's basis.  With coupled, a coarse leg steps at 2 dt
     beside the fine one, on the sum of each pair of fine increments,
     Wiener part included; its state comes at the even nodes, None at the
     odd ones, and the clipped count covers both legs.  Without, the
@@ -780,7 +777,7 @@ def _original_steps(G, sampler, root, lift, a, b, x0, dt, n_steps, coupled, n_pa
             np.dot(noise, root.T, out=mixed)
             mixed *= np.sqrt(dt)
             dz += mixed
-        r, clipped = _euler_step(G, a, b, r, dt, dz, lift)
+        r, clipped = _euler_step(G, a, b, r, dt, dz)
         if not coupled:
             yield r, None, clipped
         elif k % 2:
@@ -789,7 +786,7 @@ def _original_steps(G, sampler, root, lift, a, b, x0, dt, n_steps, coupled, n_pa
             yield r, None, clipped
         else:
             pair += dz
-            coarse, coarse_clipped = _euler_step(G, a, b, coarse, 2.0 * dt, pair, lift)
+            coarse, coarse_clipped = _euler_step(G, a, b, coarse, 2.0 * dt, pair)
             yield r, coarse, clipped + coarse_clipped
 
 
@@ -807,13 +804,10 @@ def _step_cost(sampler, columns: int, dt: float) -> tuple:
     return float(fixed), float(per_path)
 
 
-def _euler_step(G, a, b, r, dt, dz, lift):
+def _euler_step(G, a, b, r, dt, dz):
     """The full-truncation Euler step over dt from the states r with the
-    increments dz, in the coordinates of G's basis or lifted to them by
-    dz @ lift: (next states, proposals clipped at zero)."""
-    if lift is not None:
-        # np.dot, as @ leaves BLAS and is 6x slower for d = 1
-        dz = np.dot(dz, lift)
+    increments dz in the coordinates of G's basis: (next states,
+    proposals clipped at zero)."""
     # r is clipped already, so G reads the clipped state
     r = r + (a * r + b) * dt + G.inner(r, dz)
     clipped = int(np.count_nonzero(r < 0.0))

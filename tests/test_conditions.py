@@ -222,6 +222,12 @@ class TestRadialBalance:
         assert report.overall_pass
         assert k_hat == pytest.approx(3.0, abs=1e-6)
 
+    def test_proportional_family_is_resolved_to_rounding(self, cos_spec):
+        # the scales 3/2 and 1/2 at theta = 0 and pi give K = 3 exactly;
+        # every exponent of the ratio is held to its own relative accuracy
+        k_hat, _ = radial_balance(cos_spec)
+        assert k_hat == pytest.approx(3.0, rel=0.0, abs=1e-12)
+
     def test_degenerate_direction_raises(self, two_atom_spherical):
         def family(xi):
             if xi[0] > 0.5:

@@ -101,6 +101,13 @@ class TestLaplaceRadial:
             exact = stable_coefficient(alpha) * b**alpha
             np.testing.assert_allclose(laplace_radial(power_radial(alpha), b), exact, rtol=1e-10)
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.9])
+    def test_small_argument_holds_relative_accuracy(self, alpha):
+        # J(1e-4) is below 1e-6: its tail closes to REL_TOL of its own
+        # magnitude, not to an absolute floor
+        j = laplace_radial(power_radial(alpha), 1e-4)
+        assert j == pytest.approx(stable_coefficient(alpha) * 1e-4**alpha, rel=1e-10, abs=0.0)
+
     def test_zero_argument(self):
         assert laplace_radial(power_radial(1.5), 0.0) == 0.0
         assert laplace_radial(RadialMeasure(atoms=((1.0, 1.0),)), 0.0) == 0.0

@@ -231,9 +231,8 @@ class TestVolatilityFunction:
         rng = np.random.default_rng(7)
         x = np.concatenate([[0.0, 1e-300, 1.0], rng.gamma(2.0, 0.5, 500)])
         dz = rng.exponential(size=(x.size, 3))
-        basis = np.eye(3) if G.basis is None else G.basis
         expected = np.einsum("ij,ij->i", G(x), dz)
-        np.testing.assert_allclose(G.inner(x, dz @ basis), expected, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(G.inner(x, dz @ G.basis), expected, rtol=1e-15, atol=0.0)
 
     def test_power_form_has_its_direction_as_basis(self):
         x = np.geomspace(1e-8, 1e3, 50)
@@ -243,6 +242,21 @@ class TestVolatilityFunction:
         assert np.array_equal(G.coefficients(x), x[:, None] ** 0.6)
         dz = np.random.default_rng(3).standard_normal((x.size, 1))
         assert np.array_equal(G.inner(x, dz), x**0.6 * dz[:, 0])
+
+    def test_tabulated_form_has_the_identity_basis(self):
+        grid = np.array([0.0, 1.0, 1e3])
+        table = np.array([[0.0, 0.5, 1.0], [1.0, 2.0, 0.2], [3.0, 1.0, 4.0]])
+        G = VolatilityFunction.tabulated(grid, table)
+        assert np.array_equal(G.basis, np.eye(3))
+        rng = np.random.default_rng(5)
+        x = np.concatenate([[0.0, 1e-300, 1.0, 2e3], rng.gamma(2.0, 0.5, 500)])
+        expected = np.column_stack([np.interp(x, grid, table[:, k]) for k in range(3)])
+        assert np.array_equal(G(x), expected)
+        assert np.array_equal(G.coefficients(x), expected)
+        # a plain VolatilityFunction(func, d) gets the identity too
+        plain = VolatilityFunction(lambda s: np.ones((len(s), 2)), 2)
+        assert np.array_equal(plain.basis, np.eye(2))
+        assert np.array_equal(plain(x), np.ones((x.size, 2)))
 
     def test_scalar_call_returns_vector(self, example_vol):
         out = example_vol(4.0)

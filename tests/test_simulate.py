@@ -859,23 +859,52 @@ def gaussian_root(q):
     return vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
-def block_increments(spec, eps, dt, n_paths, gen):
-    """The increments of an Euler step of original_run with its Wiener
-    part formed through @, drawn from gen in the loop's order."""
+def projected_increments(G, spec, eps, dt, n_paths, gen):
+    """The increments U^T dZ of an exact Euler step of original_run, for
+    U = G.basis, with the Gaussian formed through @ and drawn from gen in
+    the loop's order: the atom directions projected on U, and K normals
+    per path mixed by the root of U^T Q U."""
+    U = G.basis
     sampler = stable_atom_sampler(spec, eps, dt)
-    root = gaussian_root(spec.wiener_cov)
+    sampler = dataclasses.replace(sampler, directions=sampler.directions @ U)
+    q = U.T @ spec.wiener_cov @ U
+    root = gaussian_root(q) if np.any(q != 0.0) else None
     while True:
         dz = sampler.sample_increment(dt, n_paths, gen)
-        dz += gen.standard_normal((n_paths, root.shape[0])) @ root.T * np.sqrt(dt)
+        if root is not None:
+            dz += gen.standard_normal((n_paths, len(q))) @ root.T * np.sqrt(dt)
         yield dz
 
 
 def euler_step(G, r, dt, dz, a=-0.5, b=0.1):
-    """The step of an exact run: its d-dimensional increments dz lifted to
-    the coordinates of the power G's direction."""
-    r = r + (a * r + b) * dt + G.inner(r, np.dot(dz, G.basis))
+    """The full-truncation Euler step on increments dz in the coordinates
+    of G's basis."""
+    r = r + (a * r + b) * dt + G.inner(r, dz)
     np.maximum(r, 0.0, out=r)
     return r
+
+
+def assert_coupled_level_steps_the_pair_sums(run, spec, G, eps, seed, j=5):
+    """The finest level of run is coupled; its block j steps the fine leg
+    on the projected increments of its stream (index, j), and the coarse
+    leg at 2 dt on the sum of each pair of them, to the bit."""
+    level = run.levels[-1]
+    assert (level.dt, level.n_steps, level.coupled) == (0.01, 20, True)
+    gen = np.random.default_rng(np.random.SeedSequence([seed, 0], spawn_key=(level.index, j)))
+    increments = projected_increments(G, spec, eps, 0.01, 300, gen)
+    r = coarse = np.ones(300)
+    for k, (state, coarse_state, _) in enumerate(level.block(j, 300)):
+        if k:
+            dz = next(increments)
+            r = euler_step(G, r, 0.01, dz)
+        assert np.array_equal(state, r)
+        if k % 2:
+            first = dz
+            assert coarse_state is None
+            continue
+        if k:
+            coarse = euler_step(G, coarse, 0.02, first + dz)
+        assert np.array_equal(coarse_state, coarse)
 
 
 def d_dimensional_states(spec, eps, dt, n_steps, n_paths, gen, contract, a=-0.5, b=0.1):
@@ -921,8 +950,8 @@ class CountingGenerator(np.random.Generator):
 
 
 class TestProjectedStep:
-    """Under compound-Poisson jumps the loop steps U^T dZ, the coordinates
-    of the increment in G's basis U; exact increments keep d."""
+    """Every run steps U^T dZ, the coordinates of the increment in G's
+    basis U, under exact and compound-Poisson increments alike."""
 
     def test_tabulated_run_equals_the_d_dimensional_loop(self):
         # U = I: the run steps the d-dimensional increment itself
@@ -931,7 +960,7 @@ class TestProjectedStep:
             [0.0, 1.0, 5.0], [[0.0, 0.0, 0.0], [1.0, 0.5, 0.2], [2.0, 3.0, 1.0]]
         )
         run = original_run(G, spec, -0.5, 0.1, 1.0, 0.1, 0.2, 20, 300, RngStream(8))
-        assert run.scheme == "compound_poisson" and G.basis is None
+        assert run.scheme == "compound_poisson" and np.array_equal(G.basis, np.eye(3))
         gen = np.random.default_rng(np.random.SeedSequence([8, 0], spawn_key=(0,)))
         contract = lambda r, dz: np.einsum("ij,ij->i", G(r), dz)  # noqa: E731
         reference = d_dimensional_states(spec, 0.1, 0.01, 20, 300, gen, contract)
@@ -939,8 +968,9 @@ class TestProjectedStep:
             assert np.array_equal(state, expected)
 
     def test_worked_exact_run_equals_the_d_dimensional_loop(self, example_spec, example_vol):
-        # exact increments stay in d coordinates, so the run keeps the
-        # contraction x^(2/3) <dz, u> of the d-dimensional loop to the bit
+        # on axis atoms the projected directions are u's entries, so the
+        # projected step keeps the contraction x^(2/3) <dz, u> of the
+        # d-dimensional loop to the bit
         run = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 0.2, 20, 300, 9)
         assert run.scheme == "exact_stable"
         gen = np.random.default_rng(np.random.SeedSequence([9, 0], spawn_key=(0,)))
@@ -952,11 +982,11 @@ class TestProjectedStep:
 
     @pytest.mark.parametrize(
         "case, columns",
-        [("power", 1), ("tabulated", 3), ("exact", 2)],
+        [("power", 1), ("tabulated", 3), ("exact", 1)],
     )
     def test_generator_sees_one_normal_per_column(self, case, columns):
-        # compound-Poisson jumps step the K columns of G's basis; exact
-        # increments step all d
+        # every run steps the K columns of G's basis: one for a power G
+        # under exact and compound-Poisson increments alike
         spec = wiener_spec(2) if case == "exact" else sixteen_gaussian_jump_spec()
         if case == "tabulated":
             G = VolatilityFunction.tabulated([0.0, 2.0], [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
@@ -1036,8 +1066,9 @@ class TestMultilevelForm:
     def test_wiener_increments_match_the_matmul_form(self, d):
         spec, G = wiener_spec(d), VolatilityFunction.power(2.0 / 3.0, [1.0] * d)
         run = original_run(G, spec, -0.5, 0.1, 1.0, 1e-3, 0.2, 20, 300, RngStream(7))
+        assert run.scheme == "exact_stable"
         gen = np.random.default_rng(np.random.SeedSequence([7, 0], spawn_key=(0,)))
-        increments = block_increments(spec, 1e-3, 0.01, 300, gen)
+        increments = projected_increments(G, spec, 1e-3, 0.01, 300, gen)
         r = np.ones(300)
         for k, state in enumerate(run):
             if k:
@@ -1049,23 +1080,15 @@ class TestMultilevelForm:
         # leg steps 2 dt on the sum of each pair, Wiener part included
         spec, G = wiener_spec(2), VolatilityFunction.power(2.0 / 3.0, [1.0, 1.0])
         run = original_run(G, spec, -0.5, 0.1, 1.0, 1e-3, 0.2, 20, 300, RngStream(4))
-        level = run.levels[-1]
-        assert (level.dt, level.n_steps, level.coupled) == (0.01, 20, True)
-        gen = np.random.default_rng(np.random.SeedSequence([4, 0], spawn_key=(level.index, 5)))
-        increments = block_increments(spec, 1e-3, 0.01, 300, gen)
-        r = coarse = np.ones(300)
-        for k, (state, coarse_state, _) in enumerate(level.block(5, 300)):
-            if k:
-                dz = next(increments)
-                r = euler_step(G, r, 0.01, dz)
-            assert np.array_equal(state, r)
-            if k % 2:
-                first = dz
-                assert coarse_state is None
-                continue
-            if k:
-                coarse = euler_step(G, coarse, 0.02, first + dz)
-            assert np.array_equal(coarse_state, coarse)
+        assert run.scheme == "exact_stable"
+        assert_coupled_level_steps_the_pair_sums(run, spec, G, 1e-3, 4)
+
+    def test_worked_coupled_level_steps_the_projected_pair_sums(self, example_spec, example_vol):
+        # worked's shape: two exact axis atoms and G = x^(2/3) (1, 1); the
+        # coarse leg adds the pair sums in the one coordinate of G's basis
+        run = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 0.2, 20, 300, 12)
+        assert run.scheme == "exact_stable"
+        assert_coupled_level_steps_the_pair_sums(run, example_spec, example_vol, 3e-3, 12)
 
     def test_pair_sums_of_exact_increments_have_the_double_step_law(self, example_spec):
         # as criterion 09: two-sample KS statistic below 0.01 at 100k draws
