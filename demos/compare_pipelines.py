@@ -3,10 +3,11 @@
 Runs check, reduce, simulate, price, and compare in sequence against
 demos/configs/example1.json, writing all artifacts under demos/out/.
 The compare stage prices the two-dimensional equation by multilevel
-Monte Carlo with exact per-atom stable increments: the path-step budget
-of 20k paths x 1000 steps is spread over levels at dt 0.016, 0.008,
-0.004 and 0.002, whose path blocks step on one forked worker per usable
-CPU while the model is reduced.  It verifies the Monte Carlo bond
+Monte Carlo with exact per-atom stable increments: its 1000 steps of
+0.002 round up to 1008, and the path-step budget of 20k paths x 1000
+steps is spread over levels at dt 2/63 (about 0.0317) down to 2/1008,
+whose path blocks step on one forked worker per usable CPU while the
+model is reduced.  It verifies the Monte Carlo bond
 prices against the Riccati prices of the reduced model; the whole run
 takes about one and a half seconds on two vCPUs.
 

@@ -28,7 +28,7 @@ from .measures import (
     RadialMeasure,
     radial_integral,
 )
-from .quadrature import CONVERGED, DIVERGENT, improper_integral
+from .quadrature import CONVERGED, DIVERGENT, _distinct, improper_integral
 from .spherical import (
     _per_measure,
     _sample_directions,
@@ -39,7 +39,7 @@ from .spherical import (
 
 BALANCE_B_GRID = np.logspace(-3.0, 3.0, 25)
 # the balance grid extended by a decade at each end
-_BALANCE_WIDE_B_GRID = np.unique(
+_BALANCE_WIDE_B_GRID = _distinct(
     np.concatenate([BALANCE_B_GRID, np.logspace(-4.0, -3.0, 5), np.logspace(3.0, 4.0, 5)])
 )
 EPS_GRID_DEFAULT = np.logspace(-2.0, -8.0, 13)
@@ -348,7 +348,7 @@ def q_ratios(gamma_lower: RadialMeasure, gamma_upper: RadialMeasure, eps_grid=No
     passed.  Returns (q0, q_inf, CheckReport).
     """
     eps = np.asarray(EPS_GRID_DEFAULT if eps_grid is None else eps_grid, dtype=float)
-    eps = np.unique(eps)[::-1]
+    eps = _distinct(eps)[::-1]
     if eps.size == 0 or np.any(eps <= 0) or np.any(eps >= 1):
         raise ValueError("eps_grid must lie strictly inside (0, 1)")
 

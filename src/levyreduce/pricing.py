@@ -28,6 +28,7 @@ from .simulate import (
     RngStream,
     _block_sizes,
     _gaussian_cutoff,
+    _ladder_steps,
     original_run,
     stable_atom_sampler,
 )
@@ -265,24 +266,24 @@ def _fits(levels, paths, pilot: int, budget) -> bool:
     """Whether paths[l] paths of each level, pilot block first, stay
     within budget: (path-steps, modelled time)."""
     steps = sum(level.path_steps * n for level, n in zip(levels, paths))
-    time = sum(
-        level.cost(n, 1 + len(_block_sizes(n, pilot))) for level, n in zip(levels, paths)
-    )
+    time = sum(level.cost([pilot, *_block_sizes(n, pilot)]) for level, n in zip(levels, paths))
     return steps <= budget[0] and time <= budget[1]
 
 
 def _allocation(levels, variances, pilot: int, budget) -> list:
     """The paths of each level, its pilot included: level l gets
     floor(k sqrt(V_l / C_l)), for V_l its variance and C_l the modelled
-    time of one of its paths, at the largest k that _fits the budget.
-    A level keeps its pilot alone where that count would add fewer than
-    sqrt(pilot F / P) paths to it, for F and P the fixed and per-path
-    time of a step: so few paths cost more in fixed step costs than
-    spending that time on the other levels saves.  The pilots alone
-    must fit the budget."""
-    weights = [np.sqrt(v / level.cost(1, 0)) for level, v in zip(levels, variances)]
-    fixed, per_path = levels[-1].step_cost
-    least = pilot + np.sqrt(pilot * fixed / per_path)
+    time of one more of its paths (EulerLevel.path_cost), at the largest
+    k that _fits the budget.  A level keeps its pilot alone where that
+    count would add fewer than sqrt(pilot F / P) paths to it, for F and
+    P the fixed and per-path time of a step of a batched block: F the
+    Euler step's, P the per-path time plus the share of a draw's fixed
+    time of each of the _PATH_BLOCK path-steps it holds.  So few paths
+    cost more in fixed step costs than spending that time on the other
+    levels saves.  The pilots alone must fit the budget."""
+    weights = [np.sqrt(v / level.path_cost) for level, v in zip(levels, variances)]
+    step, draw, per_path = levels[-1].step_cost
+    least = pilot + np.sqrt(pilot * step / (per_path + draw / _PATH_BLOCK))
 
     def paths(k):
         return [n if n >= least else pilot for n in (int(k * w) for w in weights)]
@@ -311,13 +312,16 @@ class _MonteCarloLeg:
     order.  The price is the sum over the levels of their means, its
     standard error the root of the sum of their squared standard errors.
 
-    With multilevel set, a run of several levels whose pilots fit first
-    steps a pilot block of the same size on every level, then, from the
-    variances the pilots measure, the further blocks that _allocation
-    gives each level.  All of it spends at most the plain run's
-    path-steps n_paths * n_steps and _TIME_SHARE of its modelled time
-    (see EulerLevel.cost).  Otherwise the leg prices the plain level,
-    and its tasks are the run's blocks.
+    With budget_steps set, a run of several levels whose pilots fit
+    first steps a pilot block of the same size on every level, then,
+    from the variances the pilots measure, the further blocks that
+    _allocation gives each level.  All of it spends at most the
+    path-steps n_paths * budget_steps of the plain run at budget_steps
+    steps and _TIME_SHARE of its modelled time (see EulerRun.cost).  A
+    level's block of fewer than _PATH_BLOCK paths draws the increments
+    of several steps at once, and pays its draw's fixed time once per
+    draw (see EulerLevel.cost).  Otherwise the leg prices the plain
+    level, one draw per step, and its tasks are the run's blocks.
 
     With two or more usable CPUs, the tasks step on forked workers as the
     leg is made: at most one worker per task of the first phase and one
@@ -334,14 +338,13 @@ class _MonteCarloLeg:
     package afresh and rebuilding them.
     """
 
-    def __init__(self, run: EulerRun, taus, multilevel: bool = False):
+    def __init__(self, run: EulerRun, taus, budget_steps: int | None = None):
         self.run, self.taus = run, taus
         self.pilot = min(_PATH_BLOCK, run.n_paths // _PILOT_SHARE)
-        self.budget = (
-            run.n_paths * run.n_steps,
-            _TIME_SHARE * run.plain.cost(run.n_paths, len(_block_sizes(run.n_paths))),
-        )
-        levels = run.levels if multilevel and self.pilot >= _PILOT_MIN else ()
+        levels, self.budget = (), None
+        if budget_steps is not None and self.pilot >= _PILOT_MIN:
+            levels = run.levels
+            self.budget = (run.n_paths * budget_steps, _TIME_SHARE * run.cost(budget_steps))
         if len(levels) > 1 and _fits(levels, [self.pilot] * len(levels), self.pilot, self.budget):
             self.tasks = [[(i, 0, self.pilot)] for i in range(len(levels))]
         else:
@@ -407,7 +410,7 @@ class _MonteCarloLeg:
         self.results.update(step_all(self._costliest_first(rest)))
 
     def _costliest_first(self, tasks) -> list:
-        return sorted(tasks, key=lambda task: self.levels[task[0]].cost(task[2], 1), reverse=True)
+        return sorted(tasks, key=lambda task: self.levels[task[0]].cost([task[2]]), reverse=True)
 
     def _step_here(self, tasks) -> dict:
         return {task: self.step(task) for task in tasks}
@@ -545,10 +548,13 @@ def _moments(disc: np.ndarray):
 class SimConfig:
     """Monte Carlo settings for the comparison pipeline.
 
-    n_paths paths of horizon / dt steps are the Monte Carlo budget of
-    compare_term_structures: a multilevel leg spreads no more path-steps
-    than n_paths * n_steps over its levels, pilots included, and it
-    steps the finest of them at the step the plain run would take.
+    n_paths paths of n_steps = round(horizon / dt) steps are the Monte
+    Carlo budget of compare_term_structures: a multilevel leg spreads no
+    more path-steps than n_paths * n_steps, and no more than _TIME_SHARE
+    of their modelled time, over its levels, pilots included.  Its run
+    takes n_steps rounded up by _ladder_steps, so the finest level steps
+    horizon over that count, never more than dt, and the ladder reaches
+    a coarsest level of at least _COARSEST_STEPS steps.
     """
 
     dt: float = 1e-3
@@ -595,13 +601,20 @@ def compare_term_structures(
     raises, the workers are stopped and joined without waiting for
     their blocks.
 
-    The leg is multilevel when the step count is even (see
-    _MonteCarloLeg): levels at dt, 2 dt, 4 dt, ... while the step count
-    stays even, each coupled to the next coarser one through the sum of
-    its increments, so the estimate keeps the bias of the plain run at
-    dt.  A pilot block on every level sets how the budget of SimConfig
-    is spread over them.  Otherwise it is the plain run at dt.  SE is
-    the standard error of the estimate either way.
+    The run steps dt = horizon / n for n = _ladder_steps(round(horizon
+    / sim_cfg.dt)): the configured count when its own ladder is deep
+    enough, else the least odd multiple of 2^L above it, whose ladder
+    halves the step L times down to at least _COARSEST_STEPS steps.  So
+    dt is never larger than sim_cfg.dt.  The leg is multilevel when n
+    is even (see _MonteCarloLeg): levels at dt, 2 dt, 4 dt, ... while
+    the step count stays even, each coupled to the next coarser one
+    through the sum of its increments, so the estimate keeps the bias of
+    the plain run at dt.  A pilot block on every level sets how the
+    budget of SimConfig, the plain run's at the configured count, is
+    spread over them; a level's blocks of fewer than _PATH_BLOCK paths
+    draw several steps at once (see EulerLevel.batch).  Otherwise it is
+    the plain run at dt.  SE is the standard error of the estimate
+    either way.
 
     original_run picks exact stable increments or compound-Poisson jumps
     at the configured eps, as simulate does.  For compound-Poisson jumps
@@ -615,10 +628,10 @@ def compare_term_structures(
     Each maturity passes when |MC - ODE| <= 3 SE + scheme tolerance.
     The scheme tolerance is built from the error terms of the scheme
     the leg runs: a margin of one step the run took (run.dt, horizon
-    over the step count) for the Euler bias, plus, for compound-Poisson
-    jumps, the error of the Gaussian in place of the small jumps,
-    |m3| / 6 G(x0)^3 int_0^tau B(s)^3 ds P(tau), for m3 the third
-    moment of the small jumps projected on G(x0) (JumpSampler.
+    over the rounded step count n) for the Euler bias, plus, for
+    compound-Poisson jumps, the error of the Gaussian in place of the
+    small jumps, |m3| / 6 G(x0)^3 int_0^tau B(s)^3 ds P(tau), for m3 the
+    third moment of the small jumps projected on G(x0) (JumpSampler.
     third_moment) and B, P the Riccati leg's.  summary names the scheme
     and its numerical slack, and the leg's levels (see
     _MonteCarloLeg.summary), which do not enter the band.
@@ -633,16 +646,17 @@ def compare_term_structures(
         if horizon == 0.0:
             raise ValueError("need at least one positive maturity")
         n_steps = max(int(round(horizon / sim_cfg.dt)), 1)
-        eps, dt = sim_cfg.eps, horizon / n_steps
+        steps = _ladder_steps(n_steps)
+        eps, dt = sim_cfg.eps, horizon / steps
         if stable_atom_sampler(spec, eps, dt) is None:
             s = np.linspace(0.0, horizon, 257)
             bound = np.expm1(a * s) / a if a else s
             cap = 6.0 * _DT_MARGIN * dt / np.trapezoid(bound**3, s)
             eps = _gaussian_cutoff(G, spec, x0, eps, cap)
         run = original_run(
-            G, spec, a, b, x0, eps, horizon, n_steps, sim_cfg.n_paths, RngStream(sim_cfg.seed)
+            G, spec, a, b, x0, eps, horizon, steps, sim_cfg.n_paths, RngStream(sim_cfg.seed)
         )
-        leg = _MonteCarloLeg(run, taus, multilevel=True)
+        leg = _MonteCarloLeg(run, taus, budget_steps=n_steps)
     except Exception as exc:
         # re-raised once the reduction has returned, as when the
         # reduction ran before the leg was set up

@@ -37,7 +37,12 @@ own increments; with an odd one, the plain run alone.  The sum of two
 exact increments over dt is an exact increment over 2 dt, and at a
 fixed cutoff so is the sum of two compound-Poisson and Gaussian ones,
 so the coarse leg has the law of a plain run at 2 dt and draws nothing
-of its own (Dereich 2011).
+of its own (Dereich 2011).  compare rounds its step count with
+_ladder_steps, so that the ladder reaches _COARSEST_STEPS steps.  A
+level's block of fewer than _PATH_BLOCK paths draws the increments of
+several steps in one call, as many as _PATH_BLOCK path-steps hold:
+the path-steps of one draw are i.i.d., so each step's increments keep
+their law, and the draw's fixed cost is paid once per batch.
 """
 
 from __future__ import annotations
@@ -84,7 +89,13 @@ _PATH_BLOCK = 10_000
 # step, with d jump and d Gaussian columns, although every run steps the
 # K columns of G's basis, so a leg's budget and allocation do not depend
 # on G; the projected step has about the same fixed cost and a smaller
-# cost per path
+# cost per path.  The fixed time of every row but the first is the
+# draw's: a batched block (see EulerLevel.batch) pays it once per draw
+# of several steps, and the Euler step's once per step.  Timed the same
+# way, best of 7 at 100 to 1000 paths drawing 10 000 path-steps at once,
+# a batched step's fixed time was 5.9 to 7.2 us, the Euler row's 7 us,
+# for worked's two exact atoms and for many-atoms' compound-Poisson step
+# with its Gaussian, whose unbatched fixed times were 44 and 38 us
 _STEP_COSTS = np.array([
     [7_000.0, 6.0],  # Euler step
     [44_350.0, 40.5],  # per exact stable atom
@@ -98,6 +109,12 @@ _COARSE_COST = (12_180.0, 10.44)
 # the cutoff compare takes for compound-Poisson jumps is at most this
 # many doublings of the configured one
 _CUTOFF_DOUBLINGS = 4
+# the least step count of the coarsest level that _ladder_steps rounds
+# compare's step count up to reach.  Of 16, 32 and 64, 32 gave the
+# smallest squared SEs over worked and many-atoms at workload seeds 101
+# to 103: within 2 % of 16's on worked, and 4 to 5 % below them on
+# many-atoms at two seeds of the three; 64 left them 12 to 25 % higher
+_COARSEST_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -222,13 +239,15 @@ class EulerRun(_SchemeSlack):
     clipped over all n_steps * n_paths proposals.  jumps is the
     compound-Poisson jump sampler behind the increments, None for exact
     stable increments.  levels is the run's multilevel form (see
-    _levels).  A run steps once.
+    _levels).  price(dt) is the step cost of a level at the step dt (see
+    _step_cost).  A run steps once.
     """
 
-    def __init__(self, steps, dt, n_steps, n_paths, rng, jumps, step_cost):
+    def __init__(self, steps, dt, n_steps, n_paths, rng, jumps, price):
         self.seed = _seed_tag(rng)
-        self.plain = EulerLevel(None, dt, n_steps, False, steps, self.seed, step_cost)
-        self.levels = _levels(self.plain)
+        self.price = price
+        self.plain = EulerLevel(None, dt, n_steps, False, steps, self.seed, price(dt))
+        self.levels = _levels(self.plain, price)
         self.clipped = 0
         self.dt = dt
         self.n_steps = n_steps
@@ -250,6 +269,13 @@ class EulerRun(_SchemeSlack):
     @property
     def clamp_frequency(self) -> float:
         return self.clipped / float(self.n_steps * self.n_paths)
+
+    def cost(self, n_steps: int) -> float:
+        """The modelled time in ns of the run's path blocks stepped
+        plainly at n_steps steps over its horizon (see EulerLevel.cost)."""
+        dt = self.dt * self.n_steps / n_steps
+        plain = replace(self.plain, dt=dt, n_steps=n_steps, step_cost=self.price(dt))
+        return plain.cost(_block_sizes(self.n_paths))
 
 
 def _stored(run: EulerRun) -> PathEnsemble:
@@ -731,12 +757,12 @@ def _euler_run(G, sampler, q, a, b, x0, dt, n_steps, n_paths, rng) -> EulerRun:
     one jump column per path-step, where dZ takes d of each; a G in the
     standard basis steps dZ itself.  The step is priced as the
     d-dimensional one (_step_cost of the unprojected sampler and d
-    Gaussian columns), so a leg's budget and allocation do not depend on
-    G's basis.  A compound-Poisson sampler is kept unprojected as the
-    run's jumps.
+    Gaussian columns, at each level's own step), so a leg's budget and
+    allocation do not depend on G's basis.  A compound-Poisson sampler
+    is kept unprojected as the run's jumps.
     """
     jumps = sampler if isinstance(sampler, JumpSampler) else None
-    cost = _step_cost(sampler, q.shape[0] if np.any(q != 0.0) else 0, dt)
+    price = partial(_step_cost, sampler, q.shape[0] if np.any(q != 0.0) else 0)
     U = G.basis
     sampler = replace(sampler, directions=sampler.directions @ U)
     if jumps is not None:
@@ -747,61 +773,69 @@ def _euler_run(G, sampler, q, a, b, x0, dt, n_steps, n_paths, rng) -> EulerRun:
         w, vecs = np.linalg.eigh(q)
         root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     steps = partial(_original_steps, G, sampler, root, a, b, x0)
-    return EulerRun(steps, dt, n_steps, n_paths, rng, jumps, cost)
+    return EulerRun(steps, dt, n_steps, n_paths, rng, jumps, price)
 
 
-def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen):
+def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen, batch=1):
     """The Euler loop of one path block: (state, coarse state, proposals
     clipped) at each node t = k dt.
 
-    Each step draws the increments dz from sampler, adds root's Gaussian,
-    one normal per column of dz, and contracts dz with G's coefficients
-    (G.inner); _euler_run projects sampler and root, so dz has the K
-    columns of G's basis.  With coupled, a coarse leg steps at 2 dt
-    beside the fine one, on the sum of each pair of fine increments,
-    Wiener part included; its state comes at the even nodes, None at the
-    odd ones, and the clipped count covers both legs.  Without, the
-    coarse state is always None.
+    Each draw takes the increments of batch steps (fewer in the last) at
+    once: sampler's increments of batch * n_paths path-steps, then
+    root's Gaussian, one normal per column, both read step after step in
+    blocks of n_paths rows.  Each step contracts its increments dz with
+    G's coefficients (G.inner); _euler_run projects sampler and root, so
+    dz has the K columns of G's basis.  With batch 1, each step draws
+    its own.  With coupled, a coarse leg steps at 2 dt beside the fine
+    one, on the sum of each pair of fine increments, Wiener part
+    included; its state comes at the even nodes, None at the odd ones,
+    and the clipped count covers both legs.  Without, the coarse state
+    is always None.
     """
     r = np.full(n_paths, float(x0))
     coarse = r.copy() if coupled else None
     if root is not None:
         # the Gaussian's normals and their mix, held for the whole block
-        noise, mixed = np.empty((2, n_paths, root.shape[0]))
+        noise, mixed = np.empty((2, batch * n_paths, root.shape[0]))
     yield r, coarse, 0
-    for k in range(1, n_steps + 1):
-        dz = sampler.sample_increment(dt, n_paths, gen)
+    for start in range(0, n_steps, batch):
+        rows = min(batch, n_steps - start) * n_paths
+        draws = sampler.sample_increment(dt, rows, gen)
         if root is not None:
-            gen.standard_normal(out=noise)
+            gen.standard_normal(out=noise[:rows])
             # np.dot, as @ leaves BLAS and is 12x slower for K = 1
-            np.dot(noise, root.T, out=mixed)
-            mixed *= np.sqrt(dt)
-            dz += mixed
-        r, clipped = _euler_step(G, a, b, r, dt, dz)
-        if not coupled:
-            yield r, None, clipped
-        elif k % 2:
-            # the step leaves dz as it is, so the pair sum may reuse it
-            pair = dz
-            yield r, None, clipped
-        else:
-            pair += dz
-            coarse, coarse_clipped = _euler_step(G, a, b, coarse, 2.0 * dt, pair)
-            yield r, coarse, clipped + coarse_clipped
+            np.dot(noise[:rows], root.T, out=mixed[:rows])
+            mixed[:rows] *= np.sqrt(dt)
+            draws += mixed[:rows]
+        for k, dz in enumerate(draws.reshape(-1, n_paths, draws.shape[1]), start + 1):
+            r, clipped = _euler_step(G, a, b, r, dt, dz)
+            if not coupled:
+                yield r, None, clipped
+            elif k % 2:
+                # each draw is fresh and the step leaves dz as it is, so
+                # the pair sum may reuse it
+                pair = dz
+                yield r, None, clipped
+            else:
+                pair += dz
+                coarse, coarse_clipped = _euler_step(G, a, b, coarse, 2.0 * dt, pair)
+                yield r, coarse, clipped + coarse_clipped
 
 
 def _step_cost(sampler, columns: int, dt: float) -> tuple:
-    """The modelled (fixed, per-path) time in ns of one Euler step of a
-    path block under sampler, with columns Gaussian columns: an exact
-    sampler pays per stable atom drawn, a compound-Poisson one per
-    expected jump of a path-step, and each pays for the Gaussian (see
-    _STEP_COSTS)."""
+    """The modelled (step, draw, per-path) time in ns of one Euler step
+    of dt of a path block under sampler, with columns Gaussian columns:
+    the fixed time of the Euler step, the fixed time of its draw, and
+    the time per path.  An exact sampler pays per stable atom drawn, a
+    compound-Poisson one per expected jump of a path-step, and each pays
+    for the Gaussian (see _STEP_COSTS)."""
     if isinstance(sampler, StableAtomSampler):
         units = [1.0, len(sampler.alphas), 0.0, 0.0, columns]
     else:
         units = [1.0, 0.0, 1.0, dt * sampler.intensity, columns]
-    fixed, per_path = np.array(units, dtype=float) @ _STEP_COSTS
-    return float(fixed), float(per_path)
+    units = np.array(units, dtype=float)
+    draw = units[1:] @ _STEP_COSTS[1:, 0]
+    return float(_STEP_COSTS[0, 0]), float(draw), float(units @ _STEP_COSTS[:, 1])
 
 
 def _euler_step(G, a, b, r, dt, dz):
@@ -823,11 +857,12 @@ class EulerLevel:
 
     steps is the run's _original_steps up to its step arguments.
     block(j, n_paths) starts the loop of the level's path block j, which
-    draws from the child (index, j) of SeedSequence(seed), so a block's
-    draws depend on the seed, the level, the block and its path count
-    alone.  The run's plain level has index None, and its block j draws
-    from the child j: the run's own block j.  step_cost is the modelled
-    (fixed, per-path) time of one fine step of a block, in ns (see
+    draws from the child (index, j) of SeedSequence(seed), batch(n_paths)
+    steps per draw, so a block's draws depend on the seed, the level,
+    the block and its path count alone.  The run's plain level has index
+    None, and its block j draws from the child j, one step per draw: the
+    run's own block j, as simulate steps it.  step_cost is the modelled
+    (step, draw, per-path) time of one fine step of dt in ns (see
     _step_cost).
     """
 
@@ -842,31 +877,55 @@ class EulerLevel:
     def block(self, j: int, n_paths: int):
         key = (j,) if self.index is None else (self.index, j)
         seq = np.random.SeedSequence(list(self.seed), spawn_key=key)
-        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, np.random.default_rng(seq))
+        gen = np.random.default_rng(seq)
+        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, gen, self.batch(n_paths))
+
+    def batch(self, n_paths: int) -> int:
+        """The steps a block of n_paths paths draws at once: as many as
+        _PATH_BLOCK path-steps hold on a multilevel level, so a small
+        block pays its draw's fixed time once per batch and no draw
+        outgrows a full block's; one on the plain level."""
+        return 1 if self.index is None else max(1, _PATH_BLOCK // n_paths)
 
     @property
     def path_steps(self) -> int:
         """Path-steps of one path of the level, over both legs."""
         return self.n_steps + self.n_steps // 2 if self.coupled else self.n_steps
 
-    def cost(self, n_paths: int, blocks: int) -> float:
-        """The modelled time in ns of n_paths paths of the level in blocks
-        path blocks: every fine step of a block costs step_cost, every
-        coarse step _COARSE_COST."""
-        fixed, per_path = self.step_cost
-        cost = self.n_steps * (blocks * fixed + per_path * n_paths)
-        if self.coupled:
-            fixed, per_path = _COARSE_COST
-            cost += self.n_steps // 2 * (blocks * fixed + per_path * n_paths)
+    def cost(self, sizes) -> float:
+        """The modelled time in ns of the level's path blocks of sizes
+        paths: every fine step of a block pays step_cost's step and
+        per-path times, every draw its draw time, and every coarse step
+        _COARSE_COST."""
+        step, draw, per_path = self.step_cost
+        cost = 0.0
+        for n in sizes:
+            draws = -(-self.n_steps // self.batch(n))
+            cost += self.n_steps * (step + per_path * n) + draws * draw
+            if self.coupled:
+                cost += self.n_steps // 2 * (_COARSE_COST[0] + _COARSE_COST[1] * n)
         return cost
 
+    @property
+    def path_cost(self) -> float:
+        """The modelled time in ns of one more path of the level in
+        batched blocks: per fine step its per-path time and its share of
+        a draw of _PATH_BLOCK path-steps, per coarse step _COARSE_COST's
+        per-path time."""
+        _, draw, per_path = self.step_cost
+        cost = self.n_steps * (per_path + draw / _PATH_BLOCK)
+        return cost + self.n_steps // 2 * _COARSE_COST[1] if self.coupled else cost
 
-def _levels(plain: EulerLevel) -> tuple:
+
+def _levels(plain: EulerLevel, price) -> tuple:
     """The multilevel form of the run whose plain level is plain,
     coarsest first: the finest level steps its dt, and each coarser one
     twice the step of the next while the step count stays even; every
-    level but the coarsest is coupled.  An odd step count leaves the
-    plain level alone."""
+    level but the coarsest is coupled, and each costs price(dt) at its
+    own step dt.  An odd step count leaves the plain level alone.  So
+    the odd part of the step count sets the ladder's depth; compare
+    takes a count whose ladder reaches a coarsest level of at least
+    _COARSEST_STEPS steps (see _ladder_steps)."""
     dt, n_steps, sizes = plain.dt, plain.n_steps, []
     while n_steps % 2 == 0:
         sizes.append((dt, n_steps, True))
@@ -875,9 +934,22 @@ def _levels(plain: EulerLevel) -> tuple:
         return (plain,)
     sizes.append((dt, n_steps, False))
     return tuple(
-        EulerLevel(index, h, n, coupled, plain.steps, plain.seed, plain.step_cost)
+        EulerLevel(index, h, n, coupled, plain.steps, plain.seed, price(h))
         for index, (h, n, coupled) in enumerate(reversed(sizes))
     )
+
+
+def _ladder_steps(n_steps: int) -> int:
+    """The step count of a multilevel run for the configured n_steps:
+    for L the most halvings that leave n_steps / 2^L at least
+    _COARSEST_STEPS, the least odd multiple of 2^L at or above n_steps,
+    whose ladder (see _levels) halves the step L times down to a
+    coarsest level of at least _COARSEST_STEPS steps; n_steps itself
+    when 2^L divides it, so its own ladder is at least that deep."""
+    depth = max((n_steps // _COARSEST_STEPS).bit_length() - 1, 0)
+    if n_steps % (1 << depth) == 0:
+        return n_steps
+    return (-(-n_steps >> depth) | 1) << depth
 
 
 def simulate_original(

@@ -514,7 +514,7 @@ class TestMultilevelCompare:
             example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 2.0, 1000, 10, RngStream(1)
         )
         levels = run.levels
-        budget = (20_000 * 1000, run.plain.cost(20_000, 2))
+        budget = (20_000 * 1000, run.plain.cost([10_000, 10_000]))
         variances = [0.07, 7.3e-4, 2.8e-4, 1.2e-4]
         paths = pricing._allocation(levels, variances, 1000, budget)
         assert pricing._fits(levels, paths, 1000, budget)
@@ -542,16 +542,19 @@ def many_atom_form():
 
 class TestCompoundPoissonCompare:
     # the many-atoms shape at its benchmark sizes: 0.17 expected jumps
-    # per path-step of 16 atoms at eps, so compound-Poisson jumps
+    # per path-step of 16 atoms at eps, so compound-Poisson jumps; the
+    # 500 steps of 0.002 round up to 504 = 63 * 2^3 for the ladder
     TAUS = (0.25, 0.5, 1.0)
     CFG = SimConfig(dt=0.002, n_paths=10_000, eps=0.01, seed=7)
+    DT = 1.0 / 504
 
     def test_levels_at_the_leg_cutoff_pass_within_the_scheme_band(self):
         G, spec, model = many_atom_form()
         result = compare_term_structures((G, spec, model.a, model.b), model, 1.0, self.TAUS, self.CFG)
         summary = result.summary
         assert summary["scheme"] == "compound_poisson"
-        assert [level["dt"] for level in summary["levels"]] == pytest.approx([0.008, 0.004, 0.002])
+        dts = [level["dt"] for level in summary["levels"]]
+        assert dts == pytest.approx([8 * self.DT, 4 * self.DT, 2 * self.DT, self.DT])
         assert summary["cutoff"] >= self.CFG.eps
         assert result.passed
         # band = 3 SE + dt + |m3| / 6 int_0^tau B^3 ds P(tau), for m3 the
@@ -562,8 +565,8 @@ class TestCompoundPoissonCompare:
         for row in result.rows:
             upto = ts.tau_grid <= row["tau"] * (1.0 + 1e-12)
             term = skew * np.trapezoid(ts.B[upto] ** 3, ts.tau_grid[upto]) * row["price_riccati"]
-            assert 0.0 < term < 0.002
-            assert row["band"] - 3.0 * row["se"] - 0.002 == pytest.approx(term, rel=1e-6)
+            assert 0.0 < term < self.DT
+            assert row["band"] - 3.0 * row["se"] - self.DT == pytest.approx(term, rel=1e-6)
 
     def test_the_cutoff_is_the_largest_doubling_within_the_cap(self, example_spec, example_vol):
         # two half-weight axis atoms, G(1) = (1, 1): the bound at cutoff e
@@ -580,7 +583,8 @@ class TestCompoundPoissonCompare:
 
     def test_worked_shape_stays_exact(self, example_spec, example_vol):
         # 8.1 expected jumps per path-step of 2 atoms at the configured
-        # eps: exact increments, no cutoff and no third-moment term
+        # eps: exact increments, no cutoff and no third-moment term; the
+        # 250 steps of 0.002 round up to 252 = 63 * 2^2 for the ladder
         cfg = SimConfig(dt=0.002, n_paths=2000, eps=3e-3, seed=1, n_ode_steps=50)
         result = compare_term_structures(
             (example_vol, example_spec, -0.5, 0.1), ReducedModel(-0.5, 0.1, 1.0, 1.5), 1.0,
@@ -589,4 +593,4 @@ class TestCompoundPoissonCompare:
         assert result.summary["scheme"] == "exact_stable"
         assert result.summary["cutoff"] is None
         for row in result.rows:
-            assert row["band"] - 3.0 * row["se"] == pytest.approx(0.002, rel=1e-12)
+            assert row["band"] - 3.0 * row["se"] == pytest.approx(0.5 / 252, rel=1e-12)

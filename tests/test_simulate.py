@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import types
 
 import numpy as np
@@ -859,21 +860,42 @@ def gaussian_root(q):
     return vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
-def projected_increments(G, spec, eps, dt, n_paths, gen):
+def drawn_increments(sampler, q, dt, n_paths, gen, draws=None):
+    """The increments of each Euler step over sampler's jumps plus a
+    Gaussian of covariance q dt, formed through @ and drawn from gen in
+    the loop's order.  draws holds the steps each draw takes at once:
+    sampler's increments of all their path-steps, then their normals,
+    read step after step in blocks of n_paths rows.  By default each
+    step draws its own, as on the plain level."""
+    root = gaussian_root(q) if np.any(q != 0.0) else None
+    for m in itertools.repeat(1) if draws is None else draws:
+        dz = sampler.sample_increment(dt, m * n_paths, gen)
+        if root is not None:
+            dz += gen.standard_normal((m * n_paths, len(q))) @ root.T * np.sqrt(dt)
+        yield from dz.reshape(m, n_paths, -1)
+
+
+def projected_increments(G, spec, eps, dt, n_paths, gen, draws=None):
     """The increments U^T dZ of an exact Euler step of original_run, for
-    U = G.basis, with the Gaussian formed through @ and drawn from gen in
-    the loop's order: the atom directions projected on U, and K normals
-    per path mixed by the root of U^T Q U."""
+    U = G.basis (see drawn_increments): the atom directions projected on
+    U, and K normals per path mixed by the root of U^T Q U."""
     U = G.basis
     sampler = stable_atom_sampler(spec, eps, dt)
     sampler = dataclasses.replace(sampler, directions=sampler.directions @ U)
-    q = U.T @ spec.wiener_cov @ U
-    root = gaussian_root(q) if np.any(q != 0.0) else None
-    while True:
-        dz = sampler.sample_increment(dt, n_paths, gen)
-        if root is not None:
-            dz += gen.standard_normal((n_paths, len(q))) @ root.T * np.sqrt(dt)
-        yield dz
+    return drawn_increments(sampler, U.T @ spec.wiener_cov @ U, dt, n_paths, gen, draws)
+
+
+def step_draws(n_steps, n_paths):
+    """The steps of each draw of a multilevel block of n_paths paths: as
+    many as 10 000 path-steps hold, the rest in the last."""
+    batch = max(1, 10_000 // n_paths)
+    return [min(batch, n_steps - s) for s in range(0, n_steps, batch)]
+
+
+def level_generator(seed, level, j):
+    """The generator of block j of level: the child (index, j) of the
+    run's seed sequence."""
+    return np.random.default_rng(np.random.SeedSequence([seed, 0], spawn_key=(level.index, j)))
 
 
 def euler_step(G, r, dt, dz, a=-0.5, b=0.1):
@@ -884,16 +906,25 @@ def euler_step(G, r, dt, dz, a=-0.5, b=0.1):
     return r
 
 
-def assert_coupled_level_steps_the_pair_sums(run, spec, G, eps, seed, j=5):
-    """The finest level of run is coupled; its block j steps the fine leg
-    on the projected increments of its stream (index, j), and the coarse
-    leg at 2 dt on the sum of each pair of them, to the bit."""
+def assert_coupled_level_steps_the_pair_sums(run, spec, G, eps, seed, j=5, n_paths=300):
+    """The finest level of run is coupled; its block j of n_paths paths
+    steps the fine leg on the projected increments of its stream (index,
+    j), drawn step_draws at a time, and the coarse leg at 2 dt on the sum
+    of each pair of them, to the bit."""
     level = run.levels[-1]
+    gen = level_generator(seed, level, j)
+    draws = step_draws(20, n_paths)
+    increments = projected_increments(G, spec, eps, 0.01, n_paths, gen, draws)
+    assert_coupled_block_steps(level, G, increments, j, n_paths)
+
+
+def assert_coupled_block_steps(level, G, increments, j, n_paths):
+    """Block j of level, coupled at 20 steps of 0.01, steps the fine leg
+    on increments and the coarse leg at 2 dt on the sum of each pair of
+    them, to the bit."""
     assert (level.dt, level.n_steps, level.coupled) == (0.01, 20, True)
-    gen = np.random.default_rng(np.random.SeedSequence([seed, 0], spawn_key=(level.index, j)))
-    increments = projected_increments(G, spec, eps, 0.01, 300, gen)
-    r = coarse = np.ones(300)
-    for k, (state, coarse_state, _) in enumerate(level.block(j, 300)):
+    r = coarse = np.ones(n_paths)
+    for k, (state, coarse_state, _) in enumerate(level.block(j, n_paths)):
         if k:
             dz = next(increments)
             r = euler_step(G, r, 0.01, dz)
@@ -1089,6 +1120,125 @@ class TestMultilevelForm:
         run = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 0.2, 20, 300, 12)
         assert run.scheme == "exact_stable"
         assert_coupled_level_steps_the_pair_sums(run, example_spec, example_vol, 3e-3, 12)
+
+    @pytest.mark.parametrize("case", ["exact", "compound-poisson"])
+    def test_batched_block_equals_the_loop_of_its_draws(self, case):
+        # 3000 paths draw 3 steps at once, so the 20 steps take draws of
+        # 3, 3, 3, 3, 3, 3 and 2 steps, and pairs straddle the draws
+        assert step_draws(20, 3000) == [3, 3, 3, 3, 3, 3, 2]
+        if case == "exact":
+            spec, G = wiener_spec(2), VolatilityFunction.power(2.0 / 3.0, [1.0, 1.0])
+            run = original_run(G, spec, -0.5, 0.1, 1.0, 1e-3, 0.2, 20, 10, RngStream(4))
+            assert run.scheme == "exact_stable"
+            assert_coupled_level_steps_the_pair_sums(run, spec, G, 1e-3, 4, j=1, n_paths=3000)
+        else:
+            # U = I: the run steps the d-dimensional increment itself
+            spec = sixteen_gaussian_jump_spec()
+            G = VolatilityFunction.tabulated([0.0, 2.0], [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+            run = original_run(G, spec, -0.5, 0.1, 1.0, 0.1, 0.2, 20, 10, RngStream(8))
+            assert run.scheme == "compound_poisson"
+            level = run.levels[-1]
+            assert level.batch(3000) == 3
+            sampler, _ = truncated_jump_sampler(spec, 0.1)
+            q = spec.wiener_cov + sampler.small_cov
+            gen = level_generator(8, level, 1)
+            increments = drawn_increments(sampler, q, 0.01, 3000, gen, step_draws(20, 3000))
+            assert_coupled_block_steps(level, G, increments, 1, 3000)
+
+    def test_plain_level_draws_one_step_per_call(self):
+        # simulate and the one-level legs read the plain level, whose
+        # blocks draw step by step at every size; a level's small blocks
+        # draw as many steps as 10 000 path-steps hold
+        spec = sixteen_gaussian_jump_spec()
+        G = VolatilityFunction.tabulated([0.0, 2.0], [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        run = original_run(G, spec, -0.5, 0.1, 1.0, 0.1, 0.2, 20, 10, RngStream(8))
+        finest = run.levels[-1]
+        assert [run.plain.batch(n) for n in (1, 300, 10_000)] == [1, 1, 1]
+        assert [finest.batch(n) for n in (1, 300, 3000, 6000, 10_000)] == [10_000, 33, 3, 1, 1]
+        sampler, _ = truncated_jump_sampler(spec, 0.1)
+        q = spec.wiener_cov + sampler.small_cov
+        gen = np.random.default_rng(np.random.SeedSequence([8, 0], spawn_key=(2,)))
+        increments = drawn_increments(sampler, q, 0.01, 300, gen)
+        r = np.ones(300)
+        for k, (state, coarse, _) in enumerate(run.plain.block(2, 300)):
+            if k:
+                r = euler_step(G, r, 0.01, next(increments))
+            assert np.array_equal(state, r) and coarse is None
+
+    @pytest.mark.parametrize("case", ["exact", "compound-poisson"])
+    def test_batched_increments_have_the_law_of_one_step_draws(self, example_spec, case):
+        # <1, dz> of 100 steps of 1000 paths, drawn 10 steps at once on a
+        # level and one step at a time on the plain level: a two-sample
+        # KS statistic below 0.01 at 100k draws, as in criterion 09.  A
+        # constant G = 1 with no drift makes the state steps <1, dz>
+        if case == "exact":
+            spec, eps, horizon = example_spec, 3e-3, 2.0
+        else:
+            spec, eps, horizon = sixteen_gaussian_jump_spec(), 0.1, 0.2
+        d = spec.dimension
+        G = VolatilityFunction(lambda x: np.ones((len(x), d)), d)
+        scheme = "exact_stable" if case == "exact" else "compound_poisson"
+
+        def steps(run, level):
+            assert run.scheme == scheme and level.n_steps == 100
+            states = np.array([r for r, _, _ in level.block(0, 1000)])
+            return np.diff(states, axis=0).ravel()
+
+        levels = original_run(G, spec, 0.0, 0.0, 100.0, eps, horizon, 200, 10, RngStream(35))
+        level = levels.levels[-2]
+        assert level.batch(1000) == 10
+        plain = original_run(G, spec, 0.0, 0.0, 100.0, eps, horizon, 100, 10, RngStream(36))
+        assert plain.plain.dt == pytest.approx(level.dt, rel=1e-12)
+        batched, single = steps(levels, level), steps(plain, plain.plain)
+        assert batched.size == single.size == 100_000
+        assert stats.ks_2samp(batched, single).statistic < 0.01
+
+    def test_each_level_is_priced_at_its_own_step(self, example_spec, example_vol):
+        # a compound-Poisson level at 2 dt draws twice the jumps of a
+        # path-step at dt, so it pays twice their per-path time; exact
+        # atoms cost the same at every step
+        jumps = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 0.05, 0.2, 10, 10, 1)
+        assert jumps.scheme == "compound_poisson"
+        sampler, _ = truncated_jump_sampler(example_spec, 0.05)
+        for level in (jumps.plain, *jumps.levels):
+            assert level.step_cost == simulate._step_cost(sampler, 2, level.dt)
+        coarse, fine = (level.step_cost[2] for level in jumps.levels)
+        assert coarse - fine == pytest.approx(0.02 * sampler.intensity * 29.0, rel=1e-12)
+        exact = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 2.0, 1000, 10, 1)
+        assert exact.scheme == "exact_stable"
+        assert {level.step_cost for level in exact.levels} == {exact.plain.step_cost}
+
+    def test_batched_block_pays_its_draws_once_per_batch(self, example_spec, example_vol):
+        # 125 steps of the coarsest level: a block of 300 paths draws 33
+        # steps at once, 4 draws in all; the plain level draws every step
+        run = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 2.0, 1000, 10, 1)
+        coarsest, finest = run.levels[0], run.levels[-1]
+        step, draw, per_path = run.plain.step_cost
+        assert coarsest.cost([300]) == pytest.approx(125 * (step + 300 * per_path) + 4 * draw)
+        assert run.plain.cost([300]) == pytest.approx(1000 * (step + draw + 300 * per_path))
+        # the coupled level adds its coarse leg's 500 steps at 2 dt
+        fine = 1000 * (step + 10_000 * per_path + draw)
+        coarse = 500 * (simulate._COARSE_COST[0] + 10_000 * simulate._COARSE_COST[1])
+        assert finest.cost([10_000]) == pytest.approx(fine + coarse)
+
+    def test_compare_rounds_its_step_count_to_the_ladder(self):
+        # the least odd multiple of 2^L at or above n, for L the most
+        # halvings that keep 32 steps; n itself when 2^L divides it
+        ladder = simulate._ladder_steps
+        cases = {1: 1, 25: 25, 48: 48, 63: 63, 64: 64, 65: 66, 100: 100, 500: 504, 1000: 1008}
+        assert {n: ladder(n) for n in cases} == cases
+        for n in range(1, 3000):
+            m = ladder(n)
+            depth = max([L for L in range(12) if n >= 32 * 2**L], default=0)
+            plain = simulate.EulerLevel(None, 1.0 / m, m, False, None, (0, 0), None)
+            levels = simulate._levels(plain, lambda dt: None)
+            assert m >= n and len(levels) - 1 >= depth
+            if n % 2**depth == 0:
+                assert m == n
+            else:
+                assert len(levels) - 1 == depth
+                assert levels[0].n_steps % 2 == 1 and levels[0].n_steps >= 32
+                assert m < n + 2 ** (depth + 1)
 
     def test_pair_sums_of_exact_increments_have_the_double_step_law(self, example_spec):
         # as criterion 09: two-sample KS statistic below 0.01 at 100k draws

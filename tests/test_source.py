@@ -3,8 +3,8 @@ no module imports a name it never uses, every parameter of the public
 API is read by its function, every defaulted parameter and dataclass
 field of the public API is set by some caller, every dataclass field
 and property of a public class is read somewhere, the command line
-starts without importing scipy or multiprocessing, and the Euler and
-pricing modules read no clock."""
+starts without importing scipy, numpy.ma or multiprocessing, and the
+Euler and pricing modules read no clock."""
 
 import ast
 import os
@@ -343,6 +343,12 @@ def test_cli_import_leaves_out_scipy():
     # scipy is a test dependency only; importing it would add about
     # 0.2 s to the start of every pipeline
     assert _loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_cli_import_leaves_out_numpy_ma():
+    # the plain np.unique imports numpy.ma, about 14 ms of start-up;
+    # the package takes sorted distinct values with quadrature._distinct
+    assert _loaded_by_cli_import(["numpy.ma"]) == "[]"
 
 
 def test_cli_import_leaves_out_process_pools():
