@@ -15,7 +15,7 @@ both signs; the Monte Carlo comparison below cross-checks them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .exceptions import BlowUp
 from .report import CheckReport, item
 from .reduction import ReducedModel
 from .simulate import (
+    _LATTICE_POINTS,
     _PATH_BLOCK,
     EulerRun,
     RngStream,
@@ -48,6 +49,9 @@ _PILOT_MIN = 100
 # where worked's two plain blocks end together.  Without it, compare
 # took 3.5 and 5.8 % longer than the plain run in two benchmark pairs
 _TIME_SHARE = 0.93
+# the least shifts of a lattice level, its pilot: the band reads its SE
+# with R - 1 degrees of freedom (see _t_factor)
+_LATTICE_SHIFTS = 16
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,7 @@ def mc_bond_prices(states, dt: float, taus) -> list:
     finally:
         leg.stop()
     states.clipped += sum(clipped for _, _, clipped in leg.results.values())
-    return quotes
+    return [(price, se) for price, se, _ in quotes]
 
 
 def _maturity_cells(taus, dt: float) -> list:
@@ -262,31 +266,53 @@ def _usable_cpus() -> int:
     return cpus or 1
 
 
+def _blocks(level, n_paths: int, pilot: int) -> list:
+    """The path counts of the blocks of n_paths paths of level: whole
+    shifts of _LATTICE_POINTS paths on a lattice level, else the pilot
+    block, then blocks of at most _PATH_BLOCK paths."""
+    if level.lattice:
+        return [_LATTICE_POINTS] * (n_paths // _LATTICE_POINTS)
+    return [pilot, *_block_sizes(n_paths, pilot)]
+
+
+def _pilots(levels, pilot: int) -> list:
+    """The paths of each level's pilot: pilot, or _LATTICE_SHIFTS shifts
+    on a lattice level."""
+    return [_LATTICE_SHIFTS * _LATTICE_POINTS if level.lattice else pilot for level in levels]
+
+
 def _fits(levels, paths, pilot: int, budget) -> bool:
-    """Whether paths[l] paths of each level, pilot block first, stay
-    within budget: (path-steps, modelled time)."""
+    """Whether paths[l] paths of each level, pilot first, stay within
+    budget: (path-steps, modelled time)."""
     steps = sum(level.path_steps * n for level, n in zip(levels, paths))
-    time = sum(level.cost([pilot, *_block_sizes(n, pilot)]) for level, n in zip(levels, paths))
+    time = sum(level.cost(_blocks(level, n, pilot)) for level, n in zip(levels, paths))
     return steps <= budget[0] and time <= budget[1]
 
 
 def _allocation(levels, variances, pilot: int, budget) -> list:
     """The paths of each level, its pilot included: level l gets
-    floor(k sqrt(V_l / C_l)), for V_l its variance and C_l the modelled
-    time of one more of its paths (EulerLevel.path_cost), at the largest
-    k that _fits the budget.  A level keeps its pilot alone where that
-    count would add fewer than sqrt(pilot F / P) paths to it, for F and
-    P the fixed and per-path time of a step of a batched block: F the
-    Euler step's, P the per-path time plus the share of a draw's fixed
-    time of each of the _PATH_BLOCK path-steps it holds.  So few paths
-    cost more in fixed step costs than spending that time on the other
-    levels saves.  The pilots alone must fit the budget."""
+    floor(k sqrt(V_l / C_l)), for V_l its variance per path and C_l the
+    modelled time of one more of its paths (EulerLevel.path_cost), at
+    the largest k that _fits the budget.  A level keeps its pilot alone
+    where that count would add fewer than sqrt(pilot F / P) paths to it,
+    for F and P the fixed and per-path time of a step of a batched
+    block: F the Euler step's, P the per-path time plus the share of a
+    draw's fixed time of each of the _PATH_BLOCK path-steps it holds.
+    So few paths cost more in fixed step costs than spending that time
+    on the other levels saves.  A lattice level's count is rounded down
+    to whole shifts, at least its _LATTICE_SHIFTS.  The pilots alone
+    must fit the budget."""
     weights = [np.sqrt(v / level.path_cost) for level, v in zip(levels, variances)]
     step, draw, per_path = levels[-1].step_cost
     least = pilot + np.sqrt(pilot * step / (per_path + draw / _PATH_BLOCK))
 
+    def count(level, n):
+        if level.lattice:
+            return max(_LATTICE_SHIFTS, n // _LATTICE_POINTS) * _LATTICE_POINTS
+        return n if n >= least else pilot
+
     def paths(k):
-        return [n if n >= least else pilot for n in (int(k * w) for w in weights)]
+        return [count(level, int(k * w)) for level, w in zip(levels, weights)]
 
     if not any(weights):
         return paths(0.0)
@@ -300,6 +326,21 @@ def _allocation(levels, variances, pilot: int, budget) -> list:
         else:
             hi = mid
     return paths(lo)
+
+
+def _t_factor(nu: int) -> float:
+    """The quantile of Student's t with nu degrees of freedom at Phi(3),
+    the level of a band of 3 standard errors: the Cornish-Fisher
+    expansion about z = 3 to the term in nu^-4 (Abramowitz and Stegun
+    26.7.5), within 1e-4 of the exact quantile for nu >= 15."""
+    z = 3.0
+    terms = (
+        (z**3 + z) / 4.0,
+        (5.0 * z**5 + 16.0 * z**3 + 3.0 * z) / 96.0,
+        (3.0 * z**7 + 19.0 * z**5 + 17.0 * z**3 - 15.0 * z) / 384.0,
+        (79.0 * z**9 + 776.0 * z**7 + 1482.0 * z**5 - 1920.0 * z**3 - 945.0 * z) / 92160.0,
+    )
+    return z + sum(g / nu ** (k + 1) for k, g in enumerate(terms))
 
 
 class _MonteCarloLeg:
@@ -323,6 +364,16 @@ class _MonteCarloLeg:
     draw (see EulerLevel.cost).  Otherwise the leg prices the plain
     level, one draw per step, and its tasks are the run's blocks.
 
+    Under exact stable increments, the coarsest level of such a run is
+    a lattice level (EulerLevel.lattice) where its pilot of
+    _LATTICE_SHIFTS shifts fits with the others: each block is one
+    random shift of the _LATTICE_POINTS lattice points, its estimate the
+    mean of the R shift means, its standard error theirs over R, and the
+    variance per path it gives _allocation _LATTICE_POINTS times their
+    variance.  The band reads that level's standard error with R - 1
+    degrees of freedom: collect's band SE scales its squared term by
+    (t / 3)^2, t = _t_factor(R - 1).
+
     With two or more usable CPUs, the tasks step on forked workers as the
     leg is made: at most one worker per task of the first phase and one
     per CPU, each sent its next task, the costliest left, by a scheduler
@@ -345,8 +396,15 @@ class _MonteCarloLeg:
         if budget_steps is not None and self.pilot >= _PILOT_MIN:
             levels = run.levels
             self.budget = (run.n_paths * budget_steps, _TIME_SHARE * run.cost(budget_steps))
-        if len(levels) > 1 and _fits(levels, [self.pilot] * len(levels), self.pilot, self.budget):
-            self.tasks = [[(i, 0, self.pilot)] for i in range(len(levels))]
+            if run.jumps is None and len(levels) > 1:
+                lattice = (replace(levels[0], lattice=True), *levels[1:])
+                if self._pilots_fit(lattice):
+                    levels = lattice
+        if len(levels) > 1 and self._pilots_fit(levels):
+            self.tasks = [
+                [(i, j, n) for j, n in enumerate(_blocks(level, least, self.pilot))]
+                for i, (level, least) in enumerate(zip(levels, _pilots(levels, self.pilot)))
+            ]
         else:
             levels = (run.plain,)
             self.tasks = [[(0, j, n) for j, n in enumerate(_block_sizes(run.n_paths))]]
@@ -388,6 +446,9 @@ class _MonteCarloLeg:
         self.thread = threading.Thread(target=self._schedule, daemon=True)
         self.thread.start()
 
+    def _pilots_fit(self, levels) -> bool:
+        return _fits(levels, _pilots(levels, self.pilot), self.pilot, self.budget)
+
     def step(self, task):
         """(fine integrals, coarse integrals, proposals clipped) of task."""
         i, j, n = task
@@ -400,11 +461,14 @@ class _MonteCarloLeg:
         if len(self.levels) == 1:
             return
         variances = [
-            sum(d.var(ddof=1) for d in self._discounts(i)) for i in range(len(self.levels))
+            sum(s.var(ddof=1) for s in self._samples(i))
+            * (_LATTICE_POINTS if level.lattice else 1)
+            for i, level in enumerate(self.levels)
         ]
         rest = []
         for i, n in enumerate(_allocation(self.levels, variances, self.pilot, self.budget)):
-            for j, size in enumerate(_block_sizes(n, self.pilot), start=1):
+            done = len(self.tasks[i])
+            for j, size in enumerate(_blocks(self.levels[i], n, self.pilot)[done:], start=done):
                 self.tasks[i].append((i, j, size))
                 rest.append((i, j, size))
         self.results.update(step_all(self._costliest_first(rest)))
@@ -474,8 +538,17 @@ class _MonteCarloLeg:
             out.append(d)
         return out
 
+    def _samples(self, i: int) -> list:
+        """Per maturity, the independent samples whose mean is level i's
+        estimate: its _discounts, or on a lattice level the mean of each
+        shift's."""
+        if not self.levels[i].lattice:
+            return self._discounts(i)
+        return [d.reshape(-1, _LATTICE_POINTS).mean(axis=1) for d in self._discounts(i)]
+
     def collect(self) -> list:
-        """(price, standard error) at each maturity."""
+        """(price, standard error, band SE) at each maturity: the band SE
+        scales a lattice level's squared standard error by (t / 3)^2."""
         if self.thread is None:
             self._run(self._step_here)
         else:
@@ -484,27 +557,46 @@ class _MonteCarloLeg:
                 raise self.error
             for process, _ in self.workers:
                 process.join()
-        self.moments = [[_moments(d) for d in self._discounts(i)] for i in range(len(self.tasks))]
+        self.moments = [[_moments(s) for s in self._samples(i)] for i in range(len(self.tasks))]
+        scales = [
+            (_t_factor(len(tasks) - 1) / 3.0) ** 2 if level.lattice else 1.0
+            for level, tasks in zip(self.levels, self.tasks)
+        ]
         return [
-            (sum(p for p, _ in column), float(np.sqrt(sum(se * se for _, se in column))))
+            (
+                sum(p for p, _ in column),
+                float(np.sqrt(sum(se * se for _, se in column))),
+                float(np.sqrt(sum(c * se * se for c, (_, se) in zip(scales, column)))),
+            )
             for column in zip(*self.moments)
         ]
 
     def summary(self) -> dict:
         """The run's scheme_summary, once collected, with clamp_frequency
         counted over every path-step the leg took, and levels, the step
-        dt, paths, path-steps and clamp_frequency of each level.  When
-        the finest level is coupled, finest_difference holds its mean and
-        standard error of P_dt - P_2dt at each maturity."""
+        dt, paths, path-steps, clamp_frequency and the mean and standard
+        error at each maturity of each level, coarsest first; the
+        coarsest also names its sampling, "lattice" with its points and
+        shifts, or "mc".  When the finest level is coupled,
+        finest_difference holds its mean and standard error of P_dt -
+        P_2dt at each maturity."""
         summary = self.run.scheme_summary()
         paths = [sum(n for _, _, n in tasks) for tasks in self.tasks]
         steps = [level.path_steps * n for level, n in zip(self.levels, paths)]
         clipped = [sum(self.results[task][2] for task in tasks) for tasks in self.tasks]
         summary["clamp_frequency"] = sum(clipped) / sum(steps)
         summary["levels"] = [
-            {"dt": level.dt, "n_paths": n, "path_steps": s, "clamp_frequency": c / s}
-            for level, n, s, c in zip(self.levels, paths, steps, clipped)
+            {
+                "dt": level.dt, "n_paths": n, "path_steps": s, "clamp_frequency": c / s,
+                "mean": [p for p, _ in moments], "se": [se for _, se in moments],
+            }
+            for level, n, s, c, moments in zip(self.levels, paths, steps, clipped, self.moments)
         ]
+        coarsest = summary["levels"][0]
+        if self.levels[0].lattice:
+            coarsest.update(sampling="lattice", points=_LATTICE_POINTS, shifts=len(self.tasks[0]))
+        else:
+            coarsest["sampling"] = "mc"
         if self.levels[-1].coupled:
             summary["finest_difference"] = [
                 {"tau": float(tau), "mean": p, "se": se}
@@ -614,7 +706,11 @@ def compare_term_structures(
     spread over them; a level's blocks of fewer than _PATH_BLOCK paths
     draw several steps at once (see EulerLevel.batch).  Otherwise it is
     the plain run at dt.  SE is the standard error of the estimate
-    either way.
+    either way.  Under exact stable increments the coarsest level is a
+    lattice level where its _LATTICE_SHIFTS shifts fit the budget (see
+    _MonteCarloLeg); the band then reads its standard error with the
+    Student-t factor of its shifts, and the se column stays the plain
+    standard error.
 
     original_run picks exact stable increments or compound-Poisson jumps
     at the configured eps, as simulate does.  For compound-Poisson jumps
@@ -625,7 +721,8 @@ def compare_term_structures(
     spec, x0, a, dt and the horizon, while the reduction is still to
     come.  The jumps below it become a Gaussian of their covariance.
 
-    Each maturity passes when |MC - ODE| <= 3 SE + scheme tolerance.
+    Each maturity passes when |MC - ODE| <= 3 SE + scheme tolerance,
+    where a lattice level's term of SE^2 is scaled by (t / 3)^2.
     The scheme tolerance is built from the error terms of the scheme
     the leg runs: a margin of one step the run took (run.dt, horizon
     over the rounded step count n) for the Euler bias, plus, for
@@ -678,11 +775,11 @@ def compare_term_structures(
     cubes = np.concatenate([[0.0], np.cumsum(cubes)])
     rows = []
     items = []
-    for tau, (p_mc, se) in zip(taus, quotes):
+    for tau, (p_mc, se, band_se) in zip(taus, quotes):
         p_ode = bond_price(ts, x0, tau)
         scheme_tol = _DT_MARGIN * run.dt + skew * float(np.interp(tau, ts.tau_grid, cubes)) * p_ode
         disc = abs(p_mc - p_ode)
-        band = 3.0 * se + scheme_tol
+        band = 3.0 * band_se + scheme_tol
         rows.append(
             {
                 "tau": float(tau),

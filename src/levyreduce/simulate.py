@@ -42,7 +42,11 @@ _ladder_steps, so that the ladder reaches _COARSEST_STEPS steps.  A
 level's block of fewer than _PATH_BLOCK paths draws the increments of
 several steps in one call, as many as _PATH_BLOCK path-steps hold:
 the path-steps of one draw are i.i.d., so each step's increments keep
-their law, and the draw's fixed cost is paid once per batch.
+their law, and the draw's fixed cost is paid once per batch.  compare
+may make the coarsest level of an exact run a lattice level: its stable
+draws take their uniforms from a randomly shifted rank-1 Korobov
+lattice under the tent transform, one shift per path block, which is
+multilevel quasi-Monte Carlo (Giles and Waterhouse 2009).
 """
 
 from __future__ import annotations
@@ -115,6 +119,16 @@ _CUTOFF_DOUBLINGS = 4
 # to 103: within 2 % of 16's on worked, and 4 to 5 % below them on
 # many-atoms at two seeds of the three; 64 left them 12 to 25 % higher
 _COARSEST_STEPS = 32
+# the rank-1 Korobov lattice of compare's coarsest exact level: n points
+# and the generating vector z_j = g^(j-1) mod n.  g has the least
+# weighted P_2 criterion (weights 1/j^2, 256 dimensions) of the odd g up
+# to n/2, as tools/lattice_search.py finds it
+_LATTICE_POINTS = 4096
+_LATTICE_GENERATOR = 1939
+# lattice uniforms are clipped into [_U_MIN, 1 - _U_MIN]: the tent
+# transform maps the points 0 and 1/2 to 0 and 1, where v = pi (u - 1/2)
+# would reach -pi/2 or pi/2 and w = -log1p(-u) would be 0 or infinite
+_U_MIN = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -658,6 +672,48 @@ class StableAtomSampler:
         # np.dot, as @ leaves BLAS and is 6x slower for one atom
         return np.dot(y, self.directions)
 
+    def mapped_increment(self, dt: float, u: np.ndarray) -> np.ndarray:
+        """The increments of sample_increment, one per column of the
+        uniforms u in (0, 1), two rows per atom: atom i maps row 2i to
+        v = pi (u - 1/2) and row 2i + 1 to w = -log1p(-u), the uniform
+        and the exponential of its _cms draw."""
+        y = np.empty((u.shape[1], len(self.alphas)))
+        for i, (alpha, scale) in enumerate(zip(self.alphas.tolist(), self.scales.tolist())):
+            v, w = _stable_inputs(u[2 * i], u[2 * i + 1])
+            y[:, i] = _cms(alpha, scale * dt ** (1.0 / alpha), v, w)
+        return np.dot(y, self.directions)
+
+
+def _stable_inputs(u1: np.ndarray, u2: np.ndarray) -> tuple:
+    """(v, w) of _cms from uniforms in (0, 1): v = pi (u1 - 1/2) in
+    (-pi/2, pi/2) and the exponential w = -log1p(-u2) > 0."""
+    v = u1 - 0.5
+    v *= np.pi
+    w = np.log1p(-u2)
+    np.negative(w, out=w)
+    return v, w
+
+
+def _lattice_uniforms(n: int, coords: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The coordinates coords of the n points of the Korobov lattice
+    (n, _LATTICE_GENERATOR), each shifted by its entry of shift, tent-
+    transformed and clipped: a (coords.size, n) array, row j the n
+    values 1 - |2 {x} - 1| at x = k z_j / n + shift_j, k = 0..n-1, for
+    z_j = _LATTICE_GENERATOR^coords[j] mod n, clipped into [_U_MIN,
+    1 - _U_MIN].  For n a power of two, k z_j / n and its fractional
+    part {k z_j / n} = (k z_j mod n) / n are exact, so the shift adds to
+    a value below 1; the tent, twice the distance of x to the nearest
+    integer, is exact too."""
+    z = np.array([pow(_LATTICE_GENERATOR, j, n) for j in coords.tolist()], float)
+    x = np.multiply.outer(z * (1.0 / n), np.arange(n, dtype=float))
+    whole = np.floor(x)
+    x -= whole
+    x += shift[:, None]
+    x -= np.rint(x, out=whole)
+    np.abs(x, out=x)
+    x *= 2.0
+    return np.clip(x, _U_MIN, 1.0 - _U_MIN, out=x)
+
 
 def stable_atom_sampler(spec: LevySpec, eps: float, dt: float):
     """The exact per-atom sampler of spec's jumps when it is cheaper than
@@ -776,7 +832,9 @@ def _euler_run(G, sampler, q, a, b, x0, dt, n_steps, n_paths, rng) -> EulerRun:
     return EulerRun(steps, dt, n_steps, n_paths, rng, jumps, price)
 
 
-def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen, batch=1):
+def _original_steps(
+    G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen, batch=1, lattice=False
+):
     """The Euler loop of one path block: (state, coarse state, proposals
     clipped) at each node t = k dt.
 
@@ -791,16 +849,35 @@ def _original_steps(G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, g
     included; its state comes at the even nodes, None at the odd ones,
     and the clipped count covers both legs.  Without, the coarse state
     is always None.
+
+    With lattice, the exact sampler's uniforms come from the n_paths
+    points of the Korobov lattice (see _lattice_uniforms), one path per
+    point, under one shift that the block draws from gen before anything
+    else: coordinates 2 (k A + i) and 2 (k A + i) + 1 are the uniforms
+    of atom i at step k, for A atoms, mapped by StableAtomSampler.
+    mapped_increment.  Each draw builds the coordinates of its own steps
+    only.  The Gaussian still draws from gen.
     """
     r = np.full(n_paths, float(x0))
     coarse = r.copy() if coupled else None
     if root is not None:
         # the Gaussian's normals and their mix, held for the whole block
         noise, mixed = np.empty((2, batch * n_paths, root.shape[0]))
+    if lattice:
+        width = 2 * len(sampler.alphas)
+        shift = gen.random(n_steps * width)
     yield r, coarse, 0
     for start in range(0, n_steps, batch):
-        rows = min(batch, n_steps - start) * n_paths
-        draws = sampler.sample_increment(dt, rows, gen)
+        count = min(batch, n_steps - start)
+        rows = count * n_paths
+        if lattice:
+            # row c holds coordinate c of each step, the steps in turn
+            coords = np.arange(start * width, (start + count) * width)
+            coords = coords.reshape(count, width).T.ravel()
+            u = _lattice_uniforms(n_paths, coords, shift[coords])
+            draws = sampler.mapped_increment(dt, u.reshape(width, rows))
+        else:
+            draws = sampler.sample_increment(dt, rows, gen)
         if root is not None:
             gen.standard_normal(out=noise[:rows])
             # np.dot, as @ leaves BLAS and is 12x slower for K = 1
@@ -863,7 +940,10 @@ class EulerLevel:
     None, and its block j draws from the child j, one step per draw: the
     run's own block j, as simulate steps it.  step_cost is the modelled
     (step, draw, per-path) time of one fine step of dt in ns (see
-    _step_cost).
+    _step_cost).  lattice, set only on an uncoupled level of an exact
+    run, makes each block one shift of the _LATTICE_POINTS points of the
+    Korobov lattice, its shift drawn from the block's stream (see
+    _original_steps); such a block holds exactly _LATTICE_POINTS paths.
     """
 
     index: int | None
@@ -873,12 +953,16 @@ class EulerLevel:
     steps: Callable
     seed: tuple
     step_cost: tuple
+    lattice: bool = False
 
     def block(self, j: int, n_paths: int):
+        if self.lattice and n_paths != _LATTICE_POINTS:
+            raise ValueError(f"a lattice block holds {_LATTICE_POINTS} paths, not {n_paths}")
         key = (j,) if self.index is None else (self.index, j)
         seq = np.random.SeedSequence(list(self.seed), spawn_key=key)
         gen = np.random.default_rng(seq)
-        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, gen, self.batch(n_paths))
+        batch = self.batch(n_paths)
+        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, gen, batch, self.lattice)
 
     def batch(self, n_paths: int) -> int:
         """The steps a block of n_paths paths draws at once: as many as

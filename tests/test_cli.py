@@ -719,6 +719,70 @@ class TestComparePipeline:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+class TestCompareSampling:
+    @staticmethod
+    def lattice_config():
+        # 10 steps of 0.01 give levels of 5 and 10 steps; 40k paths make
+        # a budget of 400k path-steps, which holds the coarsest level's 16
+        # lattice shifts of 4096 paths beside the other pilot
+        return base_config(
+            simulation={
+                "x0": 1.0,
+                "horizon": 0.1,
+                "dt": 0.01,
+                "n_paths": 40_000,
+                "eps": 0.005,
+                "seed": 8,
+            },
+            pricing={"tau_grid": [0.05, 0.1]},
+        )
+
+    def test_lattice_outputs_do_not_depend_on_the_worker_count(
+        self, write_config, tmp_path, monkeypatch
+    ):
+        cfg = write_config(self.lattice_config())
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for cpus, out in zip((1, 2), outs):
+            monkeypatch.setattr(pricing, "_usable_cpus", lambda c=cpus: c)
+            assert run(["compare", cfg, str(out), "--quiet"]) == 0
+        summary = load_report(outs[0])["summary"]
+        assert summary["scheme"] == "exact_stable"
+        coarsest, finest = summary["levels"]
+        assert (coarsest["sampling"], coarsest["points"]) == ("lattice", 4096)
+        assert coarsest["n_paths"] == 4096 * coarsest["shifts"] and coarsest["shifts"] >= 16
+        assert len(coarsest["mean"]) == len(finest["se"]) == 2
+        for name in ("report.json", "comparison.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_compound_poisson_comparison_keeps_its_bytes(self, write_config, tmp_path):
+        # 0.6 expected jumps per path-step at eps: compound-Poisson jumps
+        # on five levels, which keep plain Monte Carlo; comparison.csv is
+        # pinned from the version before the lattice level
+        doc = base_config(
+            simulation={
+                "x0": 1.0,
+                "horizon": 0.16,
+                "dt": 0.01,
+                "n_paths": 4000,
+                "eps": 0.05,
+                "seed": 3,
+            },
+            pricing={"tau_grid": [0.08, 0.16]},
+        )
+        out = tmp_path / "out"
+        assert run(["compare", write_config(doc), str(out), "--quiet"]) == 0
+        assert (out / "comparison.csv").read_text() == (
+            "tau,A,B,price_riccati,price_mc,se\n"
+            "0.08,0.000312015119366,0.0767974491599,0.925788507288,0.925504138588,"
+            "0.000678828703572\n"
+            "0.16,0.00120605872137,0.145180831824,0.863823433406,0.864624803711,"
+            "0.00106375134218\n"
+        )
+        levels = load_report(out)["summary"]["levels"]
+        assert [level["n_paths"] for level in levels] == [13289, 5189, 1575, 710, 463]
+        assert levels[0]["sampling"] == "mc"
+
+
 class TestCompareRefusalWithWorkers:
     """compare starts its Monte Carlo workers before it reduces; a
     refused reduction still gives the report of a refusal, and no worker

@@ -1,12 +1,14 @@
 """Tests for Riccati term structures, bond pricing, and the Monte Carlo
 cross-check of the exponent-equation sign convention."""
 
+import dataclasses
 import multiprocessing
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from levyreduce import (
     BlowUp,
@@ -470,14 +472,22 @@ class TestMultilevelCompare:
     def test_price_is_the_sum_of_the_level_means(self, example_spec, example_vol, monkeypatch):
         # each level stepped again block by block from its own streams:
         # the price is the sum of the level means of P_fine - P_coarse,
-        # the squared SE the sum of their variances over their paths
+        # the squared SE the sum of their variances over their paths.
+        # The coarsest level of these exact increments is a lattice
+        # level: its blocks are shifts of 4096 paths, its mean the mean
+        # of the shift means and its squared SE their variance over R
         result = self.compare(example_spec, example_vol, monkeypatch)
         run = original_run(
             example_vol, example_spec, -0.5, 0.1, 1.0, 1e-3, 0.48, 48, 6000, RngStream(5)
         )
+        assert result.summary["levels"][0]["sampling"] == "lattice"
         price, var = np.zeros(2), np.zeros(2)
         for level, info in zip(run.levels, result.summary["levels"]):
-            sizes = level_blocks(info["n_paths"], 300)
+            if info.get("sampling") == "lattice":
+                level = dataclasses.replace(level, lattice=True)
+                sizes = [4096] * info["shifts"]
+            else:
+                sizes = level_blocks(info["n_paths"], 300)
             fine, coarse = [], []
             for j, n in enumerate(sizes):
                 nodes = list(level.block(j, n))
@@ -491,6 +501,8 @@ class TestMultilevelCompare:
                     d -= np.exp(
                         -np.concatenate([trapezoid(c, 2 * level.dt, m // 2) for c in coarse])
                     )
+                if level.lattice:
+                    d = d.reshape(len(sizes), 4096).mean(axis=1)
                 diffs.append(d)
             price += [d.mean() for d in diffs]
             var += [d.var(ddof=1) / d.size for d in diffs]
@@ -523,6 +535,55 @@ class TestMultilevelCompare:
         assert paths[0] > 10 * paths[1] > 0
         # without variance, as for C = 0, every level keeps its pilot alone
         assert pricing._allocation(levels, [0.0] * 4, 1000, budget) == [1000] * 4
+
+
+class TestLatticeLevel:
+    # TestMultilevelCompare's leg: its exact increments put the coarsest
+    # level, 3 steps of 0.16, on the shifted lattice
+    def compare(self, example_spec, example_vol, monkeypatch):
+        return TestMultilevelCompare().compare(example_spec, example_vol, monkeypatch)
+
+    @pytest.mark.parametrize("nu", [15, 31, 63])
+    def test_t_factor_matches_the_student_quantile(self, nu):
+        exact = stats.t.ppf(stats.norm.cdf(3.0), nu)
+        assert abs(pricing._t_factor(nu) - exact) <= 1e-3
+
+    def test_band_reads_the_lattice_se_with_its_t_factor(
+        self, example_spec, example_vol, monkeypatch
+    ):
+        result = self.compare(example_spec, example_vol, monkeypatch)
+        levels = result.summary["levels"]
+        coarsest = levels[0]
+        assert (coarsest["sampling"], coarsest["points"]) == ("lattice", 4096)
+        assert coarsest["shifts"] >= 16
+        assert coarsest["n_paths"] == 4096 * coarsest["shifts"]
+        assert all("sampling" not in level for level in levels[1:])
+        scale = (pricing._t_factor(coarsest["shifts"] - 1) / 3.0) ** 2
+        for m, row in enumerate(result.rows):
+            ses = np.array([level["se"][m] for level in levels])
+            assert row["price_mc"] == pytest.approx(sum(level["mean"][m] for level in levels))
+            # the se column stays the plain standard error
+            assert row["se"] == pytest.approx(np.sqrt(np.sum(ses**2)), rel=1e-12)
+            band_se = np.sqrt(scale * ses[0] ** 2 + np.sum(ses[1:] ** 2))
+            assert row["band"] == pytest.approx(3.0 * band_se + 0.01, rel=1e-12)
+            assert row["band"] > 3.0 * row["se"] + 0.01
+
+    def test_allocation_keeps_a_lattice_level_to_whole_shifts(self, example_spec, example_vol):
+        run = original_run(
+            example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 2.0, 1000, 10, RngStream(1)
+        )
+        levels = (dataclasses.replace(run.levels[0], lattice=True), *run.levels[1:])
+        budget = (20_000 * 1000, run.plain.cost([10_000, 10_000]))
+        for coarse in (0.07, 0.007, 7e-5):
+            paths = pricing._allocation(levels, [coarse, 7.3e-4, 2.8e-4, 1.2e-4], 1000, budget)
+            assert paths[0] % 4096 == 0 and paths[0] >= 16 * 4096
+            assert pricing._fits(levels, paths, 1000, budget)
+        # at a tiny variance the lattice level keeps its 16 shifts alone
+        assert paths[0] == 16 * 4096
+        # a lattice level's blocks are its shifts, a plain level's the
+        # pilot, then full blocks
+        assert pricing._blocks(levels[0], 5 * 4096, 1000) == [4096] * 5
+        assert pricing._blocks(levels[1], 21_000, 1000) == [1000, 10_000, 10_000]
 
 
 def many_atom_form():

@@ -2,8 +2,10 @@
 
 import collections
 import dataclasses
+import importlib.util
 import itertools
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1298,3 +1300,94 @@ def loop_increments(spec, eps, horizon, n_steps, n_paths, rng):
         assert run.scheme == "compound_poisson"
         columns.append(collections.deque(run, maxlen=1).pop() - 100.0)
     return np.column_stack(columns)
+
+
+def lattice_search():
+    """tools/lattice_search.py, the script that finds the stored
+    generator, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "lattice_search.py"
+    spec = importlib.util.spec_from_file_location("lattice_search", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tent_points(z, shift, n=4096):
+    """The tent-transformed, clipped coordinate of the lattice points
+    k z / n + shift, k = 0..n-1, written out on its own: the tent 1 -
+    |2x - 1| of the fractional part x, as 2 min(x, 1 - x), which is
+    exact."""
+    x = (np.arange(n) * z % n) / n + shift
+    x = x - np.floor(x)
+    u = 2.0 * np.minimum(x, 1.0 - x)
+    return np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
+
+
+class TestLattice:
+    N, G = simulate._LATTICE_POINTS, simulate._LATTICE_GENERATOR
+
+    def test_every_projection_is_a_permutation(self):
+        search = lattice_search()
+        z = search.generating_vector(self.N, self.G, 1024)
+        assert z.tolist() == [pow(self.G, j, self.N) for j in range(1024)]
+        points = np.arange(self.N)[:, None] * z % self.N
+        assert np.array_equal(np.sort(points, axis=0), np.tile(np.arange(self.N)[:, None], 1024))
+
+    def test_stored_generator_beats_most_candidates(self):
+        # the criterion of the stored g against 50 fixed odd candidates
+        search = lattice_search()
+        candidates = np.random.default_rng(26).choice(np.arange(1, self.N, 2), 50, replace=False)
+        stored = search.criterion(self.N, self.G, 256)
+        scores = [search.criterion(self.N, int(g), 256) for g in candidates]
+        assert np.mean([stored <= score for score in scores]) >= 0.9
+
+    def test_uniforms_are_the_tent_of_the_shifted_points(self):
+        coords = np.array([0, 1, 7, 251, 5000])
+        shift = np.random.default_rng(3).random(coords.size)
+        u = simulate._lattice_uniforms(self.N, coords, shift)
+        for row, j, s in zip(u, coords, shift):
+            assert np.array_equal(row, tent_points(pow(self.G, int(j), self.N), s))
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_points_at_zero_and_one_give_finite_draws(self, alpha):
+        # unshifted, coordinate 0 (z = 1) holds the points 0 and 1/2,
+        # which the tent maps to u = 0 and u = 1 before the clip
+        u = simulate._lattice_uniforms(self.N, np.array([0]), np.zeros(1))[0]
+        assert (u[0], u[self.N // 2]) == (2.0**-53, 1.0 - 2.0**-53)
+        assert np.all((u > 0.0) & (u < 1.0))
+        v, w = simulate._stable_inputs(u, u)
+        assert np.all((v > -np.pi / 2) & (v < np.pi / 2))
+        assert np.all(np.isfinite(w) & (w > 0.0))
+        assert np.all(np.isfinite(simulate._cms(alpha, 1.0, v, w)))
+        sampler = simulate.StableAtomSampler(np.eye(2), np.array([alpha, 1.5]), np.ones(2))
+        assert np.all(np.isfinite(sampler.mapped_increment(0.01, np.stack([u, u, u[::-1], u]))))
+
+    def test_mapped_uniforms_have_the_law_of_drawn_increments(self, example_spec):
+        # as criterion 09: two-sample KS statistic below 0.01 at 100k
+        # draws, i.i.d. uniforms mapped against the sampler's own draws
+        sampler = stable_atom_sampler(example_spec, 1e-3, 0.01)
+        u = RngStream(40).generator().random((4, 100_000))
+        mapped = sampler.mapped_increment(0.01, u)
+        drawn = sampler.sample_increment(0.01, 100_000, RngStream(41))
+        for i in range(2):
+            assert stats.ks_2samp(mapped[:, i], drawn[:, i]).statistic < 0.01
+
+    def test_lattice_block_steps_the_mapped_points(self, example_spec, example_vol):
+        # worked's shape at 20 steps: the coarsest level steps 5 of 0.04.
+        # A lattice block draws its shift first, then takes step k, atom
+        # i's uniforms from coordinates 2 (2k + i) and 2 (2k + i) + 1
+        run = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 0.2, 20, 10, 12)
+        level = dataclasses.replace(run.levels[0], lattice=True)
+        assert (level.n_steps, level.coupled, level.batch(self.N)) == (5, False, 2)
+        sampler = stable_atom_sampler(example_spec, 3e-3, 0.04)
+        sampler = dataclasses.replace(sampler, directions=sampler.directions @ example_vol.basis)
+        shift = level_generator(12, level, 3).random(5 * 4)
+        r = np.ones(self.N)
+        for k, (state, coarse, _) in enumerate(level.block(3, self.N)):
+            if k:
+                c = [2 * (2 * (k - 1) + i) + e for i in range(2) for e in range(2)]
+                u = np.stack([tent_points(pow(self.G, j, self.N), shift[j]) for j in c])
+                r = euler_step(example_vol, r, 0.04, sampler.mapped_increment(0.04, u))
+            assert np.array_equal(state, r) and coarse is None
+        with pytest.raises(ValueError, match="4096 paths"):
+            level.block(0, 4000)

@@ -7,6 +7,7 @@ starts without importing scipy, numpy.ma or multiprocessing, and the
 Euler and pricing modules read no clock."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+
+from conftest import base_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "levyreduce").glob("*.py"))
@@ -326,11 +329,14 @@ def test_unread_attribute_is_detected():
     ]
 
 
-def _loaded_by_cli_import(modules) -> str:
+def _loaded_by_cli_import(modules, argv=None) -> str:
     """Which of modules importing levyreduce.cli loads, in a fresh
-    interpreter."""
+    interpreter, and then running it on argv when given."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    probe = f"import sys, levyreduce.cli; print([m for m in {modules!r} if m in sys.modules])"
+    probe = "import sys, levyreduce.cli; "
+    if argv is not None:
+        probe += f"assert levyreduce.cli.run({argv!r}) == 0; "
+    probe += f"print([m for m in {modules!r} if m in sys.modules])"
     done = subprocess.run(
         [sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=120,
@@ -339,10 +345,23 @@ def _loaded_by_cli_import(modules) -> str:
     return done.stdout.strip()
 
 
-def test_cli_import_leaves_out_scipy():
+def test_cli_import_leaves_out_scipy(tmp_path):
     # scipy is a test dependency only; importing it would add about
     # 0.2 s to the start of every pipeline
     assert _loaded_by_cli_import(["scipy"]) == "[]"
+    # nor does a whole compare of exact atoms load it, with its lattice
+    # level and the t factor of its band: 40k paths of 10 steps hold the
+    # coarsest level's 16 shifts of 4096 paths
+    doc = base_config(
+        simulation={"x0": 1.0, "horizon": 0.1, "dt": 0.01, "n_paths": 40_000, "eps": 0.005,
+                    "seed": 8},
+        pricing={"tau_grid": [0.05, 0.1]},
+    )
+    (tmp_path / "compare.json").write_text(json.dumps(doc))
+    argv = ["compare", str(tmp_path / "compare.json"), str(tmp_path / "out"), "--quiet"]
+    assert _loaded_by_cli_import(["scipy"], argv) == "[]"
+    summary = json.loads((tmp_path / "out" / "report.json").read_text())["summary"]
+    assert summary["levels"][0]["sampling"] == "lattice"
 
 
 def test_cli_import_leaves_out_numpy_ma():
