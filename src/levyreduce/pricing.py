@@ -15,7 +15,7 @@ both signs; the Monte Carlo comparison below cross-checks them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .exceptions import BlowUp
 from .report import CheckReport, item
 from .reduction import ReducedModel
 from .simulate import (
-    _LATTICE_POINTS,
     _PATH_BLOCK,
     EulerRun,
     RngStream,
@@ -268,17 +267,17 @@ def _usable_cpus() -> int:
 
 def _blocks(level, n_paths: int, pilot: int) -> list:
     """The path counts of the blocks of n_paths paths of level: whole
-    shifts of _LATTICE_POINTS paths on a lattice level, else the pilot
-    block, then blocks of at most _PATH_BLOCK paths."""
-    if level.lattice:
-        return [_LATTICE_POINTS] * (n_paths // _LATTICE_POINTS)
+    shifts of its points on a lattice level, else the pilot block, then
+    blocks of at most _PATH_BLOCK paths."""
+    if level.points:
+        return [level.points] * (n_paths // level.points)
     return [pilot, *_block_sizes(n_paths, pilot)]
 
 
 def _pilots(levels, pilot: int) -> list:
     """The paths of each level's pilot: pilot, or _LATTICE_SHIFTS shifts
     on a lattice level."""
-    return [_LATTICE_SHIFTS * _LATTICE_POINTS if level.lattice else pilot for level in levels]
+    return [_LATTICE_SHIFTS * level.points if level.points else pilot for level in levels]
 
 
 def _fits(levels, paths, pilot: int, budget) -> bool:
@@ -307,8 +306,8 @@ def _allocation(levels, variances, pilot: int, budget) -> list:
     least = pilot + np.sqrt(pilot * step / (per_path + draw / _PATH_BLOCK))
 
     def count(level, n):
-        if level.lattice:
-            return max(_LATTICE_SHIFTS, n // _LATTICE_POINTS) * _LATTICE_POINTS
+        if level.points:
+            return max(_LATTICE_SHIFTS, n // level.points) * level.points
         return n if n >= least else pilot
 
     def paths(k):
@@ -364,13 +363,15 @@ class _MonteCarloLeg:
     draw (see EulerLevel.cost).  Otherwise the leg prices the plain
     level, one draw per step, and its tasks are the run's blocks.
 
-    Under exact stable increments, the coarsest level of such a run is
-    a lattice level (EulerLevel.lattice) where its pilot of
-    _LATTICE_SHIFTS shifts fits with the others: each block is one
-    random shift of the _LATTICE_POINTS lattice points, its estimate the
-    mean of the R shift means, its standard error theirs over R, and the
-    variance per path it gives _allocation _LATTICE_POINTS times their
-    variance.  The band reads that level's standard error with R - 1
+    The coarsest level of such a run is a lattice level (EulerRun.
+    lattice_level) where the run has one and its pilot of
+    _LATTICE_SHIFTS shifts fits with the others: 4096 points under
+    exact stable increments, 1024 under compound-Poisson jumps of one
+    radius law, while a level whose coordinates outrun the period of
+    its lattice keeps plain Monte Carlo.  Each block is one random shift
+    of the level's points, its estimate the mean of the R shift means,
+    its standard error theirs over R, and the variance per path it gives
+    _allocation the points times their variance.  The band reads that level's standard error with R - 1
     degrees of freedom: collect's band SE scales its squared term by
     (t / 3)^2, t = _t_factor(R - 1).
 
@@ -396,10 +397,9 @@ class _MonteCarloLeg:
         if budget_steps is not None and self.pilot >= _PILOT_MIN:
             levels = run.levels
             self.budget = (run.n_paths * budget_steps, _TIME_SHARE * run.cost(budget_steps))
-            if run.jumps is None and len(levels) > 1:
-                lattice = (replace(levels[0], lattice=True), *levels[1:])
-                if self._pilots_fit(lattice):
-                    levels = lattice
+            coarsest = run.lattice_level()
+            if coarsest is not None and self._pilots_fit((coarsest, *levels[1:])):
+                levels = (coarsest, *levels[1:])
         if len(levels) > 1 and self._pilots_fit(levels):
             self.tasks = [
                 [(i, j, n) for j, n in enumerate(_blocks(level, least, self.pilot))]
@@ -461,8 +461,7 @@ class _MonteCarloLeg:
         if len(self.levels) == 1:
             return
         variances = [
-            sum(s.var(ddof=1) for s in self._samples(i))
-            * (_LATTICE_POINTS if level.lattice else 1)
+            sum(s.var(ddof=1) for s in self._samples(i)) * max(level.points, 1)
             for i, level in enumerate(self.levels)
         ]
         rest = []
@@ -542,9 +541,10 @@ class _MonteCarloLeg:
         """Per maturity, the independent samples whose mean is level i's
         estimate: its _discounts, or on a lattice level the mean of each
         shift's."""
-        if not self.levels[i].lattice:
+        points = self.levels[i].points
+        if not points:
             return self._discounts(i)
-        return [d.reshape(-1, _LATTICE_POINTS).mean(axis=1) for d in self._discounts(i)]
+        return [d.reshape(-1, points).mean(axis=1) for d in self._discounts(i)]
 
     def collect(self) -> list:
         """(price, standard error, band SE) at each maturity: the band SE
@@ -559,7 +559,7 @@ class _MonteCarloLeg:
                 process.join()
         self.moments = [[_moments(s) for s in self._samples(i)] for i in range(len(self.tasks))]
         scales = [
-            (_t_factor(len(tasks) - 1) / 3.0) ** 2 if level.lattice else 1.0
+            (_t_factor(len(tasks) - 1) / 3.0) ** 2 if level.points else 1.0
             for level, tasks in zip(self.levels, self.tasks)
         ]
         return [
@@ -592,9 +592,9 @@ class _MonteCarloLeg:
             }
             for level, n, s, c, moments in zip(self.levels, paths, steps, clipped, self.moments)
         ]
-        coarsest = summary["levels"][0]
-        if self.levels[0].lattice:
-            coarsest.update(sampling="lattice", points=_LATTICE_POINTS, shifts=len(self.tasks[0]))
+        coarsest, points = summary["levels"][0], self.levels[0].points
+        if points:
+            coarsest.update(sampling="lattice", points=points, shifts=len(self.tasks[0]))
         else:
             coarsest["sampling"] = "mc"
         if self.levels[-1].coupled:
@@ -706,11 +706,11 @@ def compare_term_structures(
     spread over them; a level's blocks of fewer than _PATH_BLOCK paths
     draw several steps at once (see EulerLevel.batch).  Otherwise it is
     the plain run at dt.  SE is the standard error of the estimate
-    either way.  Under exact stable increments the coarsest level is a
-    lattice level where its _LATTICE_SHIFTS shifts fit the budget (see
-    _MonteCarloLeg); the band then reads its standard error with the
-    Student-t factor of its shifts, and the se column stays the plain
-    standard error.
+    either way.  The coarsest level is a lattice level, of exact stable
+    increments or of compound-Poisson jumps of one radius law, where its
+    _LATTICE_SHIFTS shifts fit the budget (see _MonteCarloLeg); the band
+    then reads its standard error with the Student-t factor of its
+    shifts, and the se column stays the plain standard error.
 
     original_run picks exact stable increments or compound-Poisson jumps
     at the configured eps, as simulate does.  For compound-Poisson jumps

@@ -43,16 +43,19 @@ level's block of fewer than _PATH_BLOCK paths draws the increments of
 several steps in one call, as many as _PATH_BLOCK path-steps hold:
 the path-steps of one draw are i.i.d., so each step's increments keep
 their law, and the draw's fixed cost is paid once per batch.  compare
-may make the coarsest level of an exact run a lattice level: its stable
-draws take their uniforms from a randomly shifted rank-1 Korobov
-lattice under the tent transform, one shift per path block, which is
-multilevel quasi-Monte Carlo (Giles and Waterhouse 2009).
+may make the coarsest level a lattice level: each path-step takes its
+Gaussian's normals and its sampler's uniforms from a randomly shifted
+rank-1 Korobov lattice under the tent transform, one shift per path
+block, which is multilevel quasi-Monte Carlo (Giles and Waterhouse
+2009).  An exact sampler maps the uniforms of its stable draws; a
+compound-Poisson one of one radius law the largest jump of a step, in
+LePage order (Rosinski 2001), and draws the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -99,13 +102,25 @@ _PATH_BLOCK = 10_000
 # way, best of 7 at 100 to 1000 paths drawing 10 000 path-steps at once,
 # a batched step's fixed time was 5.9 to 7.2 us, the Euler row's 7 us,
 # for worked's two exact atoms and for many-atoms' compound-Poisson step
-# with its Gaussian, whose unbatched fixed times were 44 and 38 us
+# with its Gaussian, whose unbatched fixed times were 44 and 38 us.  The
+# last row is what a compound-Poisson lattice step adds (see
+# _original_steps), timed in the same loop as the sampler's row, at
+# many-atoms' coarsest level (63 steps, 0.47 expected jumps per
+# path-step, one Gaussian column of G's basis), best of 20 interleaved
+# runs at workload seeds 3 to 5: a lattice block of 1024 paths, 9 steps
+# per draw, took 2.08 to 2.22 times a plain block of 10 000 paths per
+# path-step, and 1.6 to 1.8 times a plain block of 1024.  The row prices
+# it at 2.15 times the plain run's step there, so that a leg whose
+# coarsest level is a lattice level keeps to the plain run's time, which
+# its budget is.  An exact lattice step costs the plain one: its lattice
+# columns and map took 432 us against 431 us
 _STEP_COSTS = np.array([
     [7_000.0, 6.0],  # Euler step
     [44_350.0, 40.5],  # per exact stable atom
     [36_000.0, 9.5],  # compound-Poisson sampler
     [0.0, 29.0],  # per expected jump of a path-step
     [1_500.0, 16.0],  # per Gaussian column
+    [0.0, 87.5],  # per compound-Poisson lattice path-step
 ])
 # the (fixed, per-path) time in ns of a coarse step, which draws nothing:
 # 12 us + 10 ns per path, timed beside the two-atom step above
@@ -119,12 +134,14 @@ _CUTOFF_DOUBLINGS = 4
 # to 103: within 2 % of 16's on worked, and 4 to 5 % below them on
 # many-atoms at two seeds of the three; 64 left them 12 to 25 % higher
 _COARSEST_STEPS = 32
-# the rank-1 Korobov lattice of compare's coarsest exact level: n points
-# and the generating vector z_j = g^(j-1) mod n.  g has the least
-# weighted P_2 criterion (weights 1/j^2, 256 dimensions) of the odd g up
-# to n/2, as tools/lattice_search.py finds it
-_LATTICE_POINTS = 4096
-_LATTICE_GENERATOR = 1939
+# the rank-1 Korobov lattices of compare's coarsest level, n points to
+# (g, order): the generating vector z_j = g^(j-1) mod n repeats after
+# order coordinates, the order of g mod n.  g has the least weighted P_2
+# criterion (weights 1/j^2, 256 dimensions) of the odd g up to n/2, as
+# tools/lattice_search.py finds it.  An exact run takes 4096 points, a
+# compound-Poisson one 1024, so that 16 shifts fit many-atoms' budget
+_LATTICES = {4096: (1939, 1024), 1024: (43, 256)}
+_EXACT_POINTS, _POISSON_POINTS = 4096, 1024
 # lattice uniforms are clipped into [_U_MIN, 1 - _U_MIN]: the tent
 # transform maps the points 0 and 1/2 to 0 and 1, where v = pi (u - 1/2)
 # would reach -pi/2 or pi/2 and w = -log1p(-u) would be 0 or infinite
@@ -253,12 +270,16 @@ class EulerRun(_SchemeSlack):
     clipped over all n_steps * n_paths proposals.  jumps is the
     compound-Poisson jump sampler behind the increments, None for exact
     stable increments.  levels is the run's multilevel form (see
-    _levels).  price(dt) is the step cost of a level at the step dt (see
-    _step_cost).  A run steps once.
+    _levels).  price(dt, lattice) is the step cost of a level at the step
+    dt, on the lattice or not (see _step_cost).  lattice is (points,
+    coordinates per path-step) of the lattice its coarsest level may
+    take (see lattice_level), None where its sampler maps none.  A run
+    steps once.
     """
 
-    def __init__(self, steps, dt, n_steps, n_paths, rng, jumps, price):
+    def __init__(self, steps, dt, n_steps, n_paths, rng, jumps, price, lattice):
         self.seed = _seed_tag(rng)
+        self.lattice = lattice
         self.price = price
         self.plain = EulerLevel(None, dt, n_steps, False, steps, self.seed, price(dt))
         self.levels = _levels(self.plain, price)
@@ -290,6 +311,19 @@ class EulerRun(_SchemeSlack):
         dt = self.dt * self.n_steps / n_steps
         plain = replace(self.plain, dt=dt, n_steps=n_steps, step_cost=self.price(dt))
         return plain.cost(_block_sizes(self.n_paths))
+
+    def lattice_level(self):
+        """The coarsest level on the run's lattice, priced as such; None
+        for a run of one level, a run without a lattice, or a level whose
+        coordinates, n_steps times those of a path-step, outnumber the
+        order of the lattice's generator, past which they repeat."""
+        coarsest = self.levels[0]
+        if len(self.levels) == 1 or self.lattice is None:
+            return None
+        points, width = self.lattice
+        if coarsest.n_steps * width > _LATTICES[points][1]:
+            return None
+        return replace(coarsest, points=points, step_cost=self.price(coarsest.dt, True))
 
 
 def _stored(run: EulerRun) -> PathEnsemble:
@@ -461,6 +495,20 @@ class JumpSampler:
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_firsts", np.unique(self.law_of, return_index=True)[1])
         object.__setattr__(self, "_columns", self.directions[order].T)
+        # what mapped_increment reads: the directions by the size of
+        # their projection, the cumulative share of their intensities,
+        # which ends at 1 exactly, and its guide table (Chen and Asau
+        # 1974): cell c of 2^m >= 4 n cells holds the number of shares
+        # up to c / 2^m, which no cell adds more than guide_steps to
+        by_size = np.argsort(np.linalg.norm(self.directions, axis=1), kind="stable")
+        shares = np.cumsum(self.intensities[by_size])
+        shares /= max(shares[-1], 1e-300)
+        cells = 1 << (4 * len(shares) - 1).bit_length()
+        guide = np.searchsorted(shares, np.arange(cells + 1) / cells, side="right")
+        object.__setattr__(self, "_by_size", self.directions[by_size])
+        object.__setattr__(self, "_size_cdf", shares)
+        object.__setattr__(self, "_guide", guide[:-1])
+        object.__setattr__(self, "_guide_steps", int(np.diff(guide).max()))
 
     @property
     def intensity(self) -> float:
@@ -475,19 +523,30 @@ class JumpSampler:
         moment per unit time of the small jumps projected on g."""
         return float(self.small_third @ (self.directions @ g) ** 3)
 
+    @property
+    def lattice(self):
+        """(points, coordinates per path-step) of the lattice that
+        mapped_increment maps, for jumps of one radius law and a positive
+        intensity; else None."""
+        return (_POISSON_POINTS, 2) if len(self._firsts) == 1 and self.intensity > 0 else None
+
     def _draw_radii(self, i: int, n: int, gen) -> np.ndarray:
         """n radii from the tail law of direction i."""
         law = self.radius_laws[self.law_of[i]]
+        if isinstance(law, tuple):
+            return _atom_radii(law, gen.random(n))
+        return self._tail_radii(law, gen.standard_exponential(n))
+
+    def _tail_radii(self, law, v: np.ndarray) -> np.ndarray:
+        """The radii of law whose tail probability is exp(-v)."""
         if isinstance(law, float):
             # exact power tail: P(R > r) = (r / eps)^-alpha above the cutoff
-            return self.cutoff * np.exp(gen.standard_exponential(n) * (1.0 / law))
+            return self.cutoff * np.exp(v * (1.0 / law))
         if isinstance(law, tuple):
-            radii, cdf = law
-            pick = np.searchsorted(cdf, gen.random(n), side="right")
-            return radii[pick.clip(0, len(radii) - 1)]
+            return _atom_radii(law, -np.expm1(-v))
         # the table is uniform in v = -log(tail probability), so an
         # exponential draw indexes it directly; heavy tails stay resolved
-        pos = gen.standard_exponential(n) * (1.0 / _V_STEP)
+        pos = v * (1.0 / _V_STEP)
         pos = np.minimum(pos, len(law) - 1.000001)
         idx = pos.astype(np.intp)
         frac = pos - idx
@@ -512,6 +571,56 @@ class JumpSampler:
             )
         out -= dt * self.mean_flux
         return out
+
+    def mapped_increment(self, dt: float, u: np.ndarray, gen) -> np.ndarray:
+        """The increments of sample_increment, one per column of the
+        uniforms u in (0, 1), for jumps of one radius law, the largest
+        first (LePage order).  The jumps of a path-step are the arrivals
+        of a unit-rate Poisson process on (0, lam dt), lam the intensity:
+        row 0 gives the first, Gamma_1 = -log1p(-u), and row 1 its
+        direction, by the inverse CDF of the intensities over the
+        directions sorted by the size of their projection.  A jump
+        exists where Gamma_1 < lam dt, of the radius whose tail
+        probability is Gamma_1 / (lam dt).  The later arrivals of those
+        path-steps come from gen: sample_increment's own jumps, each at
+        Gamma = lam dt e^-v for v the exponential of its radius, kept
+        where Gamma > Gamma_1, which leaves a unit-rate Poisson process
+        on (Gamma_1, lam dt).  A path-step without a first jump has none."""
+        lam = dt * self.intensity
+        # the path-steps whose first arrival comes before lam, and
+        # v1 = log(lam / Gamma_1) > 0, the tail exponent of its jump
+        first = np.flatnonzero(u[0] < -np.expm1(-lam))
+        v1 = np.log1p(-u[0, first])
+        np.negative(v1, out=v1)
+        np.log(v1, out=v1)
+        np.subtract(np.log(lam), v1, out=v1)
+        # the inverse CDF: the number of shares up to the uniform
+        key = u[1, first]
+        pick = self._guide[(key * len(self._guide)).astype(np.intp)]
+        for _ in range(self._guide_steps):
+            pick += key >= self._size_cdf[pick]
+        # their later arrivals, drawn as sample_increment draws its jumps
+        totals = gen.poisson(self.intensities * (dt * first.size))
+        v = gen.standard_exponential(int(totals.sum()))
+        owners = gen.integers(0, first.size, v.size)
+        kept = np.flatnonzero(v < v1[owners])
+        law = self.radius_laws[self.law_of[0]]
+        firsts, radii = self._tail_radii(law, v1), self._tail_radii(law, v[kept])
+        out = np.empty((u.shape[1], self.directions.shape[1]))
+        out[:] = -dt * self.mean_flux
+        for j, col in enumerate(self.directions.T):
+            jumps = firsts * self._by_size[pick, j]
+            weights = radii * np.repeat(col, totals)[kept]
+            jumps += np.bincount(owners[kept], weights=weights, minlength=first.size)
+            out[first, j] += jumps
+        return out
+
+
+def _atom_radii(law: tuple, u: np.ndarray) -> np.ndarray:
+    """The radii of law, (radii, cumulative weights), at the uniforms u."""
+    radii, cdf = law
+    pick = np.searchsorted(cdf, u, side="right")
+    return radii[pick.clip(0, len(radii) - 1)]
 
 
 def _radius_table(gamma, eps: float) -> np.ndarray:
@@ -672,6 +781,12 @@ class StableAtomSampler:
         # np.dot, as @ leaves BLAS and is 6x slower for one atom
         return np.dot(y, self.directions)
 
+    @property
+    def lattice(self):
+        """(points, coordinates per path-step) of the lattice that
+        mapped_increment maps: two uniforms per atom."""
+        return _EXACT_POINTS, 2 * len(self.alphas)
+
     def mapped_increment(self, dt: float, u: np.ndarray) -> np.ndarray:
         """The increments of sample_increment, one per column of the
         uniforms u in (0, 1), two rows per atom: atom i maps row 2i to
@@ -694,25 +809,97 @@ def _stable_inputs(u1: np.ndarray, u2: np.ndarray) -> tuple:
     return v, w
 
 
-def _lattice_uniforms(n: int, coords: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """The coordinates coords of the n points of the Korobov lattice
-    (n, _LATTICE_GENERATOR), each shifted by its entry of shift, tent-
-    transformed and clipped: a (coords.size, n) array, row j the n
-    values 1 - |2 {x} - 1| at x = k z_j / n + shift_j, k = 0..n-1, for
-    z_j = _LATTICE_GENERATOR^coords[j] mod n, clipped into [_U_MIN,
-    1 - _U_MIN].  For n a power of two, k z_j / n and its fractional
-    part {k z_j / n} = (k z_j mod n) / n are exact, so the shift adds to
-    a value below 1; the tent, twice the distance of x to the nearest
-    integer, is exact too."""
-    z = np.array([pow(_LATTICE_GENERATOR, j, n) for j in coords.tolist()], float)
-    x = np.multiply.outer(z * (1.0 / n), np.arange(n, dtype=float))
-    whole = np.floor(x)
-    x -= whole
+@lru_cache(maxsize=2)
+def _lattice_points(n: int, m: int) -> np.ndarray:
+    """The first m coordinates of the n unshifted points of the Korobov
+    lattice (n, g) of _LATTICES: an (m, n) uint16 array, row j the
+    integers k z_j mod n, k = 0..n-1, for z_j = g^j mod n, read-only.
+    Built once per level and process; uint16 products wrap modulo 2^16,
+    a multiple of n, so they are exact modulo n."""
+    g = _LATTICES[n][0]
+    z = np.array([pow(g, j, n) for j in range(m)], dtype=np.uint16)
+    points = np.multiply.outer(z, np.arange(n, dtype=np.uint16)) & np.uint16(n - 1)
+    points.flags.writeable = False
+    return points
+
+
+def _lattice_uniforms(points: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The rows points of _lattice_points, each shifted by its entry of
+    shift, tent-transformed and clipped: row j the values 1 - |2 {x} -
+    1| at x = points[j] / n + shift_j, n = points.shape[1], clipped into
+    [_U_MIN, 1 - _U_MIN].  For n a power of two, points / n is exact,
+    so the shift adds to a value below 1; the tent, twice the distance
+    of x to the nearest integer, is exact too."""
+    x = points * (1.0 / points.shape[1])
     x += shift[:, None]
-    x -= np.rint(x, out=whole)
+    x -= np.rint(x)
     np.abs(x, out=x)
     x *= 2.0
-    return np.clip(x, _U_MIN, 1.0 - _U_MIN, out=x)
+    np.maximum(x, _U_MIN, out=x)
+    return np.minimum(x, 1.0 - _U_MIN, out=x)
+
+
+# Wichura's AS241 (PPND16): the numerator and denominator coefficients,
+# constant term first, of the central region |u - 1/2| <= 0.425 and of
+# the tails at r = sqrt(-log min(u, 1 - u)) - 1.6 up to r = 3.4 and
+# r - 3.4 beyond; every coefficient is positive and every r >= 0
+_AS241 = np.array([
+    [[3.387132872796366608, 133.14166789178437745, 1971.5909503065514427,
+      13731.693765509461125, 45921.953931549871457, 67265.770927008700853,
+      33430.575583588128105, 2509.0809287301226727],
+     [1.0, 42.313330701600911252, 687.1870074920579083, 5394.1960214247511077,
+      21213.794301586595867, 39307.89580009271061, 28729.085735721942674,
+      5226.495278852854561]],
+    [[1.42343711074968357734, 4.6303378461565452959, 5.7694972214606914055,
+      3.64784832476320460504, 1.27045825245236838258, 0.24178072517745061177,
+      0.0227238449892691845833, 7.7454501427834140764e-4],
+     [1.0, 2.05319162663775882187, 1.6763848301838038494, 0.68976733498510000455,
+      0.14810397642748007459, 0.0151986665636164571966, 5.475938084995344946e-4,
+      1.05075007164441684324e-9]],
+    [[6.6579046435011037772, 5.4637849111641143699, 1.7848265399172913358,
+      0.29656057182850489123, 0.026532189526576123093, 0.0012426609473880784386,
+      2.71155556874348757815e-5, 2.01033439929228813265e-7],
+     [1.0, 0.59983220655588793769, 0.13692988092273580531, 0.0148753612908506148525,
+      7.868691311456132591e-4, 1.8463183175100546818e-5, 1.4215117583164458887e-7,
+      2.04426310338993978564e-15]],
+])
+
+
+def _rational(coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The ratio of the two polynomials of coefs (2, 8) at r >= 0, as one
+    product with the powers of r: with every term positive, the sums
+    lose no accuracy, and one matrix product is faster than Horner's
+    rule in numpy."""
+    powers = np.empty((coefs.shape[1], r.size))
+    powers[0] = 1.0
+    powers[1] = r
+    for k in range(2, len(powers)):
+        np.multiply(powers[k - 1], r, out=powers[k])
+    num, den = coefs @ powers
+    num /= den
+    return num
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The standard normal quantile at u in (0, 1), by Wichura's AS241
+    (Applied Statistics 37, 1988), accurate to about 1e-16 relative."""
+    shape, u = u.shape, u.ravel()
+    q = u - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _rational(_AS241[0], r)
+    x *= q
+    tails = np.flatnonzero(np.abs(q) > 0.425)
+    if tails.size:
+        ut = u[tails]
+        r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
+        r -= 1.6
+        far = r > 3.4
+        tail = _rational(_AS241[1], r)
+        if far.any():
+            tail[far] = _rational(_AS241[2], r[far] - 3.4)
+        x[tails] = np.copysign(tail, q[tails])
+    return x.reshape(shape)
 
 
 def stable_atom_sampler(spec: LevySpec, eps: float, dt: float):
@@ -815,7 +1002,9 @@ def _euler_run(G, sampler, q, a, b, x0, dt, n_steps, n_paths, rng) -> EulerRun:
     d-dimensional one (_step_cost of the unprojected sampler and d
     Gaussian columns, at each level's own step), so a leg's budget and
     allocation do not depend on G's basis.  A compound-Poisson sampler
-    is kept unprojected as the run's jumps.
+    is kept unprojected as the run's jumps.  The run's lattice is the
+    sampler's, with root's normals added to its coordinates per
+    path-step (see _original_steps).
     """
     jumps = sampler if isinstance(sampler, JumpSampler) else None
     price = partial(_step_cost, sampler, q.shape[0] if np.any(q != 0.0) else 0)
@@ -829,7 +1018,10 @@ def _euler_run(G, sampler, q, a, b, x0, dt, n_steps, n_paths, rng) -> EulerRun:
         w, vecs = np.linalg.eigh(q)
         root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
     steps = partial(_original_steps, G, sampler, root, a, b, x0)
-    return EulerRun(steps, dt, n_steps, n_paths, rng, jumps, price)
+    lattice = sampler.lattice
+    if lattice is not None:
+        lattice = (lattice[0], (0 if root is None else root.shape[0]) + lattice[1])
+    return EulerRun(steps, dt, n_steps, n_paths, rng, jumps, price, lattice)
 
 
 def _original_steps(
@@ -850,13 +1042,16 @@ def _original_steps(
     and the clipped count covers both legs.  Without, the coarse state
     is always None.
 
-    With lattice, the exact sampler's uniforms come from the n_paths
+    With lattice, the uniforms of each path-step come from the n_paths
     points of the Korobov lattice (see _lattice_uniforms), one path per
     point, under one shift that the block draws from gen before anything
-    else: coordinates 2 (k A + i) and 2 (k A + i) + 1 are the uniforms
-    of atom i at step k, for A atoms, mapped by StableAtomSampler.
-    mapped_increment.  Each draw builds the coordinates of its own steps
-    only.  The Gaussian still draws from gen.
+    else.  Step k takes the W coordinates W k, ..., W k + W - 1: first
+    root's K normals, through _ndtri, then the sampler's own (see its
+    lattice) for its mapped_increment, which may draw the rest from
+    gen.  For A exact atoms, coordinates W k + K + 2i and W k + K + 2i
+    + 1 are atom i's; a compound-Poisson step's are its first jump's
+    arrival and direction.  Each draw slices the coordinates of its own
+    steps from the level's unshifted points.
     """
     r = np.full(n_paths, float(x0))
     coarse = r.copy() if coupled else None
@@ -864,8 +1059,14 @@ def _original_steps(
         # the Gaussian's normals and their mix, held for the whole block
         noise, mixed = np.empty((2, batch * n_paths, root.shape[0]))
     if lattice:
-        width = 2 * len(sampler.alphas)
+        normals = 0 if root is None else root.shape[0]
+        width = normals + sampler.lattice[1]
+        points = _lattice_points(n_paths, n_steps * width)
         shift = gen.random(n_steps * width)
+        mapped = sampler.mapped_increment
+        if isinstance(sampler, JumpSampler):
+            # its later arrivals come from gen
+            mapped = partial(mapped, gen=gen)
     yield r, coarse, 0
     for start in range(0, n_steps, batch):
         count = min(batch, n_steps - start)
@@ -874,12 +1075,15 @@ def _original_steps(
             # row c holds coordinate c of each step, the steps in turn
             coords = np.arange(start * width, (start + count) * width)
             coords = coords.reshape(count, width).T.ravel()
-            u = _lattice_uniforms(n_paths, coords, shift[coords])
-            draws = sampler.mapped_increment(dt, u.reshape(width, rows))
+            u = _lattice_uniforms(points[coords], shift[coords]).reshape(width, rows)
+            draws = mapped(dt, u[normals:])
         else:
             draws = sampler.sample_increment(dt, rows, gen)
         if root is not None:
-            gen.standard_normal(out=noise[:rows])
+            if lattice:
+                noise[:rows] = _ndtri(u[:normals]).T
+            else:
+                gen.standard_normal(out=noise[:rows])
             # np.dot, as @ leaves BLAS and is 12x slower for K = 1
             np.dot(noise[:rows], root.T, out=mixed[:rows])
             mixed[:rows] *= np.sqrt(dt)
@@ -899,17 +1103,18 @@ def _original_steps(
                 yield r, coarse, clipped + coarse_clipped
 
 
-def _step_cost(sampler, columns: int, dt: float) -> tuple:
+def _step_cost(sampler, columns: int, dt: float, lattice: bool = False) -> tuple:
     """The modelled (step, draw, per-path) time in ns of one Euler step
     of dt of a path block under sampler, with columns Gaussian columns:
     the fixed time of the Euler step, the fixed time of its draw, and
     the time per path.  An exact sampler pays per stable atom drawn, a
     compound-Poisson one per expected jump of a path-step, and each pays
-    for the Gaussian (see _STEP_COSTS)."""
+    for the Gaussian (see _STEP_COSTS).  With lattice, a compound-Poisson
+    step also pays for its lattice draw; an exact one costs the same."""
     if isinstance(sampler, StableAtomSampler):
-        units = [1.0, len(sampler.alphas), 0.0, 0.0, columns]
+        units = [1.0, len(sampler.alphas), 0.0, 0.0, columns, 0.0]
     else:
-        units = [1.0, 0.0, 1.0, dt * sampler.intensity, columns]
+        units = [1.0, 0.0, 1.0, dt * sampler.intensity, columns, float(lattice)]
     units = np.array(units, dtype=float)
     draw = units[1:] @ _STEP_COSTS[1:, 0]
     return float(_STEP_COSTS[0, 0]), float(draw), float(units @ _STEP_COSTS[:, 1])
@@ -940,10 +1145,11 @@ class EulerLevel:
     None, and its block j draws from the child j, one step per draw: the
     run's own block j, as simulate steps it.  step_cost is the modelled
     (step, draw, per-path) time of one fine step of dt in ns (see
-    _step_cost).  lattice, set only on an uncoupled level of an exact
-    run, makes each block one shift of the _LATTICE_POINTS points of the
-    Korobov lattice, its shift drawn from the block's stream (see
-    _original_steps); such a block holds exactly _LATTICE_POINTS paths.
+    _step_cost).  points, set only on a coarsest level that EulerRun.
+    lattice_level makes, makes each block one shift of the points points
+    of the Korobov lattice of _LATTICES, its shift drawn from the block's
+    stream (see _original_steps); such a block holds exactly points
+    paths.  0 leaves the level on plain Monte Carlo.
     """
 
     index: int | None
@@ -953,16 +1159,16 @@ class EulerLevel:
     steps: Callable
     seed: tuple
     step_cost: tuple
-    lattice: bool = False
+    points: int = 0
 
     def block(self, j: int, n_paths: int):
-        if self.lattice and n_paths != _LATTICE_POINTS:
-            raise ValueError(f"a lattice block holds {_LATTICE_POINTS} paths, not {n_paths}")
+        if self.points and n_paths != self.points:
+            raise ValueError(f"a lattice block holds {self.points} paths, not {n_paths}")
         key = (j,) if self.index is None else (self.index, j)
         seq = np.random.SeedSequence(list(self.seed), spawn_key=key)
         gen = np.random.default_rng(seq)
         batch = self.batch(n_paths)
-        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, gen, batch, self.lattice)
+        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, gen, batch, self.points > 0)
 
     def batch(self, n_paths: int) -> int:
         """The steps a block of n_paths paths draws at once: as many as

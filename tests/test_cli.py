@@ -754,10 +754,44 @@ class TestCompareSampling:
         for name in ("report.json", "comparison.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @staticmethod
+    def poisson_lattice_config():
+        # 0.6 expected jumps per path-step at eps: compound-Poisson jumps
+        # on five levels; 8000 paths of 16 steps make a budget that holds
+        # the coarsest level's 16 lattice shifts of 1024 paths
+        return base_config(
+            simulation={
+                "x0": 1.0,
+                "horizon": 0.16,
+                "dt": 0.01,
+                "n_paths": 8000,
+                "eps": 0.05,
+                "seed": 3,
+            },
+            pricing={"tau_grid": [0.08, 0.16]},
+        )
+
+    def test_poisson_lattice_outputs_do_not_depend_on_the_worker_count(
+        self, write_config, tmp_path, monkeypatch
+    ):
+        cfg = write_config(self.poisson_lattice_config())
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for cpus, out in zip((1, 2), outs):
+            monkeypatch.setattr(pricing, "_usable_cpus", lambda c=cpus: c)
+            assert run(["compare", cfg, str(out), "--quiet"]) == 0
+        summary = load_report(outs[0])["summary"]
+        assert summary["scheme"] == "compound_poisson"
+        coarsest = summary["levels"][0]
+        assert (coarsest["sampling"], coarsest["points"]) == ("lattice", 1024)
+        assert coarsest["n_paths"] == 1024 * coarsest["shifts"] and coarsest["shifts"] >= 16
+        for name in ("report.json", "comparison.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_compound_poisson_comparison_keeps_its_bytes(self, write_config, tmp_path):
         # 0.6 expected jumps per path-step at eps: compound-Poisson jumps
-        # on five levels, which keep plain Monte Carlo; comparison.csv is
-        # pinned from the version before the lattice level
+        # on five levels.  4000 paths of 16 steps leave no room for 16
+        # lattice shifts, so every level keeps plain Monte Carlo;
+        # comparison.csv is pinned from the version before the lattice level
         doc = base_config(
             simulation={
                 "x0": 1.0,

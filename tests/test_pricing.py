@@ -484,7 +484,7 @@ class TestMultilevelCompare:
         price, var = np.zeros(2), np.zeros(2)
         for level, info in zip(run.levels, result.summary["levels"]):
             if info.get("sampling") == "lattice":
-                level = dataclasses.replace(level, lattice=True)
+                level = dataclasses.replace(level, points=4096)
                 sizes = [4096] * info["shifts"]
             else:
                 sizes = level_blocks(info["n_paths"], 300)
@@ -501,7 +501,7 @@ class TestMultilevelCompare:
                     d -= np.exp(
                         -np.concatenate([trapezoid(c, 2 * level.dt, m // 2) for c in coarse])
                     )
-                if level.lattice:
+                if level.points:
                     d = d.reshape(len(sizes), 4096).mean(axis=1)
                 diffs.append(d)
             price += [d.mean() for d in diffs]
@@ -572,7 +572,7 @@ class TestLatticeLevel:
         run = original_run(
             example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 2.0, 1000, 10, RngStream(1)
         )
-        levels = (dataclasses.replace(run.levels[0], lattice=True), *run.levels[1:])
+        levels = (run.lattice_level(), *run.levels[1:])
         budget = (20_000 * 1000, run.plain.cost([10_000, 10_000]))
         for coarse in (0.07, 0.007, 7e-5):
             paths = pricing._allocation(levels, [coarse, 7.3e-4, 2.8e-4, 1.2e-4], 1000, budget)
@@ -618,16 +618,23 @@ class TestCompoundPoissonCompare:
         assert dts == pytest.approx([8 * self.DT, 4 * self.DT, 2 * self.DT, self.DT])
         assert summary["cutoff"] >= self.CFG.eps
         assert result.passed
-        # band = 3 SE + dt + |m3| / 6 int_0^tau B^3 ds P(tau), for m3 the
-        # third moment of the small jumps projected on G(x0)
+        # the coarsest level is a lattice level of 1024 points
+        coarsest = summary["levels"][0]
+        assert (coarsest["sampling"], coarsest["points"]) == ("lattice", 1024)
+        scale = (pricing._t_factor(coarsest["shifts"] - 1) / 3.0) ** 2
+        # band = 3 band SE + dt + |m3| / 6 int_0^tau B^3 ds P(tau), for m3
+        # the third moment of the small jumps projected on G(x0) and the
+        # band SE the lattice level's scaled by the t factor
         sampler, _ = truncated_jump_sampler(spec, summary["cutoff"])
         skew = abs(sampler.third_moment(G(1.0))) / 6.0
         ts = riccati_solve(model, 1.0, self.CFG.n_ode_steps)
-        for row in result.rows:
+        for m, row in enumerate(result.rows):
             upto = ts.tau_grid <= row["tau"] * (1.0 + 1e-12)
             term = skew * np.trapezoid(ts.B[upto] ** 3, ts.tau_grid[upto]) * row["price_riccati"]
             assert 0.0 < term < self.DT
-            assert row["band"] - 3.0 * row["se"] - self.DT == pytest.approx(term, rel=1e-6)
+            ses = np.array([level["se"][m] for level in summary["levels"]])
+            band_se = np.sqrt(scale * ses[0] ** 2 + np.sum(ses[1:] ** 2))
+            assert row["band"] - 3.0 * band_se - self.DT == pytest.approx(term, rel=1e-6)
 
     def test_the_cutoff_is_the_largest_doubling_within_the_cap(self, example_spec, example_vol):
         # two half-weight axis atoms, G(1) = (1, 1): the bound at cutoff e

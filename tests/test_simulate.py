@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from levyreduce import (
     CutoffTooSmall,
@@ -1324,7 +1324,8 @@ def tent_points(z, shift, n=4096):
 
 
 class TestLattice:
-    N, G = simulate._LATTICE_POINTS, simulate._LATTICE_GENERATOR
+    N = simulate._EXACT_POINTS
+    G = simulate._LATTICES[N][0]
 
     def test_every_projection_is_a_permutation(self):
         search = lattice_search()
@@ -1342,9 +1343,9 @@ class TestLattice:
         assert np.mean([stored <= score for score in scores]) >= 0.9
 
     def test_uniforms_are_the_tent_of_the_shifted_points(self):
-        coords = np.array([0, 1, 7, 251, 5000])
+        coords = np.array([0, 1, 7, 251, 1000])
         shift = np.random.default_rng(3).random(coords.size)
-        u = simulate._lattice_uniforms(self.N, coords, shift)
+        u = simulate._lattice_uniforms(simulate._lattice_points(self.N, 1001)[coords], shift)
         for row, j, s in zip(u, coords, shift):
             assert np.array_equal(row, tent_points(pow(self.G, int(j), self.N), s))
 
@@ -1352,7 +1353,7 @@ class TestLattice:
     def test_points_at_zero_and_one_give_finite_draws(self, alpha):
         # unshifted, coordinate 0 (z = 1) holds the points 0 and 1/2,
         # which the tent maps to u = 0 and u = 1 before the clip
-        u = simulate._lattice_uniforms(self.N, np.array([0]), np.zeros(1))[0]
+        u = simulate._lattice_uniforms(simulate._lattice_points(self.N, 1), np.zeros(1))[0]
         assert (u[0], u[self.N // 2]) == (2.0**-53, 1.0 - 2.0**-53)
         assert np.all((u > 0.0) & (u < 1.0))
         v, w = simulate._stable_inputs(u, u)
@@ -1377,7 +1378,7 @@ class TestLattice:
         # A lattice block draws its shift first, then takes step k, atom
         # i's uniforms from coordinates 2 (2k + i) and 2 (2k + i) + 1
         run = original_run(example_vol, example_spec, -0.5, 0.1, 1.0, 3e-3, 0.2, 20, 10, 12)
-        level = dataclasses.replace(run.levels[0], lattice=True)
+        level = run.lattice_level()
         assert (level.n_steps, level.coupled, level.batch(self.N)) == (5, False, 2)
         sampler = stable_atom_sampler(example_spec, 3e-3, 0.04)
         sampler = dataclasses.replace(sampler, directions=sampler.directions @ example_vol.basis)
@@ -1391,3 +1392,110 @@ class TestLattice:
             assert np.array_equal(state, r) and coarse is None
         with pytest.raises(ValueError, match="4096 paths"):
             level.block(0, 4000)
+
+
+def fan_spec(n_atoms):
+    """n_atoms atoms of equal weight fanned over the positive quadrant of
+    the circle, under r^-2.5: exact increments at the cutoff 1e-3."""
+    angles = np.linspace(0.1, 1.4, n_atoms)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    return stable_spec(ALPHA, SphericalMeasure.from_atoms(dirs, np.full(n_atoms, 1.0 / n_atoms)))
+
+
+class TestPoissonLattice:
+    N = simulate._POISSON_POINTS
+
+    @pytest.mark.parametrize("n, g, order", [(4096, 1939, 1024), (1024, 43, 256)])
+    def test_stored_lattices_and_their_orders(self, n, g, order):
+        search = lattice_search()
+        assert simulate._LATTICES[n] == (g, order)
+        assert search.order(n, g) == order
+        z = search.generating_vector(n, g, 2 * order + 1)
+        assert np.all(z[1:order] != 1) and z[order] == 1
+        assert np.array_equal(z[order:], z[: order + 1])
+
+    def test_stored_generator_beats_most_candidates(self):
+        search = lattice_search()
+        g = simulate._LATTICES[self.N][0]
+        candidates = np.random.default_rng(27).choice(np.arange(1, self.N, 2), 50, replace=False)
+        stored = search.criterion(self.N, g, 256)
+        scores = [search.criterion(self.N, int(c), 256) for c in candidates]
+        assert np.mean([stored <= score for score in scores]) >= 0.9
+
+    def test_normal_quantile_matches_scipy(self):
+        ends = np.geomspace(2.0**-53, 0.5, 4000)
+        u = np.concatenate([RngStream(50).generator().random(100_000), ends, 1.0 - ends])
+        u = np.concatenate([u, [2.0**-53, 1.0 - 2.0**-53, 0.075, 0.925, 0.0749, 0.9251]])
+        exact = special.ndtri(u)
+        x = simulate._ndtri(u.reshape(2, -1)).ravel()
+        assert np.all(np.abs(x - exact) <= 1e-14 * np.abs(exact))
+        assert simulate._ndtri(np.array([0.5]))[0] == 0.0
+
+    @pytest.mark.parametrize("law", ["power", "table", "atoms"])
+    def test_mapped_uniforms_have_the_law_of_drawn_increments(
+        self, law, example_spec, tabulated_example_spec
+    ):
+        # two axis atoms of one radius law at eps = 0.05, about 1.2
+        # expected jumps per path-step of 0.02 under the power law: i.i.d.
+        # uniforms through the LePage map against the sampler's own
+        # draws, two-sample KS below 0.01 at 100k per coordinate and on
+        # their sum
+        spec = {
+            "power": example_spec,
+            "table": tabulated_example_spec,
+            "atoms": axis_spec([RadialMeasure(atoms=((0.01, 20.0), (0.1, 30.0), (0.4, 9.0)))] * 2,
+                               [0.5, 0.5]),
+        }[law]
+        sampler, _ = truncated_jump_sampler(spec, 0.05)
+        assert sampler.lattice == (self.N, 2)
+        u = RngStream(42).generator().random((2, 100_000))
+        mapped = sampler.mapped_increment(0.02, u, RngStream(43).generator())
+        drawn = sampler.sample_increment(0.02, 100_000, RngStream(44))
+        for x, y in zip([*mapped.T, mapped.sum(axis=1)], [*drawn.T, drawn.sum(axis=1)]):
+            assert stats.ks_2samp(x, y).statistic < 0.01
+
+    def test_a_sampler_of_two_radius_laws_has_no_lattice(self):
+        spec = axis_spec([power_radial(1.5), power_radial(1.3)], [0.5, 0.5])
+        sampler, _ = truncated_jump_sampler(spec, 0.05)
+        assert sampler.lattice is None
+
+    def test_lattice_block_steps_the_mapped_points(self, tabulated_example_spec, example_vol):
+        # a compound-Poisson run with a Wiener part at 16 steps: the
+        # coarsest level steps 1 of 0.16.  A lattice block draws its shift
+        # first; step k takes coordinate 3k for its normal, 3k + 1 and
+        # 3k + 2 for its first jump, and its later arrivals from the block
+        spec = dataclasses.replace(tabulated_example_spec, wiener_cov=0.01 * np.eye(2))
+        run = original_run(example_vol, spec, -0.5, 0.1, 1.0, 0.05, 0.16, 16, 10, 12)
+        level = run.lattice_level()
+        assert (level.points, level.n_steps, level.batch(self.N)) == (self.N, 1, 9)
+        assert run.lattice == (self.N, 3)
+        sampler = dataclasses.replace(
+            run.jumps, directions=run.jumps.directions @ example_vol.basis,
+            mean_flux=run.jumps.mean_flux @ example_vol.basis,
+        )
+        q = example_vol.basis.T @ (spec.wiener_cov + run.jumps.small_cov) @ example_vol.basis
+        gen = level_generator(12, level, 2)
+        shift = gen.random(3)
+        z = [pow(simulate._LATTICES[self.N][0], j, self.N) for j in range(3)]
+        u = np.stack([tent_points(zj, s, self.N) for zj, s in zip(z, shift)])
+        dz = sampler.mapped_increment(0.16, u[1:], gen)
+        dz += np.sqrt(q * 0.16) * special.ndtri(u[:1]).T
+        r = euler_step(example_vol, np.ones(self.N), 0.16, dz)
+        states = [state for state, _, _ in level.block(2, self.N)]
+        assert np.allclose(states[1], r, rtol=1e-14, atol=1e-15)
+        with pytest.raises(ValueError, match="1024 paths"):
+            level.block(0, 4096)
+
+    @pytest.mark.parametrize(
+        "atoms, steps, lattice", [(9, 63, False), (9, 57, False), (9, 55, True), (7, 63, True)]
+    )
+    def test_a_level_past_the_period_stays_plain(self, example_vol, atoms, steps, lattice):
+        # an exact level of n steps and A atoms takes 2 A n coordinates,
+        # which must not outnumber the 1024 of 1939's period mod 4096:
+        # 9 atoms fit 55 coarsest steps, not 57 or 63; 7 atoms fit 63
+        run = original_run(
+            example_vol, fan_spec(atoms), -0.5, 0.1, 1.0, 1e-3, 1.0, 8 * steps, 10, 3
+        )
+        assert run.scheme == "exact_stable" and run.levels[0].n_steps == steps
+        assert run.lattice == (4096, 2 * atoms)
+        assert (run.lattice_level() is not None) == lattice

@@ -362,6 +362,16 @@ def test_cli_import_leaves_out_scipy(tmp_path):
     assert _loaded_by_cli_import(["scipy"], argv) == "[]"
     summary = json.loads((tmp_path / "out" / "report.json").read_text())["summary"]
     assert summary["levels"][0]["sampling"] == "lattice"
+    # nor does one of compound-Poisson jumps, whose lattice level maps
+    # its normals through the package's own quantile: 8000 paths of 16
+    # steps hold 16 shifts of 1024 paths
+    doc["simulation"].update(horizon=0.16, n_paths=8000, eps=0.05, seed=3)
+    doc["pricing"]["tau_grid"] = [0.08, 0.16]
+    (tmp_path / "poisson.json").write_text(json.dumps(doc))
+    argv = ["compare", str(tmp_path / "poisson.json"), str(tmp_path / "poisson"), "--quiet"]
+    assert _loaded_by_cli_import(["scipy"], argv) == "[]"
+    summary = json.loads((tmp_path / "poisson" / "report.json").read_text())["summary"]
+    assert (summary["scheme"], summary["levels"][0]["sampling"]) == ("compound_poisson", "lattice")
 
 
 def test_cli_import_leaves_out_numpy_ma():

@@ -1,6 +1,7 @@
 """Search the generator of compare's rank-1 Korobov lattice.
 
     python3 tools/lattice_search.py [--points 4096] [--dims 256]
+    python3 tools/lattice_search.py --points 1024
 
 A Korobov lattice of n points in s dimensions has the generating vector
 z_j = g^(j-1) mod n, j = 1..s, and the points {k z / n}, k = 0..n-1.
@@ -16,8 +17,10 @@ worst-case error of the lattice in the weighted Korobov space of
 smoothness 1 (Dick, Kuo and Sloan 2013, section 5).  A g and n - g give
 the same criterion, since B_2(1 - x) = B_2(x), so the upper half is
 left out.  It prints the g of the least criterion, the smallest among
-ties.  numpy only; at n = 4096 and s = 256 the search takes about half
-a minute.
+ties, and the order of g mod n: the vector z repeats after that many
+coordinates, so a point set of more coordinates than the order reuses
+its z_j.  numpy only; at s = 256 the search takes about half a minute
+at n = 4096 and about a second at n = 1024.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ def generating_vector(n: int, g: int, s: int) -> np.ndarray:
     for j in range(1, s):
         z[j] = z[j - 1] * g % n
     return z
+
+
+def order(n: int, g: int) -> int:
+    """The least k >= 1 with g^k = 1 mod n, for g odd and n a power of
+    two: the period of z_j."""
+    k, x = 1, g % n
+    while x != 1:
+        k, x = k + 1, x * g % n
+    return k
 
 
 def criterion(n: int, g: int, s: int) -> float:
@@ -59,7 +71,10 @@ def main() -> None:
     parser.add_argument("--dims", type=int, default=256, help="s, the dimensions scored")
     args = parser.parse_args()
     g, score = search(args.points, args.dims)
-    print(f"n = {args.points}, s = {args.dims}: g = {g}, P_2 = {score:.6e}")
+    print(
+        f"n = {args.points}, s = {args.dims}: g = {g}, order {order(args.points, g)}, "
+        f"P_2 = {score:.6e}"
+    )
 
 
 if __name__ == "__main__":
