@@ -48,9 +48,13 @@ _PILOT_MIN = 100
 # where worked's two plain blocks end together.  Without it, compare
 # took 3.5 and 5.8 % longer than the plain run in two benchmark pairs
 _TIME_SHARE = 0.93
-# the least shifts of a lattice level, its pilot: the band reads its SE
-# with R - 1 degrees of freedom (see _t_factor)
-_LATTICE_SHIFTS = 16
+# the least blocks of a lattice level, its pilot: 16 shifts of an exact
+# run's 4096 points or 64 of a compound-Poisson run's 257 (see EulerLevel.
+# lattice_paths).  The band reads its SE with R - 1 degrees of freedom
+# for R shifts (see _t_factor).  Over many-atoms' workload seeds, the
+# standard deviation of its band_max was 6.4 % of the median at 15 and
+# 3.9 % at 63, its interquartile range 6.2 % and 5.2 %
+_LATTICE_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -267,17 +271,17 @@ def _usable_cpus() -> int:
 
 def _blocks(level, n_paths: int, pilot: int) -> list:
     """The path counts of the blocks of n_paths paths of level: whole
-    shifts of its points on a lattice level, else the pilot block, then
-    blocks of at most _PATH_BLOCK paths."""
+    lattice blocks on a lattice level, else the pilot block, then blocks
+    of at most _PATH_BLOCK paths."""
     if level.points:
-        return [level.points] * (n_paths // level.points)
+        return [level.lattice_paths] * (n_paths // level.lattice_paths)
     return [pilot, *_block_sizes(n_paths, pilot)]
 
 
 def _pilots(levels, pilot: int) -> list:
-    """The paths of each level's pilot: pilot, or _LATTICE_SHIFTS shifts
+    """The paths of each level's pilot: pilot, or _LATTICE_BLOCKS blocks
     on a lattice level."""
-    return [_LATTICE_SHIFTS * level.points if level.points else pilot for level in levels]
+    return [_LATTICE_BLOCKS * level.lattice_paths or pilot for level in levels]
 
 
 def _fits(levels, paths, pilot: int, budget) -> bool:
@@ -299,7 +303,7 @@ def _allocation(levels, variances, pilot: int, budget) -> list:
     draw's fixed time of each of the _PATH_BLOCK path-steps it holds.
     So few paths cost more in fixed step costs than spending that time
     on the other levels saves.  A lattice level's count is rounded down
-    to whole shifts, at least its _LATTICE_SHIFTS.  The pilots alone
+    to whole blocks, at least its _LATTICE_BLOCKS.  The pilots alone
     must fit the budget."""
     weights = [np.sqrt(v / level.path_cost) for level, v in zip(levels, variances)]
     step, draw, per_path = levels[-1].step_cost
@@ -307,7 +311,7 @@ def _allocation(levels, variances, pilot: int, budget) -> list:
 
     def count(level, n):
         if level.points:
-            return max(_LATTICE_SHIFTS, n // level.points) * level.points
+            return max(_LATTICE_BLOCKS, n // level.lattice_paths) * level.lattice_paths
         return n if n >= least else pilot
 
     def paths(k):
@@ -365,15 +369,16 @@ class _MonteCarloLeg:
 
     The coarsest level of such a run is a lattice level (EulerRun.
     lattice_level) where the run has one and its pilot of
-    _LATTICE_SHIFTS shifts fits with the others: 4096 points under
-    exact stable increments, 1024 under compound-Poisson jumps of one
-    radius law, while a level whose coordinates outrun the period of
-    its lattice keeps plain Monte Carlo.  Each block is one random shift
-    of the level's points, its estimate the mean of the R shift means,
-    its standard error theirs over R, and the variance per path it gives
-    _allocation the points times their variance.  The band reads that level's standard error with R - 1
-    degrees of freedom: collect's band SE scales its squared term by
-    (t / 3)^2, t = _t_factor(R - 1).
+    _LATTICE_BLOCKS blocks fits with the others: one shift of 4096
+    points per block under exact stable increments, four of 257 under
+    compound-Poisson jumps of one radius law, while a level whose
+    coordinates outrun the period of its lattice keeps plain Monte
+    Carlo.  Each shift is random, the level's estimate the mean of the
+    R shift means, its standard error theirs over R, and the variance
+    per path it gives _allocation the points times their variance.  The
+    band reads that level's standard error with R - 1 degrees of
+    freedom: collect's band SE scales its squared term by (t / 3)^2,
+    t = _t_factor(R - 1).
 
     With two or more usable CPUs, the tasks step on forked workers as the
     leg is made: at most one worker per task of the first phase and one
@@ -557,10 +562,11 @@ class _MonteCarloLeg:
                 raise self.error
             for process, _ in self.workers:
                 process.join()
-        self.moments = [[_moments(s) for s in self._samples(i)] for i in range(len(self.tasks))]
+        samples = [self._samples(i) for i in range(len(self.tasks))]
+        self.moments = [[_moments(s) for s in level] for level in samples]
         scales = [
-            (_t_factor(len(tasks) - 1) / 3.0) ** 2 if level.points else 1.0
-            for level, tasks in zip(self.levels, self.tasks)
+            (_t_factor(len(shifts[0]) - 1) / 3.0) ** 2 if level.points else 1.0
+            for level, shifts in zip(self.levels, samples)
         ]
         return [
             (
@@ -594,7 +600,7 @@ class _MonteCarloLeg:
         ]
         coarsest, points = summary["levels"][0], self.levels[0].points
         if points:
-            coarsest.update(sampling="lattice", points=points, shifts=len(self.tasks[0]))
+            coarsest.update(sampling="lattice", points=points, shifts=paths[0] // points)
         else:
             coarsest["sampling"] = "mc"
         if self.levels[-1].coupled:
@@ -708,7 +714,7 @@ def compare_term_structures(
     the plain run at dt.  SE is the standard error of the estimate
     either way.  The coarsest level is a lattice level, of exact stable
     increments or of compound-Poisson jumps of one radius law, where its
-    _LATTICE_SHIFTS shifts fit the budget (see _MonteCarloLeg); the band
+    _LATTICE_BLOCKS blocks fit the budget (see _MonteCarloLeg); the band
     then reads its standard error with the Student-t factor of its
     shifts, and the se column stays the plain standard error.
 

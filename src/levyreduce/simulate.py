@@ -45,7 +45,7 @@ the path-steps of one draw are i.i.d., so each step's increments keep
 their law, and the draw's fixed cost is paid once per batch.  compare
 may make the coarsest level a lattice level: each path-step takes its
 Gaussian's normals and its sampler's uniforms from a randomly shifted
-rank-1 Korobov lattice under the tent transform, one shift per path
+rank-1 Korobov lattice under the tent transform, whole shifts per path
 block, which is multilevel quasi-Monte Carlo (Giles and Waterhouse
 2009).  An exact sampler maps the uniforms of its stable draws; a
 compound-Poisson one of one radius law the largest jump of a step, in
@@ -139,9 +139,18 @@ _COARSEST_STEPS = 32
 # order coordinates, the order of g mod n.  g has the least weighted P_2
 # criterion (weights 1/j^2, 256 dimensions) of the odd g up to n/2, as
 # tools/lattice_search.py finds it.  An exact run takes 4096 points, a
-# compound-Poisson one 1024, so that 16 shifts fit many-atoms' budget
-_LATTICES = {4096: (1939, 1024), 1024: (43, 256)}
-_EXACT_POINTS, _POISSON_POINTS = 4096, 1024
+# compound-Poisson one the prime 257, whose order 256 holds many-atoms'
+# 189 coarsest coordinates, as no power of two below 1024 can: its 64
+# shifts fit many-atoms' budget where 16 of 1024 did, and give the band
+# 63 degrees of freedom where those gave 15 (see pricing._LATTICE_BLOCKS)
+_LATTICES = {4096: (1939, 1024), 257: (65, 256)}
+_EXACT_POINTS, _POISSON_POINTS = 4096, 257
+# a lattice block holds the fewest whole shifts of a level's points that
+# make at least _LATTICE_BLOCK paths: one of 4096, four of 257.  So a
+# small lattice pays the fixed times of its steps no more often than one
+# of 1024 points; 64 blocks of one shift of 257 lost the coupled levels
+# a fifth of their paths on many-atoms
+_LATTICE_BLOCK = 1024
 # lattice uniforms are clipped into [_U_MIN, 1 - _U_MIN]: the tent
 # transform maps the points 0 and 1/2 to 0 and 1, where v = pi (u - 1/2)
 # would reach -pi/2 or pi/2 and w = -log1p(-u) would be 0 or infinite
@@ -814,29 +823,36 @@ def _lattice_points(n: int, m: int) -> np.ndarray:
     """The first m coordinates of the n unshifted points of the Korobov
     lattice (n, g) of _LATTICES: an (m, n) uint16 array, row j the
     integers k z_j mod n, k = 0..n-1, for z_j = g^j mod n, read-only.
-    Built once per level and process; uint16 products wrap modulo 2^16,
-    a multiple of n, so they are exact modulo n."""
+    Built once per level and process.  For n a power of two, uint16
+    products wrap modulo 2^16, a multiple of n, so they are exact modulo
+    n; a prime n reduces its int64 products."""
     g = _LATTICES[n][0]
     z = np.array([pow(g, j, n) for j in range(m)], dtype=np.uint16)
-    points = np.multiply.outer(z, np.arange(n, dtype=np.uint16)) & np.uint16(n - 1)
+    if n & (n - 1):
+        points = (np.multiply.outer(z.astype(np.int64), np.arange(n)) % n).astype(np.uint16)
+    else:
+        points = np.multiply.outer(z, np.arange(n, dtype=np.uint16)) & np.uint16(n - 1)
     points.flags.writeable = False
     return points
 
 
 def _lattice_uniforms(points: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """The rows points of _lattice_points, each shifted by its entry of
-    shift, tent-transformed and clipped: row j the values 1 - |2 {x} -
-    1| at x = points[j] / n + shift_j, n = points.shape[1], clipped into
-    [_U_MIN, 1 - _U_MIN].  For n a power of two, points / n is exact,
-    so the shift adds to a value below 1; the tent, twice the distance
-    of x to the nearest integer, is exact too."""
-    x = points * (1.0 / points.shape[1])
-    x += shift[:, None]
+    """The rows points of _lattice_points under each row of shift (one
+    shift, or S of them), tent-transformed and clipped: row j holds, for
+    each shift in turn, the values 1 - |2 {x} - 1| at x = points[j] / n +
+    shift_j, n = points.shape[1], clipped into [_U_MIN, 1 - _U_MIN].
+    For n a power of two, points / n is exact, so the shift adds to a
+    value below 1; the tent, twice the distance of x to the nearest
+    integer, is exact too."""
+    shift = np.reshape(shift, (-1, len(points))).T
+    x = points[:, None, :] * (1.0 / points.shape[1])
+    x = x + shift[:, :, None]
     x -= np.rint(x)
     np.abs(x, out=x)
     x *= 2.0
     np.maximum(x, _U_MIN, out=x)
-    return np.minimum(x, 1.0 - _U_MIN, out=x)
+    np.minimum(x, 1.0 - _U_MIN, out=x)
+    return x.reshape(len(points), -1)
 
 
 # Wichura's AS241 (PPND16): the numerator and denominator coefficients,
@@ -1025,7 +1041,7 @@ def _euler_run(G, sampler, q, a, b, x0, dt, n_steps, n_paths, rng) -> EulerRun:
 
 
 def _original_steps(
-    G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen, batch=1, lattice=False
+    G, sampler, root, a, b, x0, dt, n_steps, coupled, n_paths, gen, batch=1, lattice=0
 ):
     """The Euler loop of one path block: (state, coarse state, proposals
     clipped) at each node t = k dt.
@@ -1042,10 +1058,11 @@ def _original_steps(
     and the clipped count covers both legs.  Without, the coarse state
     is always None.
 
-    With lattice, the uniforms of each path-step come from the n_paths
-    points of the Korobov lattice (see _lattice_uniforms), one path per
-    point, under one shift that the block draws from gen before anything
-    else.  Step k takes the W coordinates W k, ..., W k + W - 1: first
+    With lattice, a number of points n of _LATTICES, the uniforms of
+    each path-step come from the n points of the Korobov lattice (see
+    _lattice_uniforms), one path per point, under n_paths / n shifts that
+    the block draws from gen before anything else, shift s for the paths
+    s n to s n + n - 1.  Step k takes the W coordinates W k, ..., W k + W - 1: first
     root's K normals, through _ndtri, then the sampler's own (see its
     lattice) for its mapped_increment, which may draw the rest from
     gen.  For A exact atoms, coordinates W k + K + 2i and W k + K + 2i
@@ -1061,8 +1078,8 @@ def _original_steps(
     if lattice:
         normals = 0 if root is None else root.shape[0]
         width = normals + sampler.lattice[1]
-        points = _lattice_points(n_paths, n_steps * width)
-        shift = gen.random(n_steps * width)
+        points = _lattice_points(lattice, n_steps * width)
+        shift = gen.random((n_paths // lattice, n_steps * width))
         mapped = sampler.mapped_increment
         if isinstance(sampler, JumpSampler):
             # its later arrivals come from gen
@@ -1075,7 +1092,7 @@ def _original_steps(
             # row c holds coordinate c of each step, the steps in turn
             coords = np.arange(start * width, (start + count) * width)
             coords = coords.reshape(count, width).T.ravel()
-            u = _lattice_uniforms(points[coords], shift[coords]).reshape(width, rows)
+            u = _lattice_uniforms(points[coords], shift[:, coords]).reshape(width, rows)
             draws = mapped(dt, u[normals:])
         else:
             draws = sampler.sample_increment(dt, rows, gen)
@@ -1146,10 +1163,10 @@ class EulerLevel:
     run's own block j, as simulate steps it.  step_cost is the modelled
     (step, draw, per-path) time of one fine step of dt in ns (see
     _step_cost).  points, set only on a coarsest level that EulerRun.
-    lattice_level makes, makes each block one shift of the points points
-    of the Korobov lattice of _LATTICES, its shift drawn from the block's
-    stream (see _original_steps); such a block holds exactly points
-    paths.  0 leaves the level on plain Monte Carlo.
+    lattice_level makes, makes each block whole shifts of the points
+    points of the Korobov lattice of _LATTICES, its shifts drawn from
+    the block's stream (see _original_steps); such a block holds exactly
+    lattice_paths paths.  0 leaves the level on plain Monte Carlo.
     """
 
     index: int | None
@@ -1162,13 +1179,19 @@ class EulerLevel:
     points: int = 0
 
     def block(self, j: int, n_paths: int):
-        if self.points and n_paths != self.points:
-            raise ValueError(f"a lattice block holds {self.points} paths, not {n_paths}")
+        if self.points and n_paths != self.lattice_paths:
+            raise ValueError(f"a lattice block holds {self.lattice_paths} paths, not {n_paths}")
         key = (j,) if self.index is None else (self.index, j)
         seq = np.random.SeedSequence(list(self.seed), spawn_key=key)
         gen = np.random.default_rng(seq)
         batch = self.batch(n_paths)
-        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, gen, batch, self.points > 0)
+        return self.steps(self.dt, self.n_steps, self.coupled, n_paths, gen, batch, self.points)
+
+    @property
+    def lattice_paths(self) -> int:
+        """The paths of one block of a lattice level, the fewest whole
+        shifts of its points that reach _LATTICE_BLOCK; 0 off the lattice."""
+        return self.points and self.points * -(-_LATTICE_BLOCK // self.points)
 
     def batch(self, n_paths: int) -> int:
         """The steps a block of n_paths paths draws at once: as many as

@@ -758,7 +758,8 @@ class TestCompareSampling:
     def poisson_lattice_config():
         # 0.6 expected jumps per path-step at eps: compound-Poisson jumps
         # on five levels; 8000 paths of 16 steps make a budget that holds
-        # the coarsest level's 16 lattice shifts of 1024 paths
+        # the coarsest level's 16 lattice blocks, each four shifts of 257
+        # paths
         return base_config(
             simulation={
                 "x0": 1.0,
@@ -782,15 +783,16 @@ class TestCompareSampling:
         summary = load_report(outs[0])["summary"]
         assert summary["scheme"] == "compound_poisson"
         coarsest = summary["levels"][0]
-        assert (coarsest["sampling"], coarsest["points"]) == ("lattice", 1024)
-        assert coarsest["n_paths"] == 1024 * coarsest["shifts"] and coarsest["shifts"] >= 16
+        assert (coarsest["sampling"], coarsest["points"]) == ("lattice", 257)
+        assert coarsest["n_paths"] == 257 * coarsest["shifts"] and coarsest["shifts"] >= 64
+        assert coarsest["shifts"] % 4 == 0
         for name in ("report.json", "comparison.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_compound_poisson_comparison_keeps_its_bytes(self, write_config, tmp_path):
         # 0.6 expected jumps per path-step at eps: compound-Poisson jumps
         # on five levels.  4000 paths of 16 steps leave no room for 16
-        # lattice shifts, so every level keeps plain Monte Carlo;
+        # lattice blocks, so every level keeps plain Monte Carlo;
         # comparison.csv is pinned from the version before the lattice level
         doc = base_config(
             simulation={

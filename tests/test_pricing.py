@@ -618,9 +618,9 @@ class TestCompoundPoissonCompare:
         assert dts == pytest.approx([8 * self.DT, 4 * self.DT, 2 * self.DT, self.DT])
         assert summary["cutoff"] >= self.CFG.eps
         assert result.passed
-        # the coarsest level is a lattice level of 1024 points
+        # the coarsest level is a lattice level of 64 shifts of 257 points
         coarsest = summary["levels"][0]
-        assert (coarsest["sampling"], coarsest["points"]) == ("lattice", 1024)
+        assert (coarsest["sampling"], coarsest["points"], coarsest["shifts"]) == ("lattice", 257, 64)
         scale = (pricing._t_factor(coarsest["shifts"] - 1) / 3.0) ** 2
         # band = 3 band SE + dt + |m3| / 6 int_0^tau B^3 ds P(tau), for m3
         # the third moment of the small jumps projected on G(x0) and the

@@ -1405,7 +1405,7 @@ def fan_spec(n_atoms):
 class TestPoissonLattice:
     N = simulate._POISSON_POINTS
 
-    @pytest.mark.parametrize("n, g, order", [(4096, 1939, 1024), (1024, 43, 256)])
+    @pytest.mark.parametrize("n, g, order", [(4096, 1939, 1024), (257, 65, 256)])
     def test_stored_lattices_and_their_orders(self, n, g, order):
         search = lattice_search()
         assert simulate._LATTICES[n] == (g, order)
@@ -1415,12 +1415,33 @@ class TestPoissonLattice:
         assert np.array_equal(z[order:], z[: order + 1])
 
     def test_stored_generator_beats_most_candidates(self):
+        # the prime 257 admits every g in [2, 256]
         search = lattice_search()
         g = simulate._LATTICES[self.N][0]
-        candidates = np.random.default_rng(27).choice(np.arange(1, self.N, 2), 50, replace=False)
+        candidates = np.random.default_rng(27).choice(np.arange(2, self.N), 50, replace=False)
         stored = search.criterion(self.N, g, 256)
         scores = [search.criterion(self.N, int(c), 256) for c in candidates]
         assert np.mean([stored <= score for score in scores]) >= 0.9
+
+    def test_every_projection_is_a_permutation(self):
+        # z_j = 65^j mod 257 runs over every nonzero residue, so each row
+        # of the points, prime n reduced exactly, permutes 0..256
+        points = simulate._lattice_points(self.N, 256)
+        assert points.dtype == np.uint16 and points.shape == (256, self.N)
+        z = lattice_search().generating_vector(self.N, simulate._LATTICES[self.N][0], 256)
+        assert sorted(z) == list(range(1, self.N))
+        assert np.array_equal(points, np.arange(self.N) * z[:, None] % self.N)
+        assert np.array_equal(np.sort(points, axis=1), np.tile(np.arange(self.N), (256, 1)))
+
+    def test_uniforms_of_several_shifts_are_each_shift_in_turn(self):
+        points = simulate._lattice_points(self.N, 10)[[0, 3, 9]]
+        shifts = np.random.default_rng(5).random((4, 3))
+        u = simulate._lattice_uniforms(points, shifts)
+        each = [simulate._lattice_uniforms(points, s) for s in shifts]
+        assert np.array_equal(u, np.concatenate(each, axis=1))
+        z = [pow(simulate._LATTICES[self.N][0], j, self.N) for j in (0, 3, 9)]
+        for row, zj, s in zip(each[2], z, shifts[2]):
+            assert np.allclose(row, tent_points(zj, s, self.N), rtol=0.0, atol=1e-15)
 
     def test_normal_quantile_matches_scipy(self):
         ends = np.geomspace(2.0**-53, 0.5, 4000)
@@ -1461,13 +1482,15 @@ class TestPoissonLattice:
 
     def test_lattice_block_steps_the_mapped_points(self, tabulated_example_spec, example_vol):
         # a compound-Poisson run with a Wiener part at 16 steps: the
-        # coarsest level steps 1 of 0.16.  A lattice block draws its shift
-        # first; step k takes coordinate 3k for its normal, 3k + 1 and
-        # 3k + 2 for its first jump, and its later arrivals from the block
+        # coarsest level steps 1 of 0.16.  A lattice block of four shifts
+        # of the 257 points draws its shifts first, one row each; step k
+        # takes coordinate 3k for its normal, 3k + 1 and 3k + 2 for its
+        # first jump, and its later arrivals from the block
         spec = dataclasses.replace(tabulated_example_spec, wiener_cov=0.01 * np.eye(2))
         run = original_run(example_vol, spec, -0.5, 0.1, 1.0, 0.05, 0.16, 16, 10, 12)
         level = run.lattice_level()
-        assert (level.points, level.n_steps, level.batch(self.N)) == (self.N, 1, 9)
+        paths = level.lattice_paths
+        assert (level.points, paths, level.n_steps, level.batch(paths)) == (self.N, 4 * self.N, 1, 9)
         assert run.lattice == (self.N, 3)
         sampler = dataclasses.replace(
             run.jumps, directions=run.jumps.directions @ example_vol.basis,
@@ -1475,16 +1498,17 @@ class TestPoissonLattice:
         )
         q = example_vol.basis.T @ (spec.wiener_cov + run.jumps.small_cov) @ example_vol.basis
         gen = level_generator(12, level, 2)
-        shift = gen.random(3)
-        z = [pow(simulate._LATTICES[self.N][0], j, self.N) for j in range(3)]
-        u = np.stack([tent_points(zj, s, self.N) for zj, s in zip(z, shift)])
+        shifts = gen.random((4, 3))
+        # k z / 257 is inexact, so the uniforms are the package's own (see
+        # test_uniforms_of_several_shifts_are_each_shift_in_turn)
+        u = simulate._lattice_uniforms(simulate._lattice_points(self.N, 3), shifts)
         dz = sampler.mapped_increment(0.16, u[1:], gen)
         dz += np.sqrt(q * 0.16) * special.ndtri(u[:1]).T
-        r = euler_step(example_vol, np.ones(self.N), 0.16, dz)
-        states = [state for state, _, _ in level.block(2, self.N)]
+        r = euler_step(example_vol, np.ones(paths), 0.16, dz)
+        states = [state for state, _, _ in level.block(2, paths)]
         assert np.allclose(states[1], r, rtol=1e-14, atol=1e-15)
-        with pytest.raises(ValueError, match="1024 paths"):
-            level.block(0, 4096)
+        with pytest.raises(ValueError, match="1028 paths"):
+            level.block(0, self.N)
 
     @pytest.mark.parametrize(
         "atoms, steps, lattice", [(9, 63, False), (9, 57, False), (9, 55, True), (7, 63, True)]

@@ -364,7 +364,7 @@ def test_cli_import_leaves_out_scipy(tmp_path):
     assert summary["levels"][0]["sampling"] == "lattice"
     # nor does one of compound-Poisson jumps, whose lattice level maps
     # its normals through the package's own quantile: 8000 paths of 16
-    # steps hold 16 shifts of 1024 paths
+    # steps hold 64 shifts of 257 paths
     doc["simulation"].update(horizon=0.16, n_paths=8000, eps=0.05, seed=3)
     doc["pricing"]["tau_grid"] = [0.08, 0.16]
     (tmp_path / "poisson.json").write_text(json.dumps(doc))

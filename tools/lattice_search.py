@@ -1,14 +1,14 @@
 """Search the generator of compare's rank-1 Korobov lattice.
 
     python3 tools/lattice_search.py [--points 4096] [--dims 256]
-    python3 tools/lattice_search.py --points 1024
+    python3 tools/lattice_search.py --points 257
 
 A Korobov lattice of n points in s dimensions has the generating vector
 z_j = g^(j-1) mod n, j = 1..s, and the points {k z / n}, k = 0..n-1.
-With n a power of two, an odd g makes every z_j odd, so every 1-D
-projection of the points is a permutation of {k/n}.  This script scores
-each odd g in [1, n/2] by the weighted P_2 criterion with product
-weights gamma_j = 1/j^2,
+For n a power of two or a prime, a g prime to n (odd, or not a multiple
+of n) makes every z_j prime to n, so every 1-D projection of the points
+is a permutation of {k/n}.  This script scores each such g in [1, n/2]
+by the weighted P_2 criterion with product weights gamma_j = 1/j^2,
 
     P_2 = -1 + (1/n) sum_k prod_j (1 + gamma_j 2 pi^2 B_2({k z_j / n})),
 
@@ -19,8 +19,10 @@ the same criterion, since B_2(1 - x) = B_2(x), so the upper half is
 left out.  It prints the g of the least criterion, the smallest among
 ties, and the order of g mod n: the vector z repeats after that many
 coordinates, so a point set of more coordinates than the order reuses
-its z_j.  numpy only; at s = 256 the search takes about half a minute
-at n = 4096 and about a second at n = 1024.
+its z_j.  The order is at most n/4 for n a power of two and n - 1 for
+a prime, so a prime n of few points keeps a long period.  numpy only;
+at s = 256 the search takes about half a minute at n = 4096 and under a
+second at n = 257.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def generating_vector(n: int, g: int, s: int) -> np.ndarray:
 
 
 def order(n: int, g: int) -> int:
-    """The least k >= 1 with g^k = 1 mod n, for g odd and n a power of
-    two: the period of z_j."""
+    """The least k >= 1 with g^k = 1 mod n, for g prime to n: the period
+    of z_j."""
     k, x = 1, g % n
     while x != 1:
         k, x = k + 1, x * g % n
@@ -59,15 +61,16 @@ def criterion(n: int, g: int, s: int) -> float:
 
 
 def search(n: int, s: int) -> tuple:
-    """(g, criterion) of the least criterion over the odd g in [1, n/2]."""
-    scores = {g: criterion(n, g, s) for g in range(1, n // 2 + 1, 2)}
+    """(g, criterion) of the least criterion over the g in [1, n/2]
+    prime to n."""
+    scores = {g: criterion(n, g, s) for g in range(1, n // 2 + 1) if np.gcd(g, n) == 1}
     best = min(scores, key=lambda g: (scores[g], g))
     return best, scores[best]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--points", type=int, default=4096, help="n, a power of two")
+    parser.add_argument("--points", type=int, default=4096, help="n, a power of two or a prime")
     parser.add_argument("--dims", type=int, default=256, help="s, the dimensions scored")
     args = parser.parse_args()
     g, score = search(args.points, args.dims)
