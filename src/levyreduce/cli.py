@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,9 @@ class RunConfig:
                 raise ValueError(f"simulation {name} must be positive")
         if self.n_paths < 1:
             raise ValueError("simulation n_paths must be at least 1")
+        for name in ("x0", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"simulation {name} must be non-negative")
         if any(t < 0.0 for t in self.tau_grid):
             raise ValueError("pricing tau_grid holds a negative maturity")
         if not any(t > 0.0 for t in self.tau_grid):
@@ -221,6 +226,144 @@ def _write_csv(path: Path, header, rows, fmt: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(template % tuple(row) for row in rows)
+
+
+# paths.csv holds each float32 state as "%.9g" % float(v).  For v = +0
+# or v in [1e-9, 1e9) _g9_text builds that text with numpy: with X the
+# decimal exponent of v and v = m 2^e (m the 24-bit significand), the
+# nine digits are q = m 5^k 2^(e+k) rounded half-even, k = 8 - X, exact
+# in uint64 since m 5^17 < 2^64.  q never reaches 10^9: the float32
+# below each power of ten in range lies over 5e-10 below it (relative).
+# A row holding any other value goes through the %-template.
+_G9_CHUNK = 64  # paths formatted and written at a time
+_G9_ZERO = 18 * 18  # the layout row of +0, after those of (X, digits kept, last)
+
+
+def _f32_bits_at_least(j: int) -> int:
+    """The bits of the least positive float32 that is >= 10**j."""
+    lo, hi = 0x00800000, 0x7F800000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        m, e = (mid & 0x7FFFFF) | 0x800000, (mid >> 23) - 150
+        if m * 10 ** max(-j, 0) << max(e, 0) >= 10 ** max(j, 0) << max(-e, 0):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@functools.cache
+def _g9_tables() -> types.SimpleNamespace:
+    """The lookup tables of _g9_text, built on its first call."""
+    u64 = np.uint64
+    t = types.SimpleNamespace()
+    t.lo = np.uint32(_f32_bits_at_least(-9))
+    t.span = np.uint32(_f32_bits_at_least(9) - t.lo)
+    # four-digit numbers: ASCII text (first digit lowest), trailing zeros
+    i = np.arange(10_000, dtype=u64)
+    t.ascii4 = sum((i // 10 ** (3 - n) % 10 + 0x30) << u64(8 * n) for n in range(4))
+    t.zeros4 = sum((i % 10**n == 0).astype(u64) for n in range(1, 4)) + (i == 0)
+    # by 2E + b, E the exponent byte, x the decimal exponent of
+    # 2^(E-127) and b whether v reaches 10^(x+1): X + 9 = x + b + 9, 5^k
+    # and the shifts that scale m 5^k by 2^(e+k)
+    t.thresh = np.full(256, 0xFFFFFFFF, np.uint32)
+    t.x9, t.pow5, t.lshift, t.rshift = (np.zeros(512, u64) for _ in range(4))
+    for e in range(1, 255):
+        x = len(str(2 ** (e - 127))) - 1 if e >= 127 else -len(str(2 ** (127 - e)))
+        if not -10 <= x <= 8:
+            continue
+        t.thresh[e] = _f32_bits_at_least(x + 1)
+        for b in (0, 1):
+            k = 8 - x - b
+            if 0 <= k <= 17:
+                t.x9[2 * e + b], t.pow5[2 * e + b] = x + b + 9, 5**k
+                t.lshift[2 * e + b] = max(e - 150 + k, 0)
+                t.rshift[2 * e + b] = max(150 - e - k, 0)
+    t.rmask = (u64(1) << t.rshift) - u64(1)
+    # by (X + 9) * 18 + (digits kept - 1) * 2 + (last column), as 128-bit
+    # words in two halves: the digits that move one byte up for the
+    # point, the bytes kept, the shift past a "0.00" prefix, and the
+    # constant bytes (prefix, point, exponent, separator)
+    layout = []
+    for x in range(-9, 9):
+        for digits in range(1, 10):
+            if x >= 0:
+                prefix, point, suffix = b"", x + 1, b""
+            elif x >= -4:
+                prefix, point, suffix = b"0." + b"0" * (-x - 1), 9, b""
+            else:
+                prefix, point, suffix = b"", 1, b"e-0%d" % -x
+            body = bytearray(digits + 1 if digits > point else (point if x >= 0 else digits))
+            if digits > point:
+                body[point] = ord(".")
+            for sep in (b",", b"\n"):
+                layout.append((-1 << 8 * point, (1 << 8 * len(body)) - 1,
+                               8 * len(prefix), prefix + body + suffix + sep))
+    layout += [(0, 0, 0, b"0,"), (0, 0, 0, b"0\n")]
+    move, keep, shift, text = zip(*layout)
+    text = [int.from_bytes(w, "little") for w in text]
+    for name, words in (("move", move), ("keep", keep), ("text", text)):
+        setattr(t, name + "_lo", np.array([w & (2**64 - 1) for w in words], u64))
+        setattr(t, name + "_hi", np.array([w >> 64 & (2**64 - 1) for w in words], u64))
+    t.shift = np.array(shift, u64)
+    return t
+
+
+def _g9_text(bits: np.ndarray) -> bytes:
+    """The rows of "%.9g" text, cells joined by "," and each row ended
+    by a newline, of a 2-D array of float32 bit patterns, each +0 or a
+    value in [1e-9, 1e9)."""
+    t = _g9_tables()
+    zero = bits == 0
+    b = np.maximum(bits, t.lo)  # +0 has its own layout row
+    e = (b >> 23).astype(np.int64)
+    j = 2 * e + (b >= t.thresh[e])
+    n = ((b & 0x7FFFFF) | 0x800000).astype(np.uint64) * t.pow5[j] << t.lshift[j]
+    rmask = t.rmask[j]
+    q = n >> t.rshift[j]
+    q += ((n & rmask) << 1) + (q & 1) > rmask + 1
+    # the digits as a 128-bit string, first digit lowest: d1, the four
+    # digits h, then the four digits l
+    d1 = q // 100_000_000
+    r = q - d1 * 100_000_000
+    h = r // 10_000
+    l = (r - h * 10_000).view(np.int64)
+    h = h.view(np.int64)
+    low4 = t.ascii4[l]
+    lo = (d1 + 0x30) | (t.ascii4[h] << 8) | (low4 << 40)
+    hi = low4 >> 24
+    kept = 9 - t.zeros4[l] - (l == 0) * t.zeros4[h]
+    c = np.where(zero, _G9_ZERO, t.x9[j] * 18 + (kept - 1) * 2).view(np.int64)
+    c[:, -1] += 1
+    # move the digits at and after the point up one byte, cut the
+    # stripped zeros, shift past the prefix and add the constant bytes
+    mlo, mhi = t.move_lo[c], t.move_hi[c]
+    up = lo & mlo
+    hi = ((hi & ~mhi) | ((hi & mhi) << 8) | (up >> 56)) & t.keep_hi[c]
+    lo = ((lo & ~mlo) | (up << 8)) & t.keep_lo[c]
+    s = t.shift[c]
+    out = np.empty(bits.shape + (2,), "<u8")
+    out[..., 0] = (lo << s) | t.text_lo[c]
+    out[..., 1] = (hi << s) | ((lo >> (63 - s)) >> 1) | t.text_hi[c]
+    return out.tobytes().translate(None, b"\0")
+
+
+def _write_float32_rows(fh, values: np.ndarray) -> None:
+    """Write the rows of the float32 matrix values to the binary file fh
+    as _write_csv(..., "%.9g") writes them, _G9_CHUNK rows at a time."""
+    template = ",".join(["%.9g"] * values.shape[1]) + "\n"
+    t = _g9_tables()
+    for start in range(0, values.shape[0], _G9_CHUNK):
+        block = values[start:start + _G9_CHUNK]
+        bits = block.view(np.uint32)
+        fast = (((bits - t.lo) < t.span) | (bits == 0)).all(axis=1)
+        edges = [0, *(np.flatnonzero(fast[1:] != fast[:-1]) + 1).tolist(), len(fast)]
+        for a, z in zip(edges, edges[1:]):
+            if fast[a]:
+                fh.write(_g9_text(bits[a:z]))
+            else:
+                rows = block[a:z].tolist()
+                fh.write("".join(template % tuple(row) for row in rows).encode())
 
 
 def _report_payload(command: str, report: CheckReport, outputs, **extra) -> dict:
@@ -273,9 +416,10 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         RngStream(cfg.seed),
     )
     # 9 significant digits round-trip every float32 state
-    header = [f"t_{k}" for k in range(ens.values.shape[1])]
-    rows = (row.tolist() for row in ens.values)
-    _write_csv(outdir / "paths.csv", header, rows, "%.9g")
+    header = ",".join(f"t_{k}" for k in range(ens.values.shape[1])) + "\n"
+    with open(outdir / "paths.csv", "wb") as fh:
+        fh.write(header.encode())
+        _write_float32_rows(fh, ens.values)
     report = CheckReport(())
     payload = _report_payload(
         "simulate",
@@ -400,6 +544,8 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if args.seed is not None and args.seed < 0:
+            parser.error(f"argument --seed: must be non-negative, not {args.seed}")
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
 

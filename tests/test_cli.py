@@ -201,6 +201,42 @@ def test_seed_on_non_object_config_exits_2(write_config, tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+class TestNegativeSeedAndX0Exit2:
+    """A negative seed used to pass check, reduce and price, and to end
+    simulate and compare in numpy's error; a negative x0 was refused by
+    each pipeline in its own way, or not at all."""
+
+    @pytest.mark.parametrize("command", ["check", "reduce", "price", "simulate", "compare"])
+    @pytest.mark.parametrize("key, value", [("seed", -3), ("x0", -1.0)])
+    def test_config_value_names_the_key(
+        self, key, value, command, write_config, tmp_path, capsys
+    ):
+        doc = base_config()
+        doc["simulation"][key] = value
+        out = tmp_path / "out"
+        assert run([command, write_config(doc), str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"simulation {key} must be non-negative" in err
+        assert "usage:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "reduce", "price", "simulate", "compare"])
+    def test_seed_flag_names_the_option(self, command, write_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run([command, write_config(base_config()), str(out), "--seed", "-3", "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be non-negative" in err
+        assert "usage:" in err
+        assert not out.exists()
+
+    def test_zero_seed_and_x0_are_valid(self):
+        doc = base_config()
+        doc["simulation"].update(seed=0, x0=0.0)
+        cfg = RunConfig(doc)
+        assert (cfg.seed, cfg.x0) == (0, 0.0)
+
+
 class TestInvalidModelExits2:
     """Configs that used to run to exit 0 with a wrong answer."""
 
@@ -586,6 +622,30 @@ class TestSimulatePipeline:
             cfg.horizon, 10, cfg.n_paths, RngStream(cfg.seed),
         )
         assert np.array_equal(written.astype(np.float32), ens.values)
+
+
+    def test_low_rate_paths_csv_is_the_template_text(self, write_config, tmp_path):
+        # a low rate drives states to exact zeros, below 1e-4 (exponent
+        # notation) and, for a few paths, below 1e-9 (the %-template)
+        doc = base_config(
+            drift={"a": -2.0, "b": 1e-6},
+            simulation={"x0": 1e-3, "horizon": 1.0, "dt": 0.01, "n_paths": 300,
+                        "eps": 0.05, "seed": 3},
+        )
+        out = tmp_path / "out"
+        assert run(["simulate", write_config(doc), str(out), "--quiet"]) == 0
+        cfg = RunConfig(doc)
+        values = simulate_original(
+            cfg.volatility, cfg.spec, cfg.a, cfg.b, cfg.x0, cfg.eps,
+            cfg.horizon, 100, cfg.n_paths, RngStream(cfg.seed),
+        ).values
+        tiny = (values > 0) & (values < 1e-9)
+        assert (values == 0).any() and ((values > 0) & (values < 1e-4)).any()
+        assert 0 < tiny.any(axis=1).sum() < cfg.n_paths
+        template = ",".join(["%.9g"] * values.shape[1]) + "\n"
+        header = ",".join(f"t_{k}" for k in range(values.shape[1])) + "\n"
+        text = header + "".join(template % tuple(row) for row in values.tolist())
+        assert (out / "paths.csv").read_bytes() == text.encode()
 
 
 class TestPricePipeline:
