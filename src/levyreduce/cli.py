@@ -219,10 +219,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header, rows, fmt: str) -> None:
-    """Write the header, then each row of floats through one template
-    of the %-format fmt per cell."""
-    template = ",".join([fmt] * len(header)) + "\n"
+def _write_csv(path: Path, header, rows) -> None:
+    """Write the header, then each row of floats as "%.12g" per cell."""
+    template = ",".join(["%.12g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(template % tuple(row) for row in rows)
@@ -349,8 +348,9 @@ def _g9_text(bits: np.ndarray) -> bytes:
 
 
 def _write_float32_rows(fh, values: np.ndarray) -> None:
-    """Write the rows of the float32 matrix values to the binary file fh
-    as _write_csv(..., "%.9g") writes them, _G9_CHUNK rows at a time."""
+    """Write the rows of the float32 matrix values to the binary file fh,
+    each cell as the text of "%.9g" % float(v), comma-separated, one line
+    per row, _G9_CHUNK rows at a time."""
     template = ",".join(["%.9g"] * values.shape[1]) + "\n"
     t = _g9_tables()
     for start in range(0, values.shape[0], _G9_CHUNK):
@@ -452,7 +452,7 @@ def _cmd_price(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         ]
         for tau in cfg.tau_grid
     ]
-    _write_csv(outdir / "term_structure.csv", ["tau", "A", "B", "price"], rows, "%.12g")
+    _write_csv(outdir / "term_structure.csv", ["tau", "A", "B", "price"], rows)
     payload = _report_payload(
         "price", report, ["term_structure.csv"], model=_model_dict(model)
     )
@@ -480,7 +480,7 @@ def _cmd_compare(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     model, report = reduction
     header = ["tau", "A", "B", "price_riccati", "price_mc", "se"]
     rows = ([r[name] for name in header] for r in result.rows)
-    _write_csv(outdir / "comparison.csv", header, rows, "%.12g")
+    _write_csv(outdir / "comparison.csv", header, rows)
     merged = report.merged(result.report)
     payload = _report_payload(
         "compare", merged, ["comparison.csv"], model=_model_dict(model),

@@ -1,6 +1,6 @@
 """Compare the numpy writer of paths.csv with "%.9g" on every float32 it takes.
 
-    PYTHONPATH=src python3 tools/g9_sweep.py [--workers 2] [--slab 1048576]
+    PYTHONPATH=src python3 tools/g9_sweep.py
 
 `simulate` writes its float32 states through levyreduce.cli's
 _write_float32_rows.  A row of +0 and of values in [1e-9, 1e9) is
@@ -8,20 +8,22 @@ formatted by _g9_text; any other row goes through the template
 "%.9g" % float(v).  This script formats +0 and each of the 501 545 673
 float32 bit patterns in [1e-9, 1e9) both ways, in rows of 1024 cells,
 and prints the number of cells whose text differs, which must be 0.
-It takes a few minutes on two CPUs and under 100 MB per worker.
+It runs one worker per CPU it may use, each on SLAB patterns at a time; it takes
+a few minutes on two CPUs and under 100 MB per worker.
 """
 
 from __future__ import annotations
 
-import argparse
 import multiprocessing
+import os
 import time
 
 import numpy as np
 
 from levyreduce.cli import _g9_tables, _g9_text
 
-COLUMNS = 1024
+COLUMNS = 1024  # cells per row
+SLAB = 1 << 20  # bit patterns per task of a worker
 
 
 def _template_text(values: np.ndarray) -> bytes:
@@ -58,17 +60,13 @@ def _slab(bounds: tuple[int, int]) -> tuple[int, int, list[str]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--slab", type=int, default=1 << 20)
-    args = parser.parse_args()
     t = _g9_tables()
     lo, hi = int(t.lo), int(t.lo) + int(t.span)
     print(f"float32 bit patterns {lo:#010x}..{hi - 1:#010x}: {hi - lo} values and +0")
     start = time.perf_counter()
     cells, differ, examples = 1, *_compare(np.zeros((1, 1), np.uint32))
-    slabs = [(a, min(a + args.slab, hi)) for a in range(lo, hi, args.slab)]
-    with multiprocessing.Pool(args.workers) as pool:
+    slabs = [(a, min(a + SLAB, hi)) for a in range(lo, hi, SLAB)]
+    with multiprocessing.Pool(len(os.sched_getaffinity(0))) as pool:
         for n, bad, ex in pool.imap_unordered(_slab, slabs):
             cells, differ, examples = cells + n, differ + bad, examples + ex
     print(f"{cells} cells compared in {time.perf_counter() - start:.0f} s; "
